@@ -29,7 +29,7 @@ from .guidance import (
     weight_schedule,
 )
 from .metrics import GaussFit, QualityReport, lyapunov_audit, phase_plane, quality_report, w2_gaussian
-from .numerics import Rng, cholesky_solve, dot, gaussian_sample, sign_elementwise, spectral_norm
+from .numerics import Rng, spectral_norm
 from .sampler import (
     DivergenceError,
     IntegratorSpec,
@@ -65,11 +65,8 @@ __all__ = [
     "build_system",
     "cfg_combine",
     "cfg_zero_star_combine",
-    "cholesky_solve",
     "corridor_sweep",
-    "dot",
     "error_signal",
-    "gaussian_sample",
     "load_config",
     "lyapunov_audit",
     "marginal_velocity",
@@ -79,7 +76,6 @@ __all__ = [
     "rectified_cfgpp_combine",
     "run_batch",
     "sample_trajectory",
-    "sign_elementwise",
     "simulate_sliding",
     "smc_step",
     "spectral_norm",

@@ -21,6 +21,7 @@ import numpy as np
 from . import config as cfgmod
 from . import control_lab, metrics, svgplot
 from .config import ConfigError, ControllerSpec, ExperimentConfig
+from .guidance import CONTROLLERS
 from .sampler import RunResult, run_batch, traces_to_csv, traces_to_json
 
 
@@ -108,10 +109,8 @@ def cmd_run(args) -> int:
             svgplot.line_chart([("mean |e|", steps, curve)], "gap norm per step", "step", "|e|"),
         )
         pts = np.vstack([metrics.phase_plane(t) for t in result.traces])
-        ref = None
-        if cfg.controller.type == "smc":
-            lam = float(cfg.controller.params.get("lambda", 6.0))
-            ref = (f"slope -{lam:g}", -lam)
+        law = cfgmod.build_control_law(cfg.controller)
+        ref = None if law.sliding is None else (f"slope -{law.lam:g}", -law.lam)
         _write_text(
             out / f"run_{tag}_phase.svg",
             svgplot.scatter_chart(
@@ -129,6 +128,20 @@ def cmd_run(args) -> int:
 
 
 _SWEEP_FIELDS = ("w2", "alignment", "oversaturation", "e_decay_ratio", "mean_reach_step", "n_divergent")
+
+
+def _table_csv(key: str, rows: list[dict], first=str) -> str:
+    """One line per row: ``first(row[key])``, the status up to its first comma, then _SWEEP_FIELDS."""
+    lines = [f"{key},status," + ",".join(_SWEEP_FIELDS)]
+    for row in rows:
+        cells = [first(row[key]), row["status"].split(",")[0]]
+        for field in _SWEEP_FIELDS:
+            if field == "n_divergent" and field in row:
+                cells.append(str(row[field]))
+            else:
+                cells.append(_fmt(row.get(field)))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def cmd_sweep(args) -> int:
@@ -149,17 +162,8 @@ def cmd_sweep(args) -> int:
             rows.append({"value": value, "status": "ok", **row})
         except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
             rows.append({"value": value, "status": f"failed: {exc}"})
-    lines = ["value,status," + ",".join(_SWEEP_FIELDS)]
-    for row in rows:
-        cells = [repr(float(row["value"])), row["status"].split(",")[0]]
-        for field in _SWEEP_FIELDS:
-            if field == "n_divergent":
-                cells.append("" if field not in row else str(row[field]))
-            else:
-                cells.append(_fmt(row.get(field)))
-        lines.append(",".join(cells))
     if "csv" in cfg.output.formats:
-        _write_text(out / f"sweep_{tag}_table.csv", "\n".join(lines) + "\n")
+        _write_text(out / f"sweep_{tag}_table.csv", _table_csv("value", rows, _fmt))
     if "json" in cfg.output.formats:
         _write_text(
             out / f"sweep_{tag}_table.json",
@@ -180,27 +184,14 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-_COMPARE_DEFAULTS = {
-    "cfg": {},
-    "weight_schedule": {"shape": "cosine"},
-    "apg": {"eta": 0.5},
-    "cfg_zero_star": {},
-    "rectified_cfgpp": {},
-    "smc": {"lambda": 6.0, "k": 0.1, "boundary_layer": 0.0},
-}
-
-
 def _compare_controller(name: str, base: ControllerSpec) -> ControllerSpec:
+    """The base config's own block for its type; any other type gets only the base gain."""
     if name == base.type:
         return base
-    if name not in _COMPARE_DEFAULTS:
+    if name not in CONTROLLERS:
         raise ConfigError(f"--controllers: unknown controller type {name!r}")
-    w = float(base.params.get("w", base.params.get("w_max", 1.0)))
-    params = dict(_COMPARE_DEFAULTS[name])
-    if name == "weight_schedule":
-        params["w_max"] = max(w, 1.0)
-    else:
-        params["w"] = w
+    w = cfgmod.build_control_law(base).w
+    params = {"w": w} if "w" in CONTROLLERS[name].keys else {"w_max": max(w, 1.0)}
     return ControllerSpec(name, params)
 
 
@@ -228,17 +219,8 @@ def cmd_compare(args) -> int:
         steps, curve = _mean_gap_curve(result)
         curves.append((name, steps, curve))
 
-    lines = ["controller,status," + ",".join(_SWEEP_FIELDS)]
-    for row in rows:
-        cells = [row["controller"], row["status"].split(",")[0]]
-        for field in _SWEEP_FIELDS:
-            if field == "n_divergent":
-                cells.append("" if field not in row else str(row[field]))
-            else:
-                cells.append(_fmt(row.get(field)))
-        lines.append(",".join(cells))
     if "csv" in cfg.output.formats:
-        _write_text(out / f"compare_{tag}_table.csv", "\n".join(lines) + "\n")
+        _write_text(out / f"compare_{tag}_table.csv", _table_csv("controller", rows))
     if "json" in cfg.output.formats:
         _write_text(
             out / f"compare_{tag}_report.json",
@@ -304,7 +286,7 @@ def cmd_synth(args) -> int:
     report = control_lab.simulate_sliding(dyn, args.steps)
     series_lines = ["step,s_norm,lyapunov"]
     for i, (sn, vn) in enumerate(zip(report.s_norms, report.lyapunov)):
-        series_lines.append(f"{i},{sn!r},{vn!r}")
+        series_lines.append(f"{i},{_fmt(sn)},{_fmt(vn)}")
     _write_text(out / f"synth_{tag}_series.csv", "\n".join(series_lines) + "\n")
     _write_text(
         out / f"synth_{tag}_s_norm.svg",

@@ -25,9 +25,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .flow_systems import FlowSystem, GaussComponent
-from .guidance import ControlLaw
+from .guidance import CONTROLLERS, ControlLaw
 
-CONTROLLER_TYPES = ("cfg", "weight_schedule", "apg", "cfg_zero_star", "rectified_cfgpp", "smc")
 SWEEP_PARAMETERS = ("w", "lambda", "k")
 OUTPUT_FORMATS = ("csv", "json", "svg")
 SCHEMES = ("euler", "heun")
@@ -54,6 +53,13 @@ def _require_keys(block: dict, path: str, required: tuple[str, ...], optional: t
 def _as_number(value, path: str) -> float:
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool), path, "must be a number")
     return float(value)
+
+
+def _as_int(value, path: str, minimum: int | None = None) -> int:
+    """An integer no smaller than ``minimum``; JSON booleans are refused."""
+    _expect(isinstance(value, int) and not isinstance(value, bool), path, "must be an integer")
+    _expect(minimum is None or value >= minimum, path, f"must be at least {minimum}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -166,48 +172,25 @@ class ExperimentConfig:
         return out
 
 
-_CONTROLLER_PARAMS: dict[str, dict[str, bool]] = {
-    # controller type -> {parameter: required?}
-    "cfg": {"w": False},
-    "weight_schedule": {"w_max": True, "shape": False},
-    "apg": {"w": False, "eta": False},
-    "cfg_zero_star": {"w": False},
-    "rectified_cfgpp": {"w": False, "lambda_max": False, "gamma": False},
-    "smc": {"w": False, "lambda": False, "k": False, "boundary_layer": False},
-}
-
-
 def _parse_controller(block: dict, path: str) -> ControllerSpec:
     _expect(isinstance(block, dict), path, "must be a JSON object")
     _expect("type" in block, path, "missing required key 'type'")
     kind = block["type"]
-    _expect(kind in CONTROLLER_TYPES, f"{path}.type", f"unknown controller type {kind!r}")
-    schema = _CONTROLLER_PARAMS[kind]
+    _expect(isinstance(kind, str) and kind in CONTROLLERS, f"{path}.type", f"unknown controller type {kind!r}")
+    keys = CONTROLLERS[kind].keys
     params: dict[str, float | str] = {}
     for key, value in block.items():
         if key == "type":
             continue
-        _expect(key in schema, f"{path}.{key}", f"not a parameter of controller {kind!r}")
-        if key == "shape":
-            _expect(value in ("linear", "cosine"), f"{path}.shape", f"unknown shape {value!r}")
+        _expect(key in keys, f"{path}.{key}", f"not a parameter of controller {kind!r}")
+        if keys[key].choices:
+            _expect(value in keys[key].choices, f"{path}.{key}", f"unknown {key} {value!r}")
             params[key] = value
         else:
             params[key] = _as_number(value, f"{path}.{key}")
-    for key, required in schema.items():
-        if required:
-            _expect(key in params, path, f"missing required key {key!r}")
-    if "w" in params:
-        _expect(params["w"] >= 0.0, f"{path}.w", "guidance scale must be nonnegative")
-    if "w_max" in params:
-        _expect(params["w_max"] >= 1.0, f"{path}.w_max", "must be at least 1")
-    if "eta" in params:
-        _expect(params["eta"] <= 1.0, f"{path}.eta", "must be at most 1")
-    if "lambda" in params:
-        _expect(params["lambda"] > 0.0, f"{path}.lambda", "must be positive")
-    if "k" in params:
-        _expect(params["k"] >= 0.0, f"{path}.k", "must be nonnegative")
-    if "boundary_layer" in params:
-        _expect(params["boundary_layer"] >= 0.0, f"{path}.boundary_layer", "must be nonnegative")
+    for key, spec in keys.items():
+        _expect(key in params or not spec.required, path, f"missing required key {key!r}")
+        _expect(key not in params or spec.bound(params[key]), f"{path}.{key}", spec.message)
     return ControllerSpec(type=kind, params=params)
 
 
@@ -238,8 +221,7 @@ def _parse_component(block: dict, path: str, dim: int) -> ComponentSpec:
 
 def _parse_system(block: dict, path: str) -> SystemSpec:
     _require_keys(block, path, ("dimension", "components", "conditions", "target"))
-    dim = block["dimension"]
-    _expect(isinstance(dim, int) and dim >= 1, f"{path}.dimension", "must be a positive integer")
+    dim = _as_int(block["dimension"], f"{path}.dimension", 1)
     comps = block["components"]
     _expect(isinstance(comps, list) and comps, f"{path}.components", "must be a nonempty list")
     components = tuple(_parse_component(c, f"{path}.components[{i}]", dim) for i, c in enumerate(comps))
@@ -251,10 +233,9 @@ def _parse_system(block: dict, path: str) -> SystemSpec:
     for name, subset in conds_block.items():
         cpath = f"{path}.conditions.{name}"
         _expect(isinstance(subset, list) and subset, cpath, "must be a nonempty list of component indices")
-        idx = []
-        for v in subset:
-            _expect(isinstance(v, int) and 0 <= v < len(components), cpath, f"invalid component index {v!r}")
-            idx.append(v)
+        idx = [_as_int(v, cpath, 0) for v in subset]
+        for v in idx:
+            _expect(v < len(components), cpath, f"invalid component index {v!r}")
         _expect(len(set(idx)) == len(idx), cpath, "repeats a component index")
         conditions[name] = tuple(idx)
     target = block["target"]
@@ -267,12 +248,9 @@ def _parse_sampler(block: dict, path: str) -> SamplerSpec:
     _require_keys(block, path, (), ("scheme", "steps", "trajectories", "seed", "record_x", "tau_clamp"))
     scheme = block.get("scheme", defaults.scheme)
     _expect(scheme in SCHEMES, f"{path}.scheme", f"unknown scheme {scheme!r}")
-    steps = block.get("steps", defaults.steps)
-    _expect(isinstance(steps, int) and steps >= 2, f"{path}.steps", "must be an integer >= 2")
-    traj = block.get("trajectories", defaults.trajectories)
-    _expect(isinstance(traj, int) and traj >= 1, f"{path}.trajectories", "must be a positive integer")
-    seed = block.get("seed", defaults.seed)
-    _expect(isinstance(seed, int), f"{path}.seed", "must be an integer")
+    steps = _as_int(block.get("steps", defaults.steps), f"{path}.steps", 2)
+    traj = _as_int(block.get("trajectories", defaults.trajectories), f"{path}.trajectories", 1)
+    seed = _as_int(block.get("seed", defaults.seed), f"{path}.seed")
     record_x = block.get("record_x", defaults.record_x)
     _expect(isinstance(record_x, bool), f"{path}.record_x", "must be a boolean")
     clamp = _as_number(block.get("tau_clamp", defaults.tau_clamp), f"{path}.tau_clamp")
@@ -284,10 +262,8 @@ def _parse_sweep(block: dict, path: str, controller: ControllerSpec) -> SweepSpe
     _require_keys(block, path, ("parameter", "values"))
     param = block["parameter"]
     _expect(param in SWEEP_PARAMETERS, f"{path}.parameter", f"must be one of {list(SWEEP_PARAMETERS)}")
-    if param in ("lambda", "k"):
-        _expect(controller.type == "smc", f"{path}.parameter", f"{param!r} only applies to the smc controller")
-    else:
-        _expect(controller.type != "weight_schedule", f"{path}.parameter", "'w' does not apply to weight_schedule (sweep w_max unsupported)")
+    keys = CONTROLLERS[controller.type].keys
+    _expect(param in keys, f"{path}.parameter", f"{param!r} is not a parameter of controller {controller.type!r}")
     values = block["values"]
     _expect(isinstance(values, list) and values, f"{path}.values", "must be a nonempty list")
     vals = tuple(_as_number(v, f"{path}.values") for v in values)
@@ -356,31 +332,11 @@ def build_system(spec: SystemSpec) -> FlowSystem:
 
 
 def build_control_law(spec: ControllerSpec) -> ControlLaw:
-    p = spec.params
-    if spec.type == "cfg":
-        return ControlLaw("cfg", w=p.get("w", 1.0))
-    if spec.type == "weight_schedule":
-        return ControlLaw("weight_schedule", w=p["w_max"], w_max=p["w_max"], shape=p.get("shape", "cosine"))
-    if spec.type == "apg":
-        return ControlLaw("apg", w=p.get("w", 1.0), eta=p.get("eta", 0.5))
-    if spec.type == "cfg_zero_star":
-        return ControlLaw("cfg_zero_star", w=p.get("w", 1.0))
-    if spec.type == "rectified_cfgpp":
-        return ControlLaw(
-            "rectified_cfgpp",
-            w=p.get("w", 1.0),
-            lam_max=p.get("lambda_max"),
-            gamma=p.get("gamma", 1.0),
-        )
-    if spec.type == "smc":
-        return ControlLaw(
-            "smc",
-            w=p.get("w", 1.0),
-            lam=p.get("lambda", 6.0),
-            k=p.get("k", 0.1),
-            boundary_layer=p.get("boundary_layer", 0.0),
-        )
-    raise ConfigError(f"controller.type: unknown controller type {spec.type!r}")
+    """The law a controller block describes; keys left out keep ControlLaw's defaults."""
+    controller = CONTROLLERS.get(spec.type)
+    if controller is None:
+        raise ConfigError(f"controller.type: unknown controller type {spec.type!r}")
+    return ControlLaw(spec.type, **{controller.keys[key].field: value for key, value in spec.params.items()})
 
 
 def with_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:

@@ -166,14 +166,18 @@ def _log_posteriors(sys: FlowSystem, x: np.ndarray, tau: float, idx: np.ndarray)
     return logs
 
 
+def _normalize(logs: np.ndarray) -> np.ndarray:
+    """Rows of unnormalized log responsibilities to probabilities summing to 1; overwrites ``logs``."""
+    logs -= logs.max(axis=-1, keepdims=True)
+    p = np.exp(logs)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
 def responsibilities(sys: FlowSystem, x: np.ndarray, tau: float, cond: str | None = None) -> np.ndarray:
     """Posterior component responsibilities at (x, tau); rows sum to 1."""
     x = _check_probe(sys, x, tau)
-    idx = sys.component_indices(cond)
-    logs = _log_posteriors(sys, x, tau, idx)
-    logs -= logs.max(axis=-1, keepdims=True)
-    p = np.exp(logs)
-    return p / p.sum(axis=-1, keepdims=True)
+    return _normalize(_log_posteriors(sys, x, tau, sys.component_indices(cond)))
 
 
 def data_responsibilities(sys: FlowSystem, x: np.ndarray, cond: str | None = None) -> np.ndarray:
@@ -190,9 +194,7 @@ def data_responsibilities(sys: FlowSystem, x: np.ndarray, cond: str | None = Non
             - 0.5 * float(np.log(spectrum).sum())
             + float(np.log(w[j] / w.sum()))
         )
-    logs -= logs.max(axis=-1, keepdims=True)
-    p = np.exp(logs)
-    return p / p.sum(axis=-1, keepdims=True)
+    return _normalize(logs)
 
 
 def marginal_velocity(sys: FlowSystem, x: np.ndarray, tau: float, cond: str | None = None) -> np.ndarray:
@@ -202,10 +204,7 @@ def marginal_velocity(sys: FlowSystem, x: np.ndarray, tau: float, cond: str | No
     """
     x = _check_probe(sys, x, tau)
     idx = sys.component_indices(cond)
-    logs = _log_posteriors(sys, x, tau, idx)
-    logs -= logs.max(axis=-1, keepdims=True)
-    resp = np.exp(logs)
-    resp /= resp.sum(axis=-1, keepdims=True)
+    resp = _normalize(_log_posteriors(sys, x, tau, idx))
 
     one_m = (1.0 - tau) ** 2
     out = np.zeros_like(x)

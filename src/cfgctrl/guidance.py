@@ -12,6 +12,9 @@ controllers acting on the prediction gap e = v_cond - v_uncond:
 * ``smc``             sliding-mode switching correction of the gap
 
 Vector arguments may carry leading batch axes; everything broadcasts row-wise.
+:data:`CONTROLLERS` is the one description of each law: its config keys and
+its step function. Config parsing, law building, dispatch and the CLI's
+``compare`` all read it.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ import numpy as np
 
 VelocityEvaluator = Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]]
 """Callable returning (v_cond, v_uncond) at a point and time."""
-
-VARIANTS = ("cfg", "weight_schedule", "apg", "cfg_zero_star", "rectified_cfgpp", "smc")
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ class ControlLaw:
     sliding: SlidingState | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        if self.variant not in CONTROLLERS:
             raise ValueError(f"unknown controller variant {self.variant!r}")
         self.reset()
 
@@ -105,12 +106,6 @@ class ControlLaw:
             self.sliding = SlidingState(self.lam, self.k, self.boundary_layer)
         else:
             self.sliding = None
-
-    def fresh(self) -> "ControlLaw":
-        """Copy with cleared state, for handing to a new trajectory."""
-        law = replace(self, sliding=None)
-        law.reset()
-        return law
 
 
 def cfg_combine(v_c: np.ndarray, v_u: np.ndarray, w: float) -> np.ndarray:
@@ -252,25 +247,103 @@ def apply_controller(
     ``update_state=False`` evaluates without recording (used for the second
     stage of multi-stage integrators).
     """
-    if law.variant == "cfg":
-        return cfg_combine(v_c, v_u, law.w)
-    if law.variant == "weight_schedule":
-        w_max = law.w if law.w_max is None else law.w_max
-        return cfg_combine(v_c, v_u, weight_schedule(ctx, law.shape, w_max))
-    if law.variant == "apg":
-        return apg_combine(v_c, v_u, law.w, law.eta)
-    if law.variant == "cfg_zero_star":
-        return cfg_zero_star_combine(v_c, v_u, law.w)
-    if law.variant == "rectified_cfgpp":
-        if evaluator is None:
-            raise ValueError("rectified_cfgpp needs a velocity evaluator")
-        lam_max = (law.w - 1.0) if law.lam_max is None else law.lam_max
-        return rectified_cfgpp_combine(evaluator, x, ctx, lam_max, law.gamma, v_c=v_c)
-    if law.variant == "smc":
-        if law.sliding is None:
-            law.reset()
-        v_hat, new_state, _ = smc_step(v_c, v_u, ctx, law.sliding)
-        if update_state:
-            law.sliding = new_state
-        return v_hat
-    raise ValueError(f"unknown controller variant {law.variant!r}")
+    controller = CONTROLLERS.get(law.variant)
+    if controller is None:
+        raise ValueError(f"unknown controller variant {law.variant!r}")
+    return controller.step(law, v_c, v_u, x, ctx, evaluator, update_state)
+
+
+def _cfg_step(law, v_c, v_u, x, ctx, evaluator, update_state):
+    return cfg_combine(v_c, v_u, law.w)
+
+
+def _weight_schedule_step(law, v_c, v_u, x, ctx, evaluator, update_state):
+    w_max = law.w if law.w_max is None else law.w_max
+    return cfg_combine(v_c, v_u, weight_schedule(ctx, law.shape, w_max))
+
+
+def _apg_step(law, v_c, v_u, x, ctx, evaluator, update_state):
+    return apg_combine(v_c, v_u, law.w, law.eta)
+
+
+def _cfg_zero_star_step(law, v_c, v_u, x, ctx, evaluator, update_state):
+    return cfg_zero_star_combine(v_c, v_u, law.w)
+
+
+def _rectified_cfgpp_step(law, v_c, v_u, x, ctx, evaluator, update_state):
+    if evaluator is None:
+        raise ValueError("rectified_cfgpp needs a velocity evaluator")
+    lam_max = (law.w - 1.0) if law.lam_max is None else law.lam_max
+    return rectified_cfgpp_combine(evaluator, x, ctx, lam_max, law.gamma, v_c=v_c)
+
+
+def _smc_step(law, v_c, v_u, x, ctx, evaluator, update_state):
+    if law.sliding is None:
+        law.reset()
+    v_hat, new_state, _ = smc_step(v_c, v_u, ctx, law.sliding)
+    if update_state:
+        law.sliding = new_state
+    return v_hat
+
+
+@dataclass(frozen=True)
+class ConfigKey:
+    """One key of a controller's config block.
+
+    The key sets the :class:`ControlLaw` field ``field``; a key left out keeps
+    that field's default. A key with ``choices`` takes one of those strings;
+    any other key takes a number that must satisfy ``bound``, else the config
+    is refused with ``message``.
+    """
+
+    field: str
+    bound: Callable[[float], bool] = lambda value: True
+    message: str = ""
+    required: bool = False
+    choices: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class Controller:
+    """Config keys and step function of one control law.
+
+    ``step(law, v_c, v_u, x, ctx, evaluator, update_state)`` returns the
+    guided velocity; see :func:`apply_controller`.
+    """
+
+    keys: dict[str, ConfigKey]
+    step: Callable[..., np.ndarray]
+
+
+_W = ConfigKey("w", lambda w: w >= 0.0, "guidance scale must be nonnegative")
+
+CONTROLLERS: dict[str, Controller] = {
+    "cfg": Controller({"w": _W}, _cfg_step),
+    "weight_schedule": Controller(
+        {
+            # the ramp's end gain is the law's gain w (w_max left unset)
+            "w_max": ConfigKey("w", lambda w: w >= 1.0, "must be at least 1", required=True),
+            "shape": ConfigKey("shape", choices=("linear", "cosine")),
+        },
+        _weight_schedule_step,
+    ),
+    "apg": Controller(
+        {"w": _W, "eta": ConfigKey("eta", lambda eta: eta <= 1.0, "must be at most 1")},
+        _apg_step,
+    ),
+    "cfg_zero_star": Controller({"w": _W}, _cfg_zero_star_step),
+    "rectified_cfgpp": Controller(
+        {"w": _W, "lambda_max": ConfigKey("lam_max"), "gamma": ConfigKey("gamma")},
+        _rectified_cfgpp_step,
+    ),
+    "smc": Controller(
+        {
+            "w": _W,
+            "lambda": ConfigKey("lam", lambda lam: lam > 0.0, "must be positive"),
+            "k": ConfigKey("k", lambda k: k >= 0.0, "must be nonnegative"),
+            "boundary_layer": ConfigKey("boundary_layer", lambda b: b >= 0.0, "must be nonnegative"),
+        },
+        _smc_step,
+    ),
+}
+"""Every control law by config type name; the names are ControlLaw variants."""

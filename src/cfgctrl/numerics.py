@@ -1,16 +1,14 @@
-"""Dense linear algebra helpers and counter-based random streams.
+"""Spectral norm and counter-based random streams.
 
 All numeric code in the package works on plain float64 numpy arrays:
 vectors are 1-D, matrices 2-D. Experiment dimensions stay tiny (d <= 16),
-so there is no sparse or blocked machinery here, just the handful of
-operations everything else shares.
+so there is no sparse or blocked machinery here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-Vector = np.ndarray
 Matrix = np.ndarray
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -45,69 +43,6 @@ class Rng:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Rng(seed={self.seed}, stream={self.stream})"
-
-
-def dot(a: Vector, b: Vector) -> float:
-    """Inner product of two equal-length vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ValueError(f"dot needs equal-length 1-D vectors, got shapes {a.shape} and {b.shape}")
-    return float(np.dot(a, b))
-
-
-def sign_elementwise(v: Vector) -> Vector:
-    """Elementwise sign with sign(0) = 0.
-
-    The zero convention matters: it makes switching controllers inject no
-    force when the state sits exactly on the switching surface.
-    """
-    v = np.asarray(v, dtype=float)
-    if np.isnan(v).any():
-        raise ValueError("sign_elementwise: NaN entry")
-    return np.sign(v)
-
-
-def _check_symmetric(m: Matrix, name: str) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > 1e-10 * scale:
-        raise ValueError(f"{name} is not symmetric")
-    return m
-
-
-def cholesky_solve(s: Matrix, b: Vector) -> Vector:
-    """Solve s @ x = b for symmetric positive definite s.
-
-    Raises numpy.linalg.LinAlgError when the factorization fails (matrix not
-    positive definite). Relative residual is <= 1e-10 for the well-conditioned
-    matrices this package builds.
-    """
-    s = _check_symmetric(s, "cholesky_solve matrix")
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1 or b.shape[0] != s.shape[0]:
-        raise ValueError(f"right-hand side shape {b.shape} does not match matrix {s.shape}")
-    lower = np.linalg.cholesky(s)
-    y = np.linalg.solve(lower, b)
-    return np.linalg.solve(lower.T, y)
-
-
-def gaussian_sample(rng: Rng, mean: Vector, cov: Matrix, size: int | None = None) -> np.ndarray:
-    """Draw from N(mean, cov) as mean + L z with L the Cholesky factor.
-
-    With ``size=None`` returns one draw of shape (d,); otherwise (size, d).
-    Non positive definite covariances raise numpy.linalg.LinAlgError.
-    """
-    mean = np.asarray(mean, dtype=float)
-    cov = _check_symmetric(cov, "covariance")
-    if mean.ndim != 1 or mean.shape[0] != cov.shape[0]:
-        raise ValueError(f"mean shape {mean.shape} does not match covariance {cov.shape}")
-    lower = np.linalg.cholesky(cov)
-    shape = mean.shape[0] if size is None else (int(size), mean.shape[0])
-    z = rng.standard_normal(shape)
-    return mean + z @ lower.T
 
 
 def spectral_norm(m: Matrix, tol: float = 1e-8, max_iter: int = 10_000) -> float:

@@ -126,16 +126,16 @@ def _integrate_rows(
     taus = integ.tau_grid()
     dtau = integ.dtau
     heun = integ.scheme == "heun"
-    is_smc = law.variant == "smc"
+    has_surface = law.sliding is not None
 
     x = x0.copy()
     alive = np.ones(n, dtype=bool)
     div_step: dict[int, int] = {}
     e_hist = np.zeros((n_steps, n))
     v_hist = np.zeros((n_steps, n))
-    s_hist = np.zeros((n_steps, n)) if is_smc else None
+    s_hist = np.zeros((n_steps, n)) if has_surface else None
     x_hist = np.zeros((n_steps, n, dim)) if record_x else None
-    sv_hist = np.zeros((n_steps, n, dim)) if (record_x and is_smc) else None
+    sv_hist = np.zeros((n_steps, n, dim)) if (record_x and has_surface) else None
 
     def evaluator(points: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         return marginal_velocity(system, points, t, cond), marginal_velocity(system, points, t, None)
@@ -145,7 +145,7 @@ def _integrate_rows(
             div_step[run_ids[row]] = step
         alive[bad] = False
         x[bad] = 0.0
-        if is_smc and law.sliding is not None and law.sliding.e_prev is not None:
+        if law.sliding is not None and law.sliding.e_prev is not None:
             law.sliding.e_prev[bad] = 0.0
 
     with np.errstate(all="ignore"):
@@ -155,7 +155,7 @@ def _integrate_rows(
             v_c, v_u = evaluator(x, t)
             v_hat = apply_controller(law, v_c, v_u, x, ctx, evaluator)
             e_hist[i] = np.linalg.norm(v_c - v_u, axis=1)
-            if is_smc:
+            if has_surface:
                 s_hist[i] = np.linalg.norm(law.sliding.s, axis=1)
                 if sv_hist is not None:
                     sv_hist[i] = law.sliding.s
@@ -276,22 +276,31 @@ def run_batch(cfg: "_config.ExperimentConfig", workers: int | None = None) -> Ru
     )
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+_TRACE_COLUMNS = ("step", "tau", "e_norm", "s_norm", "lyapunov", "vhat_norm")
+
+
+def _trace_rows(trace: Trace):
+    """Per-step values in _TRACE_COLUMNS order; the surface columns are None for non-smc runs."""
+    n = trace.steps
+    blank = [None] * n
+    lyap = trace.lyapunov
+    return zip(
+        range(n),
+        trace.tau.tolist(),
+        trace.e_norm.tolist(),
+        blank if trace.s_norm is None else trace.s_norm.tolist(),
+        blank if lyap is None else lyap.tolist(),
+        trace.vhat_norm.tolist(),
+    )
 
 
 def traces_to_csv(traces: list[Trace]) -> str:
     """CSV export, one row per step; surface columns are blank for non-smc runs."""
-    lines = ["run_id,step,tau,e_norm,s_norm,lyapunov,vhat_norm"]
+    lines = ["run_id," + ",".join(_TRACE_COLUMNS)]
     for trace in traces:
-        lyap = trace.lyapunov
-        for i in range(trace.steps):
-            s_col = _fmt(trace.s_norm[i]) if trace.s_norm is not None else ""
-            v_col = _fmt(lyap[i]) if lyap is not None else ""
-            lines.append(
-                f"{trace.run_id},{i},{_fmt(trace.tau[i])},{_fmt(trace.e_norm[i])},"
-                f"{s_col},{v_col},{_fmt(trace.vhat_norm[i])}"
-            )
+        for step, *values in _trace_rows(trace):
+            cells = ["" if v is None else repr(v) for v in values]
+            lines.append(f"{trace.run_id},{step}," + ",".join(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -299,20 +308,12 @@ def traces_to_json(traces: list[Trace]) -> str:
     """JSON export mirroring the CSV columns."""
     import json
 
-    payload = []
-    for trace in traces:
-        lyap = trace.lyapunov
-        steps = []
-        for i in range(trace.steps):
-            steps.append(
-                {
-                    "step": i,
-                    "tau": float(trace.tau[i]),
-                    "e_norm": float(trace.e_norm[i]),
-                    "s_norm": float(trace.s_norm[i]) if trace.s_norm is not None else None,
-                    "lyapunov": float(lyap[i]) if lyap is not None else None,
-                    "vhat_norm": float(trace.vhat_norm[i]),
-                }
-            )
-        payload.append({"run_id": trace.run_id, "steps": steps, "x_final": [float(v) for v in trace.x_final]})
+    payload = [
+        {
+            "run_id": trace.run_id,
+            "steps": [dict(zip(_TRACE_COLUMNS, row)) for row in _trace_rows(trace)],
+            "x_final": trace.x_final.tolist(),
+        }
+        for trace in traces
+    ]
     return json.dumps(payload, indent=2) + "\n"

@@ -1,4 +1,4 @@
-"""Shared fixtures: the reference two-component system and probe helpers."""
+"""Shared fixtures: the reference two-component system, probe and sampling helpers."""
 
 from pathlib import Path
 
@@ -37,3 +37,29 @@ def draw_probe(rng: Rng, system, cond: str | None, max_radius: float = 2.0):
     u /= np.linalg.norm(u)
     r = max_radius * float(rng.uniform())
     return tau * mu + scale * r * u, tau
+
+
+def _check_symmetric(m, name: str) -> np.ndarray:
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    scale = max(1.0, float(np.abs(m).max()))
+    if float(np.abs(m - m.T).max()) > 1e-10 * scale:
+        raise ValueError(f"{name} is not symmetric")
+    return m
+
+
+def gaussian_sample(rng: Rng, mean, cov, size: int | None = None) -> np.ndarray:
+    """Draw from N(mean, cov) as mean + L z with L the Cholesky factor.
+
+    With ``size=None`` returns one draw of shape (d,); otherwise (size, d).
+    Non positive definite covariances raise numpy.linalg.LinAlgError.
+    """
+    mean = np.asarray(mean, dtype=float)
+    cov = _check_symmetric(cov, "covariance")
+    if mean.ndim != 1 or mean.shape[0] != cov.shape[0]:
+        raise ValueError(f"mean shape {mean.shape} does not match covariance {cov.shape}")
+    lower = np.linalg.cholesky(cov)
+    shape = mean.shape[0] if size is None else (int(size), mean.shape[0])
+    z = rng.standard_normal(shape)
+    return mean + z @ lower.T

@@ -175,6 +175,16 @@ class TestSynth:
         assert run_cli("synth", "--k", "0", "--out", tmp_path / "o") == 0
         assert "gain condition unmet" in capsys.readouterr().out
 
+    def test_series_csv_holds_plain_numbers(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli("synth", "--steps", "50", "--out", out) == 0
+        lines = next(out.glob("synth_*_series.csv")).read_text().strip().split("\n")
+        assert lines[0] == "step,s_norm,lyapunov"
+        assert len(lines) > 1
+        for line in lines[1:]:
+            step, s_norm, lyapunov = line.split(",")
+            int(step), float(s_norm), float(lyapunov)
+
     def test_corridor_mode_writes_csv(self, tmp_path):
         out = tmp_path / "o"
         assert run_cli("synth", "--corridor", "--k-values", "0.02,0.3,1.0", "--steps", "800", "--out", out) == 0

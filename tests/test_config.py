@@ -14,6 +14,7 @@ from cfgctrl.config import (
     with_controller_value,
     with_seed,
 )
+from cfgctrl.guidance import CONTROLLERS
 
 
 def minimal_dict(**controller):
@@ -55,6 +56,10 @@ class TestParsing:
         raw = minimal_dict(type="pid", w=1.0)
         with pytest.raises(ConfigError, match="controller.type"):
             config_from_dict(raw)
+
+    def test_non_string_controller_type_names_field(self):
+        with pytest.raises(ConfigError, match="controller.type"):
+            config_from_dict(minimal_dict(type=["smc"]))
 
     def test_unknown_controller_param_named(self):
         raw = minimal_dict(type="cfg", w=1.0, momentum=0.9)
@@ -106,6 +111,23 @@ class TestParsing:
         system = build_system(cfg.system)
         assert system.dim == 2
 
+    @pytest.mark.parametrize(
+        "block, key, value, field",
+        [
+            ("sampler", "trajectories", True, "sampler.trajectories"),
+            ("sampler", "seed", False, "sampler.seed"),
+            ("sampler", "steps", True, "sampler.steps"),
+            ("system", "dimension", True, "system.dimension"),
+            ("conditions", "right", [True], "system.conditions.right"),
+        ],
+    )
+    def test_boolean_is_not_an_integer(self, block, key, value, field):
+        raw = minimal_dict()
+        target = raw["system"]["conditions"] if block == "conditions" else raw[block]
+        target[key] = value
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict(raw)
+
     def test_non_spd_covariance_rejected_at_build(self):
         raw = minimal_dict()
         raw["system"]["components"][0]["cov"] = {"full_lower": [[1.0], [5.0, 1.0]]}
@@ -133,6 +155,41 @@ class TestBuildControlLaw:
         cfg = config_from_dict(minimal_dict(type="rectified_cfgpp", w=4.0))
         law = build_control_law(cfg.controller)
         assert law.lam_max is None and law.gamma == 1.0  # resolves to w - 1 at dispatch
+
+    @pytest.mark.parametrize(
+        "controller, expected",
+        [
+            ({"type": "cfg"}, {"w": 1.0}),
+            ({"type": "weight_schedule", "w_max": 3.0}, {"w": 3.0, "shape": "cosine"}),
+            ({"type": "apg"}, {"w": 1.0, "eta": 0.5}),
+            ({"type": "cfg_zero_star"}, {"w": 1.0}),
+            ({"type": "rectified_cfgpp"}, {"w": 1.0, "lam_max": None, "gamma": 1.0}),
+            ({"type": "smc"}, {"w": 1.0, "lam": 6.0, "k": 0.1, "boundary_layer": 0.0}),
+        ],
+    )
+    def test_required_keys_alone_give_defaults(self, controller, expected):
+        law = build_control_law(config_from_dict(minimal_dict(**controller)).controller)
+        assert law.variant == controller["type"]
+        assert {name: getattr(law, name) for name in expected} == expected
+
+
+# One out-of-bounds value per bounded controller key, and a valid value per required key.
+BAD_VALUES = {"w": -0.5, "w_max": 0.5, "eta": 1.5, "lambda": 0.0, "k": -0.1, "boundary_layer": -1.0, "shape": "square"}
+REQUIRED_VALUES = {"w_max": 3.0}
+
+
+@pytest.mark.parametrize("kind", sorted(CONTROLLERS))
+def test_controller_bounds_name_the_key(kind):
+    keys = CONTROLLERS[kind].keys
+    required = {key: REQUIRED_VALUES[key] for key, spec in keys.items() if spec.required}
+    config_from_dict(minimal_dict(type=kind, **required))
+    for key, spec in keys.items():
+        if not (spec.message or spec.choices):
+            continue
+        assert key in BAD_VALUES, f"no out-of-bounds value for {kind}.{key}"
+        raw = minimal_dict(type=kind, **{**required, key: BAD_VALUES[key]})
+        with pytest.raises(ConfigError, match=rf"controller\.{key}:"):
+            config_from_dict(raw)
 
 
 class TestFingerprint:

@@ -13,8 +13,10 @@ from cfgctrl.metrics import (
     quality_report,
     w2_gaussian,
 )
-from cfgctrl.numerics import Rng, gaussian_sample
+from cfgctrl.numerics import Rng
 from cfgctrl.sampler import Trace, run_batch
+
+from conftest import gaussian_sample
 
 
 def make_trace(e_norm, dtau=0.1, s_norm=None):

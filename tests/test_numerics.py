@@ -1,7 +1,41 @@
 import numpy as np
 import pytest
 
-from cfgctrl.numerics import Rng, cholesky_solve, dot, gaussian_sample, sign_elementwise, spectral_norm
+from cfgctrl.numerics import Rng, spectral_norm
+
+from conftest import _check_symmetric, gaussian_sample
+
+
+# dot, sign_elementwise and cholesky_solve have no caller in the package;
+# they live here, beside their only tests.
+
+
+def dot(a, b) -> float:
+    """Inner product of two equal-length vectors."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"dot needs equal-length 1-D vectors, got shapes {a.shape} and {b.shape}")
+    return float(np.dot(a, b))
+
+
+def sign_elementwise(v) -> np.ndarray:
+    """Elementwise sign with sign(0) = 0; NaN entries are refused."""
+    v = np.asarray(v, dtype=float)
+    if np.isnan(v).any():
+        raise ValueError("sign_elementwise: NaN entry")
+    return np.sign(v)
+
+
+def cholesky_solve(s, b) -> np.ndarray:
+    """Solve s @ x = b for symmetric positive definite s."""
+    s = _check_symmetric(s, "cholesky_solve matrix")
+    b = np.asarray(b, dtype=float)
+    if b.ndim != 1 or b.shape[0] != s.shape[0]:
+        raise ValueError(f"right-hand side shape {b.shape} does not match matrix {s.shape}")
+    lower = np.linalg.cholesky(s)
+    y = np.linalg.solve(lower, b)
+    return np.linalg.solve(lower.T, y)
 
 
 class TestDot:
