@@ -15,6 +15,7 @@ from .flow_systems import (
     error_signal,
     marginal_velocity,
     mc_velocity_oracle,
+    velocity_pair,
 )
 from .guidance import (
     ControlLaw,
@@ -80,6 +81,7 @@ __all__ = [
     "smc_step",
     "spectral_norm",
     "stability_corridor",
+    "velocity_pair",
     "w2_gaussian",
     "weight_schedule",
 ]

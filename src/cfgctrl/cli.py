@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -235,7 +236,42 @@ def cmd_compare(args) -> int:
     return 0
 
 
+_SYNTH_FLAGS = (
+    # (flag, argparse attribute, test of a finite value, message)
+    ("--steps", "steps", lambda v: v >= 1, "must be at least 1"),
+    ("--dim", "dim", lambda v: v >= 1, "must be at least 1"),
+    ("--w", "w", lambda v: v > 0.0, "must be positive"),
+    ("--dt", "dt", lambda v: v > 0.0, "must be positive"),
+    ("--s0", "s0", lambda v: v != 0.0, "must be nonzero"),
+    ("--k", "k", lambda v: v >= 0.0, "must be nonnegative"),
+    ("--delta", "delta", lambda v: v >= 0.0, "must be nonnegative"),
+    ("--rho", "rho", lambda v: v >= 0.0, "must be nonnegative"),
+)
+
+
+def _synth_k_values(args) -> list[float] | None:
+    """Check every synth flag; returns the parsed --k-values of a corridor run."""
+    for flag, attr, holds, message in _SYNTH_FLAGS:
+        value = getattr(args, attr)
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag}: must be a finite number, got {value!r}")
+        if not holds(value):
+            raise ConfigError(f"{flag}: {message}, got {value!r}")
+    if not args.corridor:
+        return None
+    if not args.k_values:
+        raise ConfigError("--k-values: required with --corridor")
+    try:
+        k_values = [float(v) for v in args.k_values.split(",")]
+    except ValueError:
+        raise ConfigError(f"--k-values: {args.k_values!r} is not a comma-separated list of numbers") from None
+    if not all(0.0 <= k < math.inf for k in k_values):
+        raise ConfigError(f"--k-values: gains must be finite and nonnegative, got {args.k_values!r}")
+    return k_values
+
+
 def cmd_synth(args) -> int:
+    k_values = _synth_k_values(args)
     s0 = np.zeros(args.dim)
     s0[0] = args.s0
     dyn = control_lab.PerturbedDynamics(
@@ -263,10 +299,7 @@ def cmd_synth(args) -> int:
     if k_lo >= k_hi:
         print("warning: corridor infeasible for these parameters")
 
-    if args.corridor:
-        if not args.k_values:
-            raise ConfigError("--k-values: required with --corridor")
-        k_values = [float(v) for v in args.k_values.split(",")]
+    if k_values is not None:
         rows = control_lab.corridor_sweep(dyn, k_values, args.steps)
         _write_text(out / f"synth_{tag}_corridor.csv", control_lab.corridor_rows_to_csv(rows))
         converged = [(r.k, r.osc_amplitude) for r in rows if r.reached]

@@ -143,18 +143,28 @@ def _draw_gain_deviation(dyn: PerturbedDynamics, rng: Rng) -> np.ndarray:
     return dyn.rho * g / top
 
 
+def _draw_gain(dyn: PerturbedDynamics, rng: Rng) -> np.ndarray:
+    """Realized gain w*I + dG for a freshly drawn deviation dG, whose bound is asserted here."""
+    gain_dev = _draw_gain_deviation(dyn, rng)
+    if spectral_norm(gain_dev) > dyn.rho + max(_BOUND_SLACK, 1e-8 * dyn.rho):
+        raise RuntimeError("realized gain deviation exceeded its bound")
+    return dyn.w * np.eye(dyn.dim) + gain_dev
+
+
 def simulate_sliding(dyn: PerturbedDynamics, steps: int) -> ConvergenceReport:
     """Euler-integrate the perturbed switching dynamics and audit convergence.
 
-    Realized disturbance bounds are asserted at every step. A violated gain
-    condition is reported, not raised.
+    Realized disturbance bounds are asserted on every realization: the drift
+    at every step, the gain deviation on every matrix drawn (once per run,
+    or every step with ``redraw_gain``). A violated gain condition is
+    reported, not raised.
     """
     if steps < 1:
         raise ValueError("need at least one step")
     rng = Rng(dyn.seed)
-    gain_dev = _draw_gain_deviation(dyn, rng)
+    gain = _draw_gain(dyn, rng)
     drift = _make_drift(dyn, rng)
-    eye = np.eye(dyn.dim)
+    redraw = dyn.redraw_gain and dyn.gain_deviation == "seeded"
 
     phi = dyn.w - dyn.rho * math.sqrt(dyn.dim)
     eta = dyn.k * phi - dyn.delta
@@ -167,14 +177,11 @@ def simulate_sliding(dyn: PerturbedDynamics, steps: int) -> ConvergenceReport:
     history = np.zeros((steps + 1, dyn.dim))
     history[0] = s
     for step in range(steps):
-        if dyn.redraw_gain and dyn.gain_deviation == "seeded":
-            gain_dev = _draw_gain_deviation(dyn, rng)
+        if redraw:
+            gain = _draw_gain(dyn, rng)
         phi_t = drift(step)
         if np.linalg.norm(phi_t) > dyn.delta + _BOUND_SLACK:
             raise RuntimeError("realized drift exceeded its bound")
-        if spectral_norm(gain_dev) > dyn.rho + max(_BOUND_SLACK, 1e-8 * dyn.rho):
-            raise RuntimeError("realized gain deviation exceeded its bound")
-        gain = dyn.w * eye + gain_dev
         s = s + dyn.dt * (phi_t - gain @ (dyn.k * np.sign(s)))
         history[step + 1] = s
 

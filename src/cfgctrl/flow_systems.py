@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng
+from .numerics import Rng, by_column, row_sum
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -149,52 +149,76 @@ def _check_probe(sys: FlowSystem, x: np.ndarray, tau: float) -> np.ndarray:
     return x
 
 
-def _log_posteriors(sys: FlowSystem, x: np.ndarray, tau: float, idx: np.ndarray) -> np.ndarray:
-    """Unnormalized log responsibilities of the path marginals at (x, tau)."""
-    w = sys._weights[idx]
-    logs = np.empty(x.shape[:-1] + (len(idx),))
+def _component_pass(sys: FlowSystem, x: np.ndarray, tau: float, log_norm: float, ks, velocity: bool):
+    """One pass over components ``ks`` at (x, tau).
+
+    Returns, per component, the log path density less the mixture weight
+    (``log_norm`` is its Gaussian normalizing term), and the component's
+    affine velocity when ``velocity`` is set.
+    """
     one_m = (1.0 - tau) ** 2
-    for j, k in enumerate(idx):
+    logs, vels = {}, {}
+    for k in ks:
         spectrum = tau * tau * sys._eigvals[k] + one_m  # path covariance eigenvalues
-        z = (x - tau * sys._means[k]) @ sys._eigvecs[k]
-        logs[..., j] = (
-            -0.5 * ((z * z) / spectrum).sum(axis=-1)
-            - 0.5 * float(np.log(spectrum).sum())
-            - 0.5 * sys.dim * _LOG_2PI
-            + float(np.log(w[j] / w.sum()))
-        )
-    return logs
+        q = sys._eigvecs[k]
+        z = by_column(np.subtract, x, tau * sys._means[k]) @ q
+        quad = row_sum(by_column(np.divide, z * z, spectrum))
+        logs[k] = -0.5 * quad - 0.5 * float(np.log(spectrum).sum()) - log_norm
+        if velocity:
+            # E[x1 | x] - E[x0 | x] from joint-Gaussian conditioning, in eigenbasis.
+            gain = (tau * sys._eigvals[k] - (1.0 - tau)) / spectrum
+            vels[k] = by_column(np.add, by_column(np.multiply, z, gain) @ q.T, sys._means[k])
+    return logs, vels
+
+
+def _posteriors(sys: FlowSystem, logs: dict, idx: np.ndarray) -> np.ndarray:
+    """Responsibilities within the subset ``idx``, from the per-component logs of one pass."""
+    w = sys._weights[idx]
+    resp = np.empty(logs[idx[0]].shape + (len(idx),))
+    for j, k in enumerate(idx):
+        resp[..., j] = logs[k] + float(np.log(w[j] / w.sum()))
+    return _normalize(resp)
 
 
 def _normalize(logs: np.ndarray) -> np.ndarray:
     """Rows of unnormalized log responsibilities to probabilities summing to 1; overwrites ``logs``."""
-    logs -= logs.max(axis=-1, keepdims=True)
+    cols = range(logs.shape[-1])
+    top = logs[..., 0].copy()
+    for j in cols[1:]:
+        np.maximum(top, logs[..., j], out=top)
+    for j in cols:
+        logs[..., j] -= top
     p = np.exp(logs)
-    p /= p.sum(axis=-1, keepdims=True)
+    total = row_sum(p)
+    for j in cols:
+        p[..., j] /= total
     return p
+
+
+def _mix(x: np.ndarray, resp: np.ndarray, vels: dict, idx: np.ndarray) -> np.ndarray:
+    """Responsibility-weighted sum of the velocities of the components ``idx``, in index order."""
+    out = np.zeros_like(x)
+    for j, k in enumerate(idx):
+        for c in range(x.shape[-1]):
+            out[..., c] += resp[..., j] * vels[k][..., c]
+    return out
 
 
 def responsibilities(sys: FlowSystem, x: np.ndarray, tau: float, cond: str | None = None) -> np.ndarray:
     """Posterior component responsibilities at (x, tau); rows sum to 1."""
     x = _check_probe(sys, x, tau)
-    return _normalize(_log_posteriors(sys, x, tau, sys.component_indices(cond)))
+    idx = sys.component_indices(cond)
+    logs, _ = _component_pass(sys, x, tau, 0.5 * sys.dim * _LOG_2PI, idx, velocity=False)
+    return _posteriors(sys, logs, idx)
 
 
 def data_responsibilities(sys: FlowSystem, x: np.ndarray, cond: str | None = None) -> np.ndarray:
     """Responsibilities of the mixture itself (data time, tau = 1)."""
     x = np.asarray(x, dtype=float)
     idx = sys.component_indices(cond)
-    w = sys._weights[idx]
-    logs = np.empty(x.shape[:-1] + (len(idx),))
-    for j, k in enumerate(idx):
-        spectrum = sys._eigvals[k]
-        z = (x - sys._means[k]) @ sys._eigvecs[k]
-        logs[..., j] = (
-            -0.5 * ((z * z) / spectrum).sum(axis=-1)
-            - 0.5 * float(np.log(spectrum).sum())
-            + float(np.log(w[j] / w.sum()))
-        )
-    return _normalize(logs)
+    # At tau = 1 the path spectrum is the covariance spectrum and the shift is the mean, exactly.
+    logs, _ = _component_pass(sys, x, 1.0, 0.0, idx, velocity=False)
+    return _posteriors(sys, logs, idx)
 
 
 def marginal_velocity(sys: FlowSystem, x: np.ndarray, tau: float, cond: str | None = None) -> np.ndarray:
@@ -204,24 +228,30 @@ def marginal_velocity(sys: FlowSystem, x: np.ndarray, tau: float, cond: str | No
     """
     x = _check_probe(sys, x, tau)
     idx = sys.component_indices(cond)
-    resp = _normalize(_log_posteriors(sys, x, tau, idx))
+    logs, vels = _component_pass(sys, x, tau, 0.5 * sys.dim * _LOG_2PI, idx, velocity=True)
+    return _mix(x, _posteriors(sys, logs, idx), vels, idx)
 
-    one_m = (1.0 - tau) ** 2
-    out = np.zeros_like(x)
-    for j, k in enumerate(idx):
-        spectrum = tau * tau * sys._eigvals[k] + one_m
-        q = sys._eigvecs[k]
-        z = (x - tau * sys._means[k]) @ q
-        # E[x1 | x] - E[x0 | x] from joint-Gaussian conditioning, in eigenbasis.
-        gain = (tau * sys._eigvals[k] - (1.0 - tau)) / spectrum
-        v_k = sys._means[k] + (gain * z) @ q.T
-        out += resp[..., j, None] * v_k
-    return out
+
+def velocity_pair(sys: FlowSystem, x: np.ndarray, tau: float, cond: str | None) -> tuple[np.ndarray, np.ndarray]:
+    """``(marginal_velocity(.., cond), marginal_velocity(.., None))`` from one pass over the components.
+
+    The conditional posterior is the unconditional one restricted to the
+    condition's components and renormalized, so both share every
+    per-component quantity; the results are bit-identical to two calls.
+    """
+    x = _check_probe(sys, x, tau)
+    idx_c = sys.component_indices(cond)
+    idx_u = sys.component_indices(None)
+    logs, vels = _component_pass(sys, x, tau, 0.5 * sys.dim * _LOG_2PI, idx_u, velocity=True)
+    v_c = _mix(x, _posteriors(sys, logs, idx_c), vels, idx_c)
+    v_u = _mix(x, _posteriors(sys, logs, idx_u), vels, idx_u)
+    return v_c, v_u
 
 
 def error_signal(sys: FlowSystem, x: np.ndarray, tau: float, cond: str | None) -> np.ndarray:
     """Conditional minus unconditional velocity, the feedback signal of guidance."""
-    return marginal_velocity(sys, x, tau, cond) - marginal_velocity(sys, x, tau, None)
+    v_c, v_u = velocity_pair(sys, x, tau, cond)
+    return v_c - v_u
 
 
 def default_bandwidth(tau: float) -> float:

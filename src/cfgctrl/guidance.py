@@ -24,6 +24,8 @@ from typing import Callable
 
 import numpy as np
 
+from .numerics import row_sum
+
 VelocityEvaluator = Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]]
 """Callable returning (v_cond, v_uncond) at a point and time."""
 
@@ -147,11 +149,11 @@ def apg_combine(v_c: np.ndarray, v_u: np.ndarray, w: float, eta: float) -> np.nd
         raise ValueError(f"velocity shapes differ: {v_c.shape} vs {v_u.shape}")
     if eta > 1.0:
         raise ValueError(f"eta = {eta} must be <= 1")
-    norm_sq = (v_c * v_c).sum(axis=-1, keepdims=True)
+    norm_sq = row_sum(v_c * v_c)[..., None]
     if np.any(norm_sq == 0.0):
         raise ValueError("conditional velocity is zero; projection undefined")
     dv = v_c - v_u
-    dv_par = ((dv * v_c).sum(axis=-1, keepdims=True) / norm_sq) * v_c
+    dv_par = (row_sum(dv * v_c)[..., None] / norm_sq) * v_c
     dv_perp = dv - dv_par
     return v_u + w * (dv_perp + eta * dv_par)
 
@@ -166,10 +168,10 @@ def cfg_zero_star_combine(v_c: np.ndarray, v_u: np.ndarray, w: float) -> np.ndar
     v_u = np.asarray(v_u, dtype=float)
     if v_c.shape != v_u.shape:
         raise ValueError(f"velocity shapes differ: {v_c.shape} vs {v_u.shape}")
-    norm_sq = (v_u * v_u).sum(axis=-1, keepdims=True)
+    norm_sq = row_sum(v_u * v_u)[..., None]
     if np.any(norm_sq == 0.0):
         raise ValueError("unconditional velocity is zero; rescaling undefined")
-    s_star = (v_c * v_u).sum(axis=-1, keepdims=True) / norm_sq
+    s_star = row_sum(v_c * v_u)[..., None] / norm_sq
     base = s_star * v_u
     return base + w * (v_c - base)
 

@@ -1,8 +1,11 @@
-"""Spectral norm and counter-based random streams.
+"""Spectral norm, counter-based random streams and column-wise row operations.
 
 All numeric code in the package works on plain float64 numpy arrays:
 vectors are 1-D, matrices 2-D. Experiment dimensions stay tiny (d <= 16),
-so there is no sparse or blocked machinery here.
+so there is no sparse or blocked machinery here. For the same reason an
+operation along the short last axis of a tall batch is cheaper as a few
+whole-column operations than as numpy's per-row loop; :func:`row_sum`,
+:func:`row_norm` and :func:`by_column` work that way and keep numpy's bits.
 """
 
 from __future__ import annotations
@@ -43,6 +46,60 @@ class Rng:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Rng(seed={self.seed}, stream={self.stream})"
+
+
+def stream_normals(seed: int, n: int, dim: int) -> np.ndarray:
+    """(n, dim) standard normals; row i equals ``Rng(seed, stream=i).standard_normal(dim)``.
+
+    One Philox generator is re-keyed per stream through its state instead of
+    built anew: each construction also draws OS entropy that the key then
+    overrides. The state is a fresh one (zero counter, empty buffer) given as
+    plain lists, which the setter reads faster than arrays.
+    """
+    gen = Rng(seed)._gen
+    key = [int(seed) & _MASK64, 0]
+    fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    out = np.empty((n, dim))
+    for i in range(n):
+        key[1] = i
+        gen.bit_generator.state = fresh
+        out[i] = gen.standard_normal(dim)
+    return out
+
+
+_PAIRWISE_MIN = 8  # numpy sums rows of at least this many entries pairwise, not left to right
+
+
+def row_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)``, bit for bit, as whole-column additions when the last axis is short."""
+    a = np.asarray(a, dtype=float)
+    d = a.shape[-1]
+    if not 0 < d < _PAIRWISE_MIN:
+        return a.sum(axis=-1)
+    out = 0.0 + a[..., 0]  # numpy's sum starts from 0.0, which turns -0.0 into 0.0
+    for j in range(1, d):
+        out += a[..., j]
+    return out
+
+
+def by_column(ufunc: np.ufunc, a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``ufunc(a, v)`` for a (..., d) batch and a length-d vector, one whole column per entry of ``v``.
+
+    Elementwise, so the bits are numpy's; numpy's own broadcast over a short
+    last axis runs a d-long inner loop per row and costs several times more.
+    """
+    a = np.asarray(a, dtype=float)
+    out = np.empty(a.shape)
+    for j in range(a.shape[-1]):
+        ufunc(a[..., j], v[j], out=out[..., j])
+    return out
+
+
+def row_norm(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(a, axis=-1)``, bit for bit, through :func:`row_sum`."""
+    a = np.asarray(a, dtype=float)
+    return np.sqrt(row_sum(a * a))
 
 
 def spectral_norm(m: Matrix, tol: float = 1e-8, max_iter: int = 10_000) -> float:

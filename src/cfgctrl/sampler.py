@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config as _config
-from .flow_systems import FlowSystem, marginal_velocity
+from .flow_systems import FlowSystem, velocity_pair
+from .flow_systems import marginal_velocity  # noqa: F401  (a name bench/spans.py wraps)
 from .guidance import ControlLaw, StepContext, apply_controller
-from .numerics import Rng
+from .numerics import Rng, row_norm, stream_normals
 
 DIVERGENCE_NORM = 1e6
 
@@ -138,7 +139,7 @@ def _integrate_rows(
     sv_hist = np.zeros((n_steps, n, dim)) if (record_x and has_surface) else None
 
     def evaluator(points: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-        return marginal_velocity(system, points, t, cond), marginal_velocity(system, points, t, None)
+        return velocity_pair(system, points, t, cond)
 
     def mark_divergent(bad: np.ndarray, step: int) -> None:
         for row in np.nonzero(bad)[0]:
@@ -154,16 +155,16 @@ def _integrate_rows(
             ctx = StepContext(i, n_steps, t, dtau, law.w)
             v_c, v_u = evaluator(x, t)
             v_hat = apply_controller(law, v_c, v_u, x, ctx, evaluator)
-            e_hist[i] = np.linalg.norm(v_c - v_u, axis=1)
+            e_hist[i] = row_norm(v_c - v_u)
             if has_surface:
-                s_hist[i] = np.linalg.norm(law.sliding.s, axis=1)
+                s_hist[i] = row_norm(law.sliding.s)
                 if sv_hist is not None:
                     sv_hist[i] = law.sliding.s
             if record_x:
                 x_hist[i] = x
             if heun:
                 x_pred = x + dtau * v_hat
-                bad = alive & ~(np.isfinite(x_pred).all(axis=1) & (np.linalg.norm(x_pred, axis=1) <= DIVERGENCE_NORM))
+                bad = alive & ~(row_norm(x_pred) <= DIVERGENCE_NORM)
                 if bad.any():
                     mark_divergent(bad, i)
                     x_pred[~alive] = 0.0
@@ -173,29 +174,32 @@ def _integrate_rows(
                 v_use = 0.5 * (v_hat + v_hat2)
             else:
                 v_use = v_hat
-            v_hist[i] = np.linalg.norm(v_use, axis=1)
+            v_hist[i] = row_norm(v_use)
             x_new = x + dtau * v_use
-            bad = alive & ~(np.isfinite(x_new).all(axis=1) & (np.linalg.norm(x_new, axis=1) <= DIVERGENCE_NORM))
+            # NaN, +-inf and an overflowing square all fail the comparison
+            bad = alive & ~(row_norm(x_new) <= DIVERGENCE_NORM)
             x = np.where(alive[:, None], x_new, x)
             if bad.any():
                 mark_divergent(bad, i)
 
-    traces: list[Trace] = []
-    for row in range(n):
-        if not alive[row]:
-            continue
-        traces.append(
-            Trace(
-                run_id=run_ids[row],
-                tau=taus.copy(),
-                e_norm=e_hist[:, row].copy(),
-                vhat_norm=v_hist[:, row].copy(),
-                x_final=x[row].copy(),
-                s_norm=s_hist[:, row].copy() if s_hist is not None else None,
-                x_path=x_hist[:, row].copy() if x_hist is not None else None,
-                s_path=sv_hist[:, row].copy() if sv_hist is not None else None,
-            )
+    # One transposing copy per history; each trace gets its own row of it.
+    tau_rows = np.tile(taus, (n, 1))
+    e_rows, v_rows, s_rows, x_rows, sv_rows = (
+        None if h is None else np.swapaxes(h, 0, 1).copy() for h in (e_hist, v_hist, s_hist, x_hist, sv_hist)
+    )
+    traces = [
+        Trace(
+            run_id=run_ids[row],
+            tau=tau_rows[row],
+            e_norm=e_rows[row],
+            vhat_norm=v_rows[row],
+            x_final=x[row],
+            s_norm=s_rows[row] if s_rows is not None else None,
+            x_path=x_rows[row] if x_rows is not None else None,
+            s_path=sv_rows[row] if sv_rows is not None else None,
         )
+        for row in np.flatnonzero(alive).tolist()
+    ]
     return traces, div_step
 
 
@@ -246,7 +250,7 @@ def run_batch(cfg: "_config.ExperimentConfig", workers: int | None = None) -> Ru
     seed = cfg.sampler.seed
     record_x = cfg.sampler.record_x
 
-    x0 = np.stack([Rng(seed, stream=i).standard_normal(system.dim) for i in range(n)])
+    x0 = stream_normals(seed, n, system.dim)
     n_workers = min(resolve_workers(workers), n)
     bounds = np.linspace(0, n, n_workers + 1).astype(int)
     blocks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]

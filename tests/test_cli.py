@@ -195,3 +195,28 @@ class TestSynth:
     def test_infeasible_corridor_warns_exit_zero(self, tmp_path, capsys):
         assert run_cli("synth", "--delta", "100", "--dt", "10", "--out", tmp_path / "o") == 0
         assert "infeasible" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--steps", "0"], "--steps"),
+            (["--dim", "0"], "--dim"),
+            (["--w", "0"], "--w"),
+            (["--w", "nan"], "--w"),
+            (["--w", "inf"], "--w"),
+            (["--dt", "-1"], "--dt"),
+            (["--s0", "0"], "--s0"),
+            (["--k", "-0.1"], "--k"),
+            (["--delta", "-0.5"], "--delta"),
+            (["--rho", "-1"], "--rho"),
+            (["--corridor"], "--k-values"),
+            (["--corridor", "--k-values", "0.1,abc"], "--k-values"),
+            (["--corridor", "--k-values", "0.1,-2"], "--k-values"),
+            (["--corridor", "--k-values", "0.1,inf"], "--k-values"),
+        ],
+    )
+    def test_bad_flag_exits_2_naming_it(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "o"
+        assert run_cli("synth", *flags, "--out", out) == 2
+        assert f"config error: {named}:" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cfgctrl import control_lab
 from cfgctrl.control_lab import (
     CorridorRow,
     PerturbedDynamics,
@@ -89,6 +90,45 @@ class TestSimulateSliding:
                        gain_deviation="seeded", seed=99, redraw_gain=True)
         report = simulate_sliding(dyn, 500)
         assert np.isfinite(report.s_norms).all()
+
+    def _count_spectral_norms(self, monkeypatch):
+        calls = []
+
+        def counted(m, *args, **kwargs):
+            calls.append(1)
+            return original(m, *args, **kwargs)
+
+        original = control_lab.spectral_norm
+        monkeypatch.setattr(control_lab, "spectral_norm", counted)
+        return calls
+
+    @pytest.mark.parametrize("steps", [1, 40, 300])
+    def test_seeded_gain_checked_once_per_run(self, monkeypatch, steps):
+        calls = self._count_spectral_norms(monkeypatch)
+        simulate_sliding(dynamics(dim=3, rho=0.3, s0=np.ones(3), gain_deviation="seeded"), steps)
+        assert len(calls) == 2  # the draw's scaling, then the bound check
+
+    @pytest.mark.parametrize("steps", [1, 40, 300])
+    def test_redrawn_gain_checked_every_step(self, monkeypatch, steps):
+        calls = self._count_spectral_norms(monkeypatch)
+        dyn = dynamics(dim=3, rho=0.3, s0=np.ones(3), gain_deviation="seeded", redraw_gain=True)
+        simulate_sliding(dyn, steps)
+        assert len(calls) == 2 * (steps + 1)  # the draw before the loop, then one per step
+
+    @pytest.mark.parametrize("redraw", [False, True])
+    def test_gain_over_bound_raises(self, monkeypatch, redraw):
+        draws = []
+
+        def drawn(dyn, rng):
+            draws.append(1)
+            scale = 2.0 if len(draws) == 3 or not dyn.redraw_gain else 0.5
+            return scale * dyn.rho * np.eye(dyn.dim)
+
+        monkeypatch.setattr(control_lab, "_draw_gain_deviation", drawn)
+        dyn = dynamics(dim=2, rho=0.3, s0=np.ones(2), gain_deviation="seeded", redraw_gain=redraw)
+        with pytest.raises(RuntimeError, match="gain deviation exceeded"):
+            simulate_sliding(dyn, 10)
+        assert len(draws) == (3 if redraw else 1)
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from cfgctrl.flow_systems import (
     marginal_velocity,
     mc_velocity_oracle,
     responsibilities,
+    velocity_pair,
 )
 from cfgctrl.numerics import Rng
 
@@ -66,6 +67,45 @@ class TestMarginalVelocity:
     def test_non_finite_probe(self, reference_system):
         with pytest.raises(ValueError):
             marginal_velocity(reference_system, np.array([np.inf, 0.0]), 0.5, None)
+
+
+def three_component_system() -> FlowSystem:
+    cov0 = np.array([[1.0, 0.3, 0.1], [0.3, 0.8, -0.2], [0.1, -0.2, 0.5]])
+    return FlowSystem(
+        [
+            GaussComponent(0.3, np.array([2.0, 1.0, -1.0]), cov0),
+            GaussComponent(0.5, np.array([-2.0, 0.5, 0.0]), np.diag([0.5, 2.0, 1.0])),
+            GaussComponent(0.2, np.array([0.0, -3.0, 2.0]), np.diag([0.1, 0.3, 4.0])),
+        ],
+        {"pair": [0, 2], "one": [1]},
+    )
+
+
+class TestVelocityPair:
+    @pytest.mark.parametrize("tau", [0.0, 1e-4, 0.2, 0.5, 0.83, 0.9999])
+    def test_bits_equal_two_marginal_calls(self, reference_system, tau):
+        rng = Rng(31)
+        for system, cond in ((reference_system, "right"), (three_component_system(), "pair")):
+            for shape in ((257, system.dim), (system.dim,)):
+                x = 3.0 * rng.standard_normal(shape)
+                v_c, v_u = velocity_pair(system, x, tau, cond)
+                assert v_c.tobytes() == marginal_velocity(system, x, tau, cond).tobytes()
+                assert v_u.tobytes() == marginal_velocity(system, x, tau, None).tobytes()
+                assert v_c.shape == v_u.shape == x.shape
+
+    def test_error_signal_is_pair_difference(self):
+        system = three_component_system()
+        x = Rng(32).standard_normal((50, 3))
+        v_c, v_u = velocity_pair(system, x, 0.4, "pair")
+        assert np.array_equal(error_signal(system, x, 0.4, "pair"), v_c - v_u)
+
+    def test_refuses_what_marginal_velocity_refuses(self, reference_system):
+        with pytest.raises(ValueError, match="non-finite"):
+            velocity_pair(reference_system, np.array([[0.0, 0.0], [np.nan, 1.0]]), 0.5, "right")
+        with pytest.raises(ValueError, match="outside"):
+            velocity_pair(reference_system, np.zeros(2), 1.0, "right")
+        with pytest.raises(ValueError, match="unknown condition"):
+            velocity_pair(reference_system, np.zeros(2), 0.5, "nope")
 
 
 class TestResponsibilities:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cfgctrl.numerics import Rng, spectral_norm
+from cfgctrl.numerics import Rng, by_column, row_norm, row_sum, spectral_norm, stream_normals
+from cfgctrl.sampler import DIVERGENCE_NORM
 
 from conftest import _check_symmetric, gaussian_sample
 
@@ -157,6 +158,72 @@ class TestRng:
 
     def test_spawn_matches_direct_construction(self):
         assert np.array_equal(Rng(9).spawn(4).standard_normal(50), Rng(9, 4).standard_normal(50))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def mixed_magnitudes(rng: Rng, shape) -> np.ndarray:
+    """Normals scaled by 10^-12 .. 10^12 entry by entry, with signed zeros sprinkled in."""
+    a = rng.standard_normal(shape) * 10.0 ** np.floor(24.0 * rng.uniform(shape) - 12.0)
+    a[rng.uniform(shape) < 0.05] = 0.0
+    a[rng.uniform(shape) < 0.05] = -0.0
+    return a
+
+
+class TestStreamNormals:
+    @pytest.mark.parametrize("seed", [0, 7, -1, 2**64 + 3])
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_rows_are_stream_draws(self, seed, dim):
+        stacked = np.stack([Rng(seed, stream=i).standard_normal(dim) for i in range(40)])
+        assert same_bits(stream_normals(seed, 40, dim), stacked)
+
+    def test_no_rows(self):
+        assert stream_normals(3, 0, 2).shape == (0, 2)
+
+
+class TestRowReductions:
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_row_sum_matches_numpy_bits(self, d):
+        rng = Rng(100 + d)
+        for shape in ((500, d), (d,), (3, 7, d)):
+            a = mixed_magnitudes(rng, shape)
+            assert same_bits(row_sum(a), a.sum(axis=-1))
+
+    def test_row_sum_of_negative_zeros(self):
+        a = np.full((3, 2), -0.0)
+        assert same_bits(row_sum(a), a.sum(axis=-1))
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_row_norm_matches_numpy_bits(self, d):
+        a = mixed_magnitudes(Rng(200 + d), (500, d))
+        assert same_bits(row_norm(a), np.linalg.norm(a, axis=1))
+
+    def test_divergence_predicate_unchanged(self):
+        # the sampler's envelope test, before and after the isfinite pass was dropped
+        x = np.array([
+            [np.inf, 0.0], [-np.inf, 1.0], [np.nan, 0.0], [0.0, np.nan], [1e200, 0.0], [-1e200, 1e200],
+            [1e6, 0.0], [0.0, -1e6], [7e5, 7e5], [8e5, 8e5], [0.0, 0.0], [-0.0, 3.0],
+        ])
+        with np.errstate(over="ignore", invalid="ignore"):
+            old = ~(np.isfinite(x).all(axis=1) & (np.linalg.norm(x, axis=1) <= DIVERGENCE_NORM))
+            new = ~(row_norm(x) <= DIVERGENCE_NORM)
+        assert np.array_equal(new, old)
+        assert new.tolist() == [True] * 6 + [False, False, False, True, False, False]
+
+
+class TestByColumn:
+    @pytest.mark.parametrize("ufunc", [np.add, np.subtract, np.multiply, np.divide])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 16])
+    def test_matches_numpy_broadcast_bits(self, ufunc, d):
+        rng = Rng(300 + d)
+        v = mixed_magnitudes(rng, (d,))
+        for shape in ((400, d), (d,), (2, 5, d)):
+            a = mixed_magnitudes(rng, shape)
+            with np.errstate(all="ignore"):
+                assert same_bits(by_column(ufunc, a, v), ufunc(a, v))
 
 
 class TestSpectralNorm:
