@@ -4,7 +4,8 @@ Every output file is named from (command, config fingerprint); reruns with
 the same config produce byte-identical CSV/JSON artifacts, and a name
 collision with different content is refused rather than overwritten.
 
-Exit codes: 0 success, 2 config error, 3 batch with no surviving trajectory.
+Exit codes: 0 success, 2 config error, 3 batch with no surviving trajectory or
+a synth run whose surface state overflowed.
 """
 
 from __future__ import annotations
@@ -312,11 +313,18 @@ def cmd_synth(args) -> int:
                 ),
             )
         for row in rows:
-            state = "converged" if row.reached else "did not converge"
-            print(f"k={row.k:g}: {state}" + (f" at step {row.reach_step}" if row.reached else ""))
+            if row.overflow_step is not None:
+                state = f"overflowed at step {row.overflow_step}"
+            else:
+                state = f"converged at step {row.reach_step}" if row.reached else "did not converge"
+            print(f"k={row.k:g}: {state}")
         return 0
 
-    report = control_lab.simulate_sliding(dyn, args.steps)
+    try:
+        report = control_lab.simulate_sliding(dyn, args.steps)
+    except control_lab.SurfaceOverflow as exc:
+        print(f"synth {tag}: {exc}", file=sys.stderr)
+        return 3
     series_lines = ["step,s_norm,lyapunov"]
     for i, (sn, vn) in enumerate(zip(report.s_norms, report.lyapunov)):
         series_lines.append(f"{i},{_fmt(sn)},{_fmt(vn)}")

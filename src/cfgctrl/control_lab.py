@@ -151,44 +151,96 @@ def _draw_gain(dyn: PerturbedDynamics, rng: Rng) -> np.ndarray:
     return dyn.w * np.eye(dyn.dim) + gain_dev
 
 
-def simulate_sliding(dyn: PerturbedDynamics, steps: int) -> ConvergenceReport:
-    """Euler-integrate the perturbed switching dynamics and audit convergence.
+class SurfaceOverflow(RuntimeError):
+    """The surface state of a run left the floats; ``step`` is its first non-finite step."""
 
-    Realized disturbance bounds are asserted on every realization: the drift
-    at every step, the gain deviation on every matrix drawn (once per run,
-    or every step with ``redraw_gain``). A violated gain condition is
-    reported, not raised.
+    def __init__(self, step: int):
+        super().__init__(f"surface state overflowed at step {step}")
+        self.step = step
+
+
+def _check_drift(dyn: PerturbedDynamics, phi: np.ndarray) -> None:
+    if np.linalg.norm(phi) > dyn.delta + _BOUND_SLACK:
+        raise RuntimeError("realized drift exceeded its bound")
+
+
+def _integrate(dyn: PerturbedDynamics, ks, steps: int) -> np.ndarray:
+    """Euler-integrate one surface state per switching gain in ``ks``, in lockstep.
+
+    Returns the (steps + 1, len(ks), D) history, the initial state included.
+    The drift and gain realizations depend only on ``dyn.seed``, so every row
+    sees the same ones, each drawn and bound-checked once. Row j equals a run
+    of ``replace(dyn, k=ks[j])`` bit for bit: each row's state is a (D, 1)
+    column, so ``gain @`` the stacked columns calls gemv once per row, as
+    ``gain @ u`` does on one vector. Overflow is not tested here.
     """
     if steps < 1:
         raise ValueError("need at least one step")
+    k_col = np.asarray(ks, dtype=float)[:, None, None]
     rng = Rng(dyn.seed)
     gain = _draw_gain(dyn, rng)
     drift = _make_drift(dyn, rng)
     redraw = dyn.redraw_gain and dyn.gain_deviation == "seeded"
+    varying_drift = dyn.drift != "constant"
+    if not varying_drift:
+        _check_drift(dyn, drift(0))
+
+    s = np.tile(dyn.s0[:, None], (k_col.shape[0], 1, 1))
+    history = np.zeros((steps + 1,) + s.shape)
+    history[0] = s
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps):
+            if redraw:
+                gain = _draw_gain(dyn, rng)
+            phi_t = drift(step)
+            if varying_drift:
+                _check_drift(dyn, phi_t)
+            s = s + dyn.dt * (phi_t[:, None] - gain @ (k_col * np.sign(s)))
+            history[step + 1] = s
+    return history[..., 0]
+
+
+def _first_nonfinite(history: np.ndarray) -> list[int | None]:
+    """Per row of an ``_integrate`` history, the first step holding a non-finite entry, or None."""
+    bad = ~np.isfinite(history).all(axis=2)
+    return [int(np.argmax(col)) if col.any() else None for col in bad.T]
+
+
+def _band(dyn: PerturbedDynamics) -> float:
+    """Radius within which a discrete switching run counts as converged."""
+    return 1.5 * dyn.dt * dyn.w * dyn.k
+
+
+def _reach_step(s_norms: np.ndarray, band: float) -> int | None:
+    inside = np.nonzero(s_norms <= band)[0]
+    return int(inside[0]) if inside.size else None
+
+
+def simulate_sliding(dyn: PerturbedDynamics, steps: int) -> ConvergenceReport:
+    """Euler-integrate the perturbed switching dynamics and audit convergence.
+
+    Realized disturbance bounds are asserted on every realization: the drift
+    at every step (a constant drift once, as its single realization), the
+    gain deviation on every matrix drawn (once per run, or every step with
+    ``redraw_gain``). A violated gain condition is reported, not raised; a
+    surface state that overflows raises ``SurfaceOverflow``.
+    """
+    history = _integrate(dyn, [dyn.k], steps)
+    overflow = _first_nonfinite(history)[0]
+    if overflow is not None:
+        raise SurfaceOverflow(overflow)
+    history = history[:, 0]
 
     phi = dyn.w - dyn.rho * math.sqrt(dyn.dim)
     eta = dyn.k * phi - dyn.delta
     eta_spectral = dyn.k * (dyn.w - dyn.rho) - dyn.delta
     gain_met = phi > 0.0 and eta > 0.0
     epsilon = dyn.k - dyn.delta / phi if phi > 0.0 else None
-    band = 1.5 * dyn.dt * dyn.w * dyn.k
-
-    s = dyn.s0.astype(float).copy()
-    history = np.zeros((steps + 1, dyn.dim))
-    history[0] = s
-    for step in range(steps):
-        if redraw:
-            gain = _draw_gain(dyn, rng)
-        phi_t = drift(step)
-        if np.linalg.norm(phi_t) > dyn.delta + _BOUND_SLACK:
-            raise RuntimeError("realized drift exceeded its bound")
-        s = s + dyn.dt * (phi_t - gain @ (dyn.k * np.sign(s)))
-        history[step + 1] = s
+    band = _band(dyn)
 
     s_norms = np.linalg.norm(history, axis=1)
-    inside = np.nonzero(s_norms <= band)[0]
-    reached = inside.size > 0
-    reach_step = int(inside[0]) if reached else None
+    reach_step = _reach_step(s_norms, band)
+    reached = reach_step is not None
 
     bound_time = None
     bound_steps = None
@@ -242,24 +294,34 @@ class CorridorRow:
     reach_step: int | None
     residual_band: float | None   # max |s| after first reaching the band
     osc_amplitude: float | None   # mean per-step |s_{n+1} - s_n| after reaching
+    overflow_step: int | None = None  # first non-finite step; the other fields are then blank
 
 
 def corridor_sweep(template: PerturbedDynamics, k_values: list[float], steps: int) -> list[CorridorRow]:
-    """Simulate the template at each switching gain and summarize the tail."""
+    """Simulate the template at every switching gain in one lockstep pass and summarize each tail.
+
+    Every gain sees the template's drift and gain realizations. A gain whose
+    surface state overflows is reported unreached, with its overflow step.
+    """
+    runs = [replace(template, k=float(k)) for k in k_values]  # refuses a negative gain
+    if not runs:
+        return []
+    history = _integrate(template, [dyn.k for dyn in runs], steps)
     rows = []
-    for k in k_values:
-        report = simulate_sliding(replace(template, k=float(k)), steps)
-        if report.reached:
-            tail = report.s_history[report.reach_step :]
-            residual = float(report.s_norms[report.reach_step :].max())
-            if tail.shape[0] > 1:
-                osc = float(np.linalg.norm(np.diff(tail, axis=0), axis=1).mean())
-            else:
-                osc = 0.0
-        else:
-            residual = None
-            osc = None
-        rows.append(CorridorRow(float(k), report.reached, report.reach_step, residual, osc))
+    for j, (dyn, overflow) in enumerate(zip(runs, _first_nonfinite(history))):
+        if overflow is not None:
+            rows.append(CorridorRow(dyn.k, False, None, None, None, overflow))
+            continue
+        path = history[:, j]
+        s_norms = np.linalg.norm(path, axis=1)
+        reach_step = _reach_step(s_norms, _band(dyn))
+        if reach_step is None:
+            rows.append(CorridorRow(dyn.k, False, None, None, None))
+            continue
+        tail = path[reach_step:]
+        residual = float(s_norms[reach_step:].max())
+        osc = float(np.linalg.norm(np.diff(tail, axis=0), axis=1).mean()) if tail.shape[0] > 1 else 0.0
+        rows.append(CorridorRow(dyn.k, True, reach_step, residual, osc))
     return rows
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -191,6 +192,26 @@ class TestSynth:
         table = next(out.glob("synth_*_corridor.csv")).read_text().strip().split("\n")
         assert table[0] == "k,reached,reach_step,residual_band,osc_amplitude"
         assert len(table) == 4
+
+    def test_overflow_exits_3_without_artifacts(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("synth", "--w", "1e300", "--k", "1e10", "--steps", "50", "--out", out) == 3
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"synth [0-9a-f]{12}: surface state overflowed at step 1\n", captured.err)
+        assert "reached band" not in captured.out
+        assert not out.exists()
+
+    def test_corridor_reports_overflowed_gain(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("synth", "--corridor", "--k-values", "0.3,1e308,1.0", "--steps", "400", "--out", out) == 0
+        printed = capsys.readouterr().out
+        assert "k=1e+308: overflowed at step 1\n" in printed
+        assert "k=0.3: converged at step" in printed and "k=1: converged at step" in printed
+        table = next(out.glob("synth_*_corridor.csv")).read_text().strip().split("\n")
+        assert table[0] == "k,reached,reach_step,residual_band,osc_amplitude"
+        assert table[2] == "1e+308,false,,,"
+        assert table[1].startswith("0.3,true,") and table[3].startswith("1.0,true,")
+        assert "nan" not in next(out.glob("synth_*_osc.svg")).read_text()
 
     def test_infeasible_corridor_warns_exit_zero(self, tmp_path, capsys):
         assert run_cli("synth", "--delta", "100", "--dt", "10", "--out", tmp_path / "o") == 0

@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cfgctrl import control_lab
 from cfgctrl.control_lab import (
+    DRIFT_KINDS,
+    GAIN_KINDS,
     CorridorRow,
     PerturbedDynamics,
+    SurfaceOverflow,
     corridor_rows_to_csv,
     corridor_sweep,
     estimate_drift,
@@ -92,15 +97,7 @@ class TestSimulateSliding:
         assert np.isfinite(report.s_norms).all()
 
     def _count_spectral_norms(self, monkeypatch):
-        calls = []
-
-        def counted(m, *args, **kwargs):
-            calls.append(1)
-            return original(m, *args, **kwargs)
-
-        original = control_lab.spectral_norm
-        monkeypatch.setattr(control_lab, "spectral_norm", counted)
-        return calls
+        return _count_calls(monkeypatch, "spectral_norm")
 
     @pytest.mark.parametrize("steps", [1, 40, 300])
     def test_seeded_gain_checked_once_per_run(self, monkeypatch, steps):
@@ -130,9 +127,33 @@ class TestSimulateSliding:
             simulate_sliding(dyn, 10)
         assert len(draws) == (3 if redraw else 1)
 
+    @pytest.mark.parametrize("drift, checks", [("constant", 1), ("sinusoidal", 40), ("noise", 40)])
+    def test_drift_checked_once_per_realization(self, monkeypatch, drift, checks):
+        calls = _count_calls(monkeypatch, "_check_drift")
+        simulate_sliding(dynamics(drift=drift), 40)
+        assert len(calls) == checks  # a constant drift has one realization
+
+    def test_overflow_raises_naming_the_step(self):
+        with pytest.raises(SurfaceOverflow, match="overflowed at step 1$") as err:
+            simulate_sliding(dynamics(w=1e300, k=1e10), 50)
+        assert err.value.step == 1
+
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             dynamics(s0=np.array([1.0, 2.0]))  # dim=1 but 2-entry start
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls to the control_lab function bound to ``name``, which still runs."""
+    calls = []
+    original = getattr(control_lab, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(control_lab, name, counted)
+    return calls
 
 
 class TestStabilityCorridor:
@@ -191,6 +212,57 @@ class TestCorridorSweep:
         assert lines[0] == "k,reached,reach_step,residual_band,osc_amplitude"
         assert lines[1].startswith("0.5,true,12,")
         assert lines[2] == "0.01,false,,,"
+
+
+class TestLockstepSweep:
+    GAINS = [0.0, 0.02, 0.3, 1.0, 400.0]
+
+    @staticmethod
+    def separate_row(template, k, steps):
+        """The row one simulate_sliding run at gain k gives."""
+        report = simulate_sliding(replace(template, k=k), steps)
+        if not report.reached:
+            return CorridorRow(k, False, None, None, None)
+        tail = report.s_history[report.reach_step :]
+        osc = float(np.linalg.norm(np.diff(tail, axis=0), axis=1).mean()) if tail.shape[0] > 1 else 0.0
+        return CorridorRow(k, True, report.reach_step, float(report.s_norms[report.reach_step :].max()), osc)
+
+    @pytest.mark.parametrize("redraw", [False, True])
+    @pytest.mark.parametrize("gain_dev", GAIN_KINDS)
+    @pytest.mark.parametrize("drift", DRIFT_KINDS)
+    @pytest.mark.parametrize("dim", [1, 2, 4, 7])
+    def test_rows_equal_separate_runs(self, dim, drift, gain_dev, redraw):
+        template = dynamics(dim=dim, rho=0.5, s0=np.linspace(2.0, -1.0, dim), drift=drift,
+                            gain_deviation=gain_dev, seed=11, redraw_gain=redraw)
+        rows = corridor_sweep(template, self.GAINS, 150)
+        assert rows == [self.separate_row(template, k, 150) for k in self.GAINS]
+        assert any(row.reached for row in rows) and not all(row.reached for row in rows)
+
+    def test_seeded_gain_checked_once_per_sweep(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "spectral_norm")
+        corridor_sweep(dynamics(dim=3, rho=0.3, s0=np.ones(3), gain_deviation="seeded"), [0.1, 0.5, 1.0, 3.0], 200)
+        assert len(calls) == 2  # one drawn matrix for all four gains
+
+    @pytest.mark.parametrize("gains", [[0.5], [0.1, 0.5, 1.0, 3.0]])
+    def test_redrawn_gain_checked_every_step_whatever_the_gains(self, monkeypatch, gains):
+        calls = _count_calls(monkeypatch, "spectral_norm")
+        template = dynamics(dim=3, rho=0.3, s0=np.ones(3), gain_deviation="seeded", redraw_gain=True)
+        corridor_sweep(template, gains, 40)
+        assert len(calls) == 2 * (40 + 1)
+
+    def test_negative_gain_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            corridor_sweep(dynamics(), [0.5, -0.1], 100)
+
+    def test_no_gains_no_rows(self):
+        assert corridor_sweep(dynamics(), [], 100) == []
+
+    def test_overflowed_gain_blank_others_finish(self):
+        template = dynamics()
+        rows = corridor_sweep(template, [0.3, 1e308, 1.0], 200)
+        assert rows[1] == CorridorRow(1e308, False, None, None, None, overflow_step=1)
+        assert rows[0] == self.separate_row(template, 0.3, 200)
+        assert rows[2] == self.separate_row(template, 1.0, 200)
 
 
 class TestDriftEstimator:

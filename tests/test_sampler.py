@@ -266,6 +266,50 @@ class TestRunBatch:
         assert (e[:, -1] < e[:, 0]).mean() >= 0.9
 
 
+def exact_flow(mu, cov, x0, t0, t1):
+    """Rectified-flow map of one Gaussian N(mu, Q diag(lam) Q^T) from time t0 to t1, rows of x0."""
+    lam, q = np.linalg.eigh(cov)
+    ratio = np.sqrt(t1**2 * lam + (1.0 - t1) ** 2) / np.sqrt(t0**2 * lam + (1.0 - t0) ** 2)
+    return t1 * mu + ((x0 - t0 * mu) @ q * ratio) @ q.T
+
+
+class TestExactFlow:
+    """cfg at w = 1 on one correlated Gaussian follows its closed-form flow map."""
+
+    MEAN = (1.5, -0.5)
+    COV_LOWER = ((1.0,), (0.6, 0.8))
+
+    def endpoint_errors(self, scheme, steps):
+        system = SystemSpec(2, (ComponentSpec(1.0, self.MEAN, "full_lower", self.COV_LOWER),), {"only": (0,)}, "only")
+        cfg = ExperimentConfig(
+            system=system,
+            controller=ControllerSpec("cfg", {"w": 1.0}),
+            sampler=SamplerSpec(scheme, steps, 16, 23, True, 1e-4),
+        )
+        result = run_batch(cfg)
+        assert result.n_divergent == 0
+        integ = IntegratorSpec(scheme, steps, 1e-4)
+        grid = integ.tau_grid()
+        x0 = np.stack([trace.x_path[0] for trace in result.traces])
+        cov = system.components[0].cov_matrix()
+        exact = exact_flow(np.array(self.MEAN), cov, x0, float(grid[0]), float(grid[-1] + integ.dtau))
+        return np.linalg.norm(result.finals - exact, axis=1)
+
+    # Measured ratios of the error at n steps to the error at 2n (n = 32, 64;
+    # 16 start points): Euler 1.979-1.990, Heun 3.818-4.378. The bounds allow
+    # 10 % around 2 and 15 % around 4.
+    @pytest.mark.parametrize("scheme, low, high", [("euler", 1.8, 2.2), ("heun", 3.4, 4.6)])
+    def test_convergence_order(self, scheme, low, high):
+        errors = [self.endpoint_errors(scheme, steps) for steps in (32, 64, 128)]
+        for coarse, fine in zip(errors, errors[1:]):
+            ratio = coarse / fine
+            assert low <= ratio.min() and ratio.max() <= high, (ratio.min(), ratio.max())
+
+    def test_heun_endpoint_matches_closed_form(self):
+        # measured largest error at 128 Heun steps: 2.2e-5; the bound allows 4.5x that
+        assert self.endpoint_errors("heun", 128).max() <= 1e-4
+
+
 class TestExports:
     def test_csv_column_order_and_blanks(self):
         cfg = two_comp_config(ControllerSpec("cfg", {"w": 2.0}), trajectories=2, steps=4)
