@@ -24,7 +24,7 @@ from . import config as cfgmod
 from . import control_lab, metrics, svgplot
 from .config import ConfigError, ControllerSpec, ExperimentConfig
 from .guidance import CONTROLLERS
-from .sampler import RunResult, run_batch, traces_to_csv, traces_to_json
+from .sampler import RunResult, run_batch, run_batches, traces_to_csv, traces_to_json
 
 
 def _write_text(path: Path, content: str) -> None:
@@ -80,8 +80,7 @@ def _mean_gap_curve(result: RunResult) -> tuple[list, list]:
     return list(range(e.shape[1])), list(e.mean(axis=0))
 
 
-def _report_row(cfg: ExperimentConfig, result: RunResult) -> dict:
-    system = cfgmod.build_system(cfg.system)
+def _report_row(system, cfg: ExperimentConfig, result: RunResult) -> dict:
     report = metrics.quality_report(result, system, cfg.system.target)
     row = report.to_dict()
     row["mean_reach_step"] = _mean_reach_step(result)
@@ -116,7 +115,7 @@ def cmd_run(args) -> int:
         _write_text(
             out / f"run_{tag}_phase.svg",
             svgplot.scatter_chart(
-                [("traces", list(pts[:, 0]), list(pts[:, 1]))],
+                [("traces", pts[:, 0].tolist(), pts[:, 1].tolist())],
                 "gap phase plane",
                 "|e|",
                 "d|e|/dtau",
@@ -153,14 +152,20 @@ def cmd_sweep(args) -> int:
     tag = cfgmod.fingerprint(cfg)
     out = Path(cfg.output.directory)
 
+    row_cfgs = [cfgmod.with_controller_value(cfg, cfg.sweep.parameter, v) for v in cfg.sweep.values]
+    try:
+        system = cfgmod.build_system(cfg.system)
+        results = run_batches(row_cfgs)
+    except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
+        system, results = None, [exc] * len(row_cfgs)  # what every row shares failed: so does every row
     rows = []
-    for value in cfg.sweep.values:
-        row_cfg = cfgmod.with_controller_value(cfg, cfg.sweep.parameter, value)
+    for value, row_cfg, result in zip(cfg.sweep.values, row_cfgs, results):
         try:
-            result = run_batch(row_cfg)
+            if isinstance(result, Exception):
+                raise result
             if not result.traces:
                 raise RuntimeError("every trajectory diverged")
-            row = _report_row(row_cfg, result)
+            row = _report_row(system, row_cfg, result)
             rows.append({"value": value, "status": "ok", **row})
         except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
             rows.append({"value": value, "status": f"failed: {exc}"})
@@ -208,15 +213,17 @@ def cmd_compare(args) -> int:
         json.dumps([cfg.sampler.seed, cfg.sampler.trajectories]).encode()
     ).hexdigest()[:12]
 
+    row_cfgs = [replace(cfg, controller=_compare_controller(name, cfg.controller)) for name in names]
+    system = cfgmod.build_system(cfg.system)
     rows = []
     curves = []
-    for name in names:
-        row_cfg = replace(cfg, controller=_compare_controller(name, cfg.controller))
-        result = run_batch(row_cfg)
+    for name, row_cfg, result in zip(names, row_cfgs, run_batches(row_cfgs)):
+        if isinstance(result, Exception):
+            raise result
         if not result.traces:
             rows.append({"controller": name, "status": "failed: every trajectory diverged"})
             continue
-        row = _report_row(row_cfg, result)
+        row = _report_row(system, row_cfg, result)
         rows.append({"controller": name, "status": "ok", **row})
         steps, curve = _mean_gap_curve(result)
         curves.append((name, steps, curve))

@@ -8,15 +8,17 @@ i draws its start point from stream i of the master seed, and the
 integration itself is noise-free.
 
 Batches run in lockstep as array rows, which keeps per-step numpy work
-vectorized; splitting a batch across worker threads cannot change any row's
-arithmetic, so parallel and serial runs produce identical results.
+vectorized. Batches that differ only in their control law run in one such
+pass (:func:`run_batches`), one block of rows per law. Neither stacking
+blocks nor splitting them across worker threads changes any row's
+arithmetic, so every way of running a batch produces identical results.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -114,52 +116,83 @@ class RunResult:
 
 def _integrate_rows(
     system: FlowSystem,
-    law: ControlLaw,
+    laws: list[ControlLaw],
     integ: IntegratorSpec,
     cond: str | None,
     x0: np.ndarray,
     run_ids: list[int],
     record_x: bool,
-) -> tuple[list[Trace], dict[int, int]]:
-    """Advance a block of trajectories in lockstep; law must be freshly reset."""
+) -> list[tuple[list[Trace], dict[int, int]] | Exception]:
+    """Advance one block of trajectories per law in lockstep; laws must be freshly reset.
+
+    Every block starts from ``x0``; rows ``j*n`` to ``(j+1)*n`` belong to
+    ``laws[j]``. All rows share each field evaluation and each law steps its
+    own rows, so a block's bits equal a run of its law alone. Entry j is that
+    block's traces and divergences or, if its law raised, the exception; the
+    other blocks finish.
+    """
     n, dim = x0.shape
     n_steps = integ.steps
     taus = integ.tau_grid()
     dtau = integ.dtau
     heun = integ.scheme == "heun"
-    has_surface = law.sliding is not None
+    blocks = [slice(j * n, (j + 1) * n) for j in range(len(laws))]
+    has_surface = any(law.sliding is not None for law in laws)
 
-    x = x0.copy()
-    alive = np.ones(n, dtype=bool)
-    div_step: dict[int, int] = {}
-    e_hist = np.zeros((n_steps, n))
-    v_hist = np.zeros((n_steps, n))
-    s_hist = np.zeros((n_steps, n)) if has_surface else None
-    x_hist = np.zeros((n_steps, n, dim)) if record_x else None
-    sv_hist = np.zeros((n_steps, n, dim)) if (record_x and has_surface) else None
+    x = np.tile(x0, (len(laws), 1))
+    alive = np.ones(len(x), dtype=bool)
+    failed: dict[int, Exception] = {}
+    div_steps: list[dict[int, int]] = [{} for _ in laws]
+    e_hist = np.zeros((n_steps, len(x)))
+    v_hist = np.zeros((n_steps, len(x)))
+    s_hist = np.zeros((n_steps, len(x))) if has_surface else None
+    x_hist = np.zeros((n_steps, len(x), dim)) if record_x else None
+    sv_hist = np.zeros((n_steps, len(x), dim)) if (record_x and has_surface) else None
 
     def evaluator(points: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         return velocity_pair(system, points, t, cond)
 
+    def guided(step: int, t: float, v_c, v_u, points, update_state: bool) -> np.ndarray | None:
+        """Each live law's velocity on its rows; a law that raises ends its block (rows left at 0)."""
+        parts = {}
+        for j, (law, rows) in enumerate(zip(laws, blocks)):
+            if j in failed:
+                continue
+            try:
+                ctx = StepContext(step, n_steps, t, dtau, law.w)
+                parts[j] = apply_controller(law, v_c[rows], v_u[rows], points[rows], ctx, evaluator, update_state)
+            except Exception as exc:  # kept as the block's result, re-raised by its caller
+                failed[j] = exc
+                alive[rows] = False
+        if len(laws) == 1:
+            return parts.get(0)
+        out = np.zeros_like(v_c)
+        for j, part in parts.items():
+            out[blocks[j]] = part
+        return out
+
     def mark_divergent(bad: np.ndarray, step: int) -> None:
-        for row in np.nonzero(bad)[0]:
-            div_step[run_ids[row]] = step
+        for row in np.flatnonzero(bad).tolist():
+            div_steps[row // n][run_ids[row % n]] = step
         alive[bad] = False
         x[bad] = 0.0
-        if law.sliding is not None and law.sliding.e_prev is not None:
-            law.sliding.e_prev[bad] = 0.0
+        for law, rows in zip(laws, blocks):
+            if law.sliding is not None and law.sliding.e_prev is not None:
+                law.sliding.e_prev[bad[rows]] = 0.0
 
     with np.errstate(all="ignore"):
         for i in range(n_steps):
             t = float(taus[i])
-            ctx = StepContext(i, n_steps, t, dtau, law.w)
             v_c, v_u = evaluator(x, t)
-            v_hat = apply_controller(law, v_c, v_u, x, ctx, evaluator)
+            v_hat = guided(i, t, v_c, v_u, x, True)
+            if len(failed) == len(laws):
+                break
             e_hist[i] = row_norm(v_c - v_u)
-            if has_surface:
-                s_hist[i] = row_norm(law.sliding.s)
-                if sv_hist is not None:
-                    sv_hist[i] = law.sliding.s
+            for j, (law, rows) in enumerate(zip(laws, blocks)):
+                if law.sliding is not None and j not in failed:
+                    s_hist[i, rows] = row_norm(law.sliding.s)
+                    if sv_hist is not None:
+                        sv_hist[i, rows] = law.sliding.s
             if record_x:
                 x_hist[i] = x
             if heun:
@@ -167,10 +200,13 @@ def _integrate_rows(
                 bad = alive & ~(row_norm(x_pred) <= DIVERGENCE_NORM)
                 if bad.any():
                     mark_divergent(bad, i)
-                    x_pred[~alive] = 0.0
-                ctx2 = StepContext(i, n_steps, t + dtau, dtau, law.w)
+                    for rows in blocks:  # per block, so each law sees what its own run gives it
+                        if bad[rows].any():
+                            x_pred[rows][~alive[rows]] = 0.0
                 v_c2, v_u2 = evaluator(x_pred, t + dtau)
-                v_hat2 = apply_controller(law, v_c2, v_u2, x_pred, ctx2, evaluator, update_state=False)
+                v_hat2 = guided(i, t + dtau, v_c2, v_u2, x_pred, False)
+                if len(failed) == len(laws):
+                    break
                 v_use = 0.5 * (v_hat + v_hat2)
             else:
                 v_use = v_hat
@@ -183,24 +219,31 @@ def _integrate_rows(
                 mark_divergent(bad, i)
 
     # One transposing copy per history; each trace gets its own row of it.
-    tau_rows = np.tile(taus, (n, 1))
+    tau_rows = np.tile(taus, (len(x), 1))
     e_rows, v_rows, s_rows, x_rows, sv_rows = (
         None if h is None else np.swapaxes(h, 0, 1).copy() for h in (e_hist, v_hist, s_hist, x_hist, sv_hist)
     )
-    traces = [
-        Trace(
-            run_id=run_ids[row],
-            tau=tau_rows[row],
-            e_norm=e_rows[row],
-            vhat_norm=v_rows[row],
-            x_final=x[row],
-            s_norm=s_rows[row] if s_rows is not None else None,
-            x_path=x_rows[row] if x_rows is not None else None,
-            s_path=sv_rows[row] if sv_rows is not None else None,
-        )
-        for row in np.flatnonzero(alive).tolist()
-    ]
-    return traces, div_step
+    results: list = []
+    for j, (law, rows) in enumerate(zip(laws, blocks)):
+        if j in failed:
+            results.append(failed[j])
+            continue
+        surface = law.sliding is not None
+        traces = [
+            Trace(
+                run_id=run_ids[row - rows.start],
+                tau=tau_rows[row],
+                e_norm=e_rows[row],
+                vhat_norm=v_rows[row],
+                x_final=x[row],
+                s_norm=s_rows[row] if surface else None,
+                x_path=x_rows[row] if x_rows is not None else None,
+                s_path=sv_rows[row] if surface and sv_rows is not None else None,
+            )
+            for row in (rows.start + np.flatnonzero(alive[rows])).tolist()
+        ]
+        results.append((traces, div_steps[j]))
+    return results
 
 
 def sample_trajectory(
@@ -218,7 +261,10 @@ def sample_trajectory(
     """
     x0 = rng.standard_normal(system.dim).reshape(1, -1)
     law.reset()
-    traces, divergences = _integrate_rows(system, law, integ, cond, x0, [0], record_x)
+    (result,) = _integrate_rows(system, [law], integ, cond, x0, [0], record_x)
+    if isinstance(result, Exception):
+        raise result
+    traces, divergences = result
     if divergences:
         raise DivergenceError(divergences[0], 0)
     return traces[0]
@@ -243,81 +289,135 @@ def run_batch(cfg: "_config.ExperimentConfig", workers: int | None = None) -> Ru
     Trajectory i starts from stream i of the master seed, so results do not
     depend on how trajectories are distributed over workers.
     """
-    system = _config.build_system(cfg.system)
-    integ = IntegratorSpec(cfg.sampler.scheme, cfg.sampler.steps, cfg.sampler.tau_clamp)
-    cond = cfg.system.target
-    n = cfg.sampler.trajectories
-    seed = cfg.sampler.seed
-    record_x = cfg.sampler.record_x
+    (result,) = run_batches([cfg], workers)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
-    x0 = stream_normals(seed, n, system.dim)
+
+def run_batches(cfgs: list["_config.ExperimentConfig"], workers: int | None = None) -> list[RunResult | Exception]:
+    """Run one batch per config in one lockstep pass; the configs may differ only in ``controller``.
+
+    Every batch starts from the same points and shares each field evaluation,
+    so entry j equals ``run_batch(cfgs[j])`` bit for bit. If building or
+    stepping a config's control law raises, its entry is the exception that
+    run would raise, and the other batches finish. Each worker runs every
+    law on its share of the trajectories.
+    """
+    if not cfgs:
+        return []
+    base = cfgs[0]
+    if any(replace(cfg, controller=base.controller) != base for cfg in cfgs[1:]):
+        raise ValueError("run_batches: configs may differ only in their controller")
+    system = _config.build_system(base.system)
+    integ = IntegratorSpec(base.sampler.scheme, base.sampler.steps, base.sampler.tau_clamp)
+    cond = base.system.target
+    n = base.sampler.trajectories
+    record_x = base.sampler.record_x
+
+    x0 = stream_normals(base.sampler.seed, n, system.dim)
     n_workers = min(resolve_workers(workers), n)
     bounds = np.linspace(0, n, n_workers + 1).astype(int)
-    blocks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    ranges = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
-    def run_block(bounds_pair: tuple[int, int]) -> tuple[list[Trace], dict[int, int]]:
+    def run_range(bounds_pair: tuple[int, int]) -> list:
         lo, hi = bounds_pair
-        law = _config.build_control_law(cfg.controller)
-        return _integrate_rows(system, law, integ, cond, x0[lo:hi], list(range(lo, hi)), record_x)
+        out: list = [None] * len(cfgs)
+        laws, built = [], []
+        for j, cfg in enumerate(cfgs):
+            try:
+                laws.append(_config.build_control_law(cfg.controller))
+                built.append(j)
+            except Exception as exc:  # this batch's result, as its own run would raise it
+                out[j] = exc
+        if laws:
+            rows = _integrate_rows(system, laws, integ, cond, x0[lo:hi], list(range(lo, hi)), record_x)
+            for j, result in zip(built, rows):
+                out[j] = result
+        return out
 
-    if len(blocks) == 1:
-        results = [run_block(blocks[0])]
+    if len(ranges) == 1:
+        per_range = [run_range(ranges[0])]
     else:
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            results = list(pool.map(run_block, blocks))
+        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
+            per_range = list(pool.map(run_range, ranges))
 
-    traces: list[Trace] = []
-    divergences: dict[int, int] = {}
-    for block_traces, block_div in results:
-        traces.extend(block_traces)
-        divergences.update(block_div)
-    traces.sort(key=lambda t: t.run_id)
-    return RunResult(
-        traces=traces,
-        divergences=dict(sorted(divergences.items())),
-        fingerprint=_config.fingerprint(cfg),
-        n_trajectories=n,
-    )
+    results: list[RunResult | Exception] = []
+    for j, cfg in enumerate(cfgs):
+        parts = [out[j] for out in per_range]
+        # the first range's exception, as a pool.map over the ranges would raise it
+        error = next((part for part in parts if isinstance(part, Exception)), None)
+        if error is not None:
+            results.append(error)
+            continue
+        divergences = {run_id: step for _, divs in parts for run_id, step in divs.items()}
+        results.append(RunResult(
+            traces=[trace for traces, _ in parts for trace in traces],
+            divergences=dict(sorted(divergences.items())),
+            fingerprint=_config.fingerprint(cfg),
+            n_trajectories=n,
+        ))
+    return results
 
 
 _TRACE_COLUMNS = ("step", "tau", "e_norm", "s_norm", "lyapunov", "vhat_norm")
 
 
-def _trace_rows(trace: Trace):
-    """Per-step values in _TRACE_COLUMNS order; the surface columns are None for non-smc runs."""
+def _trace_columns(trace: Trace) -> list[list]:
+    """One list per _TRACE_COLUMNS entry, one value per step; the surface columns are None for non-smc runs."""
     n = trace.steps
     blank = [None] * n
     lyap = trace.lyapunov
-    return zip(
-        range(n),
+    return [
+        list(range(n)),
         trace.tau.tolist(),
         trace.e_norm.tolist(),
         blank if trace.s_norm is None else trace.s_norm.tolist(),
         blank if lyap is None else lyap.tolist(),
         trace.vhat_norm.tolist(),
-    )
+    ]
 
 
 def traces_to_csv(traces: list[Trace]) -> str:
     """CSV export, one row per step; surface columns are blank for non-smc runs."""
     lines = ["run_id," + ",".join(_TRACE_COLUMNS)]
     for trace in traces:
-        for step, *values in _trace_rows(trace):
+        for step, *values in zip(*_trace_columns(trace)):
             cells = ["" if v is None else repr(v) for v in values]
             lines.append(f"{trace.run_id},{step}," + ",".join(cells))
     return "\n".join(lines) + "\n"
 
 
-def traces_to_json(traces: list[Trace]) -> str:
-    """JSON export mirroring the CSV columns."""
-    import json
+# How json writes the values a trace holds: ints and finite floats as their repr.
+_JSON_SPELLING = {"None": "null", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_STEP = "{{\n" + ",\n".join(f'        "{c}": {{}}' for c in _TRACE_COLUMNS) + "\n      }}"
 
-    payload = [
-        {
-            "run_id": trace.run_id,
-            "steps": [dict(zip(_TRACE_COLUMNS, row)) for row in _trace_rows(trace)],
-            "x_final": trace.x_final.tolist(),
-        }
-        for trace in traces
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+
+def _json_values(values: list) -> list[str]:
+    return [_JSON_SPELLING.get(r, r) for r in map(repr, values)]
+
+
+def _json_array(items: list[str], pad: str) -> str:
+    """Encoded items as a JSON array in json.dumps(indent=2) layout, closing at indent ``pad``."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+
+
+def _json_trace(trace: Trace) -> str:
+    steps = map(_JSON_STEP.format, *map(_json_values, _trace_columns(trace)))
+    return (
+        f'{{\n    "run_id": {trace.run_id},\n'
+        f'    "steps": {_json_array(list(steps), "    ")},\n'
+        f'    "x_final": {_json_array(_json_values(trace.x_final.tolist()), "    ")}\n  }}'
+    )
+
+
+def traces_to_json(traces: list[Trace]) -> str:
+    """JSON export mirroring the CSV columns, byte for byte what json.dumps(indent=2) writes.
+
+    Built from string templates, because json.dumps with an indent runs its
+    pure-Python encoder.
+    """
+    return _json_array([_json_trace(trace) for trace in traces], "") + "\n"

@@ -137,6 +137,47 @@ class TestSweep:
         assert statuses[1].startswith("failed")
 
 
+    def test_raising_law_fails_only_its_row(self, tmp_path):
+        cfg = small_config(tmp_path, sweep={"parameter": "w", "values": [2.0, -1.0, 5.0]})
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--config", cfg, "--out", out) == 0
+        rows = json.loads(next(out.glob("sweep_*_table.json")).read_text())["rows"]
+        assert [r["status"] for r in rows] == ["ok", "failed: guidance scale must be nonnegative", "ok"]
+
+    def test_system_failure_fails_every_row(self, tmp_path):
+        cfg = small_config(tmp_path, sweep={"parameter": "w", "values": [2.0, 5.0]})
+        raw = json.loads(cfg.read_text())
+        raw["system"]["components"][1]["cov"] = {"full_lower": [[1.0], [2.0, 1.0]]}  # not positive definite
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--config", cfg, "--out", out) == 0
+        rows = json.loads(next(out.glob("sweep_*_table.json")).read_text())["rows"]
+        assert len(rows) == 2 and all(r["status"].startswith("failed: system:") for r in rows)
+
+
+ALL_SIX = "cfg,weight_schedule,apg,cfg_zero_star,rectified_cfgpp,smc"
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("command", ["compare", "sweep"])
+def test_one_lockstep_pass_per_worker(tmp_path, monkeypatch, command, threads):
+    import cfgctrl.sampler
+
+    real = cfgctrl.sampler._integrate_rows
+    laws_per_call = []
+
+    def counting(system, laws, *args):
+        laws_per_call.append(len(laws))
+        return real(system, laws, *args)
+
+    monkeypatch.setattr(cfgctrl.sampler, "_integrate_rows", counting)
+    monkeypatch.setenv("CFGCTRL_THREADS", str(threads))
+    cfg = small_config(tmp_path, sweep={"parameter": "w", "values": [1.0, 2.0, 5.0, 10.0, 15.0]})
+    argv = ["compare", "--controllers", ALL_SIX] if command == "compare" else ["sweep"]
+    assert run_cli(*argv, "--config", cfg, "--out", tmp_path / "o") == 0
+    assert laws_per_call == [6 if command == "compare" else 5] * threads
+
+
 class TestCompare:
     def test_two_controllers(self, tmp_path):
         cfg = small_config(tmp_path)

@@ -1,14 +1,17 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import cfgctrl.guidance
 from cfgctrl.config import (
     ComponentSpec,
     ControllerSpec,
     ExperimentConfig,
     SamplerSpec,
     SystemSpec,
+    with_controller_value,
 )
 from cfgctrl.flow_systems import FlowSystem, GaussComponent, data_responsibilities
 from cfgctrl.guidance import ControlLaw
@@ -17,7 +20,9 @@ from cfgctrl.numerics import Rng
 from cfgctrl.sampler import (
     DivergenceError,
     IntegratorSpec,
+    Trace,
     run_batch,
+    run_batches,
     sample_trajectory,
     traces_to_csv,
     traces_to_json,
@@ -266,6 +271,126 @@ class TestRunBatch:
         assert (e[:, -1] < e[:, 0]).mean() >= 0.9
 
 
+# The compare command's six control laws at w = 5.
+COMPARE_LAWS = (
+    ControllerSpec("cfg", {"w": 5.0}),
+    ControllerSpec("weight_schedule", {"w_max": 5.0}),
+    ControllerSpec("apg", {"w": 5.0}),
+    ControllerSpec("cfg_zero_star", {"w": 5.0}),
+    ControllerSpec("rectified_cfgpp", {"w": 5.0}),
+    ControllerSpec("smc", {"w": 5.0, "lambda": 6.0, "k": 0.1}),
+)
+SMC = ControllerSpec("smc", {"w": 5.0, "lambda": 6.0, "k": 0.1, "boundary_layer": 0.05})
+LOCKSTEP_CASES = {
+    "compare": (None, None),
+    "sweep_w": ("w", (1.0, 2.0, 5.0, 10.0, 15.0)),
+    "sweep_lambda": ("lambda", (3.0, 4.0, 6.0)),
+    "sweep_k": ("k", (0.0, 0.4, 1.0)),
+}
+
+
+def lockstep_configs(case, scheme, record_x=True, trajectories=7, steps=12):
+    base = two_comp_config(SMC, steps=steps, trajectories=trajectories, scheme=scheme)
+    base = replace(base, sampler=replace(base.sampler, record_x=record_x))
+    parameter, values = LOCKSTEP_CASES.get(case, (case, None))
+    if parameter is None:
+        return [replace(base, controller=law) for law in COMPARE_LAWS]
+    return [with_controller_value(base, parameter, v) for v in values]
+
+
+def assert_same_batch(got, want):
+    """Bit-equal results, or exceptions of the same type and message."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert (got.fingerprint, got.n_trajectories, got.divergences) == (want.fingerprint, want.n_trajectories, want.divergences)
+    assert [t.run_id for t in got.traces] == [t.run_id for t in want.traces]
+    for a, b in zip(got.traces, want.traces):
+        for name in ("tau", "e_norm", "vhat_norm", "x_final", "s_norm", "x_path", "s_path"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None) == (y is None), name
+            if x is not None:
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+def separate_runs(cfgs, workers=1):
+    results = []
+    for cfg in cfgs:
+        try:
+            results.append(run_batch(cfg, workers=workers))
+        except Exception as exc:
+            results.append(exc)
+    return results
+
+
+class TestRunBatches:
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("record_x", [False, True])
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    @pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
+    def test_each_block_equals_its_separate_run(self, case, scheme, record_x, workers):
+        cfgs = lockstep_configs(case, scheme, record_x)
+        results = run_batches(cfgs, workers=workers)
+        assert len(results) == len(cfgs)
+        for got, want in zip(results, separate_runs(cfgs, workers)):
+            assert not isinstance(got, Exception)
+            assert_same_batch(got, want)
+
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    @pytest.mark.parametrize(
+        "parameter, values",
+        [("k", (0.1, 1e9, 0.4)), ("w", (2.0, -1.0, 5.0)), ("lambda", (3.0, -1.0, 6.0))],
+        ids=["every_row_diverges", "step_refuses_gain", "law_not_built"],
+    )
+    def test_failed_block_leaves_the_others(self, scheme, parameter, values):
+        base = two_comp_config(SMC, steps=12, trajectories=7, scheme=scheme)
+        cfgs = [with_controller_value(base, parameter, v) for v in values]
+        for workers in (1, 3):
+            results = run_batches(cfgs, workers=workers)
+            want = separate_runs(cfgs, workers)
+            if parameter == "k":
+                assert results[1].n_divergent == 7 and not results[1].traces
+            else:
+                assert isinstance(results[1], ValueError)
+            for got, expected in zip(results, want):
+                assert_same_batch(got, expected)
+
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    def test_law_raising_mid_run_fails_only_its_block(self, scheme, monkeypatch):
+        # apg's fourth combine raises: step 3 under Euler, the Heun corrector of step 1.
+        real = cfgctrl.guidance.apg_combine
+        calls = []
+
+        def flaky(*args):
+            calls.append(1)
+            if len(calls) == 4:
+                raise ValueError("combine failed on call 4")
+            return real(*args)
+
+        monkeypatch.setattr(cfgctrl.guidance, "apg_combine", flaky)
+        cfgs = lockstep_configs("compare", scheme)
+        results = run_batches(cfgs)
+        calls.clear()
+        want = []
+        for cfg in cfgs:
+            want.extend(separate_runs([cfg]))
+            calls.clear()
+        assert str(results[2]) == "combine failed on call 4"
+        for got, expected in zip(results, want):
+            assert_same_batch(got, expected)
+
+    def test_configs_may_differ_only_in_controller(self):
+        cfgs = lockstep_configs("compare", "euler")
+        with pytest.raises(ValueError, match="only in their controller"):
+            run_batches([cfgs[0], replace(cfgs[1], sampler=replace(cfgs[1].sampler, seed=9))])
+        assert run_batches([]) == []
+
+    def test_run_batch_raises_its_block_exception(self):
+        cfg = with_controller_value(two_comp_config(SMC, steps=12, trajectories=3), "w", -1.0)
+        with pytest.raises(ValueError, match="guidance scale must be nonnegative"):
+            run_batch(cfg)
+
+
 def exact_flow(mu, cov, x0, t0, t1):
     """Rectified-flow map of one Gaussian N(mu, Q diag(lam) Q^T) from time t0 to t1, rows of x0."""
     lam, q = np.linalg.eigh(cov)
@@ -345,3 +470,37 @@ class TestExports:
         a = traces_to_csv(run_batch(cfg).traces)
         b = traces_to_csv(run_batch(cfg).traces)
         assert a == b
+
+
+def json_reference(traces):
+    """The export as json.dumps writes it from per-step dicts."""
+    columns = ("step", "tau", "e_norm", "s_norm", "lyapunov", "vhat_norm")
+    payload = []
+    for t in traces:
+        n = len(t.tau)
+        surface = [None] * n if t.s_norm is None else t.s_norm.tolist()
+        lyap = [None] * n if t.s_norm is None else (0.5 * t.s_norm**2).tolist()
+        rows = zip(range(n), t.tau.tolist(), t.e_norm.tolist(), surface, lyap, t.vhat_norm.tolist())
+        payload.append({"run_id": t.run_id, "steps": [dict(zip(columns, r)) for r in rows], "x_final": t.x_final.tolist()})
+    return json.dumps(payload, indent=2) + "\n"
+
+
+class TestJsonExport:
+    def test_matches_json_dumps_on_runs(self):
+        for controller in (ControllerSpec("cfg", {"w": 2.0}), SMC):
+            traces = run_batch(two_comp_config(controller, trajectories=3, steps=5)).traces
+            assert traces_to_json(traces) == json_reference(traces)
+
+    def test_matches_json_dumps_on_non_finite_values(self):
+        odd = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1])
+        with np.errstate(over="ignore"):
+            traces = [
+                Trace(run_id=4, tau=odd, e_norm=odd[::-1].copy(), vhat_norm=odd, x_final=np.array([np.nan, -np.inf])),
+                Trace(run_id=12, tau=odd, e_norm=odd, vhat_norm=odd, x_final=np.array([1e-7]), s_norm=odd[::-1].copy()),
+            ]
+            expected = json_reference(traces)
+            assert traces_to_json(traces) == expected
+        assert "NaN" in expected and "-Infinity" in expected and "null" in expected
+
+    def test_empty_list(self):
+        assert traces_to_json([]) == json_reference([]) == "[]\n"
