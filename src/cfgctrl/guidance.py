@@ -137,11 +137,26 @@ def weight_schedule(ctx: StepContext, shape: str, w_max: float) -> float:
     return 1.0 + (w_max - 1.0) * float(ramp)
 
 
+def _nan_where_zero(norm_sq: np.ndarray, message: str) -> np.ndarray:
+    """A law's squared-norm divisor with its zero rows set to NaN, which spreads to their whole output row.
+
+    A single vector (a divisor of shape (1,)) has no other rows to save, so it raises ``message`` instead.
+    """
+    zero = norm_sq == 0.0
+    if not zero.any():
+        return norm_sq
+    if norm_sq.ndim == 1:
+        raise ValueError(message)
+    return np.where(zero, np.nan, norm_sq)
+
+
 def apg_combine(v_c: np.ndarray, v_u: np.ndarray, w: float, eta: float) -> np.ndarray:
     """Projected guidance: down-weight the gap component parallel to v_c.
 
     The gap dv = v_c - v_u splits into dv_par (projection onto v_c) and
     dv_perp; the guided velocity is v_u + w * (dv_perp + eta * dv_par).
+    A zero v_c leaves the projection undefined: a single vector raises, and
+    a row of a batch comes out NaN so that the sampler flags only that row.
     """
     v_c = np.asarray(v_c, dtype=float)
     v_u = np.asarray(v_u, dtype=float)
@@ -149,9 +164,7 @@ def apg_combine(v_c: np.ndarray, v_u: np.ndarray, w: float, eta: float) -> np.nd
         raise ValueError(f"velocity shapes differ: {v_c.shape} vs {v_u.shape}")
     if eta > 1.0:
         raise ValueError(f"eta = {eta} must be <= 1")
-    norm_sq = row_sum(v_c * v_c)[..., None]
-    if np.any(norm_sq == 0.0):
-        raise ValueError("conditional velocity is zero; projection undefined")
+    norm_sq = _nan_where_zero(row_sum(v_c * v_c)[..., None], "conditional velocity is zero; projection undefined")
     dv = v_c - v_u
     dv_par = (row_sum(dv * v_c)[..., None] / norm_sq) * v_c
     dv_perp = dv - dv_par
@@ -162,15 +175,14 @@ def cfg_zero_star_combine(v_c: np.ndarray, v_u: np.ndarray, w: float) -> np.ndar
     """Guidance with the unconditional direction rescaled by its least-squares fit.
 
     s_star = <v_c, v_u> / |v_u|^2 minimizes |v_c - s * v_u|; the guided
-    velocity is s_star * v_u + w * (v_c - s_star * v_u).
+    velocity is s_star * v_u + w * (v_c - s_star * v_u). A zero v_u is
+    handled as a zero v_c is in :func:`apg_combine`.
     """
     v_c = np.asarray(v_c, dtype=float)
     v_u = np.asarray(v_u, dtype=float)
     if v_c.shape != v_u.shape:
         raise ValueError(f"velocity shapes differ: {v_c.shape} vs {v_u.shape}")
-    norm_sq = row_sum(v_u * v_u)[..., None]
-    if np.any(norm_sq == 0.0):
-        raise ValueError("unconditional velocity is zero; rescaling undefined")
+    norm_sq = _nan_where_zero(row_sum(v_u * v_u)[..., None], "unconditional velocity is zero; rescaling undefined")
     s_star = row_sum(v_c * v_u)[..., None] / norm_sq
     base = s_star * v_u
     return base + w * (v_c - base)

@@ -19,6 +19,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -93,15 +95,36 @@ class Trace:
             return None
         return 0.5 * self.s_norm**2
 
+    @cached_property
+    def _cells(self) -> list[tuple[tuple[str, ...], bool] | None]:
+        """Export cells of the columns after ``step``, each with whether its source is all finite; None for no surface.
+
+        Both exporters read these, so exporting a trace as CSV and as JSON
+        formats each value once. The arrays must not change afterwards, so
+        they become read-only here; the sampler's already are.
+        """
+        for values in (self.tau, self.e_norm, self.s_norm, self.vhat_norm):
+            if values is not None:
+                values.flags.writeable = False
+        columns = [_grid_cells(self.tau.dtype.str, self.tau.tobytes())]
+        for values in (self.e_norm, self.s_norm, self.lyapunov, self.vhat_norm):
+            columns.append(None if values is None else (_format(values), bool(np.isfinite(values).all())))
+        return columns
+
 
 @dataclass(eq=False)
 class RunResult:
-    """Traces of a batch, divergence flags, and the config fingerprint."""
+    """Traces of a batch, divergence flags, and the config that produced them."""
 
     traces: list[Trace]
     divergences: dict[int, int]  # run_id -> step at which the state blew up
-    fingerprint: str
+    config: "_config.ExperimentConfig"
     n_trajectories: int
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """The config's fingerprint, hashed on first read."""
+        return _config.fingerprint(self.config)
 
     @property
     def n_divergent(self) -> int:
@@ -200,9 +223,8 @@ def _integrate_rows(
                 bad = alive & ~(row_norm(x_pred) <= DIVERGENCE_NORM)
                 if bad.any():
                     mark_divergent(bad, i)
-                    for rows in blocks:  # per block, so each law sees what its own run gives it
-                        if bad[rows].any():
-                            x_pred[rows][~alive[rows]] = 0.0
+                if not alive.all():  # a dead row's own velocity may be NaN: evaluate it at the origin
+                    x_pred[~alive] = 0.0
                 v_c2, v_u2 = evaluator(x_pred, t + dtau)
                 v_hat2 = guided(i, t + dtau, v_c2, v_u2, x_pred, False)
                 if len(failed) == len(laws):
@@ -218,11 +240,13 @@ def _integrate_rows(
             if bad.any():
                 mark_divergent(bad, i)
 
-    # One transposing copy per history; each trace gets its own row of it.
-    tau_rows = np.tile(taus, (len(x), 1))
+    # One read-only transposing copy per history; each trace gets its own row of it, and all share the grid.
     e_rows, v_rows, s_rows, x_rows, sv_rows = (
         None if h is None else np.swapaxes(h, 0, 1).copy() for h in (e_hist, v_hist, s_hist, x_hist, sv_hist)
     )
+    for a in (taus, x, e_rows, v_rows, s_rows, x_rows, sv_rows):
+        if a is not None:
+            a.flags.writeable = False
     results: list = []
     for j, (law, rows) in enumerate(zip(laws, blocks)):
         if j in failed:
@@ -232,7 +256,7 @@ def _integrate_rows(
         traces = [
             Trace(
                 run_id=run_ids[row - rows.start],
-                tau=tau_rows[row],
+                tau=taus,
                 e_norm=e_rows[row],
                 vhat_norm=v_rows[row],
                 x_final=x[row],
@@ -354,7 +378,7 @@ def run_batches(cfgs: list["_config.ExperimentConfig"], workers: int | None = No
         results.append(RunResult(
             traces=[trace for traces, _ in parts for trace in traces],
             divergences=dict(sorted(divergences.items())),
-            fingerprint=_config.fingerprint(cfg),
+            config=cfg,
             n_trajectories=n,
         ))
     return results
@@ -363,38 +387,52 @@ def run_batches(cfgs: list["_config.ExperimentConfig"], workers: int | None = No
 _TRACE_COLUMNS = ("step", "tau", "e_norm", "s_norm", "lyapunov", "vhat_norm")
 
 
-def _trace_columns(trace: Trace) -> list[list]:
-    """One list per _TRACE_COLUMNS entry, one value per step; the surface columns are None for non-smc runs."""
-    n = trace.steps
-    blank = [None] * n
-    lyap = trace.lyapunov
-    return [
-        list(range(n)),
-        trace.tau.tolist(),
-        trace.e_norm.tolist(),
-        blank if trace.s_norm is None else trace.s_norm.tolist(),
-        blank if lyap is None else lyap.tolist(),
-        trace.vhat_norm.tolist(),
-    ]
+def _format(values: np.ndarray) -> tuple[str, ...]:
+    """Every value as its Python repr, the text both exporters write for a number."""
+    return tuple(map(repr, values.tolist()))
+
+
+@lru_cache(maxsize=16)
+def _grid_cells(dtype: str, grid: bytes) -> tuple[tuple[str, ...], bool]:
+    """A time grid's cells and whether it is all finite, keyed by its bytes so NaN grids match too."""
+    values = np.frombuffer(grid, dtype=dtype)
+    return _format(values), bool(np.isfinite(values).all())
+
+
+@lru_cache(maxsize=16)
+def _step_cells(n: int) -> tuple[str, ...]:
+    return tuple(map(str, range(n)))
 
 
 def traces_to_csv(traces: list[Trace]) -> str:
     """CSV export, one row per step; surface columns are blank for non-smc runs."""
     lines = ["run_id," + ",".join(_TRACE_COLUMNS)]
     for trace in traces:
-        for step, *values in zip(*_trace_columns(trace)):
-            cells = ["" if v is None else repr(v) for v in values]
-            lines.append(f"{trace.run_id},{step}," + ",".join(cells))
+        n = trace.steps
+        columns = [("",) * n if column is None else column[0] for column in trace._cells]
+        lines += map(",".join, zip(repeat(str(trace.run_id)), _step_cells(n), *columns))
     return "\n".join(lines) + "\n"
 
 
 # How json writes the values a trace holds: ints and finite floats as their repr.
-_JSON_SPELLING = {"None": "null", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_JSON_STEP = "{{\n" + ",\n".join(f'        "{c}": {{}}' for c in _TRACE_COLUMNS) + "\n      }}"
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# One step's object in json.dumps(indent=2) layout, split around its values.
+_JSON_STEP = ("{\n" + ",\n".join(f'        "{c}": \0' for c in _TRACE_COLUMNS) + "\n      }").split("\0")
 
 
-def _json_values(values: list) -> list[str]:
-    return [_JSON_SPELLING.get(r, r) for r in map(repr, values)]
+def _json_cells(column: tuple[tuple[str, ...], bool] | None, n: int) -> tuple[str, ...]:
+    if column is None:
+        return ("null",) * n
+    cells, finite = column
+    return cells if finite else tuple(_JSON_SPELLING.get(c, c) for c in cells)
+
+
+def _fill(pieces: list[str], columns: list) -> list[str]:
+    """``pieces[0] + columns[0][i] + pieces[1] + ... + pieces[-1]`` for every row i."""
+    parts = [repeat(pieces[0])]
+    for column, piece in zip(columns, pieces[1:]):
+        parts += [column, repeat(piece)]
+    return list(map("".join, zip(*parts)))
 
 
 def _json_array(items: list[str], pad: str) -> str:
@@ -406,11 +444,13 @@ def _json_array(items: list[str], pad: str) -> str:
 
 
 def _json_trace(trace: Trace) -> str:
-    steps = map(_JSON_STEP.format, *map(_json_values, _trace_columns(trace)))
+    n = trace.steps
+    steps = _fill(_JSON_STEP, [_step_cells(n)] + [_json_cells(col, n) for col in trace._cells])
+    x_final = [_JSON_SPELLING.get(c, c) for c in _format(trace.x_final)]
     return (
         f'{{\n    "run_id": {trace.run_id},\n'
-        f'    "steps": {_json_array(list(steps), "    ")},\n'
-        f'    "x_final": {_json_array(_json_values(trace.x_final.tolist()), "    ")}\n  }}'
+        f'    "steps": {_json_array(steps, "    ")},\n'
+        f'    "x_final": {_json_array(x_final, "    ")}\n  }}'
     )
 
 
@@ -418,6 +458,6 @@ def traces_to_json(traces: list[Trace]) -> str:
     """JSON export mirroring the CSV columns, byte for byte what json.dumps(indent=2) writes.
 
     Built from string templates, because json.dumps with an indent runs its
-    pure-Python encoder.
+    pure-Python encoder. It reads the cells the CSV export formatted.
     """
     return _json_array([_json_trace(trace) for trace in traces], "") + "\n"

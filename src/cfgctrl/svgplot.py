@@ -7,7 +7,7 @@ are fully deterministic for fixed input.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+import numpy as np
 
 WIDTH = 640
 HEIGHT = 440
@@ -16,6 +16,11 @@ MARGIN_RIGHT = 20
 MARGIN_TOP = 40
 MARGIN_BOTTOM = 50
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
+
+
+def escape(text: str) -> str:
+    """Text as SVG character data: ``&``, ``<`` and ``>`` as entities, ``&`` first."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _bounds(values) -> tuple[float, float]:
@@ -83,8 +88,11 @@ class _Frame:
         self.parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
 
     def scatter(self, xs, ys, color: str) -> None:
-        for x, y in zip(xs, ys):
-            self.parts.append(f'<circle cx="{self.x_px(x):.2f}" cy="{self.y_px(y):.2f}" r="2.5" fill="{color}" fill-opacity="0.6"/>')
+        # x_px and y_px on whole arrays: the same elementwise operations, so every coordinate keeps its bits
+        px = self.x_px(np.asarray(xs, dtype=float)).tolist()
+        py = self.y_px(np.asarray(ys, dtype=float)).tolist()
+        circle = f'<circle cx="%.2f" cy="%.2f" r="2.5" fill="{color}" fill-opacity="0.6"/>'
+        self.parts += [circle % point for point in zip(px, py)]
 
     def legend(self, labels_colors) -> None:
         for i, (label, color) in enumerate(labels_colors):

@@ -197,6 +197,36 @@ class TestCompare:
         assert report["seed_fingerprint"]
         assert {row["controller"] for row in report["rows"]} == set(names.split(","))
 
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    def test_degenerate_row_is_flagged_and_compare_finishes(self, tmp_path, monkeypatch, scheme):
+        import cfgctrl.sampler
+
+        real = cfgctrl.sampler.velocity_pair
+
+        def field(system, x, t, cond):  # both velocities of the second trajectory vanish from tau = 0.5 on
+            v_c, v_u = real(system, x, t, cond)
+            if t >= 0.5:
+                v_c[1::10] = v_u[1::10] = 0.0
+            return v_c, v_u
+
+        monkeypatch.setattr(cfgctrl.sampler, "velocity_pair", field)
+        cfg = small_config(tmp_path, **{"sampler.scheme": scheme})
+        out = tmp_path / "out"
+        assert run_cli("compare", "--config", cfg, "--controllers", ALL_SIX, "--out", out) == 0
+        rows = json.loads(next(out.glob("compare_*_report.json")).read_text())["rows"]
+        assert [row["status"] for row in rows] == ["ok"] * 6
+        assert [row["n_divergent"] for row in rows] == [0, 0, 1, 1, 0, 0]
+
+    def test_config_is_hashed_once(self, tmp_path, monkeypatch):
+        import cfgctrl.config
+
+        real = cfgctrl.config.fingerprint
+        calls = []
+        monkeypatch.setattr(cfgctrl.config, "fingerprint", lambda c: calls.append(1) or real(c))
+        cfg = small_config(tmp_path)
+        assert run_cli("compare", "--config", cfg, "--controllers", ALL_SIX, "--out", tmp_path / "out") == 0
+        assert len(calls) == 1  # the artifact tag; no RunResult is asked for its fingerprint
+
     def test_single_controller_rejected(self, tmp_path):
         cfg = small_config(tmp_path)
         assert run_cli("compare", "--config", cfg, "--controllers", "cfg", "--out", tmp_path / "o") == 2

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 import cfgctrl.guidance
+import cfgctrl.sampler
 from cfgctrl.config import (
     ComponentSpec,
     ControllerSpec,
     ExperimentConfig,
     SamplerSpec,
     SystemSpec,
+    fingerprint,
     with_controller_value,
 )
 from cfgctrl.flow_systems import FlowSystem, GaussComponent, data_responsibilities
@@ -504,3 +506,161 @@ class TestJsonExport:
 
     def test_empty_list(self):
         assert traces_to_json([]) == json_reference([]) == "[]\n"
+
+
+def csv_reference(traces):
+    """The CSV export as a per-row writer spells it: the repr of every value, blank cells for no surface."""
+    lines = ["run_id,step,tau,e_norm,s_norm,lyapunov,vhat_norm"]
+    for t in traces:
+        n = len(t.tau)
+        surface = [None] * n if t.s_norm is None else t.s_norm.tolist()
+        lyap = [None] * n if t.s_norm is None else (0.5 * t.s_norm**2).tolist()
+        rows = zip(range(n), t.tau.tolist(), t.e_norm.tolist(), surface, lyap, t.vhat_norm.tolist())
+        for step, *values in rows:
+            cells = ["" if v is None else repr(v) for v in values]
+            lines.append(f"{t.run_id},{step}," + ",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def odd_traces():
+    """Traces holding NaN, infinities, -0.0, a subnormal and an overflowing surface energy."""
+    odd = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1])
+    return [
+        Trace(run_id=4, tau=odd, e_norm=odd[::-1].copy(), vhat_norm=odd, x_final=np.array([np.nan, -np.inf])),
+        Trace(run_id=12, tau=odd.copy(), e_norm=odd, vhat_norm=odd, x_final=np.array([1e-7]), s_norm=odd[::-1].copy()),
+    ]
+
+
+class TestExportCells:
+    """Both exporters read one table of cells per trace and match a writer that formats every value itself."""
+
+    @pytest.mark.parametrize("record_x", [False, True])
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    @pytest.mark.parametrize("controller", [ControllerSpec("cfg", {"w": 2.0}), SMC], ids=lambda c: c.type)
+    def test_runs_match_the_references(self, controller, scheme, record_x):
+        cfg = two_comp_config(controller, trajectories=3, steps=5, scheme=scheme)
+        cfg = replace(cfg, sampler=replace(cfg.sampler, record_x=record_x))
+        traces = run_batch(cfg).traces
+        assert traces_to_csv(traces) == csv_reference(traces)
+        assert traces_to_json(traces) == json_reference(traces)
+
+    def test_non_finite_and_subnormal_values(self):
+        with np.errstate(over="ignore"):
+            traces = odd_traces()
+            want_csv, want_json = csv_reference(traces), json_reference(traces)
+            assert traces_to_csv(traces) == want_csv
+            assert traces_to_json(traces) == want_json
+        assert "nan" in want_csv and "-inf" in want_csv and "5e-324" in want_csv and "-0.0" in want_csv
+
+    def test_traces_on_different_grids(self):
+        traces = []
+        for run_id, steps in ((0, 5), (1, 7), (2, 5)):
+            grid = IntegratorSpec("euler", steps).tau_grid()
+            traces.append(Trace(run_id, grid, np.sqrt(grid), grid**2, np.array([grid[-1], -1.0]), s_norm=1.0 - grid))
+        assert traces_to_csv(traces) == csv_reference(traces)
+        assert traces_to_json(traces) == json_reference(traces)
+
+    def test_empty_list(self):
+        assert traces_to_csv([]) == csv_reference([]) == "run_id,step,tau,e_norm,s_norm,lyapunov,vhat_norm\n"
+        assert traces_to_json([]) == "[]\n"
+
+    def test_each_value_is_formatted_once(self, monkeypatch):
+        real = cfgctrl.sampler._format
+        formatted = []
+
+        def counting(values):
+            formatted.append(len(values))
+            return real(values)
+
+        monkeypatch.setattr(cfgctrl.sampler, "_format", counting)
+        cfgctrl.sampler._grid_cells.cache_clear()
+        n, steps = 4, 6
+        traces = run_batch(two_comp_config(SMC, trajectories=n, steps=steps)).traces
+        csv = traces_to_csv(traces)
+        # one shared time grid, then e_norm, s_norm, lyapunov and vhat_norm of each trace
+        assert sum(formatted) == steps + n * 4 * steps
+        json_text = traces_to_json(traces)
+        assert sum(formatted) == steps + n * 4 * steps + n * 2  # only x_final is new
+        assert traces_to_csv(traces) == csv and traces_to_json(traces) == json_text
+        assert sum(formatted) == steps + n * 4 * steps + n * 4  # x_final once per JSON export
+        assert not traces[0].e_norm.flags.writeable and traces[0].tau is traces[1].tau
+
+    def test_equal_nan_grids_are_formatted_once(self, monkeypatch):
+        real = cfgctrl.sampler._format
+        lengths = []
+        monkeypatch.setattr(cfgctrl.sampler, "_format", lambda values: lengths.append(len(values)) or real(values))
+        cfgctrl.sampler._grid_cells.cache_clear()
+        with np.errstate(over="ignore"):
+            traces_to_csv(odd_traces())
+        # two distinct arrays, equal bytes: one grid; then e_norm and vhat_norm, and those two plus the surface's
+        assert lengths == [7] * (1 + 2 + 4)
+
+    def test_exported_trace_arrays_become_read_only(self):
+        grid = IntegratorSpec("euler", 4).tau_grid()
+        trace = Trace(0, grid, grid.copy(), grid.copy(), np.zeros(2))
+        traces_to_csv([trace])
+        with pytest.raises(ValueError):
+            trace.e_norm[0] = 1.0
+
+
+def zeroing_field(start, which, n):
+    """velocity_pair with v_c (which = 0) or v_u (which = 1) zeroed on rows 1, 1 + n, ... from time ``start`` on."""
+    real = cfgctrl.sampler.velocity_pair
+
+    def field(system, x, t, cond):
+        pair = real(system, x, t, cond)
+        if t >= start:
+            for i in which:
+                pair[i][1::n] = 0.0
+        return pair
+
+    return field
+
+
+class TestDegenerateRows:
+    """A row on which a law is undefined is flagged; the rest of its block finishes."""
+
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    @pytest.mark.parametrize("law, zeroed", [("apg", 0), ("cfg_zero_star", 1)])
+    def test_bad_row_flagged_good_row_kept(self, monkeypatch, law, zeroed, scheme):
+        cfg = two_comp_config(ControllerSpec(law, {"w": 5.0}), trajectories=2, steps=12, scheme=scheme)
+        solo = run_batch(replace(cfg, sampler=replace(cfg.sampler, trajectories=1)))
+        monkeypatch.setattr(cfgctrl.sampler, "velocity_pair", zeroing_field(0.5, (zeroed,), 2))
+        result = run_batch(cfg)
+        integ = IntegratorSpec(scheme, 12)
+        first = integ.tau_grid() + (integ.dtau if scheme == "heun" else 0.0)  # latest field time of each step
+        assert result.divergences == {1: int(np.argmax(first >= 0.5))}
+        assert [t.run_id for t in result.traces] == [0]
+        for name in ("tau", "e_norm", "vhat_norm", "x_final"):
+            assert getattr(result.traces[0], name).tobytes() == getattr(solo.traces[0], name).tobytes(), name
+
+    def test_compare_of_all_laws_finishes(self, monkeypatch):
+        monkeypatch.setattr(cfgctrl.sampler, "velocity_pair", zeroing_field(0.5, (0, 1), 3))
+        cfgs = lockstep_configs("compare", "heun", trajectories=3)
+        results = run_batches(cfgs)
+        assert [r.n_divergent for r in results] == [0, 0, 1, 1, 0, 0]
+        assert all(list(r.divergences) in ([], [1]) for r in results)
+
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    def test_overflowing_gain_flags_every_row(self, scheme):
+        # a dead row sits at the origin, where this gain's velocity overflows; Heun's predictor must not feed that to the field
+        cfg = two_comp_config(ControllerSpec("rectified_cfgpp", {"w": 1e200}), trajectories=5, steps=12, scheme=scheme)
+        result = run_batch(cfg)
+        assert result.n_divergent == 5 and not result.traces
+
+    def test_single_vector_still_raises(self):
+        with pytest.raises(ValueError, match="projection undefined"):
+            cfgctrl.guidance.apg_combine(np.zeros(2), np.ones(2), 1.0, 0.5)
+        row = cfgctrl.guidance.apg_combine(np.zeros((1, 2)), np.ones((1, 2)), 1.0, 0.5)
+        assert np.isnan(row).all()
+
+
+def test_fingerprint_is_hashed_on_first_read(monkeypatch):
+    cfg = two_comp_config(SMC, trajectories=2, steps=4)
+    want = fingerprint(cfg)
+    calls = []
+    monkeypatch.setattr(cfgctrl.config, "fingerprint", lambda c: calls.append(1) or want)
+    result = run_batch(cfg)
+    assert calls == []
+    assert result.fingerprint == want and result.fingerprint == want and calls == [1]
+    assert result.config is cfg
