@@ -12,7 +12,6 @@ from .control_lab import (
 from .flow_systems import (
     FlowSystem,
     GaussComponent,
-    error_signal,
     marginal_velocity,
     mc_velocity_oracle,
     velocity_pair,
@@ -67,7 +66,6 @@ __all__ = [
     "cfg_combine",
     "cfg_zero_star_combine",
     "corridor_sweep",
-    "error_signal",
     "load_config",
     "lyapunov_audit",
     "marginal_velocity",

@@ -80,8 +80,8 @@ def _mean_gap_curve(result: RunResult) -> tuple[list, list]:
     return list(range(e.shape[1])), list(e.mean(axis=0))
 
 
-def _report_row(system, cfg: ExperimentConfig, result: RunResult) -> dict:
-    report = metrics.quality_report(result, system, cfg.system.target)
+def _report_row(result: RunResult) -> dict:
+    report = metrics.quality_report(result, result.system, result.config.system.target)
     row = report.to_dict()
     row["mean_reach_step"] = _mean_reach_step(result)
     return row
@@ -95,8 +95,7 @@ def cmd_run(args) -> int:
     if not result.traces:
         print(f"run {tag}: every trajectory diverged", file=sys.stderr)
         return 3
-    system = cfgmod.build_system(cfg.system)
-    report = metrics.quality_report(result, system, cfg.system.target)
+    report = metrics.quality_report(result, result.system, cfg.system.target)
 
     if "csv" in cfg.output.formats:
         _write_text(out / f"run_{tag}_traces.csv", traces_to_csv(result.traces))
@@ -154,19 +153,17 @@ def cmd_sweep(args) -> int:
 
     row_cfgs = [cfgmod.with_controller_value(cfg, cfg.sweep.parameter, v) for v in cfg.sweep.values]
     try:
-        system = cfgmod.build_system(cfg.system)
         results = run_batches(row_cfgs)
     except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
-        system, results = None, [exc] * len(row_cfgs)  # what every row shares failed: so does every row
+        results = [exc] * len(row_cfgs)  # what every row shares failed: so does every row
     rows = []
-    for value, row_cfg, result in zip(cfg.sweep.values, row_cfgs, results):
+    for value, result in zip(cfg.sweep.values, results):
         try:
             if isinstance(result, Exception):
                 raise result
             if not result.traces:
                 raise RuntimeError("every trajectory diverged")
-            row = _report_row(system, row_cfg, result)
-            rows.append({"value": value, "status": "ok", **row})
+            rows.append({"value": value, "status": "ok", **_report_row(result)})
         except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
             rows.append({"value": value, "status": f"failed: {exc}"})
     if "csv" in cfg.output.formats:
@@ -214,17 +211,15 @@ def cmd_compare(args) -> int:
     ).hexdigest()[:12]
 
     row_cfgs = [replace(cfg, controller=_compare_controller(name, cfg.controller)) for name in names]
-    system = cfgmod.build_system(cfg.system)
     rows = []
     curves = []
-    for name, row_cfg, result in zip(names, row_cfgs, run_batches(row_cfgs)):
+    for name, result in zip(names, run_batches(row_cfgs)):
         if isinstance(result, Exception):
             raise result
         if not result.traces:
             rows.append({"controller": name, "status": "failed: every trajectory diverged"})
             continue
-        row = _report_row(system, row_cfg, result)
-        rows.append({"controller": name, "status": "ok", **row})
+        rows.append({"controller": name, "status": "ok", **_report_row(result)})
         steps, curve = _mean_gap_curve(result)
         curves.append((name, steps, curve))
 

@@ -24,6 +24,7 @@ import numpy as np
 from .numerics import Rng, spectral_norm
 
 _BOUND_SLACK = 1e-9  # float tolerance when asserting realized disturbance bounds
+_DRIFT_FREQ = 0.5  # cycles per unit time of the sinusoidal drift
 
 DRIFT_KINDS = ("constant", "sinusoidal", "noise")
 GAIN_KINDS = ("zero", "rotation", "seeded")
@@ -50,7 +51,6 @@ class PerturbedDynamics:
     drift: str = "constant"
     gain_deviation: str = "zero"
     seed: int = 0
-    drift_freq: float = 0.5
     redraw_gain: bool = False
 
     def __post_init__(self):
@@ -75,8 +75,7 @@ class ConvergenceReport:
     """Outcome of one synthetic run against the finite-time bound.
 
     ``eta`` is the decrease margin k*(w - rho*sqrt(D)) - delta from the
-    switching analysis; ``eta_spectral`` the looser k*(w - rho) - delta form.
-    Both are reported; the reaching bound uses ``eta``.
+    switching analysis; the reaching bound uses it.
     """
 
     reached: bool
@@ -85,14 +84,11 @@ class ConvergenceReport:
     bound_time: float | None
     gain_condition_met: bool
     eta: float
-    eta_spectral: float
     phi: float
-    epsilon: float | None
     band: float
     s_norms: np.ndarray          # length steps + 1, includes the initial state
     lyapunov: np.ndarray         # 0.5 * s_norms^2
     s_history: np.ndarray        # (steps + 1, D)
-    max_v_increase_after_reach: float | None
 
 
 def _unit_direction(dim: int) -> np.ndarray:
@@ -111,7 +107,7 @@ def _make_drift(dyn: PerturbedDynamics, rng: Rng):
     elif dyn.drift == "sinusoidal":
 
         def drift(step: int) -> np.ndarray:
-            phase = 2.0 * math.pi * dyn.drift_freq * step * dyn.dt
+            phase = 2.0 * math.pi * _DRIFT_FREQ * step * dyn.dt
             return dyn.delta * math.sin(phase) * direction
 
     else:  # bounded noise
@@ -233,9 +229,7 @@ def simulate_sliding(dyn: PerturbedDynamics, steps: int) -> ConvergenceReport:
 
     phi = dyn.w - dyn.rho * math.sqrt(dyn.dim)
     eta = dyn.k * phi - dyn.delta
-    eta_spectral = dyn.k * (dyn.w - dyn.rho) - dyn.delta
     gain_met = phi > 0.0 and eta > 0.0
-    epsilon = dyn.k - dyn.delta / phi if phi > 0.0 else None
     band = _band(dyn)
 
     s_norms = np.linalg.norm(history, axis=1)
@@ -248,12 +242,6 @@ def simulate_sliding(dyn: PerturbedDynamics, steps: int) -> ConvergenceReport:
         bound_time = float(np.linalg.norm(dyn.s0)) / eta
         bound_steps = math.ceil(bound_time / dyn.dt)
 
-    max_inc = None
-    if reached:
-        v = 0.5 * s_norms**2
-        tail = v[reach_step:]
-        max_inc = float(np.max(np.diff(tail), initial=0.0)) if tail.size > 1 else 0.0
-
     return ConvergenceReport(
         reached=reached,
         reach_step=reach_step,
@@ -261,14 +249,11 @@ def simulate_sliding(dyn: PerturbedDynamics, steps: int) -> ConvergenceReport:
         bound_time=bound_time,
         gain_condition_met=gain_met,
         eta=eta,
-        eta_spectral=eta_spectral,
         phi=phi,
-        epsilon=epsilon,
         band=band,
         s_norms=s_norms,
         lyapunov=0.5 * s_norms**2,
         s_history=history,
-        max_v_increase_after_reach=max_inc,
     )
 
 

@@ -248,12 +248,6 @@ def velocity_pair(sys: FlowSystem, x: np.ndarray, tau: float, cond: str | None) 
     return v_c, v_u
 
 
-def error_signal(sys: FlowSystem, x: np.ndarray, tau: float, cond: str | None) -> np.ndarray:
-    """Conditional minus unconditional velocity, the feedback signal of guidance."""
-    v_c, v_u = velocity_pair(sys, x, tau, cond)
-    return v_c - v_u
-
-
 def default_bandwidth(tau: float) -> float:
     """Kernel bandwidth that tracks the path scale, bounded away from 0 at both ends."""
     return 0.1 * float(np.sqrt(tau * tau + (1.0 - tau) ** 2))

@@ -83,9 +83,8 @@ class ControlLaw:
 
     variant: str
     w: float = 1.0
-    # weight_schedule
+    # weight_schedule, ramping from 1 to w
     shape: str = "cosine"
-    w_max: float | None = None
     # apg
     eta: float = 0.5
     # rectified_cfgpp; lam_max of None resolves to w - 1
@@ -272,8 +271,7 @@ def _cfg_step(law, v_c, v_u, x, ctx, evaluator, update_state):
 
 
 def _weight_schedule_step(law, v_c, v_u, x, ctx, evaluator, update_state):
-    w_max = law.w if law.w_max is None else law.w_max
-    return cfg_combine(v_c, v_u, weight_schedule(ctx, law.shape, w_max))
+    return cfg_combine(v_c, v_u, weight_schedule(ctx, law.shape, law.w))
 
 
 def _apg_step(law, v_c, v_u, x, ctx, evaluator, update_state):
@@ -335,7 +333,7 @@ CONTROLLERS: dict[str, Controller] = {
     "cfg": Controller({"w": _W}, _cfg_step),
     "weight_schedule": Controller(
         {
-            # the ramp's end gain is the law's gain w (w_max left unset)
+            # the ramp's end gain is the law's gain w
             "w_max": ConfigKey("w", lambda w: w >= 1.0, "must be at least 1", required=True),
             "shape": ConfigKey("shape", choices=("linear", "cosine")),
         },

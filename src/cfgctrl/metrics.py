@@ -26,7 +26,6 @@ class GaussFit:
 
     mean: np.ndarray
     cov: np.ndarray
-    count: int
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,7 @@ def fit_gaussian(samples: np.ndarray) -> GaussFit:
     centered = samples - mean
     cov = centered.T @ centered / (n - 1)
     cov = 0.5 * (cov + cov.T)
-    return GaussFit(mean, cov, n)
+    return GaussFit(mean, cov)
 
 
 def _sqrtm_psd(m: np.ndarray) -> np.ndarray:
@@ -100,12 +99,15 @@ def mahalanobis(samples: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.nd
     return np.linalg.norm(z, axis=1)
 
 
-def e_decay_ratios(traces: list[Trace], floor: float = 1e-12) -> list[float]:
+_E_FLOOR = 1e-12  # an initial gap norm at or below this counts as unguided
+
+
+def e_decay_ratios(traces: list[Trace]) -> list[float]:
     """Final-over-initial gap-norm ratio per trace; unguided traces are skipped."""
     ratios = []
     for trace in traces:
         first = float(trace.e_norm[0])
-        if first > floor:
+        if first > _E_FLOOR:
             ratios.append(float(trace.e_norm[-1]) / first)
     return ratios
 

@@ -21,21 +21,15 @@ class Rng:
     """Deterministic random stream backed by the Philox counter-based generator.
 
     Two instances built from the same (seed, stream) pair produce identical
-    draw sequences on every platform. Streams are cheap to derive, so each
-    trajectory of a batch gets its own via :meth:`spawn`.
+    draw sequences on every platform. Trajectory i of a batch draws from
+    stream i (see :func:`stream_normals`).
     """
-
-    algorithm = "philox4x64"
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed)
         self.stream = int(stream)
         key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
-
-    def spawn(self, stream: int) -> "Rng":
-        """Independent stream sharing this seed."""
-        return Rng(self.seed, stream)
 
     def standard_normal(self, size=None) -> np.ndarray:
         return self._gen.standard_normal(size)
@@ -102,7 +96,11 @@ def row_norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(row_sum(a * a))
 
 
-def spectral_norm(m: Matrix, tol: float = 1e-8, max_iter: int = 10_000) -> float:
+_POWER_TOL = 1e-8  # relative change of the estimate at which power iteration stops
+_POWER_MAX_ITER = 10_000
+
+
+def spectral_norm(m: Matrix) -> float:
     """Largest singular value by power iteration on the normal equations."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
@@ -113,7 +111,7 @@ def spectral_norm(m: Matrix, tol: float = 1e-8, max_iter: int = 10_000) -> float
     v /= np.linalg.norm(v)
     prev = -1.0
     sigma = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         u = m @ v
         sigma = float(np.linalg.norm(u))
         if sigma == 0.0:
@@ -123,7 +121,7 @@ def spectral_norm(m: Matrix, tol: float = 1e-8, max_iter: int = 10_000) -> float
         if nv == 0.0:
             return sigma
         v /= nv
-        if abs(sigma - prev) <= tol * max(1.0, sigma):
+        if abs(sigma - prev) <= _POWER_TOL * max(1.0, sigma):
             break
         prev = sigma
     return sigma

@@ -114,11 +114,12 @@ class Trace:
 
 @dataclass(eq=False)
 class RunResult:
-    """Traces of a batch, divergence flags, and the config that produced them."""
+    """Traces of a batch, divergence flags, and the config and flow system that produced them."""
 
     traces: list[Trace]
     divergences: dict[int, int]  # run_id -> step at which the state blew up
     config: "_config.ExperimentConfig"
+    system: FlowSystem
     n_trajectories: int
 
     @cached_property
@@ -199,9 +200,6 @@ def _integrate_rows(
             div_steps[row // n][run_ids[row % n]] = step
         alive[bad] = False
         x[bad] = 0.0
-        for law, rows in zip(laws, blocks):
-            if law.sliding is not None and law.sliding.e_prev is not None:
-                law.sliding.e_prev[bad[rows]] = 0.0
 
     with np.errstate(all="ignore"):
         for i in range(n_steps):
@@ -379,6 +377,7 @@ def run_batches(cfgs: list["_config.ExperimentConfig"], workers: int | None = No
             traces=[trace for traces, _ in parts for trace in traces],
             divergences=dict(sorted(divergences.items())),
             config=cfg,
+            system=system,
             n_trajectories=n,
         ))
     return results

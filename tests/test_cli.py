@@ -178,6 +178,19 @@ def test_one_lockstep_pass_per_worker(tmp_path, monkeypatch, command, threads):
     assert laws_per_call == [6 if command == "compare" else 5] * threads
 
 
+@pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+def test_flow_system_is_built_once(tmp_path, monkeypatch, command):
+    import cfgctrl.config
+
+    real = cfgctrl.config.build_system
+    calls = []
+    monkeypatch.setattr(cfgctrl.config, "build_system", lambda spec: calls.append(1) or real(spec))
+    cfg = small_config(tmp_path, sweep={"parameter": "w", "values": [1.0, 2.0, 5.0]})
+    argv = {"run": ["run"], "compare": ["compare", "--controllers", ALL_SIX], "sweep": ["sweep"]}[command]
+    assert run_cli(*argv, "--config", cfg, "--out", tmp_path / "o") == 0
+    assert len(calls) == 1  # in the sampler; the report reads RunResult.system
+
+
 class TestCompare:
     def test_two_controllers(self, tmp_path):
         cfg = small_config(tmp_path)

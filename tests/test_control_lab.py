@@ -62,13 +62,16 @@ class TestSimulateSliding:
         assert report.s_norms.min() > 0.5  # drift keeps the state away from zero
 
     def test_eta_forms_agree_when_rho_zero(self):
-        report = simulate_sliding(dynamics(), 10)
-        assert report.eta == pytest.approx(report.eta_spectral)
+        dyn = dynamics()
+        report = simulate_sliding(dyn, 10)
+        assert report.eta == pytest.approx(dyn.k * (dyn.w - dyn.rho * np.sqrt(dyn.dim)) - dyn.delta)
+        assert report.eta == pytest.approx(dyn.k * (dyn.w - dyn.rho) - dyn.delta)
 
     def test_eta_forms_differ_with_anisotropy(self):
         dyn = dynamics(dim=2, rho=0.5, s0=np.array([2.0, 0.0]), gain_deviation="rotation")
         report = simulate_sliding(dyn, 10)
-        assert report.eta < report.eta_spectral
+        assert report.eta == pytest.approx(dyn.k * (dyn.w - dyn.rho * np.sqrt(dyn.dim)) - dyn.delta)
+        assert report.eta < dyn.k * (dyn.w - dyn.rho) - dyn.delta
         assert report.phi == pytest.approx(5.0 - 0.5 * np.sqrt(2.0))
 
     def test_lyapunov_decreases_outside_band(self):

@@ -261,7 +261,7 @@ class TestApplyController:
     def test_schedule_at_final_step_equals_cfg(self):
         rng = Rng(28)
         v_c, v_u = rng.standard_normal((2, 3))
-        law = ControlLaw("weight_schedule", w=6.0, w_max=6.0, shape="linear")
+        law = ControlLaw("weight_schedule", w=6.0, shape="linear")
         ctx = ctx_at(index=9, total=10, w=6.0)
         out = apply_controller(law, v_c, v_u, np.zeros(3), ctx)
         assert np.array_equal(out, cfg_combine(v_c, v_u, 6.0))

@@ -156,9 +156,6 @@ class TestRng:
         b = Rng(123, 1).standard_normal(100)
         assert not np.array_equal(a, b)
 
-    def test_spawn_matches_direct_construction(self):
-        assert np.array_equal(Rng(9).spawn(4).standard_normal(50), Rng(9, 4).standard_normal(50))
-
 
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)

@@ -648,6 +648,27 @@ class TestDegenerateRows:
         result = run_batch(cfg)
         assert result.n_divergent == 5 and not result.traces
 
+    @pytest.mark.parametrize("scheme, step", [("euler", 32), ("heun", 31)])
+    def test_blown_up_smc_row_leaves_the_other_rows(self, monkeypatch, reference_config, scheme, step):
+        cfg = replace(reference_config, sampler=replace(reference_config.sampler, scheme=scheme, trajectories=10, record_x=True))
+        clean = run_batch(cfg)
+        real = cfgctrl.sampler.velocity_pair
+
+        def field(system, x, t, cond):  # trajectory 3's conditional velocity is 1e300 from tau = 0.5 on
+            v_c, v_u = real(system, x, t, cond)
+            if t >= 0.5:
+                v_c[3] = 1e300
+            return v_c, v_u
+
+        monkeypatch.setattr(cfgctrl.sampler, "velocity_pair", field)
+        result = run_batch(cfg)
+        assert result.divergences == {3: step}
+        kept = [trace for trace in clean.traces if trace.run_id != 3]
+        assert [trace.run_id for trace in result.traces] == [trace.run_id for trace in kept]
+        for got, want in zip(result.traces, kept):
+            for name in ("tau", "e_norm", "s_norm", "vhat_norm", "x_final", "x_path", "s_path"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (got.run_id, name)
+
     def test_single_vector_still_raises(self):
         with pytest.raises(ValueError, match="projection undefined"):
             cfgctrl.guidance.apg_combine(np.zeros(2), np.ones(2), 1.0, 0.5)
