@@ -327,14 +327,15 @@ def cmd_synth(args) -> int:
     except control_lab.SurfaceOverflow as exc:
         print(f"synth {tag}: {exc}", file=sys.stderr)
         return 3
+    s_norms = report.s_norms.tolist()
     series_lines = ["step,s_norm,lyapunov"]
-    for i, (sn, vn) in enumerate(zip(report.s_norms, report.lyapunov)):
-        series_lines.append(f"{i},{_fmt(sn)},{_fmt(vn)}")
+    for i, (sn, vn) in enumerate(zip(s_norms, report.lyapunov.tolist())):
+        series_lines.append(f"{i},{sn!r},{vn!r}")
     _write_text(out / f"synth_{tag}_series.csv", "\n".join(series_lines) + "\n")
     _write_text(
         out / f"synth_{tag}_s_norm.svg",
         svgplot.line_chart(
-            [("|s|", list(range(len(report.s_norms))), list(report.s_norms))],
+            [("|s|", list(range(len(s_norms))), s_norms)],
             "surface norm per step", "step", "|s|",
         ),
     )

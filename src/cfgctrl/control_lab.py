@@ -148,7 +148,7 @@ def _draw_gain(dyn: PerturbedDynamics, rng: Rng) -> np.ndarray:
 
 
 class SurfaceOverflow(RuntimeError):
-    """The surface state of a run left the floats; ``step`` is its first non-finite step."""
+    """The surface state of a run left the floats; ``step`` is the first whose state, |s| or energy is not finite."""
 
     def __init__(self, step: int):
         super().__init__(f"surface state overflowed at step {step}")
@@ -156,8 +156,15 @@ class SurfaceOverflow(RuntimeError):
 
 
 def _check_drift(dyn: PerturbedDynamics, phi: np.ndarray) -> None:
-    if np.linalg.norm(phi) > dyn.delta + _BOUND_SLACK:
+    # sqrt(phi . phi) is np.linalg.norm's own formula for a vector, without its dispatch cost,
+    # which a varying drift would pay every step
+    if math.sqrt(phi.dot(phi)) > dyn.delta + _BOUND_SLACK:
         raise RuntimeError("realized drift exceeded its bound")
+
+
+def _increment(dt: float, phi: np.ndarray, gain: np.ndarray, k_col: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Euler increment dt * (phi - gain @ (k * sign(s))) of every gain row's (D, 1) state column."""
+    return dt * (phi[:, None] - gain @ (k_col * sign))
 
 
 def _integrate(dyn: PerturbedDynamics, ks, steps: int) -> np.ndarray:
@@ -168,7 +175,15 @@ def _integrate(dyn: PerturbedDynamics, ks, steps: int) -> np.ndarray:
     sees the same ones, each drawn and bound-checked once. Row j equals a run
     of ``replace(dyn, k=ks[j])`` bit for bit: each row's state is a (D, 1)
     column, so ``gain @`` the stacked columns calls gemv once per row, as
-    ``gain @ u`` does on one vector. Overflow is not tested here.
+    ``gain @ u`` does on one vector.
+
+    The state enters a step only through sign(s). So while the drift vector
+    and the gain matrix stay the same, the increment is computed once per
+    joint sign pattern of all rows, keyed by the pattern's bytes (a NaN sign
+    is a pattern like any other), and reused: the same operands through the
+    same operations, hence the same bits. A new drift vector or gain
+    matrix empties the cache; a sinusoidal or noise drift does so every
+    step. Overflow is not tested here.
     """
     if steps < 1:
         raise ValueError("need at least one step")
@@ -179,27 +194,43 @@ def _integrate(dyn: PerturbedDynamics, ks, steps: int) -> np.ndarray:
     redraw = dyn.redraw_gain and dyn.gain_deviation == "seeded"
     varying_drift = dyn.drift != "constant"
     if not varying_drift:
-        _check_drift(dyn, drift(0))
+        phi = drift(0)
+        _check_drift(dyn, phi)
 
     s = np.tile(dyn.s0[:, None], (k_col.shape[0], 1, 1))
     history = np.zeros((steps + 1,) + s.shape)
     history[0] = s
+    increments = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
             if redraw:
                 gain = _draw_gain(dyn, rng)
-            phi_t = drift(step)
+                increments.clear()
             if varying_drift:
-                _check_drift(dyn, phi_t)
-            s = s + dyn.dt * (phi_t[:, None] - gain @ (k_col * np.sign(s)))
+                phi = drift(step)
+                _check_drift(dyn, phi)
+                increments.clear()
+            sign = np.sign(s)
+            key = sign.tobytes()
+            inc = increments.get(key)
+            if inc is None:
+                inc = increments[key] = _increment(dyn.dt, phi, gain, k_col, sign)
+            s = s + inc
             history[step + 1] = s
     return history[..., 0]
 
 
-def _first_nonfinite(history: np.ndarray) -> list[int | None]:
-    """Per row of an ``_integrate`` history, the first step holding a non-finite entry, or None."""
-    bad = ~np.isfinite(history).all(axis=2)
-    return [int(np.argmax(col)) if col.any() else None for col in bad.T]
+def _norms_and_overflow(history: np.ndarray) -> tuple[np.ndarray, list[int | None]]:
+    """|s| per step and row of an ``_integrate`` history, and per row its first overflowed step, or None.
+
+    A step overflows when its state, |s| or the energy 0.5 * |s|^2 is not
+    finite; a non-finite state has a non-finite norm, and a norm whose
+    square overflows marks a state that is still finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(history, axis=2)
+        bad = ~np.isfinite(0.5 * norms**2)
+    return norms, [int(np.argmax(col)) if col.any() else None for col in bad.T]
 
 
 def _band(dyn: PerturbedDynamics) -> float:
@@ -222,7 +253,7 @@ def simulate_sliding(dyn: PerturbedDynamics, steps: int) -> ConvergenceReport:
     surface state that overflows raises ``SurfaceOverflow``.
     """
     history = _integrate(dyn, [dyn.k], steps)
-    overflow = _first_nonfinite(history)[0]
+    norms, (overflow,) = _norms_and_overflow(history)
     if overflow is not None:
         raise SurfaceOverflow(overflow)
     history = history[:, 0]
@@ -232,7 +263,7 @@ def simulate_sliding(dyn: PerturbedDynamics, steps: int) -> ConvergenceReport:
     gain_met = phi > 0.0 and eta > 0.0
     band = _band(dyn)
 
-    s_norms = np.linalg.norm(history, axis=1)
+    s_norms = norms[:, 0]
     reach_step = _reach_step(s_norms, band)
     reached = reach_step is not None
 
@@ -279,7 +310,7 @@ class CorridorRow:
     reach_step: int | None
     residual_band: float | None   # max |s| after first reaching the band
     osc_amplitude: float | None   # mean per-step |s_{n+1} - s_n| after reaching
-    overflow_step: int | None = None  # first non-finite step; the other fields are then blank
+    overflow_step: int | None = None  # first overflowed step; the other fields are then blank
 
 
 def corridor_sweep(template: PerturbedDynamics, k_values: list[float], steps: int) -> list[CorridorRow]:
@@ -292,13 +323,14 @@ def corridor_sweep(template: PerturbedDynamics, k_values: list[float], steps: in
     if not runs:
         return []
     history = _integrate(template, [dyn.k for dyn in runs], steps)
+    norms, overflows = _norms_and_overflow(history)
     rows = []
-    for j, (dyn, overflow) in enumerate(zip(runs, _first_nonfinite(history))):
+    for j, (dyn, overflow) in enumerate(zip(runs, overflows)):
         if overflow is not None:
             rows.append(CorridorRow(dyn.k, False, None, None, None, overflow))
             continue
         path = history[:, j]
-        s_norms = np.linalg.norm(path, axis=1)
+        s_norms = norms[:, j]
         reach_step = _reach_step(s_norms, _band(dyn))
         if reach_step is None:
             rows.append(CorridorRow(dyn.k, False, None, None, None))

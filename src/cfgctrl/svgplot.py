@@ -83,16 +83,19 @@ class _Frame:
             f'font-family="sans-serif" transform="rotate(-90 16 {(y0 + y1) / 2:.1f})">{escape(ylabel)}</text>'
         )
 
-    def polyline(self, xs, ys, color: str) -> None:
-        pts = " ".join(f"{self.x_px(x):.2f},{self.y_px(y):.2f}" for x, y in zip(xs, ys))
-        self.parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-
-    def scatter(self, xs, ys, color: str) -> None:
+    def _pixels(self, xs, ys):
         # x_px and y_px on whole arrays: the same elementwise operations, so every coordinate keeps its bits
         px = self.x_px(np.asarray(xs, dtype=float)).tolist()
         py = self.y_px(np.asarray(ys, dtype=float)).tolist()
+        return zip(px, py)
+
+    def polyline(self, xs, ys, color: str) -> None:
+        pts = " ".join(["%.2f,%.2f" % point for point in self._pixels(xs, ys)])
+        self.parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+
+    def scatter(self, xs, ys, color: str) -> None:
         circle = f'<circle cx="%.2f" cy="%.2f" r="2.5" fill="{color}" fill-opacity="0.6"/>'
-        self.parts += [circle % point for point in zip(px, py)]
+        self.parts += [circle % point for point in self._pixels(xs, ys)]
 
     def legend(self, labels_colors) -> None:
         for i, (label, color) in enumerate(labels_colors):

@@ -297,6 +297,25 @@ class TestSynth:
         assert table[1].startswith("0.3,true,") and table[3].startswith("1.0,true,")
         assert "nan" not in next(out.glob("synth_*_osc.svg")).read_text()
 
+    def test_energy_overflow_exits_3_without_artifacts(self, tmp_path, capsys):
+        # the state at step 1 is -5e304, still finite; |s| and 0.5*|s|^2 there are not
+        out = tmp_path / "o"
+        assert run_cli("synth", "--k", "1e306", "--steps", "50", "--out", out) == 3
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"synth [0-9a-f]{12}: surface state overflowed at step 1\n", captured.err)
+        assert "reached band" not in captured.out
+        assert not out.exists()
+
+    def test_corridor_reports_energy_overflow(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("synth", "--corridor", "--k-values", "0.3,1e306", "--steps", "50", "--out", out) == 0
+        assert "k=1e+306: overflowed at step 1\n" in capsys.readouterr().out
+        table = next(out.glob("synth_*_corridor.csv")).read_text().strip().split("\n")
+        assert table[2] == "1e+306,false,,,"
+        for path in out.iterdir():
+            text = path.read_text()
+            assert "inf" not in text and "nan" not in text, path.name
+
     def test_infeasible_corridor_warns_exit_zero(self, tmp_path, capsys):
         assert run_cli("synth", "--delta", "100", "--dt", "10", "--out", tmp_path / "o") == 0
         assert "infeasible" in capsys.readouterr().out

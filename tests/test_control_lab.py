@@ -136,6 +136,30 @@ class TestSimulateSliding:
         simulate_sliding(dynamics(drift=drift), 40)
         assert len(calls) == checks  # a constant drift has one realization
 
+    @pytest.mark.parametrize("drift", DRIFT_KINDS)
+    def test_drift_over_bound_raises(self, monkeypatch, drift):
+        monkeypatch.setattr(control_lab, "_make_drift", lambda dyn, rng: lambda step: np.full(dyn.dim, dyn.delta))
+        with pytest.raises(RuntimeError, match="drift exceeded"):
+            simulate_sliding(dynamics(dim=2, s0=np.ones(2), drift=drift), 10)
+
+    def test_drift_check_decides_as_linalg_norm(self):
+        # vectors whose norm lies within a few ulps of the bound, where a different formula could flip the check
+        rng = np.random.default_rng(0)
+        dyn = dynamics(dim=4, s0=np.ones(4))
+        bound = dyn.delta + control_lab._BOUND_SLACK
+        outcomes = set()
+        for _ in range(2000):
+            z = rng.standard_normal(4)
+            phi = z / np.linalg.norm(z) * bound * (1.0 + rng.integers(-4, 5) * 2.0**-52)
+            try:
+                control_lab._check_drift(dyn, phi)
+                raised = False
+            except RuntimeError:
+                raised = True
+            assert raised == (np.linalg.norm(phi) > bound)
+            outcomes.add(raised)
+        assert outcomes == {False, True}
+
     def test_overflow_raises_naming_the_step(self):
         with pytest.raises(SurfaceOverflow, match="overflowed at step 1$") as err:
             simulate_sliding(dynamics(w=1e300, k=1e10), 50)
@@ -266,6 +290,73 @@ class TestLockstepSweep:
         assert rows[1] == CorridorRow(1e308, False, None, None, None, overflow_step=1)
         assert rows[0] == self.separate_row(template, 0.3, 200)
         assert rows[2] == self.separate_row(template, 1.0, 200)
+
+    def test_energy_overflow_counts_as_overflow(self):
+        # at k=1e306 the state -5e304 is finite, but |s|^2 is not
+        rows = corridor_sweep(dynamics(dt=0.01), [0.3, 1e306], 50)
+        assert rows[1] == CorridorRow(1e306, False, None, None, None, overflow_step=1)
+        with pytest.raises(SurfaceOverflow, match="overflowed at step 1$"):
+            simulate_sliding(dynamics(dt=0.01, k=1e306), 50)
+
+
+def _stepwise_history(dyn, ks, steps):
+    """``_integrate`` as one Euler formula per step, with no cached increments: the reference for the cache."""
+    k_col = np.asarray(ks, dtype=float)[:, None, None]
+    rng = Rng(dyn.seed)
+    gain = control_lab._draw_gain(dyn, rng)
+    drift = control_lab._make_drift(dyn, rng)
+    redraw = dyn.redraw_gain and dyn.gain_deviation == "seeded"
+    s = np.tile(dyn.s0[:, None], (k_col.shape[0], 1, 1))
+    history = [s]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps):
+            if redraw:
+                gain = control_lab._draw_gain(dyn, rng)
+            s = s + dyn.dt * (drift(step)[:, None] - gain @ (k_col * np.sign(s)))
+            history.append(s)
+    return np.stack(history)[..., 0]
+
+
+class TestIncrementCache:
+    GAIN_LISTS = [[0.5], [0.0, 0.02, 0.3, 1.0, 5.0, 400.0], [1e306, 0.3]]
+    STEPS = 150
+
+    @staticmethod
+    def template(dim, drift, gain_dev, redraw, seed):
+        return dynamics(dim=dim, rho=0.5, s0=np.linspace(2.0, -1.0, dim), drift=drift,
+                        gain_deviation=gain_dev, seed=seed, redraw_gain=redraw)
+
+    @pytest.mark.parametrize("redraw", [False, True])
+    @pytest.mark.parametrize("gain_dev", GAIN_KINDS)
+    @pytest.mark.parametrize("drift", DRIFT_KINDS)
+    @pytest.mark.parametrize("dim", [1, 2, 4, 7])
+    def test_history_equals_stepwise_formula(self, dim, drift, gain_dev, redraw):
+        for seed in (5, 17):
+            dyn = self.template(dim, drift, gain_dev, redraw, seed)
+            for ks in self.GAIN_LISTS:
+                got = control_lab._integrate(dyn, ks, self.STEPS)
+                want = _stepwise_history(dyn, ks, self.STEPS)
+                assert got.tobytes() == want.tobytes(), (seed, ks)  # bytes: NaN, inf and -0.0 included
+
+    @pytest.mark.parametrize("ks", GAIN_LISTS)
+    @pytest.mark.parametrize("gain_dev", GAIN_KINDS)
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_fixed_drift_and_gain_evaluate_once_per_sign_pattern(self, monkeypatch, dim, gain_dev, ks):
+        calls = _count_calls(monkeypatch, "_increment")
+        history = control_lab._integrate(self.template(dim, "constant", gain_dev, False, 5), ks, self.STEPS)
+        patterns = {np.sign(state).tobytes() for state in history[:-1]}
+        assert len(calls) == len(patterns) < self.STEPS
+
+    @pytest.mark.parametrize("drift, gain_dev, redraw", [
+        ("sinusoidal", "seeded", False),
+        ("noise", "zero", False),
+        ("constant", "seeded", True),
+        ("noise", "seeded", True),
+    ])
+    def test_new_drift_or_gain_evaluates_every_step(self, monkeypatch, drift, gain_dev, redraw):
+        calls = _count_calls(monkeypatch, "_increment")
+        control_lab._integrate(self.template(4, drift, gain_dev, redraw, 5), [0.5, 1.0], self.STEPS)
+        assert len(calls) == self.STEPS
 
 
 class TestDriftEstimator:
