@@ -62,22 +62,17 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 def _mean_reach_step(result: RunResult, fraction: float = 0.05) -> float | None:
     """Mean first step at which the gap norm fell to 5% of its initial value."""
-    reach = []
-    for trace in result.traces:
-        first = trace.e_norm[0]
-        if first <= 0.0:
-            continue
-        hit = np.nonzero(trace.e_norm <= fraction * first)[0]
-        if hit.size:
-            reach.append(int(hit[0]))
-    if not reach:
+    e = result.e_norm
+    e = e[e[:, 0] > 0.0]
+    hit = e <= fraction * e[:, :1]
+    reached = hit.any(axis=1)
+    if not reached.any():
         return None
-    return float(np.mean(reach))
+    return float(np.mean(np.argmax(hit[reached], axis=1)))
 
 
 def _mean_gap_curve(result: RunResult) -> tuple[list, list]:
-    e = np.stack([t.e_norm for t in result.traces])
-    return list(range(e.shape[1])), list(e.mean(axis=0))
+    return list(range(result.e_norm.shape[1])), list(result.e_norm.mean(axis=0))
 
 
 def _report_row(result: RunResult) -> dict:
@@ -92,7 +87,7 @@ def cmd_run(args) -> int:
     tag = cfgmod.fingerprint(cfg)
     out = Path(cfg.output.directory)
     result = run_batch(cfg)
-    if not result.traces:
+    if not result.run_ids.size:
         print(f"run {tag}: every trajectory diverged", file=sys.stderr)
         return 3
     report = metrics.quality_report(result, result.system, cfg.system.target)
@@ -121,7 +116,7 @@ def cmd_run(args) -> int:
                 ref_line=ref,
             ),
         )
-    print(f"run {tag}: {len(result.traces)}/{result.n_trajectories} trajectories, "
+    print(f"run {tag}: {result.run_ids.size}/{result.n_trajectories} trajectories, "
           f"w2={report.w2:.4f} alignment={report.alignment:.4f} "
           f"oversaturation={report.oversaturation:.4f} divergent={report.n_divergent}")
     return 0
@@ -161,7 +156,7 @@ def cmd_sweep(args) -> int:
         try:
             if isinstance(result, Exception):
                 raise result
-            if not result.traces:
+            if not result.run_ids.size:
                 raise RuntimeError("every trajectory diverged")
             rows.append({"value": value, "status": "ok", **_report_row(result)})
         except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
@@ -216,7 +211,7 @@ def cmd_compare(args) -> int:
     for name, result in zip(names, run_batches(row_cfgs)):
         if isinstance(result, Exception):
             raise result
-        if not result.traces:
+        if not result.run_ids.size:
             rows.append({"controller": name, "status": "failed: every trajectory diverged"})
             continue
         rows.append({"controller": name, "status": "ok", **_report_row(result)})

@@ -102,16 +102,6 @@ def mahalanobis(samples: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.nd
 _E_FLOOR = 1e-12  # an initial gap norm at or below this counts as unguided
 
 
-def e_decay_ratios(traces: list[Trace]) -> list[float]:
-    """Final-over-initial gap-norm ratio per trace; unguided traces are skipped."""
-    ratios = []
-    for trace in traces:
-        first = float(trace.e_norm[0])
-        if first > _E_FLOOR:
-            ratios.append(float(trace.e_norm[-1]) / first)
-    return ratios
-
-
 def quality_report(result: RunResult, system: FlowSystem, cond: str) -> QualityReport:
     """Quality proxies of a batch's final samples against the target condition."""
     finals = result.finals
@@ -131,8 +121,10 @@ def quality_report(result: RunResult, system: FlowSystem, cond: str) -> QualityR
     distances = mahalanobis(finals, target_mean, target_cov)
     oversaturation = float(distances.mean() - chi_mean(system.dim))
 
-    ratios = e_decay_ratios(result.traces)
-    decay = float(np.mean(ratios)) if ratios else None
+    # final-over-initial gap-norm ratio, averaged over the guided rows
+    e = result.e_norm
+    guided = e[:, 0] > _E_FLOOR
+    decay = float(np.mean(e[guided, -1] / e[guided, 0])) if guided.any() else None
 
     return QualityReport(
         w2=w2,

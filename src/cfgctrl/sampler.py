@@ -12,6 +12,8 @@ vectorized. Batches that differ only in their control law run in one such
 pass (:func:`run_batches`), one block of rows per law. Neither stacking
 blocks nor splitting them across worker threads changes any row's
 arithmetic, so every way of running a batch produces identical results.
+A batch's result keeps these rows as read-only arrays over its surviving
+trajectories; per-trajectory :class:`Trace` views are built only when read.
 """
 
 from __future__ import annotations
@@ -114,9 +116,22 @@ class Trace:
 
 @dataclass(eq=False)
 class RunResult:
-    """Traces of a batch, divergence flags, and the config and flow system that produced them."""
+    """A batch as read-only arrays over its surviving rows, its divergence flags, config and flow system.
 
-    traces: list[Trace]
+    Row i of every column belongs to trajectory ``run_ids[i]``; the ids
+    ascend and leave out exactly the keys of ``divergences``. ``s_norm`` and
+    ``s_path`` are None without a sliding surface, ``x_path`` and ``s_path``
+    without ``record_x``.
+    """
+
+    run_ids: np.ndarray  # (n_alive,)
+    tau: np.ndarray  # (steps,), shared by every row
+    e_norm: np.ndarray  # (n_alive, steps)
+    vhat_norm: np.ndarray  # (n_alive, steps)
+    finals: np.ndarray  # (n_alive, dim)
+    s_norm: np.ndarray | None  # (n_alive, steps)
+    x_path: np.ndarray | None  # (n_alive, steps, dim)
+    s_path: np.ndarray | None  # (n_alive, steps, dim)
     divergences: dict[int, int]  # run_id -> step at which the state blew up
     config: "_config.ExperimentConfig"
     system: FlowSystem
@@ -131,11 +146,31 @@ class RunResult:
     def n_divergent(self) -> int:
         return len(self.divergences)
 
-    @property
-    def finals(self) -> np.ndarray:
-        if not self.traces:
-            return np.empty((0, 0))
-        return np.stack([t.x_final for t in self.traces])
+    @cached_property
+    def traces(self) -> list[Trace]:
+        """One Trace per surviving row, built on first read; its arrays are views of the columns."""
+        return _row_traces(**{name: getattr(self, name) for name in _COLUMNS})
+
+
+# The per-row columns of a batch, in RunResult's order; tau is shared by every row.
+_COLUMNS = ("run_ids", "tau", "e_norm", "vhat_norm", "finals", "s_norm", "x_path", "s_path")
+
+
+def _row_traces(run_ids, tau, e_norm, vhat_norm, finals, s_norm, x_path, s_path) -> list[Trace]:
+    """One Trace per row of the columns, holding views of that row."""
+    return [
+        Trace(
+            run_id=run_id,
+            tau=tau,
+            e_norm=e_norm[i],
+            vhat_norm=vhat_norm[i],
+            x_final=finals[i],
+            s_norm=None if s_norm is None else s_norm[i],
+            x_path=None if x_path is None else x_path[i],
+            s_path=None if s_path is None else s_path[i],
+        )
+        for i, run_id in enumerate(run_ids.tolist())
+    ]
 
 
 def _integrate_rows(
@@ -146,14 +181,14 @@ def _integrate_rows(
     x0: np.ndarray,
     run_ids: list[int],
     record_x: bool,
-) -> list[tuple[list[Trace], dict[int, int]] | Exception]:
+) -> list[tuple[dict[str, np.ndarray | None], dict[int, int]] | Exception]:
     """Advance one block of trajectories per law in lockstep; laws must be freshly reset.
 
     Every block starts from ``x0``; rows ``j*n`` to ``(j+1)*n`` belong to
     ``laws[j]``. All rows share each field evaluation and each law steps its
     own rows, so a block's bits equal a run of its law alone. Entry j is that
-    block's traces and divergences or, if its law raised, the exception; the
-    other blocks finish.
+    block's columns (keyed by ``_COLUMNS``, over its surviving rows) and
+    divergences or, if its law raised, the exception; the other blocks finish.
     """
     n, dim = x0.shape
     n_steps = integ.steps
@@ -238,33 +273,31 @@ def _integrate_rows(
             if bad.any():
                 mark_divergent(bad, i)
 
-    # One read-only transposing copy per history; each trace gets its own row of it, and all share the grid.
+    # One transposing copy per history: (rows, steps) and C-contiguous, the layout a mean over rows keeps its bits on.
     e_rows, v_rows, s_rows, x_rows, sv_rows = (
         None if h is None else np.swapaxes(h, 0, 1).copy() for h in (e_hist, v_hist, s_hist, x_hist, sv_hist)
     )
-    for a in (taus, x, e_rows, v_rows, s_rows, x_rows, sv_rows):
-        if a is not None:
-            a.flags.writeable = False
+    ids = np.array(run_ids)
     results: list = []
     for j, (law, rows) in enumerate(zip(laws, blocks)):
         if j in failed:
             results.append(failed[j])
             continue
+        kept = np.flatnonzero(alive[rows])
+        # a slice keeps a whole block as views; only a block that lost rows is copied
+        pick = slice(0, n) if len(kept) == n else kept
         surface = law.sliding is not None
-        traces = [
-            Trace(
-                run_id=run_ids[row - rows.start],
-                tau=taus,
-                e_norm=e_rows[row],
-                vhat_norm=v_rows[row],
-                x_final=x[row],
-                s_norm=s_rows[row] if surface else None,
-                x_path=x_rows[row] if x_rows is not None else None,
-                s_path=sv_rows[row] if surface and sv_rows is not None else None,
-            )
-            for row in (rows.start + np.flatnonzero(alive[rows])).tolist()
-        ]
-        results.append((traces, div_steps[j]))
+        columns = _read_only({
+            "run_ids": ids[pick],
+            "e_norm": e_rows[rows][pick],
+            "vhat_norm": v_rows[rows][pick],
+            "finals": x[rows][pick],
+            "s_norm": s_rows[rows][pick] if surface else None,
+            "x_path": x_rows[rows][pick] if x_rows is not None else None,
+            "s_path": sv_rows[rows][pick] if surface and sv_rows is not None else None,
+            "tau": taus,
+        })
+        results.append((columns, div_steps[j]))
     return results
 
 
@@ -286,10 +319,11 @@ def sample_trajectory(
     (result,) = _integrate_rows(system, [law], integ, cond, x0, [0], record_x)
     if isinstance(result, Exception):
         raise result
-    traces, divergences = result
+    columns, divergences = result
     if divergences:
         raise DivergenceError(divergences[0], 0)
-    return traces[0]
+    (trace,) = _row_traces(**columns)
+    return trace
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -374,13 +408,32 @@ def run_batches(cfgs: list["_config.ExperimentConfig"], workers: int | None = No
             continue
         divergences = {run_id: step for _, divs in parts for run_id, step in divs.items()}
         results.append(RunResult(
-            traces=[trace for traces, _ in parts for trace in traces],
+            **_join([columns for columns, _ in parts]),
             divergences=dict(sorted(divergences.items())),
             config=cfg,
             system=system,
             n_trajectories=n,
         ))
     return results
+
+
+def _join(parts: list[dict[str, np.ndarray | None]]) -> dict[str, np.ndarray | None]:
+    """The columns of consecutive row ranges as one set; a single range is taken as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    joined = {
+        name: None if parts[0][name] is None else np.concatenate([part[name] for part in parts])
+        for name in _COLUMNS
+        if name != "tau"
+    }
+    return dict(_read_only(joined), tau=parts[0]["tau"])
+
+
+def _read_only(columns: dict[str, np.ndarray | None]) -> dict[str, np.ndarray | None]:
+    for column in columns.values():
+        if column is not None:
+            column.flags.writeable = False
+    return columns
 
 
 _TRACE_COLUMNS = ("step", "tau", "e_norm", "s_norm", "lyapunov", "vhat_norm")

@@ -132,6 +132,7 @@ class TestQualityReport:
         result = FakeResult()
         result.traces = traces
         result.finals = finals
+        result.e_norm = np.stack([t.e_norm for t in traces])
         result.n_divergent = 0
         report = quality_report(result, system, "right")
         assert report.alignment >= 0.95
@@ -149,6 +150,7 @@ class TestQualityReport:
         result = FakeResult()
         result.traces = [make_trace([1.0, 0.5])]
         result.finals = finals
+        result.e_norm = np.stack([t.e_norm for t in result.traces])
         result.n_divergent = 0
         report = quality_report(result, system, "right")
         se = 0.5 / np.sqrt(n)
@@ -202,6 +204,7 @@ class TestQualityReport:
         result = FakeResult()
         result.traces = [make_trace([2.0, 1.0, 0.5])]
         result.finals = finals
+        result.e_norm = np.stack([t.e_norm for t in result.traces])
         result.n_divergent = 1
         a = quality_report(result, system, "right")
         b = quality_report(result, system, "right")

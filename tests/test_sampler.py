@@ -6,18 +6,20 @@ import pytest
 
 import cfgctrl.guidance
 import cfgctrl.sampler
+from cfgctrl.cli import main as cli_main
 from cfgctrl.config import (
     ComponentSpec,
     ControllerSpec,
     ExperimentConfig,
     SamplerSpec,
     SystemSpec,
+    build_system,
     fingerprint,
     with_controller_value,
 )
 from cfgctrl.flow_systems import FlowSystem, GaussComponent, data_responsibilities
 from cfgctrl.guidance import ControlLaw
-from cfgctrl.metrics import fit_gaussian, w2_gaussian
+from cfgctrl.metrics import fit_gaussian, quality_report, w2_gaussian
 from cfgctrl.numerics import Rng
 from cfgctrl.sampler import (
     DivergenceError,
@@ -29,6 +31,8 @@ from cfgctrl.sampler import (
     traces_to_csv,
     traces_to_json,
 )
+
+from conftest import REFERENCE_CONFIG
 
 
 def two_comp_config(controller, steps=64, trajectories=50, seed=501, scheme="euler", target="right"):
@@ -674,6 +678,135 @@ class TestDegenerateRows:
             cfgctrl.guidance.apg_combine(np.zeros(2), np.ones(2), 1.0, 0.5)
         row = cfgctrl.guidance.apg_combine(np.zeros((1, 2)), np.ones((1, 2)), 1.0, 0.5)
         assert np.isnan(row).all()
+
+
+def blown_up_field(row):
+    """velocity_pair with the conditional velocity of row ``row`` (of each call that has it) at 1e300 from tau = 0.5 on."""
+    real = cfgctrl.sampler.velocity_pair
+
+    def field(system, x, t, cond):
+        v_c, v_u = real(system, x, t, cond)
+        if t >= 0.5 and len(v_c) > row:
+            v_c[row] = 1e300
+        return v_c, v_u
+
+    return field
+
+
+def assert_rows_match_traces(result):
+    """The traces are row i of every column, bit for bit; the ids ascend and leave out exactly the divergent ones."""
+    ids = result.run_ids.tolist()
+    assert ids == sorted(set(ids))
+    assert sorted(ids + list(result.divergences)) == list(range(result.n_trajectories))
+    assert result.finals.shape == (len(ids), result.system.dim)
+    assert result.e_norm.shape == result.vhat_norm.shape == (len(ids), len(result.tau))
+    assert len(result.traces) == len(ids)
+    for column in (result.run_ids, result.tau, result.e_norm, result.vhat_norm, result.finals, result.s_norm, result.x_path, result.s_path):
+        assert column is None or not column.flags.writeable
+    fields = {"e_norm": "e_norm", "vhat_norm": "vhat_norm", "x_final": "finals", "s_norm": "s_norm", "x_path": "x_path", "s_path": "s_path"}
+    for i, trace in enumerate(result.traces):
+        assert trace.run_id == ids[i] and type(trace.run_id) is int
+        assert trace.tau is result.tau
+        for field, name in fields.items():
+            got, column = getattr(trace, field), getattr(result, name)
+            assert (got is None) == (column is None), field
+            if column is not None:
+                assert got.shape == column[i].shape and got.tobytes() == column[i].tobytes(), (i, field)
+
+
+def per_trace_decay(traces):
+    """The gap-decay ratio as a loop over traces: mean of final over initial |e| where the initial one exceeds 1e-12."""
+    ratios = []
+    for trace in traces:
+        first = float(trace.e_norm[0])
+        if first > 1e-12:
+            ratios.append(float(trace.e_norm[-1]) / first)
+    return float(np.mean(ratios)) if ratios else None
+
+
+class TestColumns:
+    """A batch result holds per-row arrays; its traces are views of those rows, built on first read."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    @pytest.mark.parametrize("case", ["clean", "zeroing_field", "blown_up_row", "all_divergent"])
+    def test_traces_are_rows_of_the_columns(self, monkeypatch, reference_config, case, scheme, workers):
+        cfg = replace(reference_config, sampler=replace(reference_config.sampler, scheme=scheme, trajectories=10, steps=24, record_x=True))
+        if case == "zeroing_field":
+            cfg = replace(cfg, controller=ControllerSpec("apg", {"w": 5.0}))
+            monkeypatch.setattr(cfgctrl.sampler, "velocity_pair", zeroing_field(0.5, (0,), 3))
+        elif case == "blown_up_row":
+            monkeypatch.setattr(cfgctrl.sampler, "velocity_pair", blown_up_field(3))
+        elif case == "all_divergent":
+            cfg = replace(cfg, controller=ControllerSpec("rectified_cfgpp", {"w": 1e200}))
+        result = run_batch(cfg, workers=workers)
+        assert (result.n_divergent > 0) == (case != "clean")
+        assert_rows_match_traces(result)
+        if case == "all_divergent":
+            assert result.n_divergent == 10
+            assert result.finals.shape == (0, 2) and result.traces == []
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_lockstep_blocks_match_their_traces(self, workers):
+        for case in ("compare", "sweep_k"):
+            for result in run_batches(lockstep_configs(case, "heun"), workers=workers):
+                assert_rows_match_traces(result)
+
+    @pytest.mark.parametrize("unguided", ["every_row", "every_third_row"])
+    def test_decay_equals_the_per_trace_formula(self, monkeypatch, unguided):
+        system = SystemSpec(
+            dimension=2,
+            components=(
+                ComponentSpec(0.5, (3.0, 0.0), "diag", (1.0, 1.0)),
+                ComponentSpec(0.5, (-3.0, 0.0), "diag", (1.0, 1.0)),
+            ),
+            conditions={"all": (0, 1), "right": (0,)},
+            target="all",
+        )
+        cfg = ExperimentConfig(
+            system=system,
+            controller=ControllerSpec("cfg", {"w": 3.0}),
+            sampler=SamplerSpec("euler", 16, 10, 5, False, 1e-4),
+        )
+        if unguided == "every_third_row":
+            real = cfgctrl.sampler.velocity_pair
+
+            def field(system, x, t, cond):  # no gap on rows 0, 3, 6, 9: those rows are unguided
+                v_c, v_u = real(system, x, t, cond)
+                v_u[::3] = v_c[::3]
+                return v_c, v_u
+
+            monkeypatch.setattr(cfgctrl.sampler, "velocity_pair", field)
+            cfg = replace(cfg, system=replace(system, target="right"))
+        result = run_batch(cfg)
+        guided = result.e_norm[:, 0] > 1e-12
+        assert guided.sum() == (0 if unguided == "every_row" else 6)
+        want = per_trace_decay(result.traces)
+        got = quality_report(result, build_system(cfg.system), cfg.system.target).e_decay_ratio
+        assert repr(got) == repr(want)
+
+    def test_compare_sweep_and_batch_statistics_build_no_trace(self, monkeypatch, tmp_path, reference_config):
+        raw = json.loads(REFERENCE_CONFIG.read_text())
+        raw["sampler"].update(trajectories=12, steps=16)
+        raw["sampler"]["seed"] = 3
+        raw["sweep"] = {"parameter": "w", "values": [1, 5, -1]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+
+        def no_trace(*args, **kwargs):
+            raise AssertionError("a Trace was built")
+
+        monkeypatch.setattr(cfgctrl.sampler, "Trace", no_trace)
+        laws = "cfg,weight_schedule,apg,cfg_zero_star,rectified_cfgpp,smc"
+        assert cli_main(["compare", "--config", str(path), "--controllers", laws, "--out", str(tmp_path / "out")]) == 0
+        assert cli_main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert len(list((tmp_path / "out").iterdir())) == 3 + 6
+        cfg = replace(reference_config, sampler=replace(reference_config.sampler, trajectories=10_000))
+        result = run_batch(cfg)
+        report = quality_report(result, result.system, cfg.system.target)
+        assert report.e_decay_ratio is not None and result.finals.shape == (10_000, 2)
+        with pytest.raises(AssertionError, match="a Trace was built"):
+            result.traces
 
 
 def test_fingerprint_is_hashed_on_first_read(monkeypatch):
