@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,7 +52,10 @@ def _require_keys(block: dict, path: str, required: tuple[str, ...], optional: t
 
 
 def _as_number(value, path: str) -> float:
+    """A finite float; JSON booleans and json's NaN and Infinity tokens are refused."""
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool), path, "must be a number")
+    # NaN fails the comparison, and so do the infinities and ints past the float range
+    _expect(abs(value) <= sys.float_info.max, path, "must be a finite number")
     return float(value)
 
 

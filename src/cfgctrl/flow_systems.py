@@ -43,7 +43,7 @@ class FlowSystem:
     """Gaussian mixture with named component-subset conditions.
 
     Immutable after construction; all evaluation methods are pure, so one
-    instance can be shared freely across workers.
+    instance serves every block of a lockstep batch.
     """
 
     def __init__(self, components: list[GaussComponent], conditions: dict[str, list[int]] | None = None):

@@ -9,17 +9,14 @@ integration itself is noise-free.
 
 Batches run in lockstep as array rows, which keeps per-step numpy work
 vectorized. Batches that differ only in their control law run in one such
-pass (:func:`run_batches`), one block of rows per law. Neither stacking
-blocks nor splitting them across worker threads changes any row's
-arithmetic, so every way of running a batch produces identical results.
+pass (:func:`run_batches`), one block of rows per law. Stacking blocks
+changes no row's arithmetic, so each block equals a run of its law alone.
 A batch's result keeps these rows as read-only arrays over its surviving
 trajectories; per-trajectory :class:`Trace` views are built only when read.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -179,16 +176,16 @@ def _integrate_rows(
     integ: IntegratorSpec,
     cond: str | None,
     x0: np.ndarray,
-    run_ids: list[int],
     record_x: bool,
 ) -> list[tuple[dict[str, np.ndarray | None], dict[int, int]] | Exception]:
     """Advance one block of trajectories per law in lockstep; laws must be freshly reset.
 
-    Every block starts from ``x0``; rows ``j*n`` to ``(j+1)*n`` belong to
-    ``laws[j]``. All rows share each field evaluation and each law steps its
-    own rows, so a block's bits equal a run of its law alone. Entry j is that
-    block's columns (keyed by ``_COLUMNS``, over its surviving rows) and
-    divergences or, if its law raised, the exception; the other blocks finish.
+    Every block starts from ``x0``, whose row i is trajectory i; rows
+    ``j*n`` to ``(j+1)*n`` belong to ``laws[j]``. All rows share each field
+    evaluation and each law steps its own rows, so a block's bits equal a
+    run of its law alone. Entry j is that block's columns (keyed by
+    ``_COLUMNS``, over its surviving rows) and divergences or, if its law
+    raised, the exception; the other blocks finish.
     """
     n, dim = x0.shape
     n_steps = integ.steps
@@ -232,7 +229,7 @@ def _integrate_rows(
 
     def mark_divergent(bad: np.ndarray, step: int) -> None:
         for row in np.flatnonzero(bad).tolist():
-            div_steps[row // n][run_ids[row % n]] = step
+            div_steps[row // n][row % n] = step
         alive[bad] = False
         x[bad] = 0.0
 
@@ -277,7 +274,7 @@ def _integrate_rows(
     e_rows, v_rows, s_rows, x_rows, sv_rows = (
         None if h is None else np.swapaxes(h, 0, 1).copy() for h in (e_hist, v_hist, s_hist, x_hist, sv_hist)
     )
-    ids = np.array(run_ids)
+    ids = np.arange(n)
     results: list = []
     for j, (law, rows) in enumerate(zip(laws, blocks)):
         if j in failed:
@@ -316,7 +313,7 @@ def sample_trajectory(
     """
     x0 = rng.standard_normal(system.dim).reshape(1, -1)
     law.reset()
-    (result,) = _integrate_rows(system, [law], integ, cond, x0, [0], record_x)
+    (result,) = _integrate_rows(system, [law], integ, cond, x0, record_x)
     if isinstance(result, Exception):
         raise result
     columns, divergences = result
@@ -326,39 +323,24 @@ def sample_trajectory(
     return trace
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, else the CFGCTRL_THREADS env var, else 1."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("CFGCTRL_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
-
-
-def run_batch(cfg: "_config.ExperimentConfig", workers: int | None = None) -> RunResult:
+def run_batch(cfg: "_config.ExperimentConfig") -> RunResult:
     """Run the configured batch; divergent trajectories are flagged, not fatal.
 
-    Trajectory i starts from stream i of the master seed, so results do not
-    depend on how trajectories are distributed over workers.
+    Trajectory i starts from stream i of the master seed.
     """
-    (result,) = run_batches([cfg], workers)
+    (result,) = run_batches([cfg])
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def run_batches(cfgs: list["_config.ExperimentConfig"], workers: int | None = None) -> list[RunResult | Exception]:
+def run_batches(cfgs: list["_config.ExperimentConfig"]) -> list[RunResult | Exception]:
     """Run one batch per config in one lockstep pass; the configs may differ only in ``controller``.
 
     Every batch starts from the same points and shares each field evaluation,
     so entry j equals ``run_batch(cfgs[j])`` bit for bit. If building or
     stepping a config's control law raises, its entry is the exception that
-    run would raise, and the other batches finish. Each worker runs every
-    law on its share of the trajectories.
+    run would raise, and the other batches finish.
     """
     if not cfgs:
         return []
@@ -367,66 +349,31 @@ def run_batches(cfgs: list["_config.ExperimentConfig"], workers: int | None = No
         raise ValueError("run_batches: configs may differ only in their controller")
     system = _config.build_system(base.system)
     integ = IntegratorSpec(base.sampler.scheme, base.sampler.steps, base.sampler.tau_clamp)
-    cond = base.system.target
     n = base.sampler.trajectories
-    record_x = base.sampler.record_x
-
     x0 = stream_normals(base.sampler.seed, n, system.dim)
-    n_workers = min(resolve_workers(workers), n)
-    bounds = np.linspace(0, n, n_workers + 1).astype(int)
-    ranges = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
-    def run_range(bounds_pair: tuple[int, int]) -> list:
-        lo, hi = bounds_pair
-        out: list = [None] * len(cfgs)
-        laws, built = [], []
-        for j, cfg in enumerate(cfgs):
-            try:
-                laws.append(_config.build_control_law(cfg.controller))
-                built.append(j)
-            except Exception as exc:  # this batch's result, as its own run would raise it
-                out[j] = exc
-        if laws:
-            rows = _integrate_rows(system, laws, integ, cond, x0[lo:hi], list(range(lo, hi)), record_x)
-            for j, result in zip(built, rows):
-                out[j] = result
-        return out
-
-    if len(ranges) == 1:
-        per_range = [run_range(ranges[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            per_range = list(pool.map(run_range, ranges))
-
-    results: list[RunResult | Exception] = []
+    results: list[RunResult | Exception] = [None] * len(cfgs)
+    laws, built = [], []
     for j, cfg in enumerate(cfgs):
-        parts = [out[j] for out in per_range]
-        # the first range's exception, as a pool.map over the ranges would raise it
-        error = next((part for part in parts if isinstance(part, Exception)), None)
-        if error is not None:
-            results.append(error)
+        try:
+            laws.append(_config.build_control_law(cfg.controller))
+            built.append(j)
+        except Exception as exc:  # this batch's result, as its own run would raise it
+            results[j] = exc
+    blocks = _integrate_rows(system, laws, integ, base.system.target, x0, base.sampler.record_x) if laws else []
+    for j, block in zip(built, blocks):
+        if isinstance(block, Exception):
+            results[j] = block
             continue
-        divergences = {run_id: step for _, divs in parts for run_id, step in divs.items()}
-        results.append(RunResult(
-            **_join([columns for columns, _ in parts]),
+        columns, divergences = block
+        results[j] = RunResult(
+            **columns,
             divergences=dict(sorted(divergences.items())),
-            config=cfg,
+            config=cfgs[j],
             system=system,
             n_trajectories=n,
-        ))
+        )
     return results
-
-
-def _join(parts: list[dict[str, np.ndarray | None]]) -> dict[str, np.ndarray | None]:
-    """The columns of consecutive row ranges as one set; a single range is taken as it is."""
-    if len(parts) == 1:
-        return parts[0]
-    joined = {
-        name: None if parts[0][name] is None else np.concatenate([part[name] for part in parts])
-        for name in _COLUMNS
-        if name != "tau"
-    }
-    return dict(_read_only(joined), tau=parts[0]["tau"])
 
 
 def _read_only(columns: dict[str, np.ndarray | None]) -> dict[str, np.ndarray | None]:

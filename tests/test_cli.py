@@ -54,6 +54,15 @@ class TestRun:
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
         assert "controller.type" in capsys.readouterr().err
 
+    def test_nan_component_mean_exits_2_naming_field(self, tmp_path, capsys):
+        raw = json.loads(REFERENCE_CONFIG.read_text())
+        raw["system"]["components"][0]["mean"][0] = float("nan")
+        cfg = tmp_path / "nan.json"
+        cfg.write_text(json.dumps(raw))  # json writes the NaN token
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert "system.components[0].mean: must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         assert run_cli("run", "--config", tmp_path / "absent.json") == 2
 
@@ -123,6 +132,12 @@ class TestSweep:
         assert [r[0] for r in tables["cfg"]] == [r[0] for r in tables["smc"]]
         assert all(r[1] == "ok" for rows in tables.values() for r in rows)
 
+    def test_infinite_sweep_value_exits_2_naming_field(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, sweep={"parameter": "w", "values": [1.0, float("inf")]})
+        assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert "sweep.values: must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_sweep_without_block_exits_2(self, tmp_path):
         cfg = small_config(tmp_path)
         assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "o") == 2
@@ -158,9 +173,8 @@ class TestSweep:
 ALL_SIX = "cfg,weight_schedule,apg,cfg_zero_star,rectified_cfgpp,smc"
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-@pytest.mark.parametrize("command", ["compare", "sweep"])
-def test_one_lockstep_pass_per_worker(tmp_path, monkeypatch, command, threads):
+@pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+def test_one_lockstep_pass_per_command(tmp_path, monkeypatch, command):
     import cfgctrl.sampler
 
     real = cfgctrl.sampler._integrate_rows
@@ -171,11 +185,10 @@ def test_one_lockstep_pass_per_worker(tmp_path, monkeypatch, command, threads):
         return real(system, laws, *args)
 
     monkeypatch.setattr(cfgctrl.sampler, "_integrate_rows", counting)
-    monkeypatch.setenv("CFGCTRL_THREADS", str(threads))
     cfg = small_config(tmp_path, sweep={"parameter": "w", "values": [1.0, 2.0, 5.0, 10.0, 15.0]})
-    argv = ["compare", "--controllers", ALL_SIX] if command == "compare" else ["sweep"]
+    argv = {"run": ["run"], "compare": ["compare", "--controllers", ALL_SIX], "sweep": ["sweep"]}[command]
     assert run_cli(*argv, "--config", cfg, "--out", tmp_path / "o") == 0
-    assert laws_per_call == [6 if command == "compare" else 5] * threads
+    assert laws_per_call == [{"run": 1, "compare": 6, "sweep": 5}[command]]
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "sweep"])

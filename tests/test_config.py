@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +127,28 @@ class TestParsing:
         target = raw["system"]["conditions"] if block == "conditions" else raw[block]
         target[key] = value
         with pytest.raises(ConfigError, match=field):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "keys, token, field",
+        [
+            (("system", "components", 0, "mean", 1), "NaN", "system.components[0].mean"),
+            (("system", "components", 1, "cov", "full_lower", 1, 0), "NaN", "system.components[1].cov.full_lower[1]"),
+            (("controller", "w"), "Infinity", "controller.w"),
+            (("sweep", "values", 1), "-Infinity", "sweep.values"),
+            (("controller", "w"), "1" + "0" * 400, "controller.w"),  # an int no float can hold
+        ],
+        ids=["nan_mean", "nan_full_lower", "inf_w", "minus_inf_sweep_value", "huge_int_w"],
+    )
+    def test_non_finite_number_names_field(self, keys, token, field):
+        raw = minimal_dict()
+        raw["system"]["components"][1]["cov"] = {"full_lower": [[1.0], [0.0, 1.0]]}
+        raw["sweep"] = {"parameter": "w", "values": [1.0, 2.0]}
+        target = raw
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = json.loads(token)
+        with pytest.raises(ConfigError, match=re.escape(f"{field}: must be a finite number")):
             config_from_dict(raw)
 
     def test_non_spd_covariance_rejected_at_build(self):

@@ -7,17 +7,8 @@ from cfgctrl.sampler import DIVERGENCE_NORM
 from conftest import _check_symmetric, gaussian_sample
 
 
-# dot, sign_elementwise and cholesky_solve have no caller in the package;
+# sign_elementwise and cholesky_solve have no caller in the package;
 # they live here, beside their only tests.
-
-
-def dot(a, b) -> float:
-    """Inner product of two equal-length vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ValueError(f"dot needs equal-length 1-D vectors, got shapes {a.shape} and {b.shape}")
-    return float(np.dot(a, b))
 
 
 def sign_elementwise(v) -> np.ndarray:
@@ -37,33 +28,6 @@ def cholesky_solve(s, b) -> np.ndarray:
     lower = np.linalg.cholesky(s)
     y = np.linalg.solve(lower, b)
     return np.linalg.solve(lower.T, y)
-
-
-class TestDot:
-    def test_orthogonal(self):
-        assert dot([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_arithmetic(self):
-        assert dot([1.0, 2.0], [3.0, 4.0]) == 11.0
-
-    def test_self_dot_nonnegative(self):
-        rng = Rng(1)
-        for _ in range(20):
-            a = rng.standard_normal(5)
-            assert dot(a, a) >= 0.0
-            assert dot(a, a) == pytest.approx(np.linalg.norm(a) ** 2)
-
-    def test_symmetry_and_bilinearity(self):
-        rng = Rng(2)
-        for _ in range(50):
-            a, b, c = rng.standard_normal((3, 6))
-            alpha = float(rng.standard_normal())
-            assert dot(a, b) == pytest.approx(dot(b, a), abs=1e-12)
-            assert dot(alpha * a + b, c) == pytest.approx(alpha * dot(a, c) + dot(b, c), rel=1e-10, abs=1e-10)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            dot([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 class TestSignElementwise:

@@ -115,33 +115,6 @@ class TestRunBatch:
         assert np.array_equal(result.traces[0].x_final, direct.x_final)
         assert np.array_equal(result.traces[0].e_norm, direct.e_norm)
 
-    def test_parallel_equals_serial(self):
-        cfg = two_comp_config(ControllerSpec("smc", {"w": 5.0, "lambda": 6.0, "k": 0.1}), trajectories=12, steps=24)
-        serial = run_batch(cfg, workers=1)
-        parallel = run_batch(cfg, workers=4)
-        assert serial.divergences == parallel.divergences
-        for a, b in zip(serial.traces, parallel.traces):
-            assert a.run_id == b.run_id
-            assert np.array_equal(a.x_final, b.x_final)
-            assert np.array_equal(a.e_norm, b.e_norm)
-            assert np.array_equal(a.s_norm, b.s_norm)
-
-    def test_thread_env_var_caps_workers(self, monkeypatch):
-        from cfgctrl.sampler import resolve_workers
-
-        monkeypatch.setenv("CFGCTRL_THREADS", "3")
-        assert resolve_workers() == 3
-        assert resolve_workers(workers=2) == 2
-        monkeypatch.setenv("CFGCTRL_THREADS", "junk")
-        assert resolve_workers() == 1
-        cfg = two_comp_config(ControllerSpec("cfg", {"w": 2.0}), trajectories=7, steps=16)
-        monkeypatch.setenv("CFGCTRL_THREADS", "4")
-        threaded = run_batch(cfg)
-        monkeypatch.delenv("CFGCTRL_THREADS")
-        plain = run_batch(cfg)
-        for a, b in zip(threaded.traces, plain.traces):
-            assert np.array_equal(a.x_final, b.x_final)
-
     def test_smc_k_zero_matches_cfg_bit_for_bit(self):
         cfg_plain = two_comp_config(ControllerSpec("cfg", {"w": 5.0}), trajectories=8, steps=32)
         cfg_smc = two_comp_config(ControllerSpec("smc", {"w": 5.0, "lambda": 6.0, "k": 0.0}), trajectories=8, steps=32)
@@ -319,26 +292,26 @@ def assert_same_batch(got, want):
                 assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
-def separate_runs(cfgs, workers=1):
+def separate_runs(cfgs):
     results = []
     for cfg in cfgs:
         try:
-            results.append(run_batch(cfg, workers=workers))
+            results.append(run_batch(cfg))
         except Exception as exc:
             results.append(exc)
     return results
 
 
 class TestRunBatches:
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("trajectories", [1, 7])
     @pytest.mark.parametrize("record_x", [False, True])
     @pytest.mark.parametrize("scheme", ["euler", "heun"])
     @pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
-    def test_each_block_equals_its_separate_run(self, case, scheme, record_x, workers):
-        cfgs = lockstep_configs(case, scheme, record_x)
-        results = run_batches(cfgs, workers=workers)
+    def test_each_block_equals_its_separate_run(self, case, scheme, record_x, trajectories):
+        cfgs = lockstep_configs(case, scheme, record_x, trajectories)
+        results = run_batches(cfgs)
         assert len(results) == len(cfgs)
-        for got, want in zip(results, separate_runs(cfgs, workers)):
+        for got, want in zip(results, separate_runs(cfgs)):
             assert not isinstance(got, Exception)
             assert_same_batch(got, want)
 
@@ -351,15 +324,13 @@ class TestRunBatches:
     def test_failed_block_leaves_the_others(self, scheme, parameter, values):
         base = two_comp_config(SMC, steps=12, trajectories=7, scheme=scheme)
         cfgs = [with_controller_value(base, parameter, v) for v in values]
-        for workers in (1, 3):
-            results = run_batches(cfgs, workers=workers)
-            want = separate_runs(cfgs, workers)
-            if parameter == "k":
-                assert results[1].n_divergent == 7 and not results[1].traces
-            else:
-                assert isinstance(results[1], ValueError)
-            for got, expected in zip(results, want):
-                assert_same_batch(got, expected)
+        results = run_batches(cfgs)
+        if parameter == "k":
+            assert results[1].n_divergent == 7 and not results[1].traces
+        else:
+            assert isinstance(results[1], ValueError)
+        for got, expected in zip(results, separate_runs(cfgs)):
+            assert_same_batch(got, expected)
 
     @pytest.mark.parametrize("scheme", ["euler", "heun"])
     def test_law_raising_mid_run_fails_only_its_block(self, scheme, monkeypatch):
@@ -680,14 +651,15 @@ class TestDegenerateRows:
         assert np.isnan(row).all()
 
 
-def blown_up_field(row):
-    """velocity_pair with the conditional velocity of row ``row`` (of each call that has it) at 1e300 from tau = 0.5 on."""
+def blown_up_field(starts):
+    """velocity_pair with the conditional velocity of each row in ``starts`` (of each call that has it) at 1e300 from its tau on."""
     real = cfgctrl.sampler.velocity_pair
 
     def field(system, x, t, cond):
         v_c, v_u = real(system, x, t, cond)
-        if t >= 0.5 and len(v_c) > row:
-            v_c[row] = 1e300
+        for row, start in starts.items():
+            if t >= start and len(v_c) > row:
+                v_c[row] = 1e300
         return v_c, v_u
 
     return field
@@ -727,30 +699,35 @@ def per_trace_decay(traces):
 class TestColumns:
     """A batch result holds per-row arrays; its traces are views of those rows, built on first read."""
 
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("record_x", [False, True])
     @pytest.mark.parametrize("scheme", ["euler", "heun"])
-    @pytest.mark.parametrize("case", ["clean", "zeroing_field", "blown_up_row", "all_divergent"])
-    def test_traces_are_rows_of_the_columns(self, monkeypatch, reference_config, case, scheme, workers):
-        cfg = replace(reference_config, sampler=replace(reference_config.sampler, scheme=scheme, trajectories=10, steps=24, record_x=True))
+    @pytest.mark.parametrize("case", ["clean", "zeroing_field", "blown_up_row", "later_row_first", "all_divergent"])
+    def test_traces_are_rows_of_the_columns(self, monkeypatch, reference_config, case, scheme, record_x):
+        cfg = replace(reference_config, sampler=replace(reference_config.sampler, scheme=scheme, trajectories=10, steps=24, record_x=record_x))
         if case == "zeroing_field":
             cfg = replace(cfg, controller=ControllerSpec("apg", {"w": 5.0}))
             monkeypatch.setattr(cfgctrl.sampler, "velocity_pair", zeroing_field(0.5, (0,), 3))
         elif case == "blown_up_row":
-            monkeypatch.setattr(cfgctrl.sampler, "velocity_pair", blown_up_field(3))
+            monkeypatch.setattr(cfgctrl.sampler, "velocity_pair", blown_up_field({3: 0.5}))
+        elif case == "later_row_first":
+            monkeypatch.setattr(cfgctrl.sampler, "velocity_pair", blown_up_field({7: 0.25, 2: 0.6}))
         elif case == "all_divergent":
             cfg = replace(cfg, controller=ControllerSpec("rectified_cfgpp", {"w": 1e200}))
-        result = run_batch(cfg, workers=workers)
+        result = run_batch(cfg)
         assert (result.n_divergent > 0) == (case != "clean")
+        assert (result.x_path is not None) == record_x
+        assert list(result.divergences) == sorted(result.divergences)
         assert_rows_match_traces(result)
+        if case == "later_row_first":
+            assert result.divergences[7] < result.divergences[2]
         if case == "all_divergent":
             assert result.n_divergent == 10
             assert result.finals.shape == (0, 2) and result.traces == []
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_lockstep_blocks_match_their_traces(self, workers):
-        for case in ("compare", "sweep_k"):
-            for result in run_batches(lockstep_configs(case, "heun"), workers=workers):
-                assert_rows_match_traces(result)
+    @pytest.mark.parametrize("case", ["compare", "sweep_k"])
+    def test_lockstep_blocks_match_their_traces(self, case):
+        for result in run_batches(lockstep_configs(case, "heun")):
+            assert_rows_match_traces(result)
 
     @pytest.mark.parametrize("unguided", ["every_row", "every_third_row"])
     def test_decay_equals_the_per_trace_formula(self, monkeypatch, unguided):
