@@ -4,8 +4,9 @@ Every output file is named from (command, config fingerprint); reruns with
 the same config produce byte-identical CSV/JSON artifacts, and a name
 collision with different content is refused rather than overwritten.
 
-Exit codes: 0 success, 2 config error, 3 batch with no surviving trajectory or
-a synth run whose surface state overflowed.
+Exit codes: 0 success, 2 config error, 3 a run whose batch kept too few
+trajectories to report on (fewer than dimension + 1) or a synth run whose
+surface state overflowed.
 """
 
 from __future__ import annotations
@@ -75,9 +76,15 @@ def _mean_gap_curve(result: RunResult) -> tuple[list, list]:
     return list(range(result.e_norm.shape[1])), list(result.e_norm.mean(axis=0))
 
 
+def _quality(result: RunResult) -> metrics.QualityReport:
+    """The batch's quality report; ValueError if no trajectory survived or too few to fit a Gaussian."""
+    if not result.run_ids.size:
+        raise ValueError("every trajectory diverged")
+    return metrics.quality_report(result, result.system, result.config.system.target)
+
+
 def _report_row(result: RunResult) -> dict:
-    report = metrics.quality_report(result, result.system, result.config.system.target)
-    row = report.to_dict()
+    row = _quality(result).to_dict()
     row["mean_reach_step"] = _mean_reach_step(result)
     return row
 
@@ -87,23 +94,24 @@ def cmd_run(args) -> int:
     tag = cfgmod.fingerprint(cfg)
     out = Path(cfg.output.directory)
     result = run_batch(cfg)
-    if not result.run_ids.size:
-        print(f"run {tag}: every trajectory diverged", file=sys.stderr)
+    try:
+        report = _quality(result)
+    except ValueError as exc:
+        print(f"run {tag}: {exc}", file=sys.stderr)
         return 3
-    report = metrics.quality_report(result, result.system, cfg.system.target)
 
     if "csv" in cfg.output.formats:
-        _write_text(out / f"run_{tag}_traces.csv", traces_to_csv(result.traces))
+        _write_text(out / f"run_{tag}_traces.csv", traces_to_csv(result))
     if "json" in cfg.output.formats:
         _write_text(out / f"run_{tag}_report.json", json.dumps(report.to_dict(), indent=2) + "\n")
-        _write_text(out / f"run_{tag}_traces.json", traces_to_json(result.traces))
+        _write_text(out / f"run_{tag}_traces.json", traces_to_json(result))
     if "svg" in cfg.output.formats:
         steps, curve = _mean_gap_curve(result)
         _write_text(
             out / f"run_{tag}_e_norm.svg",
             svgplot.line_chart([("mean |e|", steps, curve)], "gap norm per step", "step", "|e|"),
         )
-        pts = np.vstack([metrics.phase_plane(t) for t in result.traces])
+        pts = metrics.phase_plane(result)
         law = cfgmod.build_control_law(cfg.controller)
         ref = None if law.sliding is None else (f"slope -{law.lam:g}", -law.lam)
         _write_text(
@@ -156,8 +164,6 @@ def cmd_sweep(args) -> int:
         try:
             if isinstance(result, Exception):
                 raise result
-            if not result.run_ids.size:
-                raise RuntimeError("every trajectory diverged")
             rows.append({"value": value, "status": "ok", **_report_row(result)})
         except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
             rows.append({"value": value, "status": f"failed: {exc}"})
@@ -211,10 +217,11 @@ def cmd_compare(args) -> int:
     for name, result in zip(names, run_batches(row_cfgs)):
         if isinstance(result, Exception):
             raise result
-        if not result.run_ids.size:
-            rows.append({"controller": name, "status": "failed: every trajectory diverged"})
+        try:
+            rows.append({"controller": name, "status": "ok", **_report_row(result)})
+        except ValueError as exc:
+            rows.append({"controller": name, "status": f"failed: {exc}"})
             continue
-        rows.append({"controller": name, "status": "ok", **_report_row(result)})
         steps, curve = _mean_gap_curve(result)
         curves.append((name, steps, curve))
 

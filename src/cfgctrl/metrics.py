@@ -135,17 +135,18 @@ def quality_report(result: RunResult, system: FlowSystem, cond: str) -> QualityR
     )
 
 
-def phase_plane(trace: Trace) -> np.ndarray:
+def phase_plane(run: Trace | RunResult) -> np.ndarray:
     """(|e|, d|e|/dtau) pairs from forward differences of the recorded gap norms.
 
-    Returns an (steps - 1, 2) array; forward differencing keeps geometric
-    decays exactly on their slope line.
+    Returns a (steps - 1, 2) array per trajectory, the rows of a batch
+    stacked in row order; forward differencing keeps geometric decays
+    exactly on their slope line.
     """
-    if trace.steps < 2:
+    if len(run.tau) < 2:
         raise ValueError("phase plane needs at least 2 recorded steps")
-    e = trace.e_norm
-    deriv = np.diff(e) / trace.dtau
-    return np.column_stack([e[:-1], deriv])
+    e = run.e_norm
+    deriv = np.diff(e) / float(run.tau[1] - run.tau[0])
+    return np.stack([e[..., :-1], deriv], axis=-1).reshape(-1, 2)
 
 
 def line_residual(points: np.ndarray, slope: float) -> float:

@@ -12,14 +12,16 @@ vectorized. Batches that differ only in their control law run in one such
 pass (:func:`run_batches`), one block of rows per law. Stacking blocks
 changes no row's arithmetic, so each block equals a run of its law alone.
 A batch's result keeps these rows as read-only arrays over its surviving
-trajectories; per-trajectory :class:`Trace` views are built only when read.
+trajectories, and the CSV and JSON exports read those arrays through one
+table of cells per batch; per-trajectory :class:`Trace` views are built
+only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
-from itertools import repeat
+from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -79,37 +81,6 @@ class Trace:
     x_path: np.ndarray | None = None
     s_path: np.ndarray | None = None
 
-    @property
-    def steps(self) -> int:
-        return len(self.tau)
-
-    @property
-    def dtau(self) -> float:
-        return float(self.tau[1] - self.tau[0])
-
-    @property
-    def lyapunov(self) -> np.ndarray | None:
-        """Surface energy 0.5 * |s|^2 per step (smc runs only)."""
-        if self.s_norm is None:
-            return None
-        return 0.5 * self.s_norm**2
-
-    @cached_property
-    def _cells(self) -> list[tuple[tuple[str, ...], bool] | None]:
-        """Export cells of the columns after ``step``, each with whether its source is all finite; None for no surface.
-
-        Both exporters read these, so exporting a trace as CSV and as JSON
-        formats each value once. The arrays must not change afterwards, so
-        they become read-only here; the sampler's already are.
-        """
-        for values in (self.tau, self.e_norm, self.s_norm, self.vhat_norm):
-            if values is not None:
-                values.flags.writeable = False
-        columns = [_grid_cells(self.tau.dtype.str, self.tau.tobytes())]
-        for values in (self.e_norm, self.s_norm, self.lyapunov, self.vhat_norm):
-            columns.append(None if values is None else (_format(values), bool(np.isfinite(values).all())))
-        return columns
-
 
 @dataclass(eq=False)
 class RunResult:
@@ -147,6 +118,20 @@ class RunResult:
     def traces(self) -> list[Trace]:
         """One Trace per surviving row, built on first read; its arrays are views of the columns."""
         return _row_traces(**{name: getattr(self, name) for name in _COLUMNS})
+
+    @cached_property
+    def _cells(self) -> list[tuple[tuple[str, ...], bool] | None]:
+        """Export cells of the columns after ``step``, each with whether its source is all finite; None for no surface.
+
+        ``tau`` holds one row of cells, the other columns every row's, row
+        after row. Both exporters read these, so exporting a batch as CSV
+        and as JSON formats each value once.
+        """
+        lyapunov = None if self.s_norm is None else 0.5 * self.s_norm**2
+        return [
+            None if values is None else (_format(values.ravel()), bool(np.isfinite(values).all()))
+            for values in (self.tau, self.e_norm, self.s_norm, lyapunov, self.vhat_norm)
+        ]
 
 
 # The per-row columns of a batch, in RunResult's order; tau is shared by every row.
@@ -391,37 +376,31 @@ def _format(values: np.ndarray) -> tuple[str, ...]:
     return tuple(map(repr, values.tolist()))
 
 
-@lru_cache(maxsize=16)
-def _grid_cells(dtype: str, grid: bytes) -> tuple[tuple[str, ...], bool]:
-    """A time grid's cells and whether it is all finite, keyed by its bytes so NaN grids match too."""
-    values = np.frombuffer(grid, dtype=dtype)
-    return _format(values), bool(np.isfinite(values).all())
+def _grid(tau: tuple[str, ...], n: int) -> list:
+    """The step and tau cells of each of ``n`` rows, row after row."""
+    return [chain.from_iterable(repeat(cells, n)) for cells in (tuple(map(str, range(len(tau)))), tau)]
 
 
-@lru_cache(maxsize=16)
-def _step_cells(n: int) -> tuple[str, ...]:
-    return tuple(map(str, range(n)))
-
-
-def traces_to_csv(traces: list[Trace]) -> str:
-    """CSV export, one row per step; surface columns are blank for non-smc runs."""
+def traces_to_csv(result: RunResult) -> str:
+    """CSV export, one row per step of each trajectory; surface columns are blank for non-smc runs."""
+    n, steps = len(result.run_ids), len(result.tau)
+    (tau, _), *columns = result._cells
+    ids = chain.from_iterable(repeat(str(run_id), steps) for run_id in result.run_ids.tolist())
+    cells = [repeat("") if column is None else column[0] for column in columns]
     lines = ["run_id," + ",".join(_TRACE_COLUMNS)]
-    for trace in traces:
-        n = trace.steps
-        columns = [("",) * n if column is None else column[0] for column in trace._cells]
-        lines += map(",".join, zip(repeat(str(trace.run_id)), _step_cells(n), *columns))
+    lines += map(",".join, zip(ids, *_grid(tau, n), *cells))
     return "\n".join(lines) + "\n"
 
 
-# How json writes the values a trace holds: ints and finite floats as their repr.
+# How json writes the values a batch holds: ints and finite floats as their repr.
 _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # One step's object in json.dumps(indent=2) layout, split around its values.
 _JSON_STEP = ("{\n" + ",\n".join(f'        "{c}": \0' for c in _TRACE_COLUMNS) + "\n      }").split("\0")
 
 
-def _json_cells(column: tuple[tuple[str, ...], bool] | None, n: int) -> tuple[str, ...]:
+def _json_cells(column: tuple[tuple[str, ...], bool] | None):
     if column is None:
-        return ("null",) * n
+        return repeat("null")
     cells, finite = column
     return cells if finite else tuple(_JSON_SPELLING.get(c, c) for c in cells)
 
@@ -442,21 +421,20 @@ def _json_array(items: list[str], pad: str) -> str:
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
 
 
-def _json_trace(trace: Trace) -> str:
-    n = trace.steps
-    steps = _fill(_JSON_STEP, [_step_cells(n)] + [_json_cells(col, n) for col in trace._cells])
-    x_final = [_JSON_SPELLING.get(c, c) for c in _format(trace.x_final)]
-    return (
-        f'{{\n    "run_id": {trace.run_id},\n'
-        f'    "steps": {_json_array(steps, "    ")},\n'
-        f'    "x_final": {_json_array(x_final, "    ")}\n  }}'
-    )
-
-
-def traces_to_json(traces: list[Trace]) -> str:
+def traces_to_json(result: RunResult) -> str:
     """JSON export mirroring the CSV columns, byte for byte what json.dumps(indent=2) writes.
 
     Built from string templates, because json.dumps with an indent runs its
     pure-Python encoder. It reads the cells the CSV export formatted.
     """
-    return _json_array([_json_trace(trace) for trace in traces], "") + "\n"
+    n, steps, dim = len(result.run_ids), len(result.tau), result.finals.shape[1]
+    tau, *columns = map(_json_cells, result._cells)
+    items = _fill(_JSON_STEP, _grid(tau, n) + columns)
+    x_final = [_JSON_SPELLING.get(c, c) for c in _format(result.finals.ravel())]
+    trajectories = [
+        f'{{\n    "run_id": {run_id},\n'
+        f'    "steps": {_json_array(items[i * steps:(i + 1) * steps], "    ")},\n'
+        f'    "x_final": {_json_array(x_final[i * dim:(i + 1) * dim], "    ")}\n  }}'
+        for i, run_id in enumerate(result.run_ids.tolist())
+    ]
+    return _json_array(trajectories, "") + "\n"

@@ -70,6 +70,14 @@ class TestRun:
         cfg = small_config(tmp_path, **{"controller.w": 1e5, "controller.k": 1e3})
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 3
 
+    @pytest.mark.parametrize("trajectories", [1, 2])
+    def test_too_few_survivors_exit_3_without_artifacts(self, tmp_path, capsys, trajectories):
+        cfg = small_config(tmp_path, **{"sampler.trajectories": trajectories})
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"need at least 3 non-divergent samples, got {trajectories}" in err
+        assert not (tmp_path / "o").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = small_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -151,6 +159,13 @@ class TestSweep:
         assert statuses[0] == "ok"
         assert statuses[1].startswith("failed")
 
+
+    def test_too_few_survivors_fail_every_value(self, tmp_path):
+        cfg = small_config(tmp_path, **{"sampler.trajectories": 2, "sweep": {"parameter": "w", "values": [2.0, 5.0]}})
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--config", cfg, "--out", out) == 0
+        rows = json.loads(next(out.glob("sweep_*_table.json")).read_text())["rows"]
+        assert [r["status"] for r in rows] == ["failed: need at least 3 non-divergent samples, got 2"] * 2
 
     def test_raising_law_fails_only_its_row(self, tmp_path):
         cfg = small_config(tmp_path, sweep={"parameter": "w", "values": [2.0, -1.0, 5.0]})
@@ -242,6 +257,27 @@ class TestCompare:
         rows = json.loads(next(out.glob("compare_*_report.json")).read_text())["rows"]
         assert [row["status"] for row in rows] == ["ok"] * 6
         assert [row["n_divergent"] for row in rows] == [0, 0, 1, 1, 0, 0]
+
+    def test_too_few_survivors_fail_only_that_row(self, tmp_path, monkeypatch):
+        import cfgctrl.sampler
+
+        real = cfgctrl.sampler.velocity_pair
+
+        def field(system, x, t, cond):  # the smc block (rows 4 to 7) loses trajectories 1 and 2 from tau = 0.5 on
+            v_c, v_u = real(system, x, t, cond)
+            if t >= 0.5:
+                v_c[5:7] = 1e300
+            return v_c, v_u
+
+        monkeypatch.setattr(cfgctrl.sampler, "velocity_pair", field)
+        cfg = small_config(tmp_path, **{"sampler.trajectories": 4})
+        out = tmp_path / "out"
+        assert run_cli("compare", "--config", cfg, "--controllers", "cfg,smc", "--out", out) == 0
+        rows = json.loads(next(out.glob("compare_*_report.json")).read_text())["rows"]
+        assert rows[0]["status"] == "ok"
+        assert rows[1] == {"controller": "smc", "status": "failed: need at least 3 non-divergent samples, got 2"}
+        table = next(out.glob("compare_*_table.csv")).read_text().split("\n")
+        assert table[2] == "smc,failed: need at least 3 non-divergent samples,,,,,,"
 
     def test_config_is_hashed_once(self, tmp_path, monkeypatch):
         import cfgctrl.config

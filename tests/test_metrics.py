@@ -14,7 +14,7 @@ from cfgctrl.metrics import (
     w2_gaussian,
 )
 from cfgctrl.numerics import Rng
-from cfgctrl.sampler import Trace, run_batch
+from cfgctrl.sampler import RunResult, Trace, run_batch
 
 from conftest import gaussian_sample
 
@@ -234,6 +234,40 @@ class TestPhasePlane:
     def test_needs_two_steps(self):
         with pytest.raises(ValueError):
             phase_plane(make_trace([1.0]))
+
+    @staticmethod
+    def batch(e_norm, dtau=0.1):
+        e = np.asarray(e_norm, dtype=float)
+        return RunResult(
+            run_ids=np.arange(len(e)), tau=0.001 + dtau * np.arange(e.shape[1]), e_norm=e, vhat_norm=np.ones_like(e),
+            finals=np.zeros((len(e), 2)), s_norm=None, x_path=None, s_path=None, divergences={}, config=None,
+            system=None, n_trajectories=len(e),
+        )
+
+    def test_batch_needs_two_steps(self):
+        with pytest.raises(ValueError):
+            phase_plane(self.batch([[1.0], [2.0]]))
+
+    def test_empty_batch_has_no_points(self):
+        points = phase_plane(self.batch(np.zeros((0, 6))))
+        assert points.shape == (0, 2)
+
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    def test_batch_stacks_its_traces_bit_for_bit(self, scheme):
+        system = SystemSpec(
+            dimension=2,
+            components=(
+                ComponentSpec(0.5, (3.0, 0.0), "diag", (1.0, 1.0)),
+                ComponentSpec(0.5, (-3.0, 0.0), "diag", (1.0, 1.0)),
+            ),
+            conditions={"right": (0,)},
+            target="right",
+        )
+        controller = ControllerSpec("smc", {"w": 5.0, "lambda": 6.0, "k": 0.1})
+        result = run_batch(ExperimentConfig(system, controller, SamplerSpec(scheme, 16, 7, 3, False, 1e-4)))
+        want = np.vstack([phase_plane(t) for t in result.traces])
+        got = phase_plane(result)
+        assert got.shape == want.shape == (7 * 15, 2) and got.tobytes() == want.tobytes()
 
     def test_line_residual_zero_on_line(self):
         pts = np.array([[1.0, -6.0], [0.5, -3.0]])

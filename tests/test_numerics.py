@@ -4,11 +4,11 @@ import pytest
 from cfgctrl.numerics import Rng, by_column, row_norm, row_sum, spectral_norm, stream_normals
 from cfgctrl.sampler import DIVERGENCE_NORM
 
-from conftest import _check_symmetric, gaussian_sample
+from conftest import gaussian_sample
 
 
-# sign_elementwise and cholesky_solve have no caller in the package;
-# they live here, beside their only tests.
+# sign_elementwise has no caller in the package; it lives here, beside its
+# only tests.
 
 
 def sign_elementwise(v) -> np.ndarray:
@@ -17,17 +17,6 @@ def sign_elementwise(v) -> np.ndarray:
     if np.isnan(v).any():
         raise ValueError("sign_elementwise: NaN entry")
     return np.sign(v)
-
-
-def cholesky_solve(s, b) -> np.ndarray:
-    """Solve s @ x = b for symmetric positive definite s."""
-    s = _check_symmetric(s, "cholesky_solve matrix")
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1 or b.shape[0] != s.shape[0]:
-        raise ValueError(f"right-hand side shape {b.shape} does not match matrix {s.shape}")
-    lower = np.linalg.cholesky(s)
-    y = np.linalg.solve(lower, b)
-    return np.linalg.solve(lower.T, y)
 
 
 class TestSignElementwise:
@@ -51,44 +40,6 @@ class TestSignElementwise:
             s = sign_elementwise(v)
             assert set(np.unique(s)) <= {-1.0, 0.0, 1.0}
             assert np.array_equal(sign_elementwise(-v), -s)
-
-
-def random_spd(rng: Rng, n: int) -> np.ndarray:
-    a = rng.standard_normal((n, n))
-    return a @ a.T + n * np.eye(n)
-
-
-class TestCholeskySolve:
-    def test_identity(self):
-        b = np.array([3.0, -1.0, 2.0])
-        assert np.allclose(cholesky_solve(np.eye(3), b), b)
-
-    def test_diagonal(self):
-        assert np.allclose(cholesky_solve(np.array([[4.0]]), np.array([8.0])), [2.0])
-
-    def test_random_spd_residual(self):
-        rng = Rng(4)
-        s = random_spd(rng, 3)
-        b = rng.standard_normal(3)
-        x = cholesky_solve(s, b)
-        assert np.linalg.norm(s @ x - b) <= 1e-10 * np.linalg.norm(b)
-
-    def test_round_trip_up_to_8x8(self):
-        rng = Rng(5)
-        for n in range(1, 9):
-            for _ in range(5):
-                s = random_spd(rng, n)
-                b = rng.standard_normal(n)
-                x = cholesky_solve(s, b)
-                assert np.linalg.norm(s @ x - b) <= 1e-10 * max(np.linalg.norm(b), 1e-30)
-
-    def test_non_spd_raises(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            cholesky_solve(np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([1.0, 1.0]))
-
-    def test_asymmetric_raises(self):
-        with pytest.raises(ValueError):
-            cholesky_solve(np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 1.0]))
 
 
 class TestGaussianSample:

@@ -24,7 +24,7 @@ from cfgctrl.numerics import Rng
 from cfgctrl.sampler import (
     DivergenceError,
     IntegratorSpec,
-    Trace,
+    RunResult,
     run_batch,
     run_batches,
     sample_trajectory,
@@ -89,7 +89,7 @@ class TestSampleTrajectory:
         system = single_gauss_system()
         integ = IntegratorSpec("heun", 16)
         trace = sample_trajectory(system, ControlLaw("smc", w=3.0), integ, "only", Rng(6, 0), record_x=True)
-        assert trace.steps == 16
+        assert len(trace.tau) == 16
         assert trace.x_path.shape == (16, 2)
         assert trace.s_norm.shape == (16,)
         for arr in (trace.tau, trace.e_norm, trace.vhat_norm, trace.s_norm, trace.x_final):
@@ -415,8 +415,7 @@ class TestExactFlow:
 class TestExports:
     def test_csv_column_order_and_blanks(self):
         cfg = two_comp_config(ControllerSpec("cfg", {"w": 2.0}), trajectories=2, steps=4)
-        result = run_batch(cfg)
-        text = traces_to_csv(result.traces)
+        text = traces_to_csv(run_batch(cfg))
         lines = text.strip().split("\n")
         assert lines[0] == "run_id,step,tau,e_norm,s_norm,lyapunov,vhat_norm"
         assert len(lines) == 1 + 2 * 4
@@ -426,27 +425,21 @@ class TestExports:
 
     def test_csv_smc_has_surface_columns(self):
         cfg = two_comp_config(ControllerSpec("smc", {"w": 2.0, "lambda": 5.0, "k": 0.1}), trajectories=1, steps=4)
-        result = run_batch(cfg)
-        row = traces_to_csv(result.traces).strip().split("\n")[1].split(",")
+        row = traces_to_csv(run_batch(cfg)).strip().split("\n")[1].split(",")
         s_norm = float(row[4])
         lyap = float(row[5])
         assert lyap == pytest.approx(0.5 * s_norm**2)
 
     def test_json_round_trip(self):
-        import json
-
         cfg = two_comp_config(ControllerSpec("cfg", {"w": 2.0}), trajectories=2, steps=4)
-        result = run_batch(cfg)
-        payload = json.loads(traces_to_json(result.traces))
+        payload = json.loads(traces_to_json(run_batch(cfg)))
         assert len(payload) == 2
         assert payload[0]["steps"][0]["s_norm"] is None
         assert len(payload[0]["x_final"]) == 2
 
     def test_repeat_runs_byte_identical(self):
         cfg = two_comp_config(ControllerSpec("smc", {"w": 5.0, "lambda": 6.0, "k": 0.1}), trajectories=5, steps=16)
-        a = traces_to_csv(run_batch(cfg).traces)
-        b = traces_to_csv(run_batch(cfg).traces)
-        assert a == b
+        assert traces_to_csv(run_batch(cfg)) == traces_to_csv(run_batch(cfg))
 
 
 def json_reference(traces):
@@ -462,25 +455,49 @@ def json_reference(traces):
     return json.dumps(payload, indent=2) + "\n"
 
 
+def hand_batch(run_ids, tau, e_norm, vhat_norm, finals, s_norm=None):
+    """A RunResult built from the given columns, with no config or flow system."""
+    return RunResult(
+        run_ids=np.asarray(run_ids, dtype=int), tau=tau, e_norm=e_norm, vhat_norm=vhat_norm, finals=finals,
+        s_norm=s_norm, x_path=None, s_path=None, divergences={}, config=None, system=None, n_trajectories=len(run_ids),
+    )
+
+
+def odd_batch(surface):
+    """Two rows holding NaN, infinities, -0.0, a subnormal and, with a surface, an overflowing energy."""
+    odd = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1])
+    rows = np.stack([odd[::-1], odd])
+    finals = np.array([[np.nan, -np.inf], [1e-7, -0.0]])
+    return hand_batch([4, 12], odd, rows, rows[::-1].copy(), finals, s_norm=rows[::-1].copy() if surface else None)
+
+
+def empty_batch(steps=5):
+    return hand_batch([], IntegratorSpec("euler", steps).tau_grid(), np.zeros((0, steps)), np.zeros((0, steps)), np.zeros((0, 2)))
+
+
 class TestJsonExport:
     def test_matches_json_dumps_on_runs(self):
         for controller in (ControllerSpec("cfg", {"w": 2.0}), SMC):
-            traces = run_batch(two_comp_config(controller, trajectories=3, steps=5)).traces
-            assert traces_to_json(traces) == json_reference(traces)
+            result = run_batch(two_comp_config(controller, trajectories=3, steps=5))
+            assert traces_to_json(result) == json_reference(result.traces)
+
+    @staticmethod
+    def check_non_finite(surface):
+        result = odd_batch(surface)
+        with np.errstate(over="ignore"):
+            expected = json_reference(result.traces)
+            assert traces_to_json(result) == expected
+        assert "NaN" in expected and "-Infinity" in expected and ("null" in expected) != surface
 
     def test_matches_json_dumps_on_non_finite_values(self):
-        odd = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1])
-        with np.errstate(over="ignore"):
-            traces = [
-                Trace(run_id=4, tau=odd, e_norm=odd[::-1].copy(), vhat_norm=odd, x_final=np.array([np.nan, -np.inf])),
-                Trace(run_id=12, tau=odd, e_norm=odd, vhat_norm=odd, x_final=np.array([1e-7]), s_norm=odd[::-1].copy()),
-            ]
-            expected = json_reference(traces)
-            assert traces_to_json(traces) == expected
-        assert "NaN" in expected and "-Infinity" in expected and "null" in expected
+        self.check_non_finite(surface=True)
 
-    def test_empty_list(self):
-        assert traces_to_json([]) == json_reference([]) == "[]\n"
+    def test_matches_json_dumps_on_non_finite_values_without_surface(self):
+        self.check_non_finite(surface=False)
+
+    def test_empty_batch(self):
+        result = empty_batch()
+        assert traces_to_json(result) == json_reference(result.traces) == "[]\n"
 
 
 def csv_reference(traces):
@@ -497,47 +514,47 @@ def csv_reference(traces):
     return "\n".join(lines) + "\n"
 
 
-def odd_traces():
-    """Traces holding NaN, infinities, -0.0, a subnormal and an overflowing surface energy."""
-    odd = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1])
-    return [
-        Trace(run_id=4, tau=odd, e_norm=odd[::-1].copy(), vhat_norm=odd, x_final=np.array([np.nan, -np.inf])),
-        Trace(run_id=12, tau=odd.copy(), e_norm=odd, vhat_norm=odd, x_final=np.array([1e-7]), s_norm=odd[::-1].copy()),
-    ]
-
-
 class TestExportCells:
-    """Both exporters read one table of cells per trace and match a writer that formats every value itself."""
+    """Both exporters read one table of cells per batch and match a writer that formats every value itself."""
 
     @pytest.mark.parametrize("record_x", [False, True])
     @pytest.mark.parametrize("scheme", ["euler", "heun"])
     @pytest.mark.parametrize("controller", [ControllerSpec("cfg", {"w": 2.0}), SMC], ids=lambda c: c.type)
     def test_runs_match_the_references(self, controller, scheme, record_x):
         cfg = two_comp_config(controller, trajectories=3, steps=5, scheme=scheme)
-        cfg = replace(cfg, sampler=replace(cfg.sampler, record_x=record_x))
-        traces = run_batch(cfg).traces
-        assert traces_to_csv(traces) == csv_reference(traces)
-        assert traces_to_json(traces) == json_reference(traces)
+        result = run_batch(replace(cfg, sampler=replace(cfg.sampler, record_x=record_x)))
+        assert traces_to_csv(result) == csv_reference(result.traces)
+        assert traces_to_json(result) == json_reference(result.traces)
 
-    def test_non_finite_and_subnormal_values(self):
+    @staticmethod
+    def check_non_finite(surface):
+        result = odd_batch(surface)
         with np.errstate(over="ignore"):
-            traces = odd_traces()
-            want_csv, want_json = csv_reference(traces), json_reference(traces)
-            assert traces_to_csv(traces) == want_csv
-            assert traces_to_json(traces) == want_json
+            want_csv, want_json = csv_reference(result.traces), json_reference(result.traces)
+            assert traces_to_csv(result) == want_csv
+            assert traces_to_json(result) == want_json
         assert "nan" in want_csv and "-inf" in want_csv and "5e-324" in want_csv and "-0.0" in want_csv
 
-    def test_traces_on_different_grids(self):
-        traces = []
-        for run_id, steps in ((0, 5), (1, 7), (2, 5)):
-            grid = IntegratorSpec("euler", steps).tau_grid()
-            traces.append(Trace(run_id, grid, np.sqrt(grid), grid**2, np.array([grid[-1], -1.0]), s_norm=1.0 - grid))
-        assert traces_to_csv(traces) == csv_reference(traces)
-        assert traces_to_json(traces) == json_reference(traces)
+    def test_non_finite_and_subnormal_values(self):
+        self.check_non_finite(surface=True)
 
-    def test_empty_list(self):
-        assert traces_to_csv([]) == csv_reference([]) == "run_id,step,tau,e_norm,s_norm,lyapunov,vhat_norm\n"
-        assert traces_to_json([]) == "[]\n"
+    def test_non_finite_and_subnormal_values_without_surface(self):
+        self.check_non_finite(surface=False)
+
+    def test_empty_batch(self):
+        result = empty_batch()
+        assert traces_to_csv(result) == csv_reference(result.traces) == "run_id,step,tau,e_norm,s_norm,lyapunov,vhat_norm\n"
+        assert traces_to_json(result) == "[]\n"
+
+    def test_export_leaves_its_input_writable_and_unchanged(self):
+        result = odd_batch(surface=True)
+        columns = (result.tau, result.e_norm, result.vhat_norm, result.s_norm, result.finals)
+        before = [c.tobytes() for c in columns]
+        with np.errstate(over="ignore"):
+            traces_to_csv(result)
+            traces_to_json(result)
+        assert all(c.flags.writeable for c in columns)
+        assert [c.tobytes() for c in columns] == before
 
     def test_each_value_is_formatted_once(self, monkeypatch):
         real = cfgctrl.sampler._format
@@ -548,34 +565,15 @@ class TestExportCells:
             return real(values)
 
         monkeypatch.setattr(cfgctrl.sampler, "_format", counting)
-        cfgctrl.sampler._grid_cells.cache_clear()
         n, steps = 4, 6
-        traces = run_batch(two_comp_config(SMC, trajectories=n, steps=steps)).traces
-        csv = traces_to_csv(traces)
-        # one shared time grid, then e_norm, s_norm, lyapunov and vhat_norm of each trace
-        assert sum(formatted) == steps + n * 4 * steps
-        json_text = traces_to_json(traces)
-        assert sum(formatted) == steps + n * 4 * steps + n * 2  # only x_final is new
-        assert traces_to_csv(traces) == csv and traces_to_json(traces) == json_text
-        assert sum(formatted) == steps + n * 4 * steps + n * 4  # x_final once per JSON export
-        assert not traces[0].e_norm.flags.writeable and traces[0].tau is traces[1].tau
-
-    def test_equal_nan_grids_are_formatted_once(self, monkeypatch):
-        real = cfgctrl.sampler._format
-        lengths = []
-        monkeypatch.setattr(cfgctrl.sampler, "_format", lambda values: lengths.append(len(values)) or real(values))
-        cfgctrl.sampler._grid_cells.cache_clear()
-        with np.errstate(over="ignore"):
-            traces_to_csv(odd_traces())
-        # two distinct arrays, equal bytes: one grid; then e_norm and vhat_norm, and those two plus the surface's
-        assert lengths == [7] * (1 + 2 + 4)
-
-    def test_exported_trace_arrays_become_read_only(self):
-        grid = IntegratorSpec("euler", 4).tau_grid()
-        trace = Trace(0, grid, grid.copy(), grid.copy(), np.zeros(2))
-        traces_to_csv([trace])
-        with pytest.raises(ValueError):
-            trace.e_norm[0] = 1.0
+        result = run_batch(two_comp_config(SMC, trajectories=n, steps=steps))
+        csv = traces_to_csv(result)
+        # the time grid, then e_norm, s_norm, lyapunov and vhat_norm of the whole batch
+        assert formatted == [steps] + [n * steps] * 4
+        json_text = traces_to_json(result)
+        assert formatted == [steps] + [n * steps] * 4 + [n * 2]  # only the finals are new
+        assert traces_to_csv(result) == csv and traces_to_json(result) == json_text
+        assert formatted == [steps] + [n * steps] * 4 + [n * 2] * 2  # the finals once per JSON export
 
 
 def zeroing_field(start, which, n):
@@ -777,7 +775,8 @@ class TestColumns:
         laws = "cfg,weight_schedule,apg,cfg_zero_star,rectified_cfgpp,smc"
         assert cli_main(["compare", "--config", str(path), "--controllers", laws, "--out", str(tmp_path / "out")]) == 0
         assert cli_main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-        assert len(list((tmp_path / "out").iterdir())) == 3 + 6
+        assert cli_main(["run", "--config", str(path), "--format", "csv,json,svg", "--out", str(tmp_path / "out")]) == 0
+        assert len(list((tmp_path / "out").iterdir())) == 3 + 6 + 5
         cfg = replace(reference_config, sampler=replace(reference_config.sampler, trajectories=10_000))
         result = run_batch(cfg)
         report = quality_report(result, result.system, cfg.system.target)
