@@ -133,11 +133,17 @@ def cmd_run(args) -> int:
 _SWEEP_FIELDS = ("w2", "alignment", "oversaturation", "e_decay_ratio", "mean_reach_step", "n_divergent")
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as a CSV cell, quoted when it holds a comma, a quote or a line break."""
+    quoted = any(c in text for c in ',"\r\n')
+    return '"' + text.replace('"', '""') + '"' if quoted else text
+
+
 def _table_csv(key: str, rows: list[dict], first=str) -> str:
-    """One line per row: ``first(row[key])``, the status up to its first comma, then _SWEEP_FIELDS."""
+    """One line per row: ``first(row[key])``, the status, then _SWEEP_FIELDS."""
     lines = [f"{key},status," + ",".join(_SWEEP_FIELDS)]
     for row in rows:
-        cells = [first(row[key]), row["status"].split(",")[0]]
+        cells = [first(row[key]), _csv_cell(row["status"])]
         for field in _SWEEP_FIELDS:
             if field == "n_divergent" and field in row:
                 cells.append(str(row[field]))

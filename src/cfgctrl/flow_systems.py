@@ -13,6 +13,11 @@ N(tau * mu_k, tau^2 * Sigma_k + (1 - tau)^2 * I); conditioning a jointly
 Gaussian pair gives an affine per-component velocity, and components are
 combined with their posterior responsibilities at (x, tau).
 
+The kernel is coordinate-major: it evaluates a (..., d) probe on its (d, n)
+transpose, with (K, n) responsibilities, so each per-coordinate step is one
+numpy call over n contiguous values. Its bits equal those of the row-major
+per-component formula that the tests keep as the oracle.
+
 The same conditional expectation can be estimated model-free by kernel
 regression over sampled pairs; :func:`mc_velocity_oracle` implements that
 independent estimator and is used by the tests to cross-check the closed
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, by_column, row_sum
+from .numerics import Rng, row_sum
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -150,57 +155,54 @@ def _check_probe(sys: FlowSystem, x: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _component_pass(sys: FlowSystem, x: np.ndarray, tau: float, log_norm: float, ks, velocity: bool):
-    """One pass over components ``ks`` at (x, tau).
+    """One pass over components ``ks`` at the (..., d) probe ``x`` and time tau, on its (d, n) columns.
 
-    Returns, per component, the log path density less the mixture weight
-    (``log_norm`` is its Gaussian normalizing term), and the component's
-    affine velocity when ``velocity`` is set.
+    Returns, per component, the (n,) log path density less the mixture
+    weight (``log_norm`` is its Gaussian normalizing term), and the
+    component's (d, n) affine velocity when ``velocity`` is set.
     """
+    xt = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)  # no copy for a Fortran-order (n, d) batch
     one_m = (1.0 - tau) ** 2
     logs, vels = {}, {}
     for k in ks:
         spectrum = tau * tau * sys._eigvals[k] + one_m  # path covariance eigenvalues
         q = sys._eigvecs[k]
-        z = by_column(np.subtract, x, tau * sys._means[k]) @ q
-        quad = row_sum(by_column(np.divide, z * z, spectrum))
-        logs[k] = -0.5 * quad - 0.5 * float(np.log(spectrum).sum()) - log_norm
+        buf = xt - (tau * sys._means[k])[:, None]
+        zt = q.T @ buf
+        np.multiply(zt, zt, out=buf)  # buf and zt are reused: at batch size a fresh array costs more than a pass
+        buf /= spectrum[:, None]
+        logs[k] = -0.5 * row_sum(buf.T) - 0.5 * float(np.log(spectrum).sum()) - log_norm
         if velocity:
             # E[x1 | x] - E[x0 | x] from joint-Gaussian conditioning, in eigenbasis.
-            gain = (tau * sys._eigvals[k] - (1.0 - tau)) / spectrum
-            vels[k] = by_column(np.add, by_column(np.multiply, z, gain) @ q.T, sys._means[k])
+            zt *= ((tau * sys._eigvals[k] - (1.0 - tau)) / spectrum)[:, None]
+            vels[k] = np.matmul(q, zt, out=buf)
+            buf += sys._means[k][:, None]
     return logs, vels
 
 
 def _posteriors(sys: FlowSystem, logs: dict, idx: np.ndarray) -> np.ndarray:
-    """Responsibilities within the subset ``idx``, from the per-component logs of one pass."""
+    """(K, n) responsibilities within the subset ``idx``, from the per-component logs of one pass."""
     w = sys._weights[idx]
-    resp = np.empty(logs[idx[0]].shape + (len(idx),))
+    resp = np.empty((len(idx),) + logs[idx[0]].shape)
     for j, k in enumerate(idx):
-        resp[..., j] = logs[k] + float(np.log(w[j] / w.sum()))
+        np.add(logs[k], float(np.log(w[j] / w.sum())), out=resp[j])
     return _normalize(resp)
 
 
 def _normalize(logs: np.ndarray) -> np.ndarray:
-    """Rows of unnormalized log responsibilities to probabilities summing to 1; overwrites ``logs``."""
-    cols = range(logs.shape[-1])
-    top = logs[..., 0].copy()
-    for j in cols[1:]:
-        np.maximum(top, logs[..., j], out=top)
-    for j in cols:
-        logs[..., j] -= top
-    p = np.exp(logs)
-    total = row_sum(p)
-    for j in cols:
-        p[..., j] /= total
+    """(K, n) unnormalized log responsibilities to probabilities whose columns sum to 1, in place."""
+    logs -= np.maximum.reduce(logs)  # row after row, as a loop of np.maximum would
+    p = np.exp(logs, out=logs)
+    p /= row_sum(p.T)
     return p
 
 
-def _mix(x: np.ndarray, resp: np.ndarray, vels: dict, idx: np.ndarray) -> np.ndarray:
-    """Responsibility-weighted sum of the velocities of the components ``idx``, in index order."""
-    out = np.zeros_like(x)
+def _mix(resp: np.ndarray, vels: dict, idx: np.ndarray) -> np.ndarray:
+    """Responsibility-weighted sum of the (d, n) velocities of the components ``idx``, in index order."""
+    out = np.zeros(vels[idx[0]].shape)
+    term = np.empty(out.shape)
     for j, k in enumerate(idx):
-        for c in range(x.shape[-1]):
-            out[..., c] += resp[..., j] * vels[k][..., c]
+        out += np.multiply(resp[j], vels[k], out=term)
     return out
 
 
@@ -209,7 +211,7 @@ def responsibilities(sys: FlowSystem, x: np.ndarray, tau: float, cond: str | Non
     x = _check_probe(sys, x, tau)
     idx = sys.component_indices(cond)
     logs, _ = _component_pass(sys, x, tau, 0.5 * sys.dim * _LOG_2PI, idx, velocity=False)
-    return _posteriors(sys, logs, idx)
+    return np.ascontiguousarray(_posteriors(sys, logs, idx).T).reshape(x.shape[:-1] + (len(idx),))
 
 
 def data_responsibilities(sys: FlowSystem, x: np.ndarray, cond: str | None = None) -> np.ndarray:
@@ -218,7 +220,7 @@ def data_responsibilities(sys: FlowSystem, x: np.ndarray, cond: str | None = Non
     idx = sys.component_indices(cond)
     # At tau = 1 the path spectrum is the covariance spectrum and the shift is the mean, exactly.
     logs, _ = _component_pass(sys, x, 1.0, 0.0, idx, velocity=False)
-    return _posteriors(sys, logs, idx)
+    return np.ascontiguousarray(_posteriors(sys, logs, idx).T).reshape(x.shape[:-1] + (len(idx),))
 
 
 def marginal_velocity(sys: FlowSystem, x: np.ndarray, tau: float, cond: str | None = None) -> np.ndarray:
@@ -229,7 +231,7 @@ def marginal_velocity(sys: FlowSystem, x: np.ndarray, tau: float, cond: str | No
     x = _check_probe(sys, x, tau)
     idx = sys.component_indices(cond)
     logs, vels = _component_pass(sys, x, tau, 0.5 * sys.dim * _LOG_2PI, idx, velocity=True)
-    return _mix(x, _posteriors(sys, logs, idx), vels, idx)
+    return np.ascontiguousarray(_mix(_posteriors(sys, logs, idx), vels, idx).T).reshape(x.shape)
 
 
 def velocity_pair(sys: FlowSystem, x: np.ndarray, tau: float, cond: str | None) -> tuple[np.ndarray, np.ndarray]:
@@ -238,14 +240,15 @@ def velocity_pair(sys: FlowSystem, x: np.ndarray, tau: float, cond: str | None) 
     The conditional posterior is the unconditional one restricted to the
     condition's components and renormalized, so both share every
     per-component quantity; the results are bit-identical to two calls.
+    An (n, d) pair comes back in Fortran order, the layout the lockstep sampler keeps.
     """
     x = _check_probe(sys, x, tau)
     idx_c = sys.component_indices(cond)
     idx_u = sys.component_indices(None)
     logs, vels = _component_pass(sys, x, tau, 0.5 * sys.dim * _LOG_2PI, idx_u, velocity=True)
-    v_c = _mix(x, _posteriors(sys, logs, idx_c), vels, idx_c)
-    v_u = _mix(x, _posteriors(sys, logs, idx_u), vels, idx_u)
-    return v_c, v_u
+    v_c = _mix(_posteriors(sys, logs, idx_c), vels, idx_c)
+    v_u = _mix(_posteriors(sys, logs, idx_u), vels, idx_u)
+    return v_c.T.reshape(x.shape), v_u.T.reshape(x.shape)
 
 
 def default_bandwidth(tau: float) -> float:

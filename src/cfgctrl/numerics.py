@@ -1,11 +1,11 @@
-"""Spectral norm, counter-based random streams and column-wise row operations.
+"""Spectral norm, counter-based random streams and column-wise row reductions.
 
 All numeric code in the package works on plain float64 numpy arrays:
 vectors are 1-D, matrices 2-D. Experiment dimensions stay tiny (d <= 16),
-so there is no sparse or blocked machinery here. For the same reason an
-operation along the short last axis of a tall batch is cheaper as a few
-whole-column operations than as numpy's per-row loop; :func:`row_sum`,
-:func:`row_norm` and :func:`by_column` work that way and keep numpy's bits.
+so there is no sparse or blocked machinery here. For the same reason a sum
+along the short last axis of a tall batch is cheaper as a few whole-column
+additions than as numpy's per-row loop; :func:`row_sum` and :func:`row_norm`
+work that way, in any layout, with the bits numpy gives the batch in C order.
 """
 
 from __future__ import annotations
@@ -66,27 +66,14 @@ _PAIRWISE_MIN = 8  # numpy sums rows of at least this many entries pairwise, not
 
 
 def row_sum(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=-1)``, bit for bit, as whole-column additions when the last axis is short."""
+    """``a.sum(axis=-1)`` of ``a`` in C order, bit for bit, as whole-column additions when the last axis is short."""
     a = np.asarray(a, dtype=float)
     d = a.shape[-1]
     if not 0 < d < _PAIRWISE_MIN:
-        return a.sum(axis=-1)
+        return np.ascontiguousarray(a).sum(axis=-1)  # numpy sums long rows pairwise only where they are contiguous
     out = 0.0 + a[..., 0]  # numpy's sum starts from 0.0, which turns -0.0 into 0.0
     for j in range(1, d):
         out += a[..., j]
-    return out
-
-
-def by_column(ufunc: np.ufunc, a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``ufunc(a, v)`` for a (..., d) batch and a length-d vector, one whole column per entry of ``v``.
-
-    Elementwise, so the bits are numpy's; numpy's own broadcast over a short
-    last axis runs a d-long inner loop per row and costs several times more.
-    """
-    a = np.asarray(a, dtype=float)
-    out = np.empty(a.shape)
-    for j in range(a.shape[-1]):
-        ufunc(a[..., j], v[j], out=out[..., j])
     return out
 
 

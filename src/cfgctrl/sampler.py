@@ -180,7 +180,8 @@ def _integrate_rows(
     blocks = [slice(j * n, (j + 1) * n) for j in range(len(laws))]
     has_surface = any(law.sliding is not None for law in laws)
 
-    x = np.tile(x0, (len(laws), 1))
+    # Fortran order: x.T is the field kernel's (d, n) columns without a copy, and its results come back column-ordered
+    x = np.asfortranarray(np.tile(x0, (len(laws), 1)))
     alive = np.ones(len(x), dtype=bool)
     failed: dict[int, Exception] = {}
     div_steps: list[dict[int, int]] = [{} for _ in laws]
@@ -273,7 +274,7 @@ def _integrate_rows(
             "run_ids": ids[pick],
             "e_norm": e_rows[rows][pick],
             "vhat_norm": v_rows[rows][pick],
-            "finals": x[rows][pick],
+            "finals": np.ascontiguousarray(x[rows][pick]),  # C order, which a mean over rows keeps its bits on
             "s_norm": s_rows[rows][pick] if surface else None,
             "x_path": x_rows[rows][pick] if x_rows is not None else None,
             "s_path": sv_rows[rows][pick] if surface and sv_rows is not None else None,

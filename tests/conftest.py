@@ -1,4 +1,4 @@
-"""Shared fixtures: the reference two-component system, probe and sampling helpers."""
+"""Shared fixtures: the reference two-component system, probe, layout and sampling helpers."""
 
 from pathlib import Path
 
@@ -37,6 +37,19 @@ def draw_probe(rng: Rng, system, cond: str | None, max_radius: float = 2.0):
     u /= np.linalg.norm(u)
     r = max_radius * float(rng.uniform())
     return tau * mu + scale * r * u, tau
+
+
+def layouts(a: np.ndarray) -> dict[str, np.ndarray]:
+    """The values of ``a`` in C order, in Fortran order, as a block of rows of a taller Fortran array, and strided."""
+    tall = np.asfortranarray(np.concatenate([a, a, a], axis=-2)) if a.ndim > 1 else a
+    strided = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
+    strided[..., 1::2] = a
+    return {
+        "C": np.ascontiguousarray(a),
+        "F": np.asfortranarray(a),
+        "F rows": tall[..., a.shape[-2]:2 * a.shape[-2], :] if a.ndim > 1 else a,
+        "strided": strided[..., 1::2],
+    }
 
 
 def _check_symmetric(m, name: str) -> np.ndarray:

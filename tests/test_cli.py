@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import xml.etree.ElementTree as ET
@@ -154,8 +155,8 @@ class TestSweep:
         cfg = small_config(tmp_path, sweep={"parameter": "k", "values": [0.1, 1e9]})
         out = tmp_path / "out"
         assert run_cli("sweep", "--config", cfg, "--out", out) == 0
-        rows = next(out.glob("sweep_*_table.csv")).read_text().strip().split("\n")[1:]
-        statuses = [row.split(",")[1] for row in rows]
+        rows = list(csv.reader(next(out.glob("sweep_*_table.csv")).read_text().splitlines()))[1:]
+        statuses = [row[1] for row in rows]
         assert statuses[0] == "ok"
         assert statuses[1].startswith("failed")
 
@@ -277,7 +278,17 @@ class TestCompare:
         assert rows[0]["status"] == "ok"
         assert rows[1] == {"controller": "smc", "status": "failed: need at least 3 non-divergent samples, got 2"}
         table = next(out.glob("compare_*_table.csv")).read_text().split("\n")
-        assert table[2] == "smc,failed: need at least 3 non-divergent samples,,,,,,"
+        assert table[2] == 'smc,"failed: need at least 3 non-divergent samples, got 2",,,,,,'
+
+    def test_csv_status_is_the_json_status(self, tmp_path):
+        cfg = small_config(tmp_path, **{"sampler.trajectories": 2})
+        out = tmp_path / "out"
+        assert run_cli("compare", "--config", cfg, "--controllers", "cfg,smc", "--out", out) == 0
+        report = json.loads(next(out.glob("compare_*_report.json")).read_text())["rows"]
+        header, *table = csv.reader(next(out.glob("compare_*_table.csv")).read_text().splitlines())
+        assert header[:2] == ["controller", "status"] and len(table) == 2
+        assert [row[1] for row in table] == [row["status"] for row in report]
+        assert all(row["status"] == "failed: need at least 3 non-divergent samples, got 2" for row in report)
 
     def test_config_is_hashed_once(self, tmp_path, monkeypatch):
         import cfgctrl.config

@@ -13,7 +13,7 @@ from cfgctrl.flow_systems import (
 )
 from cfgctrl.numerics import Rng
 
-from conftest import draw_probe
+from conftest import draw_probe, layouts
 
 
 def single_gaussian(mean, cov=None):
@@ -99,6 +99,102 @@ class TestVelocityPair:
             velocity_pair(reference_system, np.zeros(2), 1.0, "right")
         with pytest.raises(ValueError, match="unknown condition"):
             velocity_pair(reference_system, np.zeros(2), 0.5, "nope")
+
+
+# The field kernel before it worked on (d, n) columns, written out as the oracle for the kernel's bits:
+# a (..., d) batch in C order, one component at a time, each per-coordinate step a numpy broadcast.
+
+
+def row_major_pass(system: FlowSystem, x: np.ndarray, tau: float, log_norm: float):
+    """Per component k: the log path density less the mixture weight, and the affine velocity."""
+    x = np.ascontiguousarray(x, dtype=float)
+    one_m = (1.0 - tau) ** 2
+    logs, vels = {}, {}
+    for k in range(system.n_components):
+        spectrum = tau * tau * system._eigvals[k] + one_m
+        q = system._eigvecs[k]
+        z = (x - tau * system._means[k]) @ q
+        logs[k] = -0.5 * (z * z / spectrum).sum(axis=-1) - 0.5 * float(np.log(spectrum).sum()) - log_norm
+        gain = (tau * system._eigvals[k] - (1.0 - tau)) / spectrum
+        vels[k] = (z * gain) @ q.T + system._means[k]
+    return logs, vels
+
+
+def row_major_posteriors(system: FlowSystem, logs: dict, idx) -> np.ndarray:
+    w = system._weights[idx]
+    resp = np.stack([logs[k] + float(np.log(w[j] / w.sum())) for j, k in enumerate(idx)], axis=-1)
+    top = resp[..., 0].copy()
+    for j in range(1, len(idx)):
+        np.maximum(top, resp[..., j], out=top)
+    p = np.exp(resp - top[..., None])
+    return p / p.sum(axis=-1)[..., None]
+
+
+def row_major_velocity(system: FlowSystem, x, tau: float, cond) -> np.ndarray:
+    idx = system.component_indices(cond)
+    logs, vels = row_major_pass(system, x, tau, 0.5 * system.dim * np.log(2.0 * np.pi))
+    resp = row_major_posteriors(system, logs, idx)
+    out = np.zeros(np.shape(x))
+    for j, k in enumerate(idx):
+        out = out + resp[..., j, None] * vels[k]
+    return out
+
+
+def random_system(dim: int, n_components: int, full: bool, seed: int) -> FlowSystem:
+    rng = Rng(seed)
+    weights = 0.2 + rng.uniform(n_components)
+    comps = []
+    for k in range(n_components):
+        if full:
+            a = rng.standard_normal((dim, dim))
+            cov = a @ a.T / dim + 0.5 * np.eye(dim)
+        else:
+            cov = np.diag(0.2 + 3.0 * rng.uniform(dim))
+        comps.append(GaussComponent(weights[k] / weights.sum(), 2.0 * rng.standard_normal(dim), cov))
+    return FlowSystem(comps, {"half": list(range(0, n_components, 2))})
+
+
+KERNEL_CASES = [(d, k, full) for d in (1, 2, 3, 7, 8, 9, 16) for k in (1, 2, 3, 9) for full in (False, True)]
+PROBE_SHAPES = [(), (0,), (1,), (200,), (3, 5)]
+
+
+@pytest.mark.parametrize("dim, n_components, full", KERNEL_CASES)
+class TestKernelBits:
+    """Every public field function equals the row-major oracle bit for bit, whatever the probe's shape and layout."""
+
+    @staticmethod
+    def probes(dim: int, seed: int):
+        rng = Rng(seed)
+        for lead in PROBE_SHAPES:
+            x = 3.0 * rng.standard_normal(lead + (dim,))
+            for layout, probe in layouts(x).items():
+                yield f"{lead} {layout}", x, probe
+
+    def test_velocities(self, dim, n_components, full):
+        system = random_system(dim, n_components, full, seed=1000 * dim + 10 * n_components + full)
+        for i, tau in enumerate((0.0, 0.37, 0.9999)):
+            for name, x, probe in self.probes(dim, seed=10 * dim + i):
+                for cond in ("half", None):
+                    expected = row_major_velocity(system, x, tau, cond)
+                    got = marginal_velocity(system, probe, tau, cond)
+                    assert got.shape == x.shape and got.tobytes() == expected.tobytes(), (name, tau, cond)
+                v_c, v_u = velocity_pair(system, probe, tau, "half")
+                assert v_c.shape == v_u.shape == x.shape
+                assert v_c.tobytes() == row_major_velocity(system, x, tau, "half").tobytes(), (name, tau)
+                assert v_u.tobytes() == row_major_velocity(system, x, tau, None).tobytes(), (name, tau)
+
+    def test_responsibilities(self, dim, n_components, full):
+        system = random_system(dim, n_components, full, seed=1000 * dim + 10 * n_components + full)
+        for name, x, probe in self.probes(dim, seed=7 * dim):
+            logs, _ = row_major_pass(system, x, 0.61, 0.5 * dim * np.log(2.0 * np.pi))
+            data_logs, _ = row_major_pass(system, x, 1.0, 0.0)
+            for cond in ("half", None):
+                idx = system.component_indices(cond)
+                shape = x.shape[:-1] + (len(idx),)
+                got = responsibilities(system, probe, 0.61, cond)
+                assert got.shape == shape and got.tobytes() == row_major_posteriors(system, logs, idx).tobytes(), name
+                got = data_responsibilities(system, probe, cond)
+                assert got.shape == shape and got.tobytes() == row_major_posteriors(system, data_logs, idx).tobytes()
 
 
 class TestResponsibilities:

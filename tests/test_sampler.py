@@ -722,6 +722,20 @@ class TestColumns:
             assert result.n_divergent == 10
             assert result.finals.shape == (0, 2) and result.traces == []
 
+    @pytest.mark.parametrize("record_x", [False, True])
+    @pytest.mark.parametrize("blown_up", [False, True])
+    def test_every_column_is_c_contiguous(self, monkeypatch, record_x, blown_up):
+        # the lockstep state is kept in Fortran order; a mean over rows of a column keeps its bits only in C order
+        if blown_up:
+            monkeypatch.setattr(cfgctrl.sampler, "velocity_pair", blown_up_field({3: 0.5}))
+        results = run_batches(lockstep_configs("compare", "heun", record_x=record_x))
+        assert any(result.n_divergent for result in results) == blown_up
+        for result in results:
+            assert (result.x_path is not None) == record_x
+            for name in cfgctrl.sampler._COLUMNS:
+                column = getattr(result, name)
+                assert column is None or column.flags.c_contiguous, name
+
     @pytest.mark.parametrize("case", ["compare", "sweep_k"])
     def test_lockstep_blocks_match_their_traces(self, case):
         for result in run_batches(lockstep_configs(case, "heun")):
