@@ -28,7 +28,7 @@ from .guidance import (
     smc_step,
     weight_schedule,
 )
-from .metrics import GaussFit, QualityReport, lyapunov_audit, phase_plane, quality_report, w2_gaussian
+from .metrics import GaussFit, QualityReport, phase_plane, quality_report, w2_gaussian
 from .numerics import Rng, spectral_norm
 from .sampler import (
     DivergenceError,
@@ -67,7 +67,6 @@ __all__ = [
     "cfg_zero_star_combine",
     "corridor_sweep",
     "load_config",
-    "lyapunov_audit",
     "marginal_velocity",
     "mc_velocity_oracle",
     "phase_plane",

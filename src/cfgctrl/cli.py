@@ -2,7 +2,8 @@
 
 Every output file is named from (command, config fingerprint); reruns with
 the same config produce byte-identical CSV/JSON artifacts, and a name
-collision with different content is refused rather than overwritten.
+collision with different content is a config error: the command then writes
+none of its files.
 
 Exit codes: 0 success, 2 config error, 3 a run whose batch kept too few
 trajectories to report on (fewer than dimension + 1) or a synth run whose
@@ -28,14 +29,16 @@ from .guidance import CONTROLLERS
 from .sampler import RunResult, run_batch, run_batches, traces_to_csv, traces_to_json
 
 
-def _write_text(path: Path, content: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    data = content.encode("utf-8")
-    if path.exists():
-        if path.read_bytes() == data:
-            return
-        raise RuntimeError(f"refusing to overwrite {path} with different content")
-    path.write_bytes(data)
+def _write_text(files: dict[Path, str]) -> None:
+    """Write every file, skipping one that already holds its bytes; if one holds other bytes, write none."""
+    data = {path: content.encode("utf-8") for path, content in files.items()}
+    for path, blob in data.items():
+        if path.exists() and path.read_bytes() != blob:
+            raise ConfigError(f"refusing to overwrite {path} with different content")
+    for path, blob in data.items():
+        if not path.exists():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(blob)
 
 
 def _fmt(value) -> str:
@@ -100,30 +103,28 @@ def cmd_run(args) -> int:
         print(f"run {tag}: {exc}", file=sys.stderr)
         return 3
 
+    files = {}
     if "csv" in cfg.output.formats:
-        _write_text(out / f"run_{tag}_traces.csv", traces_to_csv(result))
+        files[out / f"run_{tag}_traces.csv"] = traces_to_csv(result)
     if "json" in cfg.output.formats:
-        _write_text(out / f"run_{tag}_report.json", json.dumps(report.to_dict(), indent=2) + "\n")
-        _write_text(out / f"run_{tag}_traces.json", traces_to_json(result))
+        files[out / f"run_{tag}_report.json"] = json.dumps(report.to_dict(), indent=2) + "\n"
+        files[out / f"run_{tag}_traces.json"] = traces_to_json(result)
     if "svg" in cfg.output.formats:
         steps, curve = _mean_gap_curve(result)
-        _write_text(
-            out / f"run_{tag}_e_norm.svg",
-            svgplot.line_chart([("mean |e|", steps, curve)], "gap norm per step", "step", "|e|"),
+        files[out / f"run_{tag}_e_norm.svg"] = svgplot.line_chart(
+            [("mean |e|", steps, curve)], "gap norm per step", "step", "|e|"
         )
         pts = metrics.phase_plane(result)
         law = cfgmod.build_control_law(cfg.controller)
         ref = None if law.sliding is None else (f"slope -{law.lam:g}", -law.lam)
-        _write_text(
-            out / f"run_{tag}_phase.svg",
-            svgplot.scatter_chart(
-                [("traces", pts[:, 0].tolist(), pts[:, 1].tolist())],
-                "gap phase plane",
-                "|e|",
-                "d|e|/dtau",
-                ref_line=ref,
-            ),
+        files[out / f"run_{tag}_phase.svg"] = svgplot.scatter_chart(
+            [("traces", pts[:, 0].tolist(), pts[:, 1].tolist())],
+            "gap phase plane",
+            "|e|",
+            "d|e|/dtau",
+            ref_line=ref,
         )
+    _write_text(files)
     print(f"run {tag}: {result.run_ids.size}/{result.n_trajectories} trajectories, "
           f"w2={report.w2:.4f} alignment={report.alignment:.4f} "
           f"oversaturation={report.oversaturation:.4f} divergent={report.n_divergent}")
@@ -133,24 +134,21 @@ def cmd_run(args) -> int:
 _SWEEP_FIELDS = ("w2", "alignment", "oversaturation", "e_decay_ratio", "mean_reach_step", "n_divergent")
 
 
-def _csv_cell(text: str) -> str:
-    """``text`` as a CSV cell, quoted when it holds a comma, a quote or a line break."""
-    quoted = any(c in text for c in ',"\r\n')
-    return '"' + text.replace('"', '""') + '"' if quoted else text
+def _csv(header: list[str], rows) -> str:
+    """The header line, then one line per row of text cells; a cell holding a comma, a quote or a line break is quoted."""
+    def cell(c):
+        return '"' + c.replace('"', '""') + '"' if "," in c or '"' in c or "\r" in c or "\n" in c else c
+
+    return "".join(",".join(map(cell, cells)) + "\n" for cells in [header, *rows])
 
 
 def _table_csv(key: str, rows: list[dict], first=str) -> str:
     """One line per row: ``first(row[key])``, the status, then _SWEEP_FIELDS."""
-    lines = [f"{key},status," + ",".join(_SWEEP_FIELDS)]
-    for row in rows:
-        cells = [first(row[key]), _csv_cell(row["status"])]
-        for field in _SWEEP_FIELDS:
-            if field == "n_divergent" and field in row:
-                cells.append(str(row[field]))
-            else:
-                cells.append(_fmt(row.get(field)))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    def cells(row):
+        values = (str(row[f]) if f == "n_divergent" and f in row else _fmt(row.get(f)) for f in _SWEEP_FIELDS)
+        return [first(row[key]), row["status"], *values]
+
+    return _csv([key, "status", *_SWEEP_FIELDS], map(cells, rows))
 
 
 def cmd_sweep(args) -> int:
@@ -173,23 +171,22 @@ def cmd_sweep(args) -> int:
             rows.append({"value": value, "status": "ok", **_report_row(result)})
         except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
             rows.append({"value": value, "status": f"failed: {exc}"})
+    files = {}
     if "csv" in cfg.output.formats:
-        _write_text(out / f"sweep_{tag}_table.csv", _table_csv("value", rows, _fmt))
+        files[out / f"sweep_{tag}_table.csv"] = _table_csv("value", rows, _fmt)
     if "json" in cfg.output.formats:
-        _write_text(
-            out / f"sweep_{tag}_table.json",
-            json.dumps({"parameter": cfg.sweep.parameter, "rows": rows}, indent=2) + "\n",
-        )
+        table = {"parameter": cfg.sweep.parameter, "rows": rows}
+        files[out / f"sweep_{tag}_table.json"] = json.dumps(table, indent=2) + "\n"
     if "svg" in cfg.output.formats:
         good = [r for r in rows if r["status"] == "ok"]
         for field in ("w2", "alignment", "oversaturation", "e_decay_ratio"):
             xs = [r["value"] for r in good if r.get(field) is not None]
             ys = [r[field] for r in good if r.get(field) is not None]
             if xs:
-                _write_text(
-                    out / f"sweep_{tag}_{field}.svg",
-                    svgplot.line_chart([(field, xs, ys)], f"{field} vs {cfg.sweep.parameter}", cfg.sweep.parameter, field),
+                files[out / f"sweep_{tag}_{field}.svg"] = svgplot.line_chart(
+                    [(field, xs, ys)], f"{field} vs {cfg.sweep.parameter}", cfg.sweep.parameter, field
                 )
+    _write_text(files)
     n_ok = sum(1 for r in rows if r["status"] == "ok")
     print(f"sweep {tag}: {n_ok}/{len(rows)} values over {cfg.sweep.parameter}")
     return 0
@@ -231,18 +228,15 @@ def cmd_compare(args) -> int:
         steps, curve = _mean_gap_curve(result)
         curves.append((name, steps, curve))
 
+    files = {}
     if "csv" in cfg.output.formats:
-        _write_text(out / f"compare_{tag}_table.csv", _table_csv("controller", rows))
+        files[out / f"compare_{tag}_table.csv"] = _table_csv("controller", rows)
     if "json" in cfg.output.formats:
-        _write_text(
-            out / f"compare_{tag}_report.json",
-            json.dumps({"seed_fingerprint": seed_print, "rows": rows}, indent=2) + "\n",
-        )
+        report = {"seed_fingerprint": seed_print, "rows": rows}
+        files[out / f"compare_{tag}_report.json"] = json.dumps(report, indent=2) + "\n"
     if "svg" in cfg.output.formats and curves:
-        _write_text(
-            out / f"compare_{tag}_e_norm.svg",
-            svgplot.line_chart(curves, "mean gap norm per step", "step", "|e|"),
-        )
+        files[out / f"compare_{tag}_e_norm.svg"] = svgplot.line_chart(curves, "mean gap norm per step", "step", "|e|")
+    _write_text(files)
     print(f"compare {tag}: {len(rows)} controllers, seeds {seed_print}")
     return 0
 
@@ -295,13 +289,9 @@ def cmd_synth(args) -> int:
         s0=s0,
         drift=args.drift,
         gain_deviation=args.gain_deviation,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
-    run_params = {
-        "dim": args.dim, "w": args.w, "delta": args.delta, "rho": args.rho, "k": args.k,
-        "dt": args.dt, "s0": args.s0, "drift": args.drift, "gain_deviation": args.gain_deviation,
-        "steps": args.steps, "seed": dyn.seed, "corridor": args.corridor, "k_values": args.k_values,
-    }
+    run_params = {key: value for key, value in vars(args).items() if key not in ("command", "func", "out")}
     tag = hashlib.sha256(json.dumps(run_params, sort_keys=True).encode()).hexdigest()[:12]
     out = Path(args.out or "out")
 
@@ -312,16 +302,17 @@ def cmd_synth(args) -> int:
 
     if k_values is not None:
         rows = control_lab.corridor_sweep(dyn, k_values, args.steps)
-        _write_text(out / f"synth_{tag}_corridor.csv", control_lab.corridor_rows_to_csv(rows))
+        cells = ([_fmt(r.k), str(r.reached).lower(), "" if r.reach_step is None else str(r.reach_step),
+                  _fmt(r.residual_band), _fmt(r.osc_amplitude)] for r in rows)
+        header = ["k", "reached", "reach_step", "residual_band", "osc_amplitude"]
+        files = {out / f"synth_{tag}_corridor.csv": _csv(header, cells)}
         converged = [(r.k, r.osc_amplitude) for r in rows if r.reached]
         if converged:
-            _write_text(
-                out / f"synth_{tag}_osc.svg",
-                svgplot.line_chart(
-                    [("oscillation", [c[0] for c in converged], [c[1] for c in converged])],
-                    "tail oscillation vs switching gain", "k", "mean |ds|",
-                ),
+            files[out / f"synth_{tag}_osc.svg"] = svgplot.line_chart(
+                [("oscillation", [c[0] for c in converged], [c[1] for c in converged])],
+                "tail oscillation vs switching gain", "k", "mean |ds|",
             )
+        _write_text(files)
         for row in rows:
             if row.overflow_step is not None:
                 state = f"overflowed at step {row.overflow_step}"
@@ -336,17 +327,13 @@ def cmd_synth(args) -> int:
         print(f"synth {tag}: {exc}", file=sys.stderr)
         return 3
     s_norms = report.s_norms.tolist()
-    series_lines = ["step,s_norm,lyapunov"]
-    for i, (sn, vn) in enumerate(zip(s_norms, report.lyapunov.tolist())):
-        series_lines.append(f"{i},{sn!r},{vn!r}")
-    _write_text(out / f"synth_{tag}_series.csv", "\n".join(series_lines) + "\n")
-    _write_text(
-        out / f"synth_{tag}_s_norm.svg",
-        svgplot.line_chart(
-            [("|s|", list(range(len(s_norms))), s_norms)],
-            "surface norm per step", "step", "|s|",
+    series = zip(map(str, range(len(s_norms))), map(repr, s_norms), map(repr, report.lyapunov.tolist()))
+    _write_text({
+        out / f"synth_{tag}_series.csv": _csv(["step", "s_norm", "lyapunov"], series),
+        out / f"synth_{tag}_s_norm.svg": svgplot.line_chart(
+            [("|s|", list(range(len(s_norms))), s_norms)], "surface norm per step", "step", "|s|"
         ),
-    )
+    })
     if not report.gain_condition_met:
         print("gain condition unmet")
     elif report.reached and report.reach_step is not None and report.bound_steps is not None:

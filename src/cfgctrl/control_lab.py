@@ -2,13 +2,13 @@
 
 This module simulates the reduced system
 
-    ds/dt = drift(t) + gain(t) @ (-k * sign(s)),      gain(t) = w*I + dG(t),
+    ds/dt = drift(t) + gain @ (-k * sign(s)),      gain = w*I + dG,
 
-with the drift norm-bounded by delta and the gain deviation dG spectral-norm
-bounded by rho. It exists to check, independently of any flow system, that
-the switching law converges in finite time whenever the gain condition
-k * (w - rho*sqrt(D)) > delta holds, and to map the corridor of usable
-switching gains empirically.
+with the drift norm-bounded by delta and the gain deviation dG, drawn and
+bound-checked once per run, spectral-norm bounded by rho. It exists to
+check, independently of any flow system, that the switching law converges
+in finite time whenever the gain condition k * (w - rho*sqrt(D)) > delta
+holds, and to map the corridor of usable switching gains empirically.
 
 Discrete-time semantics: under Euler stepping the state cannot settle below
 one switching quantum dt*w*k, so "converged" means |s| <= 1.5 * dt * w * k.
@@ -37,8 +37,8 @@ class PerturbedDynamics:
     drift kinds: "constant" (fixed vector of norm delta), "sinusoidal"
     (norm oscillating within delta), "noise" (fresh bounded draw per step).
     gain deviation kinds: "zero", "rotation" (fixed rotation scaled to rho),
-    "seeded" (random matrix scaled to spectral norm rho; redrawn per step
-    only when redraw_gain is set).
+    "seeded" (random matrix scaled to spectral norm rho). The deviation is
+    drawn and bound-checked once per run.
     """
 
     dim: int
@@ -51,7 +51,6 @@ class PerturbedDynamics:
     drift: str = "constant"
     gain_deviation: str = "zero"
     seed: int = 0
-    redraw_gain: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -178,12 +177,11 @@ def _integrate(dyn: PerturbedDynamics, ks, steps: int) -> np.ndarray:
     ``gain @ u`` does on one vector.
 
     The state enters a step only through sign(s). So while the drift vector
-    and the gain matrix stay the same, the increment is computed once per
-    joint sign pattern of all rows, keyed by the pattern's bytes (a NaN sign
-    is a pattern like any other), and reused: the same operands through the
-    same operations, hence the same bits. A new drift vector or gain
-    matrix empties the cache; a sinusoidal or noise drift does so every
-    step. Overflow is not tested here.
+    stays the same, the increment is computed once per joint sign pattern
+    of all rows, keyed by the pattern's bytes (a NaN sign is a pattern like
+    any other), and reused: the same operands through the same operations,
+    hence the same bits. A sinusoidal or noise drift empties the cache
+    every step. Overflow is not tested here.
     """
     if steps < 1:
         raise ValueError("need at least one step")
@@ -191,7 +189,6 @@ def _integrate(dyn: PerturbedDynamics, ks, steps: int) -> np.ndarray:
     rng = Rng(dyn.seed)
     gain = _draw_gain(dyn, rng)
     drift = _make_drift(dyn, rng)
-    redraw = dyn.redraw_gain and dyn.gain_deviation == "seeded"
     varying_drift = dyn.drift != "constant"
     if not varying_drift:
         phi = drift(0)
@@ -203,9 +200,6 @@ def _integrate(dyn: PerturbedDynamics, ks, steps: int) -> np.ndarray:
     increments = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
-            if redraw:
-                gain = _draw_gain(dyn, rng)
-                increments.clear()
             if varying_drift:
                 phi = drift(step)
                 _check_drift(dyn, phi)
@@ -248,9 +242,9 @@ def simulate_sliding(dyn: PerturbedDynamics, steps: int) -> ConvergenceReport:
 
     Realized disturbance bounds are asserted on every realization: the drift
     at every step (a constant drift once, as its single realization), the
-    gain deviation on every matrix drawn (once per run, or every step with
-    ``redraw_gain``). A violated gain condition is reported, not raised; a
-    surface state that overflows raises ``SurfaceOverflow``.
+    gain deviation on the one matrix drawn per run. A violated gain
+    condition is reported, not raised; a surface state that overflows
+    raises ``SurfaceOverflow``.
     """
     history = _integrate(dyn, [dyn.k], steps)
     norms, (overflow,) = _norms_and_overflow(history)
@@ -340,28 +334,3 @@ def corridor_sweep(template: PerturbedDynamics, k_values: list[float], steps: in
         osc = float(np.linalg.norm(np.diff(tail, axis=0), axis=1).mean()) if tail.shape[0] > 1 else 0.0
         rows.append(CorridorRow(dyn.k, True, reach_step, residual, osc))
     return rows
-
-
-def estimate_drift(s_path: np.ndarray, w: float, k: float, dtau: float) -> float:
-    """Plug-in drift bound from a recorded surface path (heuristic).
-
-    Inverts one Euler step of the nominal dynamics: the residual
-    (s_{n+1} - s_n)/dtau + w*k*sign(s_n) collects everything the nominal
-    switching model does not explain; its max norm estimates delta.
-    """
-    s_path = np.asarray(s_path, dtype=float)
-    if s_path.ndim != 2 or s_path.shape[0] < 2:
-        raise ValueError("need a (steps, dim) surface path with at least 2 steps")
-    diffs = np.diff(s_path, axis=0) / dtau
-    residual = diffs + w * k * np.sign(s_path[:-1])
-    return float(np.linalg.norm(residual, axis=1).max())
-
-
-def corridor_rows_to_csv(rows: list[CorridorRow]) -> str:
-    lines = ["k,reached,reach_step,residual_band,osc_amplitude"]
-    for row in rows:
-        reach = "" if row.reach_step is None else str(row.reach_step)
-        resid = "" if row.residual_band is None else repr(row.residual_band)
-        osc = "" if row.osc_amplitude is None else repr(row.osc_amplitude)
-        lines.append(f"{row.k!r},{str(row.reached).lower()},{reach},{resid},{osc}")
-    return "\n".join(lines) + "\n"

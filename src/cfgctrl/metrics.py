@@ -167,10 +167,3 @@ def audit_surface_series(s_norms: np.ndarray, band: float) -> tuple[int, int | N
     count = int(increases.sum())
     first = int(np.nonzero(increases)[0][0]) if count else None
     return count, first
-
-
-def lyapunov_audit(trace: Trace, band: float) -> tuple[int, int | None]:
-    """Surface-energy audit of an smc trace; raises if the trace has no surface."""
-    if trace.s_norm is None:
-        raise ValueError("trace has no sliding-surface records; not an smc run")
-    return audit_surface_series(trace.s_norm, band)

@@ -105,11 +105,6 @@ class RunResult:
     system: FlowSystem
     n_trajectories: int
 
-    @cached_property
-    def fingerprint(self) -> str:
-        """The config's fingerprint, hashed on first read."""
-        return _config.fingerprint(self.config)
-
     @property
     def n_divergent(self) -> int:
         return len(self.divergences)

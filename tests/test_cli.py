@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import re
 import xml.etree.ElementTree as ET
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cfgctrl.cli import main
+from cfgctrl.cli import _csv, main
 
 from conftest import REFERENCE_CONFIG
 
@@ -298,7 +299,22 @@ class TestCompare:
         monkeypatch.setattr(cfgctrl.config, "fingerprint", lambda c: calls.append(1) or real(c))
         cfg = small_config(tmp_path)
         assert run_cli("compare", "--config", cfg, "--controllers", ALL_SIX, "--out", tmp_path / "out") == 0
-        assert len(calls) == 1  # the artifact tag; no RunResult is asked for its fingerprint
+        assert len(calls) == 1  # the artifact tag
+
+    @pytest.mark.parametrize("first_formats, clash", [([], "table.csv"), (["--format", "json"], "report.json")])
+    def test_other_controllers_into_same_out_refused(self, tmp_path, capsys, first_formats, clash):
+        # the tag hashes the config, not --controllers or the formats, so the second run's files collide
+        # with the first's; a refused run writes none of its files, not even those that would not clash
+        cfg = small_config(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli("compare", "--config", cfg, "--controllers", "cfg,smc", *first_formats, "--out", out) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert run_cli("compare", "--config", cfg, "--controllers", "cfg,apg", "--out", out) == 2
+        err = capsys.readouterr().err
+        clashed = next(out.glob(f"compare_*_{clash}"))
+        assert err == f"config error: refusing to overwrite {clashed} with different content\n"
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_single_controller_rejected(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -332,10 +348,36 @@ class TestSynth:
 
     def test_corridor_mode_writes_csv(self, tmp_path):
         out = tmp_path / "o"
-        assert run_cli("synth", "--corridor", "--k-values", "0.02,0.3,1.0", "--steps", "800", "--out", out) == 0
+        assert run_cli("synth", "--corridor", "--k-values", "0.02,0.3,1.0,0.01", "--steps", "800", "--out", out) == 0
         table = next(out.glob("synth_*_corridor.csv")).read_text().strip().split("\n")
         assert table[0] == "k,reached,reach_step,residual_band,osc_amplitude"
-        assert len(table) == 4
+        assert len(table) == 5
+        assert re.match(r"0\.3,true,\d+,", table[2])
+        assert table[4] == "0.01,false,,,"
+
+    @pytest.mark.parametrize(
+        "flags, tag, kinds",
+        [
+            # these are the defaults, and the tag is the one a bare `synth` writes
+            (["--delta", "0.5", "--w", "5", "--k", "0.5", "--dt", "0.01", "--steps", "2000"], "16448a3c2332",
+             ("s_norm.svg", "series.csv")),
+            (["--dim", "4", "--rho", "0.5", "--gain-deviation", "seeded"], "8a6d197954bb", ("s_norm.svg", "series.csv")),
+            (["--drift", "noise", "--dim", "3", "--rho", "0.4", "--gain-deviation", "seeded", "--seed", "5"],
+             "20cf8c14371f", ("s_norm.svg", "series.csv")),
+            (["--corridor", "--k-values", "0.02,0.3,1.0,400,1e306"], "78803769ddd5", ("corridor.csv", "osc.svg")),
+            (["--drift", "sinusoidal", "--dim", "2", "--rho", "0.3", "--gain-deviation", "rotation",
+              "--corridor", "--k-values", "0.5,2"], "64e29ee93c1e", ("corridor.csv", "osc.svg")),
+        ],
+        ids=["defaults-spelled-out", "seeded-gain", "noise-drift", "corridor", "sinusoidal-corridor"],
+    )
+    def test_artifact_tag_hashes_the_run_flags(self, tmp_path, flags, tag, kinds):
+        # the tag is a hash of every flag but --out, so spelling out a default keeps the file names
+        out = tmp_path / "o"
+        assert run_cli("synth", *flags, "--out", out) == 0
+        assert sorted(path.name for path in out.iterdir()) == [f"synth_{tag}_{kind}" for kind in kinds]
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert run_cli("synth", *flags, "--out", out) == 0
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_overflow_exits_3_without_artifacts(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -404,3 +446,26 @@ class TestSynth:
         assert run_cli("synth", *flags, "--out", out) == 2
         assert f"config error: {named}:" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestCsv:
+    @pytest.mark.parametrize(
+        "header, rows",
+        [
+            (["k", "status"], []),
+            (["k", "status"], [["0.5", "ok"], ["1.0", "ok"]]),
+            (["k", "reached", "reach_step"], [["0.01", "false", ""], ["", "", ""]]),
+            (["k", "status"], [["0.5", "failed: too few survivors, 2 of 4"]]),
+            (["k", "status"], [["0.5", 'failed: law "x" raised']]),
+            (["k", "status"], [["0.5", "failed: line one\nline two"]]),
+            (["k", "status"], [["0.5", "failed: a\rb"], ["1.0", "ok"]]),
+            (["k", "a,b", "c"], [['"', ",", "\r\n"]]),
+        ],
+        ids=["header-only", "plain", "empty-cells", "comma", "quote", "line-feed", "carriage-return", "all-at-once"],
+    )
+    def test_reads_back_as_the_cells(self, header, rows):
+        text = _csv(header, rows)
+        assert list(csv.reader(io.StringIO(text, newline=""))) == [header, *rows]
+        assert text.endswith("\n") and text.count("\n") - sum(c.count("\n") for r in rows for c in r) == len(rows) + 1
+        if not any(ch in c for r in [header, *rows] for c in r for ch in ',"\r\n'):
+            assert text == "".join(",".join(cells) + "\n" for cells in [header, *rows])

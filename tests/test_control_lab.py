@@ -10,9 +10,7 @@ from cfgctrl.control_lab import (
     CorridorRow,
     PerturbedDynamics,
     SurfaceOverflow,
-    corridor_rows_to_csv,
     corridor_sweep,
-    estimate_drift,
     simulate_sliding,
     stability_corridor,
 )
@@ -95,7 +93,7 @@ class TestSimulateSliding:
         # indirect: the simulation asserts them internally; run the spiciest combo
         dyn = dynamics(dim=3, rho=0.3, delta=0.7, k=0.8, dt=0.005,
                        s0=np.array([1.0, -2.0, 0.5]), drift="noise",
-                       gain_deviation="seeded", seed=99, redraw_gain=True)
+                       gain_deviation="seeded", seed=99)
         report = simulate_sliding(dyn, 500)
         assert np.isfinite(report.s_norms).all()
 
@@ -108,27 +106,18 @@ class TestSimulateSliding:
         simulate_sliding(dynamics(dim=3, rho=0.3, s0=np.ones(3), gain_deviation="seeded"), steps)
         assert len(calls) == 2  # the draw's scaling, then the bound check
 
-    @pytest.mark.parametrize("steps", [1, 40, 300])
-    def test_redrawn_gain_checked_every_step(self, monkeypatch, steps):
-        calls = self._count_spectral_norms(monkeypatch)
-        dyn = dynamics(dim=3, rho=0.3, s0=np.ones(3), gain_deviation="seeded", redraw_gain=True)
-        simulate_sliding(dyn, steps)
-        assert len(calls) == 2 * (steps + 1)  # the draw before the loop, then one per step
-
-    @pytest.mark.parametrize("redraw", [False, True])
-    def test_gain_over_bound_raises(self, monkeypatch, redraw):
+    def test_gain_over_bound_raises(self, monkeypatch):
         draws = []
 
         def drawn(dyn, rng):
             draws.append(1)
-            scale = 2.0 if len(draws) == 3 or not dyn.redraw_gain else 0.5
-            return scale * dyn.rho * np.eye(dyn.dim)
+            return 2.0 * dyn.rho * np.eye(dyn.dim)
 
         monkeypatch.setattr(control_lab, "_draw_gain_deviation", drawn)
-        dyn = dynamics(dim=2, rho=0.3, s0=np.ones(2), gain_deviation="seeded", redraw_gain=redraw)
+        dyn = dynamics(dim=2, rho=0.3, s0=np.ones(2), gain_deviation="seeded")
         with pytest.raises(RuntimeError, match="gain deviation exceeded"):
             simulate_sliding(dyn, 10)
-        assert len(draws) == (3 if redraw else 1)
+        assert len(draws) == 1
 
     @pytest.mark.parametrize("drift, checks", [("constant", 1), ("sinusoidal", 40), ("noise", 40)])
     def test_drift_checked_once_per_realization(self, monkeypatch, drift, checks):
@@ -232,14 +221,6 @@ class TestCorridorSweep:
         rows = corridor_sweep(dynamics(), [0.02, 0.05], 1000)
         assert all(not row.reached for row in rows)
 
-    def test_csv_export_columns(self):
-        rows = [CorridorRow(0.5, True, 12, 0.01, 0.005), CorridorRow(0.01, False, None, None, None)]
-        text = corridor_rows_to_csv(rows)
-        lines = text.strip().split("\n")
-        assert lines[0] == "k,reached,reach_step,residual_band,osc_amplitude"
-        assert lines[1].startswith("0.5,true,12,")
-        assert lines[2] == "0.01,false,,,"
-
 
 class TestLockstepSweep:
     GAINS = [0.0, 0.02, 0.3, 1.0, 400.0]
@@ -254,13 +235,13 @@ class TestLockstepSweep:
         osc = float(np.linalg.norm(np.diff(tail, axis=0), axis=1).mean()) if tail.shape[0] > 1 else 0.0
         return CorridorRow(k, True, report.reach_step, float(report.s_norms[report.reach_step :].max()), osc)
 
-    @pytest.mark.parametrize("redraw", [False, True])
     @pytest.mark.parametrize("gain_dev", GAIN_KINDS)
     @pytest.mark.parametrize("drift", DRIFT_KINDS)
     @pytest.mark.parametrize("dim", [1, 2, 4, 7])
-    def test_rows_equal_separate_runs(self, dim, drift, gain_dev, redraw):
+    @pytest.mark.parametrize("seed", [11, 23])
+    def test_rows_equal_separate_runs(self, seed, dim, drift, gain_dev):
         template = dynamics(dim=dim, rho=0.5, s0=np.linspace(2.0, -1.0, dim), drift=drift,
-                            gain_deviation=gain_dev, seed=11, redraw_gain=redraw)
+                            gain_deviation=gain_dev, seed=seed)
         rows = corridor_sweep(template, self.GAINS, 150)
         assert rows == [self.separate_row(template, k, 150) for k in self.GAINS]
         assert any(row.reached for row in rows) and not all(row.reached for row in rows)
@@ -269,13 +250,6 @@ class TestLockstepSweep:
         calls = _count_calls(monkeypatch, "spectral_norm")
         corridor_sweep(dynamics(dim=3, rho=0.3, s0=np.ones(3), gain_deviation="seeded"), [0.1, 0.5, 1.0, 3.0], 200)
         assert len(calls) == 2  # one drawn matrix for all four gains
-
-    @pytest.mark.parametrize("gains", [[0.5], [0.1, 0.5, 1.0, 3.0]])
-    def test_redrawn_gain_checked_every_step_whatever_the_gains(self, monkeypatch, gains):
-        calls = _count_calls(monkeypatch, "spectral_norm")
-        template = dynamics(dim=3, rho=0.3, s0=np.ones(3), gain_deviation="seeded", redraw_gain=True)
-        corridor_sweep(template, gains, 40)
-        assert len(calls) == 2 * (40 + 1)
 
     def test_negative_gain_refused(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -305,13 +279,10 @@ def _stepwise_history(dyn, ks, steps):
     rng = Rng(dyn.seed)
     gain = control_lab._draw_gain(dyn, rng)
     drift = control_lab._make_drift(dyn, rng)
-    redraw = dyn.redraw_gain and dyn.gain_deviation == "seeded"
     s = np.tile(dyn.s0[:, None], (k_col.shape[0], 1, 1))
     history = [s]
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
-            if redraw:
-                gain = control_lab._draw_gain(dyn, rng)
             s = s + dyn.dt * (drift(step)[:, None] - gain @ (k_col * np.sign(s)))
             history.append(s)
     return np.stack(history)[..., 0]
@@ -322,51 +293,32 @@ class TestIncrementCache:
     STEPS = 150
 
     @staticmethod
-    def template(dim, drift, gain_dev, redraw, seed):
+    def template(dim, drift, gain_dev, seed):
         return dynamics(dim=dim, rho=0.5, s0=np.linspace(2.0, -1.0, dim), drift=drift,
-                        gain_deviation=gain_dev, seed=seed, redraw_gain=redraw)
+                        gain_deviation=gain_dev, seed=seed)
 
-    @pytest.mark.parametrize("redraw", [False, True])
     @pytest.mark.parametrize("gain_dev", GAIN_KINDS)
     @pytest.mark.parametrize("drift", DRIFT_KINDS)
     @pytest.mark.parametrize("dim", [1, 2, 4, 7])
-    def test_history_equals_stepwise_formula(self, dim, drift, gain_dev, redraw):
-        for seed in (5, 17):
-            dyn = self.template(dim, drift, gain_dev, redraw, seed)
-            for ks in self.GAIN_LISTS:
-                got = control_lab._integrate(dyn, ks, self.STEPS)
-                want = _stepwise_history(dyn, ks, self.STEPS)
-                assert got.tobytes() == want.tobytes(), (seed, ks)  # bytes: NaN, inf and -0.0 included
+    @pytest.mark.parametrize("seed", [5, 17])
+    def test_history_equals_stepwise_formula(self, seed, dim, drift, gain_dev):
+        dyn = self.template(dim, drift, gain_dev, seed)
+        for ks in self.GAIN_LISTS:
+            got = control_lab._integrate(dyn, ks, self.STEPS)
+            want = _stepwise_history(dyn, ks, self.STEPS)
+            assert got.tobytes() == want.tobytes(), ks  # bytes: NaN, inf and -0.0 included
 
     @pytest.mark.parametrize("ks", GAIN_LISTS)
     @pytest.mark.parametrize("gain_dev", GAIN_KINDS)
     @pytest.mark.parametrize("dim", [1, 4])
     def test_fixed_drift_and_gain_evaluate_once_per_sign_pattern(self, monkeypatch, dim, gain_dev, ks):
         calls = _count_calls(monkeypatch, "_increment")
-        history = control_lab._integrate(self.template(dim, "constant", gain_dev, False, 5), ks, self.STEPS)
+        history = control_lab._integrate(self.template(dim, "constant", gain_dev, 5), ks, self.STEPS)
         patterns = {np.sign(state).tobytes() for state in history[:-1]}
         assert len(calls) == len(patterns) < self.STEPS
 
-    @pytest.mark.parametrize("drift, gain_dev, redraw", [
-        ("sinusoidal", "seeded", False),
-        ("noise", "zero", False),
-        ("constant", "seeded", True),
-        ("noise", "seeded", True),
-    ])
-    def test_new_drift_or_gain_evaluates_every_step(self, monkeypatch, drift, gain_dev, redraw):
+    @pytest.mark.parametrize("drift, gain_dev", [("sinusoidal", "seeded"), ("noise", "zero")])
+    def test_new_drift_evaluates_every_step(self, monkeypatch, drift, gain_dev):
         calls = _count_calls(monkeypatch, "_increment")
-        control_lab._integrate(self.template(4, drift, gain_dev, redraw, 5), [0.5, 1.0], self.STEPS)
+        control_lab._integrate(self.template(4, drift, gain_dev, 5), [0.5, 1.0], self.STEPS)
         assert len(calls) == self.STEPS
-
-
-class TestDriftEstimator:
-    def test_recovers_constant_drift(self):
-        dyn = dynamics(dt=0.01, k=0.8)
-        report = simulate_sliding(dyn, 300)
-        est = estimate_drift(report.s_history, dyn.w, dyn.k, dyn.dt)
-        # plug-in residual should sit near the true drift bound
-        assert est == pytest.approx(dyn.delta, rel=0.05)
-
-    def test_needs_two_steps(self):
-        with pytest.raises(ValueError):
-            estimate_drift(np.zeros((1, 2)), 1.0, 1.0, 0.1)

@@ -8,7 +8,6 @@ from cfgctrl.metrics import (
     chi_mean,
     fit_gaussian,
     line_residual,
-    lyapunov_audit,
     phase_plane,
     quality_report,
     w2_gaussian,
@@ -276,23 +275,16 @@ class TestPhasePlane:
 
 class TestLyapunovAudit:
     def test_monotone_series_clean(self):
-        trace = make_trace(np.ones(5), s_norm=[5.0, 4.0, 3.0, 2.0, 1.0])
-        count, first = lyapunov_audit(trace, band=0.1)
+        count, first = audit_surface_series(np.array([5.0, 4.0, 3.0, 2.0, 1.0]), band=0.1)
         assert count == 0 and first is None
 
     def test_increase_outside_band_counted(self):
-        trace = make_trace(np.ones(4), s_norm=[3.0, 4.0, 2.0, 1.0])
-        count, first = lyapunov_audit(trace, band=0.5)
+        count, first = audit_surface_series(np.array([3.0, 4.0, 2.0, 1.0]), band=0.5)
         assert count == 1 and first == 0
 
     def test_infinite_band_vacuous(self):
-        trace = make_trace(np.ones(4), s_norm=[1.0, 5.0, 2.0, 9.0])
-        count, _ = lyapunov_audit(trace, band=np.inf)
+        count, _ = audit_surface_series(np.array([1.0, 5.0, 2.0, 9.0]), band=np.inf)
         assert count == 0
-
-    def test_missing_surface_rejected(self):
-        with pytest.raises(ValueError):
-            lyapunov_audit(make_trace([1.0, 0.5]), band=0.1)
 
     def test_series_helper_matches(self):
         s = np.array([3.0, 2.5, 2.6, 1.0])
