@@ -7,7 +7,9 @@ none of its files.
 
 Exit codes: 0 success, 2 config error, 3 a run whose batch kept too few
 trajectories to report on (fewer than dimension + 1) or a synth run whose
-surface state overflowed.
+surface state overflowed. ``compare`` and ``sweep`` share one table path:
+a batch whose law raised, or whose batch kept too few trajectories, is a
+``failed: <reason>`` row, the other rows finish, and the command exits 0.
 """
 
 from __future__ import annotations
@@ -53,15 +55,15 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.out is not None:
         cfg = replace(cfg, output=replace(cfg.output, directory=args.out))
     if args.format is not None:
-        formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
-        for fmt in formats:
-            if fmt not in cfgmod.OUTPUT_FORMATS:
-                raise ConfigError(f"--format: unknown format {fmt!r}")
-        if not formats:
-            raise ConfigError("--format: no valid format given")
-        ordered = tuple(f for f in cfgmod.OUTPUT_FORMATS if f in formats)
-        cfg = replace(cfg, output=replace(cfg.output, formats=ordered))
+        formats = cfgmod.check_formats([f.strip() for f in args.format.split(",") if f.strip()], "--format")
+        cfg = replace(cfg, output=replace(cfg.output, formats=formats))
     return cfg
+
+
+def _setup(args) -> tuple[ExperimentConfig, str, Path]:
+    """The config with the command line's overrides, its fingerprint (the artifact tag) and the output directory."""
+    cfg = _apply_overrides(cfgmod.load_config(args.config), args)
+    return cfg, cfgmod.fingerprint(cfg), Path(cfg.output.directory)
 
 
 def _mean_reach_step(result: RunResult, fraction: float = 0.05) -> float | None:
@@ -86,16 +88,8 @@ def _quality(result: RunResult) -> metrics.QualityReport:
     return metrics.quality_report(result, result.system, result.config.system.target)
 
 
-def _report_row(result: RunResult) -> dict:
-    row = _quality(result).to_dict()
-    row["mean_reach_step"] = _mean_reach_step(result)
-    return row
-
-
 def cmd_run(args) -> int:
-    cfg = _apply_overrides(cfgmod.load_config(args.config), args)
-    tag = cfgmod.fingerprint(cfg)
-    out = Path(cfg.output.directory)
+    cfg, tag, out = _setup(args)
     result = run_batch(cfg)
     try:
         report = _quality(result)
@@ -151,26 +145,32 @@ def _table_csv(key: str, rows: list[dict], first=str) -> str:
     return _csv([key, "status", *_SWEEP_FIELDS], map(cells, rows))
 
 
+def _row(result: RunResult | Exception) -> dict:
+    """A batch's status and report cells; ``failed: <reason>`` if its law raised or its report fails."""
+    if isinstance(result, Exception):
+        return {"status": f"failed: {result}"}
+    try:
+        report = _quality(result)
+    except ValueError as exc:
+        return {"status": f"failed: {exc}"}
+    return {"status": "ok", **report.to_dict(), "mean_reach_step": _mean_reach_step(result)}
+
+
+def _table(key: str, labels, row_cfgs: list[ExperimentConfig]) -> tuple[list[dict], list[RunResult | Exception]]:
+    """Run one batch per config in one lockstep pass; one row per batch, ``key`` holding its label, and the batches.
+
+    A failed row does not stop the others.
+    """
+    results = run_batches(row_cfgs)
+    return [{key: label, **_row(result)} for label, result in zip(labels, results)], results
+
+
 def cmd_sweep(args) -> int:
-    cfg = _apply_overrides(cfgmod.load_config(args.config), args)
+    cfg, tag, out = _setup(args)
     if cfg.sweep is None:
         raise ConfigError("sweep: block missing from config")
-    tag = cfgmod.fingerprint(cfg)
-    out = Path(cfg.output.directory)
-
     row_cfgs = [cfgmod.with_controller_value(cfg, cfg.sweep.parameter, v) for v in cfg.sweep.values]
-    try:
-        results = run_batches(row_cfgs)
-    except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
-        results = [exc] * len(row_cfgs)  # what every row shares failed: so does every row
-    rows = []
-    for value, result in zip(cfg.sweep.values, results):
-        try:
-            if isinstance(result, Exception):
-                raise result
-            rows.append({"value": value, "status": "ok", **_report_row(result)})
-        except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
-            rows.append({"value": value, "status": f"failed: {exc}"})
+    rows, _ = _table("value", cfg.sweep.values, row_cfgs)
     files = {}
     if "csv" in cfg.output.formats:
         files[out / f"sweep_{tag}_table.csv"] = _table_csv("value", rows, _fmt)
@@ -204,30 +204,18 @@ def _compare_controller(name: str, base: ControllerSpec) -> ControllerSpec:
 
 
 def cmd_compare(args) -> int:
-    cfg = _apply_overrides(cfgmod.load_config(args.config), args)
+    cfg, tag, out = _setup(args)
     names = [n.strip() for n in args.controllers.split(",") if n.strip()]
     if len(names) < 2:
         raise ConfigError("--controllers: need at least two controllers to compare")
-    tag = cfgmod.fingerprint(cfg)
-    out = Path(cfg.output.directory)
     seed_print = hashlib.sha256(
         json.dumps([cfg.sampler.seed, cfg.sampler.trajectories]).encode()
     ).hexdigest()[:12]
 
     row_cfgs = [replace(cfg, controller=_compare_controller(name, cfg.controller)) for name in names]
-    rows = []
-    curves = []
-    for name, result in zip(names, run_batches(row_cfgs)):
-        if isinstance(result, Exception):
-            raise result
-        try:
-            rows.append({"controller": name, "status": "ok", **_report_row(result)})
-        except ValueError as exc:
-            rows.append({"controller": name, "status": f"failed: {exc}"})
-            continue
-        steps, curve = _mean_gap_curve(result)
-        curves.append((name, steps, curve))
-
+    rows, results = _table("controller", names, row_cfgs)
+    curves = [(row["controller"], *_mean_gap_curve(result))
+              for row, result in zip(rows, results) if row["status"] == "ok"]
     files = {}
     if "csv" in cfg.output.formats:
         files[out / f"compare_{tag}_table.csv"] = _table_csv("controller", rows)

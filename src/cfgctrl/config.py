@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -84,12 +84,6 @@ class ComponentSpec:
                 m[j, i] = value
         return m
 
-    def to_dict(self) -> dict:
-        cov = {"diag": list(self.cov_payload)} if self.cov_form == "diag" else {
-            "full_lower": [list(r) for r in self.cov_payload]
-        }
-        return {"weight": self.weight, "mean": list(self.mean), "cov": cov}
-
 
 @dataclass(frozen=True)
 class SystemSpec:
@@ -98,24 +92,11 @@ class SystemSpec:
     conditions: dict[str, tuple[int, ...]]
     target: str
 
-    def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "components": [c.to_dict() for c in self.components],
-            "conditions": {name: list(idx) for name, idx in sorted(self.conditions.items())},
-            "target": self.target,
-        }
-
 
 @dataclass(frozen=True)
 class ControllerSpec:
     type: str
     params: dict[str, float | str]
-
-    def to_dict(self) -> dict:
-        out: dict = {"type": self.type}
-        out.update({k: self.params[k] for k in sorted(self.params)})
-        return out
 
 
 @dataclass(frozen=True)
@@ -127,33 +108,17 @@ class SamplerSpec:
     record_x: bool = False
     tau_clamp: float = 1e-4
 
-    def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "steps": self.steps,
-            "trajectories": self.trajectories,
-            "seed": self.seed,
-            "record_x": self.record_x,
-            "tau_clamp": self.tau_clamp,
-        }
-
 
 @dataclass(frozen=True)
 class SweepSpec:
     parameter: str
     values: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {"parameter": self.parameter, "values": list(self.values)}
-
 
 @dataclass(frozen=True)
 class OutputSpec:
     directory: str = "out"
     formats: tuple[str, ...] = ("csv", "json")
-
-    def to_dict(self) -> dict:
-        return {"directory": self.directory, "formats": list(self.formats)}
 
 
 @dataclass(frozen=True)
@@ -163,17 +128,6 @@ class ExperimentConfig:
     sampler: SamplerSpec = field(default_factory=SamplerSpec)
     sweep: SweepSpec | None = None
     output: OutputSpec = field(default_factory=OutputSpec)
-
-    def to_dict(self) -> dict:
-        out = {
-            "system": self.system.to_dict(),
-            "controller": self.controller.to_dict(),
-            "sampler": self.sampler.to_dict(),
-            "output": self.output.to_dict(),
-        }
-        if self.sweep is not None:
-            out["sweep"] = self.sweep.to_dict()
-        return out
 
 
 def _parse_controller(block: dict, path: str) -> ControllerSpec:
@@ -271,6 +225,8 @@ def _parse_sweep(block: dict, path: str, controller: ControllerSpec) -> SweepSpe
     values = block["values"]
     _expect(isinstance(values, list) and values, f"{path}.values", "must be a nonempty list")
     vals = tuple(_as_number(v, f"{path}.values") for v in values)
+    for value in vals:  # the bound the key's value would meet in the controller block
+        _expect(keys[param].bound(value), f"{path}.values", keys[param].message)
     return SweepSpec(param, vals)
 
 
@@ -279,12 +235,15 @@ def _parse_output(block: dict, path: str) -> OutputSpec:
     _require_keys(block, path, (), ("directory", "formats"))
     directory = block.get("directory", defaults.directory)
     _expect(isinstance(directory, str) and directory, f"{path}.directory", "must be a nonempty string")
-    formats = block.get("formats", list(defaults.formats))
-    _expect(isinstance(formats, list) and formats, f"{path}.formats", "must be a nonempty list")
+    return OutputSpec(directory, check_formats(block.get("formats", list(defaults.formats)), f"{path}.formats"))
+
+
+def check_formats(formats, path: str) -> tuple[str, ...]:
+    """A nonempty list of known output formats, in canonical order; the ConfigError names ``path``."""
+    _expect(isinstance(formats, list) and formats, path, "must be a nonempty list")
     for fmt in formats:
-        _expect(fmt in OUTPUT_FORMATS, f"{path}.formats", f"unknown format {fmt!r}")
-    ordered = tuple(fmt for fmt in OUTPUT_FORMATS if fmt in formats)
-    return OutputSpec(directory, ordered)
+        _expect(fmt in OUTPUT_FORMATS, path, f"unknown format {fmt!r}")
+    return tuple(fmt for fmt in OUTPUT_FORMATS if fmt in formats)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -311,15 +270,26 @@ def load_config(path: str) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
+def _canonical(cfg: ExperimentConfig) -> dict:
+    """The config's fields in the shape of its file: a component's cov, the flat controller block, no null sweep."""
+    raw = asdict(cfg)
+    for comp in raw["system"]["components"]:
+        comp["cov"] = {comp.pop("cov_form"): comp.pop("cov_payload")}
+    raw["controller"] = {"type": cfg.controller.type, **cfg.controller.params}
+    if cfg.sweep is None:
+        del raw["sweep"]
+    return raw
+
+
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical JSON text; parsing it back yields an identical structure."""
-    return json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n"
+    return json.dumps(_canonical(cfg), indent=2, sort_keys=True) + "\n"
 
 
 def fingerprint(cfg: ExperimentConfig) -> str:
     """Short stable hash of the experiment content (output location excluded)."""
-    payload = cfg.to_dict()
-    payload.pop("output", None)
+    payload = _canonical(cfg)
+    del payload["output"]
     text = json.dumps(payload, indent=2, sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 

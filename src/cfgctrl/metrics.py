@@ -12,7 +12,7 @@ an analogy chosen for measurability, not a validated perceptual equivalence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,13 +39,7 @@ class QualityReport:
     n_divergent: int
 
     def to_dict(self) -> dict:
-        return {
-            "w2": self.w2,
-            "alignment": self.alignment,
-            "oversaturation": self.oversaturation,
-            "e_decay_ratio": self.e_decay_ratio,
-            "n_divergent": self.n_divergent,
-        }
+        return asdict(self)
 
 
 def fit_gaussian(samples: np.ndarray) -> GaussFit:

@@ -9,8 +9,10 @@ integration itself is noise-free.
 
 Batches run in lockstep as array rows, which keeps per-step numpy work
 vectorized. Batches that differ only in their control law run in one such
-pass (:func:`run_batches`), one block of rows per law. Stacking blocks
-changes no row's arithmetic, so each block equals a run of its law alone.
+pass (:func:`run_batches`), one block of rows per law. With diagonal
+covariances, stacking blocks changes no row's arithmetic, so each block
+equals a run of its law alone bit for bit; with a full covariance a row's
+bits can depend on the batch width, since BLAS picks its kernels by width.
 A batch's result keeps these rows as read-only arrays over its surviving
 trajectories, and the CSV and JSON exports read those arrays through one
 table of cells per batch; per-trajectory :class:`Trace` views are built
@@ -319,9 +321,10 @@ def run_batches(cfgs: list["_config.ExperimentConfig"]) -> list[RunResult | Exce
     """Run one batch per config in one lockstep pass; the configs may differ only in ``controller``.
 
     Every batch starts from the same points and shares each field evaluation,
-    so entry j equals ``run_batch(cfgs[j])`` bit for bit. If building or
-    stepping a config's control law raises, its entry is the exception that
-    run would raise, and the other batches finish.
+    so with diagonal covariances entry j equals ``run_batch(cfgs[j])`` bit for
+    bit; with a full covariance its bits can depend on the width of the whole
+    pass. If building or stepping a config's control law raises, its entry is
+    the exception that run would raise, and the other batches finish.
     """
     if not cfgs:
         return []

@@ -65,6 +65,16 @@ class TestRun:
         assert "system.components[0].mean: must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("formats, message", [
+        ("xml", "--format: unknown format 'xml'"),
+        (",", "--format: must be a nonempty list"),
+    ])
+    def test_bad_format_exits_2_naming_flag(self, tmp_path, capsys, formats, message):
+        cfg = small_config(tmp_path)
+        assert run_cli("run", "--config", cfg, "--format", formats, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         assert run_cli("run", "--config", tmp_path / "absent.json") == 2
 
@@ -169,22 +179,35 @@ class TestSweep:
         rows = json.loads(next(out.glob("sweep_*_table.json")).read_text())["rows"]
         assert [r["status"] for r in rows] == ["failed: need at least 3 non-divergent samples, got 2"] * 2
 
-    def test_raising_law_fails_only_its_row(self, tmp_path):
+    def test_raising_law_fails_only_its_row(self, tmp_path, capsys):
+        # a value whose law would refuse its gain is refused at parse, with the rest of its list
         cfg = small_config(tmp_path, sweep={"parameter": "w", "values": [2.0, -1.0, 5.0]})
         out = tmp_path / "out"
-        assert run_cli("sweep", "--config", cfg, "--out", out) == 0
-        rows = json.loads(next(out.glob("sweep_*_table.json")).read_text())["rows"]
-        assert [r["status"] for r in rows] == ["ok", "failed: guidance scale must be nonnegative", "ok"]
+        assert run_cli("sweep", "--config", cfg, "--out", out) == 2
+        assert capsys.readouterr().err == "config error: sweep.values: guidance scale must be nonnegative\n"
+        assert not out.exists()
 
-    def test_system_failure_fails_every_row(self, tmp_path):
+    @pytest.mark.parametrize("parameter, value, message", [
+        ("w", -1.0, "guidance scale must be nonnegative"),
+        ("k", -0.5, "must be nonnegative"),
+        ("lambda", 0.0, "must be positive"),
+    ])
+    def test_out_of_bound_value_exits_2_naming_field(self, tmp_path, capsys, parameter, value, message):
+        cfg = small_config(tmp_path, sweep={"parameter": parameter, "values": [value]})
+        assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"config error: sweep.values: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_system_failure_fails_every_row(self, tmp_path, capsys):
+        # the system every row shares fails to build: the sweep exits 2, as run and compare do
         cfg = small_config(tmp_path, sweep={"parameter": "w", "values": [2.0, 5.0]})
         raw = json.loads(cfg.read_text())
         raw["system"]["components"][1]["cov"] = {"full_lower": [[1.0], [2.0, 1.0]]}  # not positive definite
         cfg.write_text(json.dumps(raw))
         out = tmp_path / "out"
-        assert run_cli("sweep", "--config", cfg, "--out", out) == 0
-        rows = json.loads(next(out.glob("sweep_*_table.json")).read_text())["rows"]
-        assert len(rows) == 2 and all(r["status"].startswith("failed: system:") for r in rows)
+        assert run_cli("sweep", "--config", cfg, "--out", out) == 2
+        assert capsys.readouterr().err.startswith("config error: system:")
+        assert not out.exists()
 
 
 ALL_SIX = "cfg,weight_schedule,apg,cfg_zero_star,rectified_cfgpp,smc"
@@ -259,6 +282,26 @@ class TestCompare:
         rows = json.loads(next(out.glob("compare_*_report.json")).read_text())["rows"]
         assert [row["status"] for row in rows] == ["ok"] * 6
         assert [row["n_divergent"] for row in rows] == [0, 0, 1, 1, 0, 0]
+
+    def test_law_raising_mid_run_fails_only_its_row(self, tmp_path, monkeypatch):
+        import cfgctrl.guidance
+
+        real = cfgctrl.guidance.apg_combine
+        calls = []
+
+        def flaky(*args):
+            calls.append(1)
+            if len(calls) == 4:
+                raise ValueError("combine failed on call 4")
+            return real(*args)
+
+        monkeypatch.setattr(cfgctrl.guidance, "apg_combine", flaky)
+        cfg = small_config(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli("compare", "--config", cfg, "--controllers", ALL_SIX, "--out", out) == 0
+        rows = json.loads(next(out.glob("compare_*_report.json")).read_text())["rows"]
+        assert rows[2] == {"controller": "apg", "status": "failed: combine failed on call 4"}
+        assert [row["status"] for i, row in enumerate(rows) if i != 2] == ["ok"] * 5
 
     def test_too_few_survivors_fail_only_that_row(self, tmp_path, monkeypatch):
         import cfgctrl.sampler

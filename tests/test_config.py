@@ -17,6 +17,8 @@ from cfgctrl.config import (
 )
 from cfgctrl.guidance import CONTROLLERS
 
+from conftest import REFERENCE_CONFIG
+
 
 def minimal_dict(**controller):
     return {
@@ -216,6 +218,14 @@ def test_controller_bounds_name_the_key(kind):
 
 
 class TestFingerprint:
+    @pytest.mark.parametrize("sweep, tag", [(None, "2390d759fe08"), ([1, 2, 5, 10, 15], "4d5953bd0fe1")])
+    def test_reference_tags_pinned(self, sweep, tag):
+        # every artifact name holds this tag, so a serialization change that moves it renames them all
+        raw = json.loads(REFERENCE_CONFIG.read_text())
+        if sweep is not None:
+            raw["sweep"] = {"parameter": "w", "values": sweep}
+        assert fingerprint(config_from_dict(raw)) == tag
+
     def test_stable_across_output_location(self):
         from dataclasses import replace
 

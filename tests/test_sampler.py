@@ -777,7 +777,7 @@ class TestColumns:
         raw = json.loads(REFERENCE_CONFIG.read_text())
         raw["sampler"].update(trajectories=12, steps=16)
         raw["sampler"]["seed"] = 3
-        raw["sweep"] = {"parameter": "w", "values": [1, 5, -1]}
+        raw["sweep"] = {"parameter": "w", "values": [1, 5, 1e300]}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
 
@@ -788,6 +788,8 @@ class TestColumns:
         laws = "cfg,weight_schedule,apg,cfg_zero_star,rectified_cfgpp,smc"
         assert cli_main(["compare", "--config", str(path), "--controllers", laws, "--out", str(tmp_path / "out")]) == 0
         assert cli_main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        sweep_rows = json.loads(next((tmp_path / "out").glob("sweep_*_table.json")).read_text())["rows"]
+        assert [row["status"] for row in sweep_rows] == ["ok", "ok", "failed: every trajectory diverged"]
         assert cli_main(["run", "--config", str(path), "--format", "csv,json,svg", "--out", str(tmp_path / "out")]) == 0
         assert len(list((tmp_path / "out").iterdir())) == 3 + 6 + 5
         cfg = replace(reference_config, sampler=replace(reference_config.sampler, trajectories=10_000))
