@@ -129,11 +129,21 @@ _SWEEP_FIELDS = ("w2", "alignment", "oversaturation", "e_decay_ratio", "mean_rea
 
 
 def _csv(header: list[str], rows) -> str:
-    """The header line, then one line per row of text cells; a cell holding a comma, a quote or a line break is quoted."""
+    """The header line, then one line per row of text cells; a cell holding a comma, a quote or a line break is quoted.
+
+    Only a status cell can need quotes, so the plain join is made first and
+    kept if its separators are all the ones the join put in.
+    """
+    lines = [header, *rows]
+    text = "".join(",".join(cells) + "\n" for cells in lines)
+    if (text.count(",") == sum(map(len, lines)) - len(lines) and text.count("\n") == len(lines)
+            and '"' not in text and "\r" not in text):
+        return text
+
     def cell(c):
         return '"' + c.replace('"', '""') + '"' if "," in c or '"' in c or "\r" in c or "\n" in c else c
 
-    return "".join(",".join(map(cell, cells)) + "\n" for cells in [header, *rows])
+    return "".join(",".join(map(cell, cells)) + "\n" for cells in lines)
 
 
 def _table_csv(key: str, rows: list[dict], first=str) -> str:

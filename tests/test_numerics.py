@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from cfgctrl.numerics import Rng, row_norm, row_sum, spectral_norm, stream_normals
+from cfgctrl.numerics import Rng, _philox_words, _ziggurat_tables, row_norm, row_sum, spectral_norm, stream_normals
 from cfgctrl.sampler import DIVERGENCE_NORM
 
 from conftest import gaussian_sample, layouts
@@ -50,15 +52,72 @@ def mixed_magnitudes(rng: Rng, shape) -> np.ndarray:
     return a
 
 
-class TestStreamNormals:
-    @pytest.mark.parametrize("seed", [0, 7, -1, 2**64 + 3])
-    @pytest.mark.parametrize("dim", [1, 2, 5])
-    def test_rows_are_stream_draws(self, seed, dim):
-        stacked = np.stack([Rng(seed, stream=i).standard_normal(dim) for i in range(40)])
-        assert same_bits(stream_normals(seed, 40, dim), stacked)
+STREAM_SEEDS = [0, 1, 7, -1, 2**63 + 5, 2**64 - 1, 2**64 + 3]
+MASK64 = 2**64 - 1
 
-    def test_no_rows(self):
-        assert stream_normals(3, 0, 2).shape == (0, 2)
+
+@functools.lru_cache(maxsize=1)
+def stream_rows(seed: int, dim: int) -> np.ndarray:
+    """Rows 0..2999 drawn by one ``Rng`` per stream: the reference for ``stream_normals``."""
+    return np.stack([Rng(seed, stream=i).standard_normal(dim) for i in range(3000)])
+
+
+def fallback_rows(seed: int, n: int, dim: int) -> int:
+    """Rows of ``stream_normals(seed, n, dim)`` with a word off the tables' fast path, redrawn by numpy."""
+    ki, _ = _ziggurat_tables()
+    r = _philox_words(seed, n, -(-dim // 4))[:, :dim]
+    return int((((r >> 9) & (2**52 - 1)) >= ki[r & 0xFF]).any(axis=1).sum())
+
+
+def sfc64_draw(idx: int, rabs: int, sign: int = 0) -> tuple[float, bool]:
+    """numpy's standard normal from the first word ``rabs << 9 | sign << 8 | idx``, and whether it used that word alone."""
+    bitgen = np.random.SFC64()
+    bitgen.state = {"bit_generator": "SFC64", "state": {"state": [rabs << 9 | sign << 8 | idx, 0, 0, 0]},
+                    "has_uint32": 0, "uinteger": 0}
+    x = np.random.Generator(bitgen).standard_normal()
+    return x, int(bitgen.state["state"]["state"][3]) == 1
+
+
+class TestStreamNormals:
+    @pytest.mark.parametrize("n", [0, 1, 37, 3000])  # n varies fastest, so each reference is drawn once
+    @pytest.mark.parametrize("dim", range(1, 17))
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_rows_are_stream_draws(self, seed, dim, n):
+        assert same_bits(stream_normals(seed, n, dim), stream_rows(seed, dim)[:n])
+        if n == 3000:  # the vectorized rows and the redrawn ones both take part
+            assert 0 < fallback_rows(seed, n, dim) < n
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    @pytest.mark.parametrize("blocks", [1, 2, 4])
+    def test_words_are_philox_words(self, seed, blocks):
+        words = _philox_words(seed, 37, blocks)
+        assert words.shape == (37, 4 * blocks) and words.dtype == np.uint64
+        for i in range(37):
+            key = np.array([seed & MASK64, i], dtype=np.uint64)  # a list key of 2**63 or more goes through float
+            assert same_bits(words[i], np.random.Philox(key=key).random_raw(4 * blocks))
+
+
+class TestZigguratTables:
+    def test_wi_is_the_draw_at_rabs_one(self):
+        _, wi = _ziggurat_tables()
+        assert all(same_bits(sfc64_draw(i, 1)[0], wi[i]) for i in range(256))
+
+    def test_ki_is_numpys_fast_path_bound_or_one_below(self):
+        ki, _ = _ziggurat_tables()
+        assert ki[1] == 0 and not sfc64_draw(1, 0)[1]  # numpy takes no fast path in strip 1
+        for i in [0, *range(2, 256)]:
+            k = int(ki[i])
+            assert k > 0 and sfc64_draw(i, k - 1)[1], i
+            assert not sfc64_draw(i, k + 1)[1], i
+        assert not sfc64_draw(0, int(ki[0]))[1]  # strip 0's bound is bisected exactly
+
+    @pytest.mark.parametrize("sign", [0, 1])
+    def test_fast_path_draw_is_rabs_times_wi(self, sign):
+        ki, wi = _ziggurat_tables()
+        for i in [0, *range(2, 256)]:
+            for rabs in (0, 1, int(ki[i]) // 3, int(ki[i]) - 1):
+                x, fast = sfc64_draw(i, rabs, sign)
+                assert fast and same_bits(x, -(rabs * wi[i]) if sign else rabs * wi[i]), (i, rabs)
 
 
 class TestRowReductions:
