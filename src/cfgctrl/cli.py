@@ -32,8 +32,15 @@ from .sampler import RunResult, run_batch, run_batches, traces_to_csv, traces_to
 
 
 def _write_text(files: dict[Path, str]) -> None:
-    """Write every file, skipping one that already holds its bytes; if one holds other bytes, write none."""
+    """Write every file, skipping one that already holds its bytes.
+
+    If one holds other bytes, or a file stands where a directory must be, write none and make no directory.
+    """
     data = {path: content.encode("utf-8") for path, content in files.items()}
+    for directory in {path.parent for path in data}:
+        found = next(p for p in (directory, *directory.parents) if p.exists())  # the root, "." or "/", exists
+        if not found.is_dir():
+            raise ConfigError(f"output directory {directory}: {found} is not a directory")
     for path, blob in data.items():
         if path.exists() and path.read_bytes() != blob:
             raise ConfigError(f"refusing to overwrite {path} with different content")
@@ -261,6 +268,8 @@ def _synth_k_values(args) -> list[float] | None:
         if not holds(value):
             raise ConfigError(f"{flag}: {message}, got {value!r}")
     if not args.corridor:
+        if args.k_values is not None:
+            raise ConfigError("--k-values: only a --corridor run takes a list of gains")
         return None
     if not args.k_values:
         raise ConfigError("--k-values: required with --corridor")

@@ -55,7 +55,7 @@ class FlowSystem:
         if not components:
             raise ValueError("FlowSystem needs at least one component")
         dim = np.asarray(components[0].mean, dtype=float).shape[0]
-        weights, means, covs = [], [], []
+        weights, means, covs, chols = [], [], [], []
         for i, comp in enumerate(components):
             w = float(comp.weight)
             mean = np.asarray(comp.mean, dtype=float)
@@ -66,7 +66,7 @@ class FlowSystem:
                 raise ValueError(f"component {i}: mean dimension {mean.shape} != {dim}")
             if cov.shape != (dim, dim):
                 raise ValueError(f"component {i}: covariance shape {cov.shape} != ({dim}, {dim})")
-            np.linalg.cholesky(cov)  # SPD gate; raises LinAlgError otherwise
+            chols.append(np.linalg.cholesky(cov))  # SPD gate; raises LinAlgError otherwise
             weights.append(w)
             means.append(mean)
             covs.append(cov)
@@ -78,7 +78,7 @@ class FlowSystem:
         self._weights = np.asarray(weights)
         self._means = np.stack(means)
         self._covs = np.stack(covs)
-        self._chols = np.stack([np.linalg.cholesky(c) for c in covs])
+        self._chols = np.stack(chols)
         eigvals, eigvecs = [], []
         for c in covs:
             lam, q = np.linalg.eigh(c)

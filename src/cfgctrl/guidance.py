@@ -51,7 +51,7 @@ class StepContext:
 
 @dataclass
 class SlidingState:
-    """Per-trajectory state of the sliding-mode law.
+    """State of the sliding-mode law, one row per trajectory it steps.
 
     ``e_prev`` is absent only before the first step. It always stores the raw
     measured gap, never the corrected one, so the surface reflects the true
@@ -77,8 +77,9 @@ class SlidingState:
 class ControlLaw:
     """A guidance variant plus its parameters and (for smc) mutable state.
 
-    One instance serves exactly one trajectory at a time; call :meth:`reset`
-    before reuse. Stateless variants can be shared read-only.
+    One instance steps one batch of rows at a time (a lone trajectory, or
+    one block of a lockstep pass); call :meth:`reset` before reuse.
+    Stateless variants can be shared read-only.
     """
 
     variant: str
@@ -290,8 +291,6 @@ def _rectified_cfgpp_step(law, v_c, v_u, x, ctx, evaluator, update_state):
 
 
 def _smc_step(law, v_c, v_u, x, ctx, evaluator, update_state):
-    if law.sliding is None:
-        law.reset()
     v_hat, new_state, _ = smc_step(v_c, v_u, ctx, law.sliding)
     if update_state:
         law.sliding = new_state

@@ -102,8 +102,8 @@ class RunResult:
     s_norm: np.ndarray | None  # (n_alive, steps)
     x_path: np.ndarray | None  # (n_alive, steps, dim)
     s_path: np.ndarray | None  # (n_alive, steps, dim)
-    divergences: dict[int, int]  # run_id -> step at which the state blew up
-    config: "_config.ExperimentConfig"
+    divergences: dict[int, int]  # run_id -> step at which the state blew up, in run_id order
+    config: "_config.ExperimentConfig | None"  # None for a block that no config ran
     system: FlowSystem
     n_trajectories: int
 
@@ -114,7 +114,9 @@ class RunResult:
     @cached_property
     def traces(self) -> list[Trace]:
         """One Trace per surviving row, built on first read; its arrays are views of the columns."""
-        return _row_traces(**{name: getattr(self, name) for name in _COLUMNS})
+        optional = (repeat(None) if column is None else column for column in (self.s_norm, self.x_path, self.s_path))
+        rows = zip(self.run_ids.tolist(), self.e_norm, self.vhat_norm, self.finals, *optional)
+        return [Trace(run_id, self.tau, *row) for run_id, *row in rows]
 
     @cached_property
     def _cells(self) -> list[tuple[tuple[str, ...], bool] | None]:
@@ -131,27 +133,6 @@ class RunResult:
         ]
 
 
-# The per-row columns of a batch, in RunResult's order; tau is shared by every row.
-_COLUMNS = ("run_ids", "tau", "e_norm", "vhat_norm", "finals", "s_norm", "x_path", "s_path")
-
-
-def _row_traces(run_ids, tau, e_norm, vhat_norm, finals, s_norm, x_path, s_path) -> list[Trace]:
-    """One Trace per row of the columns, holding views of that row."""
-    return [
-        Trace(
-            run_id=run_id,
-            tau=tau,
-            e_norm=e_norm[i],
-            vhat_norm=vhat_norm[i],
-            x_final=finals[i],
-            s_norm=None if s_norm is None else s_norm[i],
-            x_path=None if x_path is None else x_path[i],
-            s_path=None if s_path is None else s_path[i],
-        )
-        for i, run_id in enumerate(run_ids.tolist())
-    ]
-
-
 def _integrate_rows(
     system: FlowSystem,
     laws: list[ControlLaw],
@@ -159,15 +140,14 @@ def _integrate_rows(
     cond: str | None,
     x0: np.ndarray,
     record_x: bool,
-) -> list[tuple[dict[str, np.ndarray | None], dict[int, int]] | Exception]:
+) -> list[RunResult | Exception]:
     """Advance one block of trajectories per law in lockstep; laws must be freshly reset.
 
     Every block starts from ``x0``, whose row i is trajectory i; rows
     ``j*n`` to ``(j+1)*n`` belong to ``laws[j]``. All rows share each field
     evaluation and each law steps its own rows, so a block's bits equal a
-    run of its law alone. Entry j is that block's columns (keyed by
-    ``_COLUMNS``, over its surviving rows) and divergences or, if its law
-    raised, the exception; the other blocks finish.
+    run of its law alone. Entry j is that block's result, with no config,
+    or, if its law raised, the exception; the other blocks finish.
     """
     n, dim = x0.shape
     n_steps = integ.steps
@@ -180,8 +160,8 @@ def _integrate_rows(
     # Fortran order: x.T is the field kernel's (d, n) columns without a copy, and its results come back column-ordered
     x = np.asfortranarray(np.tile(x0, (len(laws), 1)))
     alive = np.ones(len(x), dtype=bool)
+    div_step = np.full(len(x), -1)  # the step at which a row left the envelope, -1 while it has not
     failed: dict[int, Exception] = {}
-    div_steps: list[dict[int, int]] = [{} for _ in laws]
     e_hist = np.zeros((n_steps, len(x)))
     v_hist = np.zeros((n_steps, len(x)))
     s_hist = np.zeros((n_steps, len(x))) if has_surface else None
@@ -210,11 +190,14 @@ def _integrate_rows(
             out[blocks[j]] = part
         return out
 
-    def mark_divergent(bad: np.ndarray, step: int) -> None:
-        for row in np.flatnonzero(bad).tolist():
-            div_steps[row // n][row % n] = step
-        alive[bad] = False
-        x[bad] = 0.0
+    def retire(points: np.ndarray, step: int) -> None:
+        """Flag the live rows whose ``points`` left the envelope at ``step`` and zero their state."""
+        # NaN, +-inf and an overflowing square all fail the comparison
+        bad = alive & ~(row_norm(points) <= DIVERGENCE_NORM)
+        if bad.any():
+            div_step[bad] = step
+            alive[bad] = False
+            x[bad] = 0.0
 
     with np.errstate(all="ignore"):
         for i in range(n_steps):
@@ -233,9 +216,7 @@ def _integrate_rows(
                 x_hist[i] = x
             if heun:
                 x_pred = x + dtau * v_hat
-                bad = alive & ~(row_norm(x_pred) <= DIVERGENCE_NORM)
-                if bad.any():
-                    mark_divergent(bad, i)
+                retire(x_pred, i)
                 if not alive.all():  # a dead row's own velocity may be NaN: evaluate it at the origin
                     x_pred[~alive] = 0.0
                 v_c2, v_u2 = evaluator(x_pred, t + dtau)
@@ -247,18 +228,15 @@ def _integrate_rows(
                 v_use = v_hat
             v_hist[i] = row_norm(v_use)
             x_new = x + dtau * v_use
-            # NaN, +-inf and an overflowing square all fail the comparison
-            bad = alive & ~(row_norm(x_new) <= DIVERGENCE_NORM)
             x = np.where(alive[:, None], x_new, x)
-            if bad.any():
-                mark_divergent(bad, i)
+            retire(x_new, i)
 
     # One transposing copy per history: (rows, steps) and C-contiguous, the layout a mean over rows keeps its bits on.
     e_rows, v_rows, s_rows, x_rows, sv_rows = (
         None if h is None else np.swapaxes(h, 0, 1).copy() for h in (e_hist, v_hist, s_hist, x_hist, sv_hist)
     )
     ids = np.arange(n)
-    results: list = []
+    results: list[RunResult | Exception] = []
     for j, (law, rows) in enumerate(zip(laws, blocks)):
         if j in failed:
             results.append(failed[j])
@@ -267,17 +245,21 @@ def _integrate_rows(
         # a slice keeps a whole block as views; only a block that lost rows is copied
         pick = slice(0, n) if len(kept) == n else kept
         surface = law.sliding is not None
-        columns = _read_only({
-            "run_ids": ids[pick],
-            "e_norm": e_rows[rows][pick],
-            "vhat_norm": v_rows[rows][pick],
-            "finals": np.ascontiguousarray(x[rows][pick]),  # C order, which a mean over rows keeps its bits on
-            "s_norm": s_rows[rows][pick] if surface else None,
-            "x_path": x_rows[rows][pick] if x_rows is not None else None,
-            "s_path": sv_rows[rows][pick] if surface and sv_rows is not None else None,
-            "tau": taus,
-        })
-        results.append((columns, div_steps[j]))
+        dead = np.flatnonzero(div_step[rows] >= 0)
+        results.append(RunResult(
+            **_read_only({
+                "run_ids": ids[pick],
+                "tau": taus,
+                "e_norm": e_rows[rows][pick],
+                "vhat_norm": v_rows[rows][pick],
+                "finals": np.ascontiguousarray(x[rows][pick]),  # C order, which a mean over rows keeps its bits on
+                "s_norm": s_rows[rows][pick] if surface else None,
+                "x_path": x_rows[rows][pick] if x_rows is not None else None,
+                "s_path": sv_rows[rows][pick] if surface and sv_rows is not None else None,
+            }),
+            divergences=dict(zip(dead.tolist(), div_step[rows][dead].tolist())),
+            config=None, system=system, n_trajectories=n,
+        ))
     return results
 
 
@@ -299,11 +281,9 @@ def sample_trajectory(
     (result,) = _integrate_rows(system, [law], integ, cond, x0, record_x)
     if isinstance(result, Exception):
         raise result
-    columns, divergences = result
-    if divergences:
-        raise DivergenceError(divergences[0], 0)
-    (trace,) = _row_traces(**columns)
-    return trace
+    if result.divergences:
+        raise DivergenceError(result.divergences[0], 0)
+    return result.traces[0]
 
 
 def run_batch(cfg: "_config.ExperimentConfig") -> RunResult:
@@ -346,17 +326,9 @@ def run_batches(cfgs: list["_config.ExperimentConfig"]) -> list[RunResult | Exce
             results[j] = exc
     blocks = _integrate_rows(system, laws, integ, base.system.target, x0, base.sampler.record_x) if laws else []
     for j, block in zip(built, blocks):
-        if isinstance(block, Exception):
-            results[j] = block
-            continue
-        columns, divergences = block
-        results[j] = RunResult(
-            **columns,
-            divergences=dict(sorted(divergences.items())),
-            config=cfgs[j],
-            system=system,
-            n_trajectories=n,
-        )
+        if not isinstance(block, Exception):
+            block.config = cfgs[j]
+        results[j] = block
     return results
 
 

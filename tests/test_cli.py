@@ -32,6 +32,18 @@ def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
 
 
+def assert_out_refused(tmp_path, capsys, under_file, *argv):
+    """With --out naming a file, or a path under one, the command exits 2 naming it and leaves the tree as it was."""
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file\n")
+    out = blocker / "sub" if under_file else blocker
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli(*argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: output directory ") and str(out) in err
+    assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == "a file\n"
+
+
 class TestRun:
     def test_smoke_writes_outputs(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -89,6 +101,10 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"need at least 3 non-divergent samples, got {trajectories}" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_out_blocked_by_a_file_exits_2(self, tmp_path, capsys, under_file):
+        assert_out_refused(tmp_path, capsys, under_file, "run", "--config", small_config(tmp_path))
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -422,6 +438,10 @@ class TestSynth:
         assert run_cli("synth", *flags, "--out", out) == 0
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_out_blocked_by_a_file_exits_2(self, tmp_path, capsys, under_file):
+        assert_out_refused(tmp_path, capsys, under_file, "synth", "--steps", "50")
+
     def test_overflow_exits_3_without_artifacts(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert run_cli("synth", "--w", "1e300", "--k", "1e10", "--steps", "50", "--out", out) == 3
@@ -482,6 +502,7 @@ class TestSynth:
             (["--corridor", "--k-values", "0.1,abc"], "--k-values"),
             (["--corridor", "--k-values", "0.1,-2"], "--k-values"),
             (["--corridor", "--k-values", "0.1,inf"], "--k-values"),
+            (["--k-values", "0.1,0.2", "--steps", "50"], "--k-values"),
         ],
     )
     def test_bad_flag_exits_2_naming_it(self, tmp_path, capsys, flags, named):

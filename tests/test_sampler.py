@@ -731,7 +731,7 @@ class TestColumns:
         assert any(result.n_divergent for result in results) == blown_up
         for result in results:
             assert (result.x_path is not None) == record_x
-            for name in cfgctrl.sampler._COLUMNS:
+            for name in ("run_ids", "tau", "e_norm", "vhat_norm", "finals", "s_norm", "x_path", "s_path"):
                 column = getattr(result, name)
                 assert column is None or column.flags.c_contiguous, name
 
