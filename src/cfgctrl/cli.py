@@ -58,7 +58,7 @@ def _fmt(value) -> str:
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.seed is not None:
-        cfg = cfgmod.with_seed(cfg, args.seed)
+        cfg = cfgmod.with_seed(cfg, cfgmod.check_seed(args.seed, "--seed"))
     if args.out is not None:
         cfg = replace(cfg, output=replace(cfg.output, directory=args.out))
     if args.format is not None:
@@ -261,6 +261,7 @@ _SYNTH_FLAGS = (
 
 def _synth_k_values(args) -> list[float] | None:
     """Check every synth flag; returns the parsed --k-values of a corridor run."""
+    cfgmod.check_seed(args.seed, "--seed")
     for flag, attr, holds, message in _SYNTH_FLAGS:
         value = getattr(args, attr)
         if not math.isfinite(value):

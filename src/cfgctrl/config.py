@@ -66,6 +66,13 @@ def _as_int(value, path: str, minimum: int | None = None) -> int:
     return value
 
 
+def check_seed(value, path: str) -> int:
+    """A seed in [0, 2**64): the random streams key on the seed mod 2**64, so any other would rerun one of those."""
+    _expect(isinstance(value, int) and not isinstance(value, bool), path, "must be an integer")
+    _expect(0 <= value < 2**64, path, "must lie in [0, 2**64)")
+    return value
+
+
 @dataclass(frozen=True)
 class ComponentSpec:
     weight: float
@@ -208,7 +215,7 @@ def _parse_sampler(block: dict, path: str) -> SamplerSpec:
     _expect(scheme in SCHEMES, f"{path}.scheme", f"unknown scheme {scheme!r}")
     steps = _as_int(block.get("steps", defaults.steps), f"{path}.steps", 2)
     traj = _as_int(block.get("trajectories", defaults.trajectories), f"{path}.trajectories", 1)
-    seed = _as_int(block.get("seed", defaults.seed), f"{path}.seed")
+    seed = check_seed(block.get("seed", defaults.seed), f"{path}.seed")
     record_x = block.get("record_x", defaults.record_x)
     _expect(isinstance(record_x, bool), f"{path}.record_x", "must be a boolean")
     clamp = _as_number(block.get("tau_clamp", defaults.tau_clamp), f"{path}.tau_clamp")

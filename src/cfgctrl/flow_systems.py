@@ -15,8 +15,9 @@ combined with their posterior responsibilities at (x, tau).
 
 The kernel is coordinate-major: it evaluates a (..., d) probe on its (d, n)
 transpose, with (K, n) responsibilities, so each per-coordinate step is one
-numpy call over n contiguous values. Its bits equal those of the row-major
-per-component formula that the tests keep as the oracle.
+numpy call over n contiguous values. A component whose eigenvectors are the
+identity skips both eigenbasis rotations. Its bits equal those of the
+row-major per-component formula that the tests keep as the oracle.
 
 The same conditional expectation can be estimated model-free by kernel
 regression over sampled pairs; :func:`mc_velocity_oracle` implements that
@@ -86,6 +87,8 @@ class FlowSystem:
             eigvecs.append(q)
         self._eigvals = np.stack(eigvals)  # (K, d)
         self._eigvecs = np.stack(eigvecs)  # (K, d, d), columns are eigenvectors
+        # components whose eigenbasis is the coordinate basis: the field kernel skips their rotations
+        self._unrotated = tuple(bool(np.array_equal(q, np.eye(self.dim))) for q in eigvecs)
 
         self.conditions: dict[str, tuple[int, ...]] = {}
         for name, subset in (conditions or {}).items():
@@ -163,20 +166,22 @@ def _component_pass(sys: FlowSystem, x: np.ndarray, tau: float, log_norm: float,
     """
     xt = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)  # no copy for a Fortran-order (n, d) batch
     one_m = (1.0 - tau) ** 2
+    sq = np.empty(xt.shape)  # every component's squares: at batch size a fresh array costs more than a pass
     logs, vels = {}, {}
     for k in ks:
         spectrum = tau * tau * sys._eigvals[k] + one_m  # path covariance eigenvalues
         q = sys._eigvecs[k]
         buf = xt - (tau * sys._means[k])[:, None]
-        zt = q.T @ buf
-        np.multiply(zt, zt, out=buf)  # buf and zt are reused: at batch size a fresh array costs more than a pass
-        buf /= spectrum[:, None]
-        logs[k] = -0.5 * row_sum(buf.T) - 0.5 * float(np.log(spectrum).sum()) - log_norm
+        # a product with the identity could change only the sign of a zero, which _mix's sum from +0.0 drops
+        zt = buf if sys._unrotated[k] else q.T @ buf
+        np.multiply(zt, zt, out=sq)
+        sq /= spectrum[:, None]
+        logs[k] = -0.5 * row_sum(sq.T) - 0.5 * float(np.log(spectrum).sum()) - log_norm
         if velocity:
             # E[x1 | x] - E[x0 | x] from joint-Gaussian conditioning, in eigenbasis.
             zt *= ((tau * sys._eigvals[k] - (1.0 - tau)) / spectrum)[:, None]
-            vels[k] = np.matmul(q, zt, out=buf)
-            buf += sys._means[k][:, None]
+            vels[k] = zt if sys._unrotated[k] else np.matmul(q, zt, out=buf)
+            vels[k] += sys._means[k][:, None]
     return logs, vels
 
 

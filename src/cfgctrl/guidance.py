@@ -12,6 +12,9 @@ controllers acting on the prediction gap e = v_cond - v_uncond:
 * ``smc``             sliding-mode switching correction of the gap
 
 Vector arguments may carry leading batch axes; everything broadcasts row-wise.
+A law never writes into its arguments and returns a fresh array, which the
+caller may overwrite. It builds that array in place, each operation on the
+operands of its docstring's formula in their order, so the bits are the formula's.
 :data:`CONTROLLERS` is the one description of each law: its config keys and
 its step function. Config parsing, law building, dispatch and the CLI's
 ``compare`` all read it.
@@ -116,7 +119,8 @@ def cfg_combine(v_c: np.ndarray, v_u: np.ndarray, w: float) -> np.ndarray:
     v_u = np.asarray(v_u, dtype=float)
     if v_c.shape != v_u.shape:
         raise ValueError(f"velocity shapes differ: {v_c.shape} vs {v_u.shape}")
-    return v_u + w * (v_c - v_u)
+    gap = v_c - v_u
+    return np.add(v_u, np.multiply(w, gap, out=gap), out=gap)
 
 
 def weight_schedule(ctx: StepContext, shape: str, w_max: float) -> float:
@@ -164,11 +168,13 @@ def apg_combine(v_c: np.ndarray, v_u: np.ndarray, w: float, eta: float) -> np.nd
         raise ValueError(f"velocity shapes differ: {v_c.shape} vs {v_u.shape}")
     if eta > 1.0:
         raise ValueError(f"eta = {eta} must be <= 1")
-    norm_sq = _nan_where_zero(row_sum(v_c * v_c)[..., None], "conditional velocity is zero; projection undefined")
-    dv = v_c - v_u
-    dv_par = (row_sum(dv * v_c)[..., None] / norm_sq) * v_c
-    dv_perp = dv - dv_par
-    return v_u + w * (dv_perp + eta * dv_par)
+    work = v_c * v_c
+    norm_sq = _nan_where_zero(row_sum(work)[..., None], "conditional velocity is zero; projection undefined")
+    out = v_c - v_u  # dv, then dv_perp, then the guided velocity
+    dv_par = np.multiply(row_sum(np.multiply(out, v_c, out=work))[..., None] / norm_sq, v_c, out=work)
+    np.subtract(out, dv_par, out=out)
+    np.add(out, np.multiply(eta, dv_par, out=dv_par), out=out)
+    return np.add(v_u, np.multiply(w, out, out=out), out=out)
 
 
 def cfg_zero_star_combine(v_c: np.ndarray, v_u: np.ndarray, w: float) -> np.ndarray:
@@ -182,10 +188,12 @@ def cfg_zero_star_combine(v_c: np.ndarray, v_u: np.ndarray, w: float) -> np.ndar
     v_u = np.asarray(v_u, dtype=float)
     if v_c.shape != v_u.shape:
         raise ValueError(f"velocity shapes differ: {v_c.shape} vs {v_u.shape}")
-    norm_sq = _nan_where_zero(row_sum(v_u * v_u)[..., None], "unconditional velocity is zero; rescaling undefined")
-    s_star = row_sum(v_c * v_u)[..., None] / norm_sq
-    base = s_star * v_u
-    return base + w * (v_c - base)
+    work = v_u * v_u
+    norm_sq = _nan_where_zero(row_sum(work)[..., None], "unconditional velocity is zero; rescaling undefined")
+    s_star = row_sum(np.multiply(v_c, v_u, out=work))[..., None] / norm_sq
+    base = np.multiply(s_star, v_u, out=work)
+    out = v_c - base
+    return np.add(base, np.multiply(w, out, out=out), out=out)
 
 
 def rectified_cfgpp_combine(
@@ -207,11 +215,13 @@ def rectified_cfgpp_combine(
     """
     if v_c is None:
         v_c, _ = evaluator(x, ctx.tau)
-    x_mid = x + 0.5 * ctx.dtau * v_c
+    x_mid = np.multiply(0.5 * ctx.dtau, v_c)
+    np.add(x, x_mid, out=x_mid)
     tau_mid = min(ctx.tau + 0.5 * ctx.dtau, 0.5 * (ctx.tau + 1.0))
     v_c_mid, v_u_mid = evaluator(x_mid, tau_mid)
     alpha = lam_max * ctx.tau**gamma
-    return v_c + alpha * (v_c_mid - v_u_mid)
+    gap = v_c_mid - v_u_mid
+    return np.add(v_c, np.multiply(alpha, gap, out=gap), out=gap)
 
 
 def smc_step(
@@ -233,16 +243,18 @@ def smc_step(
     v_u = np.asarray(v_u, dtype=float)
     if v_c.shape != v_u.shape:
         raise ValueError(f"velocity shapes differ: {v_c.shape} vs {v_u.shape}")
-    e = v_c - v_u
+    e = v_c - v_u  # e and s are fresh every step: the state keeps them
     e_prev = e if state.e_prev is None else state.e_prev
-    s = (e - e_prev) + state.lam * e_prev
+    s = e - e_prev
+    delta_e = np.multiply(state.lam, e_prev)  # then the switch, then the correction
+    np.add(s, delta_e, out=s)
     if state.boundary_layer > 0.0:
-        switch = np.clip(s / state.boundary_layer, -1.0, 1.0)
+        np.clip(np.divide(s, state.boundary_layer, out=delta_e), -1.0, 1.0, out=delta_e)
     else:
-        switch = np.sign(s)
-    delta_e = -state.k * switch
-    e_corrected = e + delta_e
-    v_hat = v_u + ctx.w * e_corrected
+        np.sign(s, out=delta_e)
+    np.multiply(-state.k, delta_e, out=delta_e)
+    v_hat = e + delta_e  # e_corrected
+    np.add(v_u, np.multiply(ctx.w, v_hat, out=v_hat), out=v_hat)
     new_state = replace(state, e_prev=e, s=s)
     return v_hat, new_state, {"s": s, "delta_e": delta_e}
 

@@ -159,6 +159,11 @@ def _integrate_rows(
 
     # Fortran order: x.T is the field kernel's (d, n) columns without a copy, and its results come back column-ordered
     x = np.asfortranarray(np.tile(x0, (len(laws), 1)))
+    # work arrays in x's layout, written in place every step: at batch size a fresh array costs more than a pass
+    x_new = np.empty_like(x)  # holds each step's gap v_c - v_u before its new state
+    x_pred = np.empty_like(x) if heun else None
+    # the guided velocity of several laws, one array per stage (keyed by update_state), since both live at once
+    stage_out = {stage: np.empty_like(x) for stage in (True, False)} if len(laws) > 1 else None
     alive = np.ones(len(x), dtype=bool)
     div_step = np.full(len(x), -1)  # the step at which a row left the envelope, -1 while it has not
     failed: dict[int, Exception] = {}
@@ -185,9 +190,9 @@ def _integrate_rows(
                 alive[rows] = False
         if len(laws) == 1:
             return parts.get(0)
-        out = np.zeros_like(v_c)
-        for j, part in parts.items():
-            out[blocks[j]] = part
+        out = stage_out[update_state]
+        for j, rows in enumerate(blocks):
+            out[rows] = parts.get(j, 0.0)
         return out
 
     def retire(points: np.ndarray, step: int) -> None:
@@ -206,7 +211,7 @@ def _integrate_rows(
             v_hat = guided(i, t, v_c, v_u, x, True)
             if len(failed) == len(laws):
                 break
-            e_hist[i] = row_norm(v_c - v_u)
+            e_hist[i] = row_norm(np.subtract(v_c, v_u, out=x_new))
             for j, (law, rows) in enumerate(zip(laws, blocks)):
                 if law.sliding is not None and j not in failed:
                     s_hist[i, rows] = row_norm(law.sliding.s)
@@ -215,7 +220,7 @@ def _integrate_rows(
             if record_x:
                 x_hist[i] = x
             if heun:
-                x_pred = x + dtau * v_hat
+                np.add(x, np.multiply(dtau, v_hat, out=x_pred), out=x_pred)
                 retire(x_pred, i)
                 if not alive.all():  # a dead row's own velocity may be NaN: evaluate it at the origin
                     x_pred[~alive] = 0.0
@@ -223,13 +228,16 @@ def _integrate_rows(
                 v_hat2 = guided(i, t + dtau, v_c2, v_u2, x_pred, False)
                 if len(failed) == len(laws):
                     break
-                v_use = 0.5 * (v_hat + v_hat2)
+                v_use = np.multiply(0.5, np.add(v_hat, v_hat2, out=v_hat2), out=v_hat2)  # v_hat2 is free to overwrite
             else:
                 v_use = v_hat
             v_hist[i] = row_norm(v_use)
-            x_new = x + dtau * v_use
-            x = np.where(alive[:, None], x_new, x)
-            retire(x_new, i)
+            np.add(x, np.multiply(dtau, v_use, out=x_new), out=x_new)
+            if alive.all():
+                x, x_new = x_new, x
+            else:
+                x[alive] = x_new[alive]
+            retire(x, i)
 
     # One transposing copy per history: (rows, steps) and C-contiguous, the layout a mean over rows keeps its bits on.
     e_rows, v_rows, s_rows, x_rows, sv_rows = (

@@ -503,6 +503,8 @@ class TestSynth:
             (["--corridor", "--k-values", "0.1,-2"], "--k-values"),
             (["--corridor", "--k-values", "0.1,inf"], "--k-values"),
             (["--k-values", "0.1,0.2", "--steps", "50"], "--k-values"),
+            (["--seed", "-1"], "--seed"),
+            (["--seed", str(2**64 + 7)], "--seed"),
         ],
     )
     def test_bad_flag_exits_2_naming_it(self, tmp_path, capsys, flags, named):
@@ -510,6 +512,18 @@ class TestSynth:
         assert run_cli("synth", *flags, "--out", out) == 2
         assert f"config error: {named}:" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])
+@pytest.mark.parametrize("command", [["run"], ["compare", "--controllers", "cfg,smc"], ["sweep"]],
+                         ids=["run", "compare", "sweep"])
+def test_seed_override_outside_64_bits_exits_2(tmp_path, capsys, command, seed):
+    """A --seed the streams would reduce mod 2**64 is refused before anything runs or is written."""
+    cfg = small_config(tmp_path, sweep={"parameter": "w", "values": [1.0, 2.0]})
+    out = tmp_path / "o"
+    assert run_cli(command[0], "--config", cfg, *command[1:], "--seed", seed, "--out", out) == 2
+    assert capsys.readouterr().err == "config error: --seed: must lie in [0, 2**64)\n"
+    assert not out.exists()
 
 
 class TestCsv:

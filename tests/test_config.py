@@ -153,6 +153,20 @@ class TestParsing:
         with pytest.raises(ConfigError, match=re.escape(f"{field}: must be a finite number")):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7, 10**30])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # the streams key on the seed mod 2**64: 2**64 + 7 would rerun seed 7 under another fingerprint
+        raw = minimal_dict()
+        raw["sampler"]["seed"] = seed
+        with pytest.raises(ConfigError, match=re.escape("sampler.seed: must lie in [0, 2**64)")):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_accepted(self, seed):
+        raw = minimal_dict()
+        raw["sampler"]["seed"] = seed
+        assert config_from_dict(raw).sampler.seed == seed
+
     def test_non_spd_covariance_rejected_at_build(self):
         raw = minimal_dict()
         raw["system"]["components"][0]["cov"] = {"full_lower": [[1.0], [5.0, 1.0]]}

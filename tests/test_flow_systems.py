@@ -140,21 +140,34 @@ def row_major_velocity(system: FlowSystem, x, tau: float, cond) -> np.ndarray:
     return out
 
 
-def random_system(dim: int, n_components: int, full: bool, seed: int) -> FlowSystem:
+# Covariance kinds of random_system beyond False (diagonals in random order, whose eigh eigenvectors permute the
+# axes) and True (full): IDENTITY components have identity eigenvectors (ascending diagonals, and c * I for every
+# third component); a MIXED system cycles through an identity, a full and a randomly ordered diagonal component.
+IDENTITY, MIXED = 2, 3
+
+
+def random_system(dim: int, n_components: int, full: bool | int, seed: int) -> FlowSystem:
     rng = Rng(seed)
     weights = 0.2 + rng.uniform(n_components)
     comps = []
     for k in range(n_components):
-        if full:
+        kind = (IDENTITY, True, False)[k % 3] if full == MIXED else full
+        if kind is True:
             a = rng.standard_normal((dim, dim))
             cov = a @ a.T / dim + 0.5 * np.eye(dim)
+        elif kind == IDENTITY:
+            spectrum = np.sort(0.2 + 3.0 * rng.uniform(dim))
+            cov = spectrum[0] * np.eye(dim) if k % 3 == 0 else np.diag(spectrum)
         else:
             cov = np.diag(0.2 + 3.0 * rng.uniform(dim))
         comps.append(GaussComponent(weights[k] / weights.sum(), 2.0 * rng.standard_normal(dim), cov))
     return FlowSystem(comps, {"half": list(range(0, n_components, 2))})
 
 
-KERNEL_CASES = [(d, k, full) for d in (1, 2, 3, 7, 8, 9, 16) for k in (1, 2, 3, 9) for full in (False, True)]
+KERNEL_CASES = [(d, k, full) for d in (1, 2, 3, 7, 8, 9, 16) for k in (1, 2, 3, 9) for full in (False, True)] + [
+    pytest.param(d, k, kind, id=f"{d}-{k}-{name}")
+    for d in (1, 2, 3, 9, 16) for k in (2, 3, 9) for kind, name in ((IDENTITY, "identity"), (MIXED, "mixed"))
+]
 PROBE_SHAPES = [(), (0,), (1,), (200,), (3, 5)]
 
 
@@ -195,6 +208,53 @@ class TestKernelBits:
                 assert got.shape == shape and got.tobytes() == row_major_posteriors(system, logs, idx).tobytes(), name
                 got = data_responsibilities(system, probe, cond)
                 assert got.shape == shape and got.tobytes() == row_major_posteriors(system, data_logs, idx).tobytes()
+
+
+class TestUnrotated:
+    """The kernel skips the rotations of exactly the components whose eigenvectors are the identity."""
+
+    def test_marks_exactly_identity_eigenvectors(self, reference_system):
+        assert reference_system._unrotated == (True, True)
+        # eigh sorts ascending, so diag [2, 0.5] has the swap of the axes as its eigenvectors
+        swapped = FlowSystem([GaussComponent(0.5, np.zeros(2), np.eye(2)),
+                              GaussComponent(0.5, np.ones(2), np.diag([2.0, 0.5]))])
+        assert swapped._unrotated == (True, False)
+        for kind in (False, True, IDENTITY, MIXED):
+            for dim in (1, 2, 9):
+                system = random_system(dim, 9, kind, seed=dim)
+                expected = tuple(np.array_equal(q, np.eye(dim)) for q in system._eigvecs)
+                assert system._unrotated == expected
+                if kind == IDENTITY or dim == 1:
+                    assert all(expected)
+                elif kind == MIXED:  # identity, full and randomly ordered diagonal components in turn
+                    assert expected[::3] == (True,) * 3 and expected[1::3] == (False,) * 3
+                elif kind is True:
+                    assert not any(expected)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
+    def test_signed_zeros_match_the_oracle(self, dim):
+        """Means and probes holding -0.0 and 0.0: the skipped products could only have changed the sign of a zero."""
+        rng = Rng(dim)
+        means = [np.zeros(dim), -np.zeros(dim), np.where(np.arange(dim) % 2 == 0, -0.0, 1.5)]
+        # unit eigenvalues give a zero gain at tau = 0.5, so a velocity is its mean there
+        covs = [np.eye(dim), np.diag(np.linspace(1.0, 2.0, dim)), 2.0 * np.eye(dim)]
+        system = FlowSystem([GaussComponent(w, mu, cov) for w, mu, cov in zip((0.25, 0.25, 0.5), means, covs)],
+                            {"half": [0, 2]})
+        assert all(np.array_equal(q, np.eye(dim)) for q in system._eigvecs)
+        x = 3.0 * rng.standard_normal((40, dim))
+        x[::4] = -0.0
+        x[1::4] = 0.0
+        x[2::4, ::2] = -0.0
+        for tau in (0.0, 0.25, 0.5, 0.9999):
+            for cond in ("half", None):
+                expected = row_major_velocity(system, x, tau, cond)
+                assert marginal_velocity(system, x, tau, cond).tobytes() == expected.tobytes(), (tau, cond)
+            v_c, v_u = velocity_pair(system, np.asfortranarray(x), tau, "half")
+            assert v_c.tobytes() == row_major_velocity(system, x, tau, "half").tobytes()
+            assert v_u.tobytes() == row_major_velocity(system, x, tau, None).tobytes()
+            logs, _ = row_major_pass(system, x, tau, 0.5 * dim * np.log(2.0 * np.pi))
+            got = responsibilities(system, x, tau, None)
+            assert got.tobytes() == row_major_posteriors(system, logs, np.arange(3)).tobytes()
 
 
 class TestResponsibilities:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from cfgctrl.flow_systems import FlowSystem, GaussComponent, marginal_velocity
+from cfgctrl.flow_systems import FlowSystem, GaussComponent, marginal_velocity, velocity_pair
 from cfgctrl.guidance import (
+    CONTROLLERS,
     ControlLaw,
     SlidingState,
     StepContext,
@@ -292,3 +293,90 @@ class TestApplyController:
         assert law.sliding.e_prev is not None
         law.reset()
         assert law.sliding.e_prev is None
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+def formula_smc_step(v_c, v_u, w, state: SlidingState):
+    """smc_step as its docstring writes it, one fresh array per operation: (v_hat, e, s, delta_e)."""
+    e = v_c - v_u
+    e_prev = e if state.e_prev is None else state.e_prev
+    s = (e - e_prev) + state.lam * e_prev
+    switch = np.clip(s / state.boundary_layer, -1.0, 1.0) if state.boundary_layer > 0.0 else np.sign(s)
+    delta_e = -state.k * switch
+    return v_u + w * (e + delta_e), e, s, delta_e
+
+
+SHAPES = [(64, 3), (3,)]
+
+
+class TestInPlaceSafety:
+    """Laws never write into their inputs and return fresh arrays, which the sampler then overwrites."""
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        return FlowSystem(
+            [GaussComponent(0.3, np.array([2.0, 1.0, -1.0]), np.diag([0.5, 1.0, 2.0])),
+             GaussComponent(0.7, np.array([-2.0, 0.5, 0.0]), np.array([[1.0, 0.3, 0.1], [0.3, 0.8, -0.2],
+                                                                         [0.1, -0.2, 0.5]]))],
+            {"one": [0]},
+        )
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("variant, params", [(v, {}) for v in CONTROLLERS] + [("smc", {"boundary_layer": 0.05})])
+    def test_reads_only_and_returns_fresh(self, system, variant, params, shape):
+        def evaluator(x, tau):
+            return tuple(map(read_only, velocity_pair(system, x, tau, "one")))
+
+        law = ControlLaw(variant, w=3.0, **params)
+        x = read_only(2.0 * Rng(40).standard_normal(shape))
+        for step, tau in enumerate((0.3, 0.4, 0.5)):
+            v_c, v_u = evaluator(x, tau)
+            out = apply_controller(law, v_c, v_u, x, StepContext(step, 3, tau, 0.1, law.w), evaluator)
+            held = [v_c, v_u, x] + ([law.sliding.e_prev, law.sliding.s] if law.sliding is not None else [])
+            assert out.shape == x.shape and out.flags.writeable
+            assert not any(np.shares_memory(out, a) for a in held), (variant, step)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("boundary_layer", [0.0, 0.05])
+    def test_two_smc_steps_keep_the_formula_bits(self, shape, boundary_layer):
+        rng = Rng(41)
+        state = expected = SlidingState(lam=6.0, k=0.1, boundary_layer=boundary_layer)
+        for step in range(2):
+            v_c, v_u = map(read_only, rng.standard_normal((2,) + shape))
+            v_hat, state, diag = smc_step(v_c, v_u, ctx_at(index=step, w=5.0), state)
+            want, e, s, delta_e = formula_smc_step(v_c, v_u, 5.0, expected)
+            expected = SlidingState(6.0, 0.1, boundary_layer, e_prev=e, s=s)
+            assert v_hat.tobytes() == want.tobytes()
+            assert diag["delta_e"].tobytes() == delta_e.tobytes()
+            assert state.e_prev.tobytes() == e.tobytes() and state.s.tobytes() == s.tobytes()
+            assert diag["s"] is state.s and not np.shares_memory(state.s, state.e_prev)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_combines_keep_the_formula_bits(self, system, shape):
+        rng = Rng(42)
+        v_c, v_u = map(read_only, 3.0 * rng.standard_normal((2,) + shape))
+        w, eta = 3.7, 0.3
+        assert cfg_combine(v_c, v_u, w).tobytes() == (v_u + w * (v_c - v_u)).tobytes()
+
+        dv = v_c - v_u
+        dv_par = ((dv * v_c).sum(axis=-1)[..., None] / (v_c * v_c).sum(axis=-1)[..., None]) * v_c
+        want = v_u + w * ((dv - dv_par) + eta * dv_par)
+        assert apg_combine(v_c, v_u, w, eta).tobytes() == want.tobytes()
+
+        base = ((v_c * v_u).sum(axis=-1)[..., None] / (v_u * v_u).sum(axis=-1)[..., None]) * v_u
+        assert cfg_zero_star_combine(v_c, v_u, w).tobytes() == (base + w * (v_c - base)).tobytes()
+
+        def evaluator(x, tau):
+            return velocity_pair(system, x, tau, "one")
+
+        x = read_only(rng.standard_normal(shape))
+        ctx = ctx_at(index=3, total=10, tau=0.4, dtau=0.1, w=w)
+        v_c, v_u = evaluator(x, 0.4)
+        v_c_mid, v_u_mid = evaluator(x + 0.5 * 0.1 * v_c, 0.45)
+        want = v_c + (2.5 * 0.4**1.3) * (v_c_mid - v_u_mid)
+        assert rectified_cfgpp_combine(evaluator, x, ctx, 2.5, 1.3, v_c=read_only(v_c)).tobytes() == want.tobytes()
