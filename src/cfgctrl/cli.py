@@ -73,33 +73,22 @@ def _setup(args) -> tuple[ExperimentConfig, str, Path]:
     return cfg, cfgmod.fingerprint(cfg), Path(cfg.output.directory)
 
 
-def _mean_reach_step(result: RunResult, fraction: float = 0.05) -> float | None:
-    """Mean first step at which the gap norm fell to 5% of its initial value."""
-    e = result.e_norm
-    e = e[e[:, 0] > 0.0]
-    hit = e <= fraction * e[:, :1]
-    reached = hit.any(axis=1)
-    if not reached.any():
-        return None
-    return float(np.mean(np.argmax(hit[reached], axis=1)))
-
-
 def _mean_gap_curve(result: RunResult) -> tuple[list, list]:
     return list(range(result.e_norm.shape[1])), list(result.e_norm.mean(axis=0))
 
 
-def _quality(result: RunResult) -> metrics.QualityReport:
-    """The batch's quality report; ValueError if no trajectory survived or too few to fit a Gaussian."""
+def _quality(result: RunResult, target: str) -> metrics.QualityReport:
+    """The batch's report against ``target``; ValueError if no trajectory survived or too few to fit a Gaussian."""
     if not result.run_ids.size:
         raise ValueError("every trajectory diverged")
-    return metrics.quality_report(result, result.system, result.config.system.target)
+    return metrics.quality_report(result, result.system, target)
 
 
 def cmd_run(args) -> int:
     cfg, tag, out = _setup(args)
     result = run_batch(cfg)
     try:
-        report = _quality(result)
+        report = _quality(result, cfg.system.target)
     except ValueError as exc:
         print(f"run {tag}: {exc}", file=sys.stderr)
         return 3
@@ -162,32 +151,33 @@ def _table_csv(key: str, rows: list[dict], first=str) -> str:
     return _csv([key, "status", *_SWEEP_FIELDS], map(cells, rows))
 
 
-def _row(result: RunResult | Exception) -> dict:
+def _row(result: RunResult | Exception, target: str) -> dict:
     """A batch's status and report cells; ``failed: <reason>`` if its law raised or its report fails."""
     if isinstance(result, Exception):
         return {"status": f"failed: {result}"}
     try:
-        report = _quality(result)
+        report = _quality(result, target)
     except ValueError as exc:
         return {"status": f"failed: {exc}"}
-    return {"status": "ok", **report.to_dict(), "mean_reach_step": _mean_reach_step(result)}
+    return {"status": "ok", **report.to_dict(), "mean_reach_step": metrics.mean_reach_step(result)}
 
 
-def _table(key: str, labels, row_cfgs: list[ExperimentConfig]) -> tuple[list[dict], list[RunResult | Exception]]:
-    """Run one batch per config in one lockstep pass; one row per batch, ``key`` holding its label, and the batches.
+def _table(key: str, labels, cfg: ExperimentConfig,
+           controllers: list[ControllerSpec]) -> tuple[list[dict], list[RunResult | Exception]]:
+    """One lockstep pass under every controller block: a row per block, ``key`` holding its label, and the batches.
 
     A failed row does not stop the others.
     """
-    results = run_batches(row_cfgs)
-    return [{key: label, **_row(result)} for label, result in zip(labels, results)], results
+    results = run_batches(cfg, controllers)
+    return [{key: label, **_row(result, cfg.system.target)} for label, result in zip(labels, results)], results
 
 
 def cmd_sweep(args) -> int:
     cfg, tag, out = _setup(args)
     if cfg.sweep is None:
         raise ConfigError("sweep: block missing from config")
-    row_cfgs = [cfgmod.with_controller_value(cfg, cfg.sweep.parameter, v) for v in cfg.sweep.values]
-    rows, _ = _table("value", cfg.sweep.values, row_cfgs)
+    controllers = [cfgmod.with_controller_value(cfg, cfg.sweep.parameter, v).controller for v in cfg.sweep.values]
+    rows, _ = _table("value", cfg.sweep.values, cfg, controllers)
     files = {}
     if "csv" in cfg.output.formats:
         files[out / f"sweep_{tag}_table.csv"] = _table_csv("value", rows, _fmt)
@@ -229,8 +219,8 @@ def cmd_compare(args) -> int:
         json.dumps([cfg.sampler.seed, cfg.sampler.trajectories]).encode()
     ).hexdigest()[:12]
 
-    row_cfgs = [replace(cfg, controller=_compare_controller(name, cfg.controller)) for name in names]
-    rows, results = _table("controller", names, row_cfgs)
+    controllers = [_compare_controller(name, cfg.controller) for name in names]
+    rows, results = _table("controller", names, cfg, controllers)
     curves = [(row["controller"], *_mean_gap_curve(result))
               for row, result in zip(rows, results) if row["status"] == "ok"]
     files = {}

@@ -55,9 +55,9 @@ class PerturbedDynamics:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
-        if self.w <= 0.0 or self.dt <= 0.0:
+        if not (self.w > 0.0 and self.dt > 0.0):  # each bound is written so that NaN fails it
             raise ValueError("w and dt must be positive")
-        if self.k < 0.0 or self.delta < 0.0 or self.rho < 0.0:
+        if not (self.k >= 0.0 and self.delta >= 0.0 and self.rho >= 0.0):
             raise ValueError("k, delta, rho must be nonnegative")
         if self.drift not in DRIFT_KINDS:
             raise ValueError(f"unknown drift kind {self.drift!r}")
@@ -288,9 +288,9 @@ def stability_corridor(delta_est: float, w: float, s_norm: float, dt: float) -> 
     Below the lower edge the drift wins; above the upper edge discrete
     switching overshoots and oscillates.
     """
-    if delta_est < 0.0:
+    if not delta_est >= 0.0:
         raise ValueError("drift estimate must be nonnegative")
-    if w <= 0.0 or s_norm <= 0.0 or dt <= 0.0:
+    if not (w > 0.0 and s_norm > 0.0 and dt > 0.0):
         raise ValueError("w, s_norm, dt must be positive")
     return delta_est / w, 2.0 * s_norm / (w * dt)
 

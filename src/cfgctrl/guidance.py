@@ -46,9 +46,9 @@ class StepContext:
     def __post_init__(self):
         if not 0 <= self.index < self.total_steps:
             raise ValueError(f"step index {self.index} outside [0, {self.total_steps})")
-        if self.dtau <= 0.0:
+        if not self.dtau > 0.0:  # each bound is written so that NaN fails it
             raise ValueError("step size must be positive")
-        if self.w < 0.0:
+        if not self.w >= 0.0:
             raise ValueError("guidance scale must be nonnegative")
 
 
@@ -68,11 +68,11 @@ class SlidingState:
     s: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.lam <= 0.0:
+        if not self.lam > 0.0:
             raise ValueError("surface slope lambda must be positive")
-        if self.k < 0.0:
+        if not self.k >= 0.0:
             raise ValueError("switching gain k must be nonnegative")
-        if self.boundary_layer < 0.0:
+        if not self.boundary_layer >= 0.0:
             raise ValueError("boundary layer width must be nonnegative")
 
 
@@ -113,12 +113,18 @@ class ControlLaw:
             self.sliding = None
 
 
-def cfg_combine(v_c: np.ndarray, v_u: np.ndarray, w: float) -> np.ndarray:
-    """Proportional guidance: v_u + w * (v_c - v_u)."""
+def _operands(v_c, v_u) -> tuple[np.ndarray, np.ndarray]:
+    """Both velocities as float arrays; ValueError if their shapes differ."""
     v_c = np.asarray(v_c, dtype=float)
     v_u = np.asarray(v_u, dtype=float)
     if v_c.shape != v_u.shape:
         raise ValueError(f"velocity shapes differ: {v_c.shape} vs {v_u.shape}")
+    return v_c, v_u
+
+
+def cfg_combine(v_c: np.ndarray, v_u: np.ndarray, w: float) -> np.ndarray:
+    """Proportional guidance: v_u + w * (v_c - v_u)."""
+    v_c, v_u = _operands(v_c, v_u)
     gap = v_c - v_u
     return np.add(v_u, np.multiply(w, gap, out=gap), out=gap)
 
@@ -129,7 +135,7 @@ def weight_schedule(ctx: StepContext, shape: str, w_max: float) -> float:
     ``shape`` is "linear" or "cosine"; both are monotonically non-decreasing
     in the step index.
     """
-    if w_max < 1.0:
+    if not w_max >= 1.0:
         raise ValueError(f"w_max = {w_max} must be at least 1")
     frac = ctx.index / (ctx.total_steps - 1) if ctx.total_steps > 1 else 1.0
     if shape == "linear":
@@ -162,11 +168,8 @@ def apg_combine(v_c: np.ndarray, v_u: np.ndarray, w: float, eta: float) -> np.nd
     A zero v_c leaves the projection undefined: a single vector raises, and
     a row of a batch comes out NaN so that the sampler flags only that row.
     """
-    v_c = np.asarray(v_c, dtype=float)
-    v_u = np.asarray(v_u, dtype=float)
-    if v_c.shape != v_u.shape:
-        raise ValueError(f"velocity shapes differ: {v_c.shape} vs {v_u.shape}")
-    if eta > 1.0:
+    v_c, v_u = _operands(v_c, v_u)
+    if not eta <= 1.0:
         raise ValueError(f"eta = {eta} must be <= 1")
     work = v_c * v_c
     norm_sq = _nan_where_zero(row_sum(work)[..., None], "conditional velocity is zero; projection undefined")
@@ -184,10 +187,7 @@ def cfg_zero_star_combine(v_c: np.ndarray, v_u: np.ndarray, w: float) -> np.ndar
     velocity is s_star * v_u + w * (v_c - s_star * v_u). A zero v_u is
     handled as a zero v_c is in :func:`apg_combine`.
     """
-    v_c = np.asarray(v_c, dtype=float)
-    v_u = np.asarray(v_u, dtype=float)
-    if v_c.shape != v_u.shape:
-        raise ValueError(f"velocity shapes differ: {v_c.shape} vs {v_u.shape}")
+    v_c, v_u = _operands(v_c, v_u)
     work = v_u * v_u
     norm_sq = _nan_where_zero(row_sum(work)[..., None], "unconditional velocity is zero; rescaling undefined")
     s_star = row_sum(np.multiply(v_c, v_u, out=work))[..., None] / norm_sq
@@ -239,10 +239,7 @@ def smc_step(
     v_hat = v_u + w * (e + delta_e). Returns the guided velocity, the next
     state (storing the uncorrected e), and {"s": s, "delta_e": delta_e}.
     """
-    v_c = np.asarray(v_c, dtype=float)
-    v_u = np.asarray(v_u, dtype=float)
-    if v_c.shape != v_u.shape:
-        raise ValueError(f"velocity shapes differ: {v_c.shape} vs {v_u.shape}")
+    v_c, v_u = _operands(v_c, v_u)
     e = v_c - v_u  # e and s are fresh every step: the state keeps them
     e_prev = e if state.e_prev is None else state.e_prev
     s = e - e_prev

@@ -129,6 +129,17 @@ def quality_report(result: RunResult, system: FlowSystem, cond: str) -> QualityR
     )
 
 
+def mean_reach_step(result: RunResult, fraction: float = 0.05) -> float | None:
+    """Mean first step at which the gap norm fell to 5% of its initial value, over the guided rows."""
+    e = result.e_norm
+    e = e[e[:, 0] > _E_FLOOR]
+    hit = e <= fraction * e[:, :1]
+    reached = hit.any(axis=1)
+    if not reached.any():
+        return None
+    return float(np.mean(np.argmax(hit[reached], axis=1)))
+
+
 def phase_plane(run: Trace | RunResult) -> np.ndarray:
     """(|e|, d|e|/dtau) pairs from forward differences of the recorded gap norms.
 

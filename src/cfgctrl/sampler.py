@@ -8,11 +8,12 @@ i draws its start point from stream i of the master seed, and the
 integration itself is noise-free.
 
 Batches run in lockstep as array rows, which keeps per-step numpy work
-vectorized. Batches that differ only in their control law run in one such
-pass (:func:`run_batches`), one block of rows per law. With diagonal
-covariances, stacking blocks changes no row's arithmetic, so each block
-equals a run of its law alone bit for bit; with a full covariance a row's
-bits can depend on the batch width, since BLAS picks its kernels by width.
+vectorized. One config's batch under several controller blocks runs in one
+such pass (:func:`run_batches`), one block of rows per law, all on the
+config's system, time grid and start points. With diagonal covariances,
+stacking blocks changes no row's arithmetic, so each block equals a run of
+its law alone bit for bit; with a full covariance a row's bits can depend on
+the batch width, since BLAS picks its kernels by width.
 A batch's result keeps these rows as read-only arrays over its surviving
 trajectories, and the CSV and JSON exports read those arrays through one
 table of cells per batch; per-trajectory :class:`Trace` views are built
@@ -21,7 +22,7 @@ only when read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 
@@ -86,7 +87,7 @@ class Trace:
 
 @dataclass(eq=False)
 class RunResult:
-    """A batch as read-only arrays over its surviving rows, its divergence flags, config and flow system.
+    """A batch as read-only arrays over its surviving rows, its divergence flags and flow system.
 
     Row i of every column belongs to trajectory ``run_ids[i]``; the ids
     ascend and leave out exactly the keys of ``divergences``. ``s_norm`` and
@@ -103,7 +104,6 @@ class RunResult:
     x_path: np.ndarray | None  # (n_alive, steps, dim)
     s_path: np.ndarray | None  # (n_alive, steps, dim)
     divergences: dict[int, int]  # run_id -> step at which the state blew up, in run_id order
-    config: "_config.ExperimentConfig | None"  # None for a block that no config ran
     system: FlowSystem
     n_trajectories: int
 
@@ -135,7 +135,7 @@ class RunResult:
 
 def _integrate_rows(
     system: FlowSystem,
-    laws: list[ControlLaw],
+    laws: list[ControlLaw | Exception],
     integ: IntegratorSpec,
     cond: str | None,
     x0: np.ndarray,
@@ -146,8 +146,9 @@ def _integrate_rows(
     Every block starts from ``x0``, whose row i is trajectory i; rows
     ``j*n`` to ``(j+1)*n`` belong to ``laws[j]``. All rows share each field
     evaluation and each law steps its own rows, so a block's bits equal a
-    run of its law alone. Entry j is that block's result, with no config,
-    or, if its law raised, the exception; the other blocks finish.
+    run of its law alone. Entry j is that block's result or, if its law
+    raised, the exception; ``laws[j]`` may already be one, from a law that
+    failed to build, and its rows start dead. The other blocks finish.
     """
     n, dim = x0.shape
     n_steps = integ.steps
@@ -155,7 +156,8 @@ def _integrate_rows(
     dtau = integ.dtau
     heun = integ.scheme == "heun"
     blocks = [slice(j * n, (j + 1) * n) for j in range(len(laws))]
-    has_surface = any(law.sliding is not None for law in laws)
+    failed = {j: law for j, law in enumerate(laws) if isinstance(law, Exception)}
+    has_surface = any(j not in failed and law.sliding is not None for j, law in enumerate(laws))
 
     # Fortran order: x.T is the field kernel's (d, n) columns without a copy, and its results come back column-ordered
     x = np.asfortranarray(np.tile(x0, (len(laws), 1)))
@@ -164,9 +166,8 @@ def _integrate_rows(
     x_pred = np.empty_like(x) if heun else None
     # the guided velocity of several laws, one array per stage (keyed by update_state), since both live at once
     stage_out = {stage: np.empty_like(x) for stage in (True, False)} if len(laws) > 1 else None
-    alive = np.ones(len(x), dtype=bool)
+    alive = np.repeat([j not in failed for j in range(len(laws))], n)  # an unbuilt law's rows start dead
     div_step = np.full(len(x), -1)  # the step at which a row left the envelope, -1 while it has not
-    failed: dict[int, Exception] = {}
     e_hist = np.zeros((n_steps, len(x)))
     v_hist = np.zeros((n_steps, len(x)))
     s_hist = np.zeros((n_steps, len(x))) if has_surface else None
@@ -206,6 +207,8 @@ def _integrate_rows(
 
     with np.errstate(all="ignore"):
         for i in range(n_steps):
+            if len(failed) == len(laws):
+                break
             t = float(taus[i])
             v_c, v_u = evaluator(x, t)
             v_hat = guided(i, t, v_c, v_u, x, True)
@@ -213,7 +216,7 @@ def _integrate_rows(
                 break
             e_hist[i] = row_norm(np.subtract(v_c, v_u, out=x_new))
             for j, (law, rows) in enumerate(zip(laws, blocks)):
-                if law.sliding is not None and j not in failed:
+                if j not in failed and law.sliding is not None:
                     s_hist[i, rows] = row_norm(law.sliding.s)
                     if sv_hist is not None:
                         sv_hist[i, rows] = law.sliding.s
@@ -266,7 +269,7 @@ def _integrate_rows(
                 "s_path": sv_rows[rows][pick] if surface and sv_rows is not None else None,
             }),
             divergences=dict(zip(dead.tolist(), div_step[rows][dead].tolist())),
-            config=None, system=system, n_trajectories=n,
+            system=system, n_trajectories=n,
         ))
     return results
 
@@ -299,45 +302,33 @@ def run_batch(cfg: "_config.ExperimentConfig") -> RunResult:
 
     Trajectory i starts from stream i of the master seed.
     """
-    (result,) = run_batches([cfg])
+    (result,) = run_batches(cfg, [cfg.controller])
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def run_batches(cfgs: list["_config.ExperimentConfig"]) -> list[RunResult | Exception]:
-    """Run one batch per config in one lockstep pass; the configs may differ only in ``controller``.
+def run_batches(cfg: _config.ExperimentConfig,
+                controllers: list[_config.ControllerSpec]) -> list[RunResult | Exception]:
+    """Run the config's batch under each controller block, in one lockstep pass; ``cfg.controller`` is not read.
 
-    Every batch starts from the same points and shares each field evaluation,
-    so with diagonal covariances entry j equals ``run_batch(cfgs[j])`` bit for
-    bit; with a full covariance its bits can depend on the width of the whole
-    pass. If building or stepping a config's control law raises, its entry is
-    the exception that run would raise, and the other batches finish.
+    Every block starts from the same points and shares each field evaluation,
+    so with diagonal covariances entry j equals ``run_batch`` of the config
+    with ``controllers[j]`` bit for bit; with a full covariance its bits can
+    depend on the width of the whole pass. If building or stepping a block's
+    control law raises, its entry is the exception that run would raise, and
+    the other blocks finish.
     """
-    if not cfgs:
-        return []
-    base = cfgs[0]
-    if any(replace(cfg, controller=base.controller) != base for cfg in cfgs[1:]):
-        raise ValueError("run_batches: configs may differ only in their controller")
-    system = _config.build_system(base.system)
-    integ = IntegratorSpec(base.sampler.scheme, base.sampler.steps, base.sampler.tau_clamp)
-    n = base.sampler.trajectories
-    x0 = stream_normals(base.sampler.seed, n, system.dim)
-
-    results: list[RunResult | Exception] = [None] * len(cfgs)
-    laws, built = [], []
-    for j, cfg in enumerate(cfgs):
+    system = _config.build_system(cfg.system)
+    integ = IntegratorSpec(cfg.sampler.scheme, cfg.sampler.steps, cfg.sampler.tau_clamp)
+    x0 = stream_normals(cfg.sampler.seed, cfg.sampler.trajectories, system.dim)
+    laws: list[ControlLaw | Exception] = []
+    for spec in controllers:
         try:
-            laws.append(_config.build_control_law(cfg.controller))
-            built.append(j)
-        except Exception as exc:  # this batch's result, as its own run would raise it
-            results[j] = exc
-    blocks = _integrate_rows(system, laws, integ, base.system.target, x0, base.sampler.record_x) if laws else []
-    for j, block in zip(built, blocks):
-        if not isinstance(block, Exception):
-            block.config = cfgs[j]
-        results[j] = block
-    return results
+            laws.append(_config.build_control_law(spec))
+        except Exception as exc:  # this block's result, as its own run would raise it
+            laws.append(exc)
+    return _integrate_rows(system, laws, integ, cfg.system.target, x0, cfg.sampler.record_x)
 
 
 def _read_only(columns: dict[str, np.ndarray | None]) -> dict[str, np.ndarray | None]:

@@ -203,6 +203,24 @@ class TestSweep:
         assert capsys.readouterr().err == "config error: sweep.values: guidance scale must be nonnegative\n"
         assert not out.exists()
 
+    def test_law_failing_to_build_fails_only_its_row(self, tmp_path, monkeypatch):
+        import cfgctrl.config
+
+        real = cfgctrl.config.build_control_law
+
+        def build(spec):
+            if spec.params.get("w") == 5.0:
+                raise ValueError("no law at w = 5")
+            return real(spec)
+
+        monkeypatch.setattr(cfgctrl.config, "build_control_law", build)
+        cfg = small_config(tmp_path, sweep={"parameter": "w", "values": [2.0, 5.0, 8.0]})
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--config", cfg, "--out", out) == 0
+        rows = json.loads(next(out.glob("sweep_*_table.json")).read_text())["rows"]
+        assert rows[1] == {"value": 5.0, "status": "failed: no law at w = 5"}
+        assert [row["status"] for row in rows] == ["ok", "failed: no law at w = 5", "ok"]
+
     @pytest.mark.parametrize("parameter, value, message", [
         ("w", -1.0, "guidance scale must be nonnegative"),
         ("k", -0.5, "must be nonnegative"),
@@ -312,6 +330,25 @@ class TestCompare:
             return real(*args)
 
         monkeypatch.setattr(cfgctrl.guidance, "apg_combine", flaky)
+        cfg = small_config(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli("compare", "--config", cfg, "--controllers", ALL_SIX, "--out", out) == 0
+        rows = json.loads(next(out.glob("compare_*_report.json")).read_text())["rows"]
+        assert rows[2] == {"controller": "apg", "status": "failed: combine failed on call 4"}
+        assert [row["status"] for i, row in enumerate(rows) if i != 2] == ["ok"] * 5
+
+    def test_law_failing_to_build_fails_only_its_row(self, tmp_path, monkeypatch):
+        # the same row as a law that raises mid-pass
+        import cfgctrl.config
+
+        real = cfgctrl.config.build_control_law
+
+        def build(spec):
+            if spec.type == "apg":
+                raise ValueError("combine failed on call 4")
+            return real(spec)
+
+        monkeypatch.setattr(cfgctrl.config, "build_control_law", build)
         cfg = small_config(tmp_path)
         out = tmp_path / "out"
         assert run_cli("compare", "--config", cfg, "--controllers", ALL_SIX, "--out", out) == 0

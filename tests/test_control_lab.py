@@ -154,6 +154,17 @@ class TestSimulateSliding:
             simulate_sliding(dynamics(w=1e300, k=1e10), 50)
         assert err.value.step == 1
 
+    @pytest.mark.parametrize("field, message", [
+        ("w", "w and dt must be positive"),
+        ("dt", "w and dt must be positive"),
+        ("k", "k, delta, rho must be nonnegative"),
+        ("delta", "k, delta, rho must be nonnegative"),
+        ("rho", "k, delta, rho must be nonnegative"),
+    ])
+    def test_nan_parameter_refused(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            dynamics(gain_deviation="seeded", **{field: float("nan")})
+
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             dynamics(s0=np.array([1.0, 2.0]))  # dim=1 but 2-entry start
@@ -192,6 +203,19 @@ class TestStabilityCorridor:
             stability_corridor(0.5, 0.0, 2.0, 0.02)
         with pytest.raises(ValueError):
             stability_corridor(0.5, 5.0, 2.0, 0.0)
+
+
+    @pytest.mark.parametrize("position, message", [
+        (0, "drift estimate must be nonnegative"),
+        (1, "w, s_norm, dt must be positive"),
+        (2, "w, s_norm, dt must be positive"),
+        (3, "w, s_norm, dt must be positive"),
+    ])
+    def test_nan_input_refused(self, position, message):
+        args = [0.5, 5.0, 2.0, 0.02]
+        args[position] = float("nan")
+        with pytest.raises(ValueError, match=message):
+            stability_corridor(*args)
 
 
 class TestCorridorSweep:

@@ -295,6 +295,31 @@ class TestApplyController:
         assert law.sliding.e_prev is None
 
 
+class TestNanRefused:
+    """Every bound is written so that NaN fails it."""
+
+    @pytest.mark.parametrize("field, message", [("dtau", "step size"), ("w", "guidance scale")])
+    def test_step_context(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            ctx_at(**{field: float("nan")})
+
+    @pytest.mark.parametrize("field, message", [("lam", "lambda"), ("k", "switching gain"), ("boundary_layer", "boundary layer")])
+    def test_sliding_state(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            SlidingState(**{"lam": 6.0, "k": 0.1, field: float("nan")})
+        with pytest.raises(ValueError, match=message):
+            ControlLaw("smc", **{field: float("nan")})
+
+    @pytest.mark.parametrize("shape", ["linear", "cosine"])
+    def test_weight_schedule_w_max(self, shape):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            weight_schedule(ctx_at(), shape, float("nan"))
+
+    def test_apg_eta(self):
+        with pytest.raises(ValueError, match="must be <= 1"):
+            apg_combine(np.ones((2, 3)), np.zeros((2, 3)), 2.0, float("nan"))
+
+
 def read_only(a: np.ndarray) -> np.ndarray:
     a = np.array(a)
     a.flags.writeable = False

@@ -8,6 +8,7 @@ from cfgctrl.metrics import (
     chi_mean,
     fit_gaussian,
     line_residual,
+    mean_reach_step,
     phase_plane,
     quality_report,
     w2_gaussian,
@@ -239,7 +240,7 @@ class TestPhasePlane:
         e = np.asarray(e_norm, dtype=float)
         return RunResult(
             run_ids=np.arange(len(e)), tau=0.001 + dtau * np.arange(e.shape[1]), e_norm=e, vhat_norm=np.ones_like(e),
-            finals=np.zeros((len(e), 2)), s_norm=None, x_path=None, s_path=None, divergences={}, config=None,
+            finals=np.zeros((len(e), 2)), s_norm=None, x_path=None, s_path=None, divergences={},
             system=None, n_trajectories=len(e),
         )
 
@@ -271,6 +272,16 @@ class TestPhasePlane:
     def test_line_residual_zero_on_line(self):
         pts = np.array([[1.0, -6.0], [0.5, -3.0]])
         assert line_residual(pts, -6.0) == 0.0
+
+
+class TestMeanReachStep:
+    def test_reads_the_rows_the_decay_ratio_reads(self):
+        # row 0 starts at or below the 1e-12 floor, so like the decay ratio the reach step leaves it out
+        e = [[1e-13, 0.0, 0.0, 0.0], [1.0, 0.5, 0.04, 0.01], [2.0, 1.0, 0.5, 0.05]]
+        assert mean_reach_step(TestPhasePlane.batch(e)) == 2.5
+
+    def test_no_reached_row_gives_none(self):
+        assert mean_reach_step(TestPhasePlane.batch([[1.0, 0.9], [0.0, 0.0]])) is None
 
 
 class TestLyapunovAudit:

@@ -281,7 +281,7 @@ def assert_same_batch(got, want):
     if isinstance(want, Exception):
         assert type(got) is type(want) and str(got) == str(want)
         return
-    assert (got.config, got.n_trajectories, got.divergences) == (want.config, want.n_trajectories, want.divergences)
+    assert (got.n_trajectories, got.divergences) == (want.n_trajectories, want.divergences)
     assert [t.run_id for t in got.traces] == [t.run_id for t in want.traces]
     for a, b in zip(got.traces, want.traces):
         for name in ("tau", "e_norm", "vhat_norm", "x_final", "s_norm", "x_path", "s_path"):
@@ -289,6 +289,11 @@ def assert_same_batch(got, want):
             assert (x is None) == (y is None), name
             if x is not None:
                 assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+def lockstep(cfgs):
+    """``run_batches`` of the first config under every config's controller block; the configs differ only there."""
+    return run_batches(cfgs[0], [cfg.controller for cfg in cfgs])
 
 
 def separate_runs(cfgs):
@@ -308,7 +313,7 @@ class TestRunBatches:
     @pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
     def test_each_block_equals_its_separate_run(self, case, scheme, record_x, trajectories):
         cfgs = lockstep_configs(case, scheme, record_x, trajectories)
-        results = run_batches(cfgs)
+        results = lockstep(cfgs)
         assert len(results) == len(cfgs)
         for got, want in zip(results, separate_runs(cfgs)):
             assert not isinstance(got, Exception)
@@ -323,7 +328,7 @@ class TestRunBatches:
     def test_failed_block_leaves_the_others(self, scheme, parameter, values):
         base = two_comp_config(SMC, steps=12, trajectories=7, scheme=scheme)
         cfgs = [with_controller_value(base, parameter, v) for v in values]
-        results = run_batches(cfgs)
+        results = lockstep(cfgs)
         if parameter == "k":
             assert results[1].n_divergent == 7 and not results[1].traces
         else:
@@ -345,7 +350,7 @@ class TestRunBatches:
 
         monkeypatch.setattr(cfgctrl.guidance, "apg_combine", flaky)
         cfgs = lockstep_configs("compare", scheme)
-        results = run_batches(cfgs)
+        results = lockstep(cfgs)
         calls.clear()
         want = []
         for cfg in cfgs:
@@ -355,11 +360,17 @@ class TestRunBatches:
         for got, expected in zip(results, want):
             assert_same_batch(got, expected)
 
-    def test_configs_may_differ_only_in_controller(self):
-        cfgs = lockstep_configs("compare", "euler")
-        with pytest.raises(ValueError, match="only in their controller"):
-            run_batches([cfgs[0], replace(cfgs[1], sampler=replace(cfgs[1].sampler, seed=9))])
-        assert run_batches([]) == []
+    def test_no_blocks_give_no_results(self):
+        assert run_batches(two_comp_config(SMC, steps=12, trajectories=3), []) == []
+
+    def test_pass_of_unbuilt_laws_evaluates_no_field(self, monkeypatch):
+        def no_field(*args):
+            raise AssertionError("a field was evaluated")
+
+        monkeypatch.setattr(cfgctrl.sampler, "velocity_pair", no_field)
+        base = two_comp_config(SMC, steps=12, trajectories=3)
+        results = lockstep([with_controller_value(base, "lambda", v) for v in (-1.0, 0.0)])
+        assert [str(r) for r in results] == ["surface slope lambda must be positive"] * 2
 
     def test_run_batch_raises_its_block_exception(self):
         cfg = with_controller_value(two_comp_config(SMC, steps=12, trajectories=3), "w", -1.0)
@@ -455,10 +466,10 @@ def json_reference(traces):
 
 
 def hand_batch(run_ids, tau, e_norm, vhat_norm, finals, s_norm=None):
-    """A RunResult built from the given columns, with no config or flow system."""
+    """A RunResult built from the given columns, with no flow system."""
     return RunResult(
         run_ids=np.asarray(run_ids, dtype=int), tau=tau, e_norm=e_norm, vhat_norm=vhat_norm, finals=finals,
-        s_norm=s_norm, x_path=None, s_path=None, divergences={}, config=None, system=None, n_trajectories=len(run_ids),
+        s_norm=s_norm, x_path=None, s_path=None, divergences={}, system=None, n_trajectories=len(run_ids),
     )
 
 
@@ -609,7 +620,7 @@ class TestDegenerateRows:
     def test_compare_of_all_laws_finishes(self, monkeypatch):
         monkeypatch.setattr(cfgctrl.sampler, "velocity_pair", zeroing_field(0.5, (0, 1), 3))
         cfgs = lockstep_configs("compare", "heun", trajectories=3)
-        results = run_batches(cfgs)
+        results = lockstep(cfgs)
         assert [r.n_divergent for r in results] == [0, 0, 1, 1, 0, 0]
         assert all(list(r.divergences) in ([], [1]) for r in results)
 
@@ -727,7 +738,7 @@ class TestColumns:
         # the lockstep state is kept in Fortran order; a mean over rows of a column keeps its bits only in C order
         if blown_up:
             monkeypatch.setattr(cfgctrl.sampler, "velocity_pair", blown_up_field({3: 0.5}))
-        results = run_batches(lockstep_configs("compare", "heun", record_x=record_x))
+        results = lockstep(lockstep_configs("compare", "heun", record_x=record_x))
         assert any(result.n_divergent for result in results) == blown_up
         for result in results:
             assert (result.x_path is not None) == record_x
@@ -737,7 +748,7 @@ class TestColumns:
 
     @pytest.mark.parametrize("case", ["compare", "sweep_k"])
     def test_lockstep_blocks_match_their_traces(self, case):
-        for result in run_batches(lockstep_configs(case, "heun")):
+        for result in lockstep(lockstep_configs(case, "heun")):
             assert_rows_match_traces(result)
 
     @pytest.mark.parametrize("unguided", ["every_row", "every_third_row"])
@@ -798,8 +809,3 @@ class TestColumns:
         assert report.e_decay_ratio is not None and result.finals.shape == (10_000, 2)
         with pytest.raises(AssertionError, match="a Trace was built"):
             result.traces
-
-
-def test_result_keeps_its_config():
-    cfg = two_comp_config(SMC, trajectories=2, steps=4)
-    assert run_batch(cfg).config is cfg
