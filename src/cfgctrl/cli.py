@@ -254,7 +254,7 @@ def _synth_k_values(args) -> list[float] | None:
     cfgmod.check_seed(args.seed, "--seed")
     for flag, attr, holds, message in _SYNTH_FLAGS:
         value = getattr(args, attr)
-        if not math.isfinite(value):
+        if not abs(value) <= sys.float_info.max:  # NaN, an infinity, or an int flag past the float range
             raise ConfigError(f"{flag}: must be a finite number, got {value!r}")
         if not holds(value):
             raise ConfigError(f"{flag}: {message}, got {value!r}")

@@ -172,11 +172,14 @@ def _component_pass(sys: FlowSystem, x: np.ndarray, tau: float, log_norm: float,
         spectrum = tau * tau * sys._eigvals[k] + one_m  # path covariance eigenvalues
         q = sys._eigvecs[k]
         buf = xt - (tau * sys._means[k])[:, None]
-        # a product with the identity could change only the sign of a zero, which _mix's sum from +0.0 drops
+        # a product with the identity could change only the sign of a zero, which _mix's closing + 0.0 drops
         zt = buf if sys._unrotated[k] else q.T @ buf
         np.multiply(zt, zt, out=sq)
         sq /= spectrum[:, None]
-        logs[k] = -0.5 * row_sum(sq.T) - 0.5 * float(np.log(spectrum).sum()) - log_norm
+        logs[k] = log = row_sum(sq.T)  # a fresh (n,) array
+        log *= -0.5
+        log -= 0.5 * float(np.log(spectrum).sum())
+        log -= log_norm
         if velocity:
             # E[x1 | x] - E[x0 | x] from joint-Gaussian conditioning, in eigenbasis.
             zt *= ((tau * sys._eigvals[k] - (1.0 - tau)) / spectrum)[:, None]
@@ -196,6 +199,10 @@ def _posteriors(sys: FlowSystem, logs: dict, idx: np.ndarray) -> np.ndarray:
 
 def _normalize(logs: np.ndarray) -> np.ndarray:
     """(K, n) unnormalized log responsibilities to probabilities whose columns sum to 1, in place."""
+    if len(logs) == 1:  # exp(l - l) / (0.0 + exp(l - l)): 1.0 where the log is finite, NaN elsewhere
+        logs -= logs
+        logs += 1.0
+        return logs
     logs -= np.maximum.reduce(logs)  # row after row, as a loop of np.maximum would
     p = np.exp(logs, out=logs)
     p /= row_sum(p.T)
@@ -203,11 +210,15 @@ def _normalize(logs: np.ndarray) -> np.ndarray:
 
 
 def _mix(resp: np.ndarray, vels: dict, idx: np.ndarray) -> np.ndarray:
-    """Responsibility-weighted sum of the (d, n) velocities of the components ``idx``, in index order."""
-    out = np.zeros(vels[idx[0]].shape)
-    term = np.empty(out.shape)
-    for j, k in enumerate(idx):
-        out += np.multiply(resp[j], vels[k], out=term)
+    """Responsibility-weighted sum of the (d, n) velocities of the components ``idx``, in index order.
+
+    Equal to the sum from +0.0 bit for bit: ((0 + a) + b) and ((a + b) + 0) differ for no a and b.
+    """
+    out = resp[0] * vels[idx[0]]
+    term = np.empty(out.shape) if len(idx) > 1 else None
+    for j in range(1, len(idx)):
+        out += np.multiply(resp[j], vels[idx[j]], out=term)
+    out += 0.0  # turns -0.0 into 0.0, as the sum's start would
     return out
 
 

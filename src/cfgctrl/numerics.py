@@ -183,7 +183,15 @@ def row_sum(a: np.ndarray) -> np.ndarray:
 def row_norm(a: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(a, axis=-1)``, bit for bit, through :func:`row_sum`."""
     a = np.asarray(a, dtype=float)
-    return np.sqrt(row_sum(a * a))
+    d = a.shape[-1]
+    if a.ndim < 2 or not 0 < d < _PAIRWISE_MIN:
+        return np.sqrt(row_sum(a * a))
+    # row_sum's column loop, one square at a time; a square is never -0.0, so its 0.0 start changes no bit
+    out = a[..., 0] * a[..., 0]
+    sq = np.empty(out.shape) if d > 1 else None
+    for j in range(1, d):
+        out += np.multiply(a[..., j], a[..., j], out=sq)
+    return np.sqrt(out, out=out)
 
 
 _POWER_TOL = 1e-8  # relative change of the estimate at which power iteration stops

@@ -542,6 +542,8 @@ class TestSynth:
             (["--k-values", "0.1,0.2", "--steps", "50"], "--k-values"),
             (["--seed", "-1"], "--seed"),
             (["--seed", str(2**64 + 7)], "--seed"),
+            (["--steps", "1" + "0" * 400], "--steps"),
+            (["--dim", "1" + "0" * 400], "--dim"),
         ],
     )
     def test_bad_flag_exits_2_naming_it(self, tmp_path, capsys, flags, named):

@@ -4,6 +4,8 @@ import pytest
 from cfgctrl.flow_systems import (
     FlowSystem,
     GaussComponent,
+    _mix,
+    _normalize,
     data_responsibilities,
     default_bandwidth,
     marginal_velocity,
@@ -99,6 +101,25 @@ class TestVelocityPair:
             velocity_pair(reference_system, np.zeros(2), 1.0, "right")
         with pytest.raises(ValueError, match="unknown condition"):
             velocity_pair(reference_system, np.zeros(2), 0.5, "nope")
+
+    @pytest.mark.parametrize("cov", [0.05 * np.eye(2), np.array([[0.05, 0.01], [0.01, 0.04]])],
+                             ids=["unrotated", "rotated"])
+    def test_underflowed_responsibility_matches_the_oracle(self, cov):
+        """Probes so far from component 1 that its responsibility is exactly 0.0 and its weighted products ±0.0.
+
+        Means of -0.0 in the second coordinate let both products of a row be -0.0 there.
+        """
+        system = FlowSystem([GaussComponent(0.5, np.array([-8.0, -0.0]), cov),
+                             GaussComponent(0.5, np.array([8.0, -0.0]), cov)], {"near": [0]})
+        rng = Rng(41)
+        tau = 0.9
+        x = tau * np.array([-8.0, 0.0]) + 0.5 * rng.standard_normal((64, 2))
+        x[::8, 1] = 0.0
+        x[1::8, 1] = -0.0
+        assert (responsibilities(system, x, tau, None)[:, 1] == 0.0).all()
+        v_c, v_u = velocity_pair(system, np.asfortranarray(x), tau, "near")
+        assert v_c.tobytes() == row_major_velocity(system, x, tau, "near").tobytes()
+        assert v_u.tobytes() == row_major_velocity(system, x, tau, None).tobytes()
 
 
 # The field kernel before it worked on (d, n) columns, written out as the oracle for the kernel's bits:
@@ -255,6 +276,45 @@ class TestUnrotated:
             logs, _ = row_major_pass(system, x, tau, 0.5 * dim * np.log(2.0 * np.pi))
             got = responsibilities(system, x, tau, None)
             assert got.tobytes() == row_major_posteriors(system, logs, np.arange(3)).tobytes()
+
+
+SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])
+
+
+def every_combination(values: np.ndarray, count: int) -> np.ndarray:
+    """(count, len(values) ** count): each column one of the ways to draw ``count`` entries from ``values``."""
+    return np.array(np.meshgrid(*[values] * count, indexing="ij")).reshape(count, -1)
+
+
+class TestKernelIdentities:
+    """The kernel's shortcuts equal the formulas they replace on IEEE special values, bit for bit."""
+
+    @pytest.mark.parametrize("n_components", [1, 2, 3])
+    def test_normalize_equals_max_exp_divide(self, n_components):
+        values = np.array([0.0, -0.0, 1e308, -1e308, np.inf, -np.inf, np.nan, 2.5])
+        logs = every_combination(values, n_components)
+        with np.errstate(invalid="ignore", over="ignore"):
+            p = np.exp(logs - np.maximum.reduce(logs))
+            expected = p / p.sum(axis=0)
+            got = _normalize(logs.copy())
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_components", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_mix_equals_the_sum_from_zero(self, n_components, dim):
+        """Every (responsibility, velocity) pair from SPECIAL, for each component, in every combination."""
+        pairs = every_combination(SPECIAL, 2 * n_components)
+        resp = pairs[:n_components]
+        idx = np.arange(n_components)[::-1]  # velocities are looked up by component index, in idx order
+        vels = {k: np.stack([pairs[n_components + j]] + [pairs[n_components + j][::-1]] * (dim - 1))
+                for j, k in enumerate(idx)}
+        expected = np.zeros((dim, pairs.shape[1]))
+        term = np.empty(expected.shape)
+        with np.errstate(invalid="ignore"):
+            for j, k in enumerate(idx):  # in place, as the kernel adds: numpy's two add loops keep different NaNs
+                expected += np.multiply(resp[j], vels[k], out=term)
+            got = _mix(resp, vels, idx)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestResponsibilities:

@@ -144,6 +144,21 @@ class TestRowReductions:
             for layout, view in layouts(a).items():
                 assert same_bits(row_norm(view), expected), layout
 
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_row_norm_of_special_values_matches_numpy_bits(self, d):
+        """Signed zeros, infinities, NaN, a square that overflows (1e200) and one that underflows (1e-200)."""
+        special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1e200, -1e200, 1e-200, -1e-200, 1.5])
+        rng = Rng(300 + d)
+        pairs = np.array(np.meshgrid(special, special)).reshape(2, -1).T  # every pair, in the first two columns
+        a = special[(rng.uniform((len(pairs), d)) * len(special)).astype(int)]
+        a[:, :2] = pairs[:, :d]
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            for shape in ((len(pairs), d), (4, len(pairs) // 4, d), (d,)):
+                b = a[: int(np.prod(shape[:-1]))].reshape(shape)
+                expected = np.linalg.norm(np.ascontiguousarray(b), axis=-1)
+                for layout, view in layouts(b).items():
+                    assert same_bits(row_norm(view), expected), (shape, layout)
+
     def test_divergence_predicate_unchanged(self):
         # the sampler's envelope test, before and after the isfinite pass was dropped
         x = np.array([
