@@ -7,9 +7,10 @@ none of its files.
 
 Exit codes: 0 success, 2 config error, 3 a run whose batch kept too few
 trajectories to report on (fewer than dimension + 1) or a synth run whose
-surface state overflowed. ``compare`` and ``sweep`` share one table path:
-a batch whose law raised, or whose batch kept too few trajectories, is a
-``failed: <reason>`` row, the other rows finish, and the command exits 0.
+surface state, drift or gain realization, or drift phase overflowed.
+``compare`` and ``sweep`` share one table path: a batch whose law raised,
+or whose batch kept too few trajectories, is a ``failed: <reason>`` row,
+the other rows finish, and the command exits 0.
 """
 
 from __future__ import annotations
@@ -77,18 +78,11 @@ def _mean_gap_curve(result: RunResult) -> tuple[list, list]:
     return list(range(result.e_norm.shape[1])), list(result.e_norm.mean(axis=0))
 
 
-def _quality(result: RunResult, target: str) -> metrics.QualityReport:
-    """The batch's report against ``target``; ValueError if no trajectory survived or too few to fit a Gaussian."""
-    if not result.run_ids.size:
-        raise ValueError("every trajectory diverged")
-    return metrics.quality_report(result, result.system, target)
-
-
 def cmd_run(args) -> int:
     cfg, tag, out = _setup(args)
     result = run_batch(cfg)
     try:
-        report = _quality(result, cfg.system.target)
+        report = metrics.quality_report(result, result.system, cfg.system.target)
     except ValueError as exc:
         print(f"run {tag}: {exc}", file=sys.stderr)
         return 3
@@ -156,7 +150,7 @@ def _row(result: RunResult | Exception, target: str) -> dict:
     if isinstance(result, Exception):
         return {"status": f"failed: {result}"}
     try:
-        report = _quality(result, target)
+        report = metrics.quality_report(result, result.system, target)
     except ValueError as exc:
         return {"status": f"failed: {exc}"}
     return {"status": "ok", **report.to_dict(), "mean_reach_step": metrics.mean_reach_step(result)}
@@ -237,23 +231,23 @@ def cmd_compare(args) -> int:
 
 
 _SYNTH_FLAGS = (
-    # (flag, argparse attribute, test of a finite value, message)
-    ("--steps", "steps", lambda v: v >= 1, "must be at least 1"),
-    ("--dim", "dim", lambda v: v >= 1, "must be at least 1"),
-    ("--w", "w", lambda v: v > 0.0, "must be positive"),
-    ("--dt", "dt", lambda v: v > 0.0, "must be positive"),
-    ("--s0", "s0", lambda v: v != 0.0, "must be nonzero"),
-    ("--k", "k", lambda v: v >= 0.0, "must be nonnegative"),
-    ("--delta", "delta", lambda v: v >= 0.0, "must be nonnegative"),
-    ("--rho", "rho", lambda v: v >= 0.0, "must be nonnegative"),
+    # (flag, type, default, test of a finite value, message), in --help order; the argparse attribute is flag[2:]
+    ("--delta", float, 0.5, lambda v: v >= 0.0, "must be nonnegative"),
+    ("--rho", float, 0.0, lambda v: v >= 0.0, "must be nonnegative"),
+    ("--w", float, 5.0, lambda v: v > 0.0, "must be positive"),
+    ("--k", float, 0.5, lambda v: v >= 0.0, "must be nonnegative"),
+    ("--dim", int, 1, lambda v: v >= 1, "must be at least 1"),
+    ("--dt", float, 0.01, lambda v: v > 0.0, "must be positive"),
+    ("--steps", int, 2000, lambda v: v >= 1, "must be at least 1"),
+    ("--s0", float, 2.0, lambda v: v != 0.0, "must be nonzero"),
 )
 
 
 def _synth_k_values(args) -> list[float] | None:
     """Check every synth flag; returns the parsed --k-values of a corridor run."""
     cfgmod.check_seed(args.seed, "--seed")
-    for flag, attr, holds, message in _SYNTH_FLAGS:
-        value = getattr(args, attr)
+    for flag, _, _, holds, message in _SYNTH_FLAGS:
+        value = getattr(args, flag[2:])
         if not abs(value) <= sys.float_info.max:  # NaN, an infinity, or an int flag past the float range
             raise ConfigError(f"{flag}: must be a finite number, got {value!r}")
         if not holds(value):
@@ -298,8 +292,15 @@ def cmd_synth(args) -> int:
     if k_lo >= k_hi:
         print("warning: corridor infeasible for these parameters")
 
+    try:
+        if k_values is not None:
+            rows = control_lab.corridor_sweep(dyn, k_values, args.steps)
+        else:
+            report = control_lab.simulate_sliding(dyn, args.steps)
+    except control_lab.Overflow as exc:
+        print(f"synth {tag}: {exc}", file=sys.stderr)
+        return 3
     if k_values is not None:
-        rows = control_lab.corridor_sweep(dyn, k_values, args.steps)
         cells = ([_fmt(r.k), str(r.reached).lower(), "" if r.reach_step is None else str(r.reach_step),
                   _fmt(r.residual_band), _fmt(r.osc_amplitude)] for r in rows)
         header = ["k", "reached", "reach_step", "residual_band", "osc_amplitude"]
@@ -319,11 +320,6 @@ def cmd_synth(args) -> int:
             print(f"k={row.k:g}: {state}")
         return 0
 
-    try:
-        report = control_lab.simulate_sliding(dyn, args.steps)
-    except control_lab.SurfaceOverflow as exc:
-        print(f"synth {tag}: {exc}", file=sys.stderr)
-        return 3
     s_norms = report.s_norms.tolist()
     series = zip(map(str, range(len(s_norms))), map(repr, s_norms), map(repr, report.lyapunov.tolist()))
     _write_text({
@@ -332,14 +328,17 @@ def cmd_synth(args) -> int:
             [("|s|", list(range(len(s_norms))), s_norms)], "surface norm per step", "step", "|s|"
         ),
     })
+    reach = (f"reached band at step {report.reach_step}" if report.reached
+             else "did not reach the band within the step budget")
     if not report.gain_condition_met:
         print("gain condition unmet")
-    elif report.reached and report.reach_step is not None and report.bound_steps is not None:
+    elif report.bound_steps is None:
+        print(f"{reach}; the reach bound is not a finite step count")
+    elif report.reached:
         within = report.reach_step <= report.bound_steps * 1.05 + 1
-        print(f"reached band at step {report.reach_step} (bound {report.bound_steps} steps); "
-              f"reached within bound: {'yes' if within else 'no'}")
+        print(f"{reach} (bound {report.bound_steps} steps); reached within bound: {'yes' if within else 'no'}")
     else:
-        print("did not reach the band within the step budget")
+        print(reach)
     return 0
 
 
@@ -367,14 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_syn = sub.add_parser("synth", help="synthetic sliding-dynamics testbed")
-    p_syn.add_argument("--delta", type=float, default=0.5)
-    p_syn.add_argument("--rho", type=float, default=0.0)
-    p_syn.add_argument("--w", type=float, default=5.0)
-    p_syn.add_argument("--k", type=float, default=0.5)
-    p_syn.add_argument("--dim", type=int, default=1)
-    p_syn.add_argument("--dt", type=float, default=0.01)
-    p_syn.add_argument("--steps", type=int, default=2000)
-    p_syn.add_argument("--s0", type=float, default=2.0)
+    for flag, kind, default, _, _ in _SYNTH_FLAGS:
+        p_syn.add_argument(flag, type=kind, default=default)
     p_syn.add_argument("--drift", choices=control_lab.DRIFT_KINDS, default="constant")
     p_syn.add_argument("--gain-deviation", choices=control_lab.GAIN_KINDS, default="zero")
     p_syn.add_argument("--corridor", action="store_true", help="sweep switching gains instead of one run")

@@ -68,8 +68,7 @@ def _as_int(value, path: str, minimum: int | None = None) -> int:
 
 def check_seed(value, path: str) -> int:
     """A seed in [0, 2**64): the random streams key on the seed mod 2**64, so any other would rerun one of those."""
-    _expect(isinstance(value, int) and not isinstance(value, bool), path, "must be an integer")
-    _expect(0 <= value < 2**64, path, "must lie in [0, 2**64)")
+    _expect(0 <= _as_int(value, path) < 2**64, path, "must lie in [0, 2**64)")
     return value
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from .numerics import Rng, spectral_norm
 
 _BOUND_SLACK = 1e-9  # float tolerance when asserting realized disturbance bounds
+_DRIFT_SLACK = 1e-12  # the drift bound's relative slack above delta = 1000; 1e-9 is under an ulp of delta from 8.4e6 on
 _DRIFT_FREQ = 0.5  # cycles per unit time of the sinusoidal drift
 
 DRIFT_KINDS = ("constant", "sinusoidal", "noise")
@@ -79,7 +80,7 @@ class ConvergenceReport:
 
     reached: bool
     reach_step: int | None
-    bound_steps: int | None
+    bound_steps: int | None      # None without the gain condition, or if bound_time / dt is past the floats
     bound_time: float | None
     gain_condition_met: bool
     eta: float
@@ -107,6 +108,8 @@ def _make_drift(dyn: PerturbedDynamics, rng: Rng):
 
         def drift(step: int) -> np.ndarray:
             phase = 2.0 * math.pi * _DRIFT_FREQ * step * dyn.dt
+            if phase == math.inf:
+                raise Overflow(f"sinusoidal drift phase overflowed at step {step}")
             return dyn.delta * math.sin(phase) * direction
 
     else:  # bounded noise
@@ -141,12 +144,19 @@ def _draw_gain_deviation(dyn: PerturbedDynamics, rng: Rng) -> np.ndarray:
 def _draw_gain(dyn: PerturbedDynamics, rng: Rng) -> np.ndarray:
     """Realized gain w*I + dG for a freshly drawn deviation dG, whose bound is asserted here."""
     gain_dev = _draw_gain_deviation(dyn, rng)
-    if spectral_norm(gain_dev) > dyn.rho + max(_BOUND_SLACK, 1e-8 * dyn.rho):
+    if not np.isfinite(gain_dev).all():
+        raise Overflow("realized gain deviation overflowed")
+    scale = max(dyn.rho, 1.0)  # a deviation of norm near 1, whose power iteration cannot overflow
+    if spectral_norm(gain_dev / scale) > (dyn.rho + max(_BOUND_SLACK, 1e-8 * dyn.rho)) / scale:
         raise RuntimeError("realized gain deviation exceeded its bound")
     return dyn.w * np.eye(dyn.dim) + gain_dev
 
 
-class SurfaceOverflow(RuntimeError):
+class Overflow(RuntimeError):
+    """A run left the floats: its surface state, a drift or gain realization, or the sinusoidal drift's phase."""
+
+
+class SurfaceOverflow(Overflow):
     """The surface state of a run left the floats; ``step`` is the first whose state, |s| or energy is not finite."""
 
     def __init__(self, step: int):
@@ -157,7 +167,13 @@ class SurfaceOverflow(RuntimeError):
 def _check_drift(dyn: PerturbedDynamics, phi: np.ndarray) -> None:
     # sqrt(phi . phi) is np.linalg.norm's own formula for a vector, without its dispatch cost,
     # which a varying drift would pay every step
-    if math.sqrt(phi.dot(phi)) > dyn.delta + _BOUND_SLACK:
+    norm = math.sqrt(phi.dot(phi))
+    if norm == math.inf:  # the square overflowed, or the drift did
+        if not np.isfinite(phi).all():
+            raise Overflow("realized drift overflowed")
+        top = float(np.abs(phi).max())
+        norm = top * math.sqrt((phi / top).dot(phi / top))
+    if not norm <= dyn.delta + max(_BOUND_SLACK, _DRIFT_SLACK * dyn.delta):  # written so that NaN fails it
         raise RuntimeError("realized drift exceeded its bound")
 
 
@@ -187,18 +203,17 @@ def _integrate(dyn: PerturbedDynamics, ks, steps: int) -> np.ndarray:
         raise ValueError("need at least one step")
     k_col = np.asarray(ks, dtype=float)[:, None, None]
     rng = Rng(dyn.seed)
-    gain = _draw_gain(dyn, rng)
-    drift = _make_drift(dyn, rng)
-    varying_drift = dyn.drift != "constant"
-    if not varying_drift:
-        phi = drift(0)
-        _check_drift(dyn, phi)
-
     s = np.tile(dyn.s0[:, None], (k_col.shape[0], 1, 1))
     history = np.zeros((steps + 1,) + s.shape)
     history[0] = s
     increments = {}
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised or reported, not warned about
+        gain = _draw_gain(dyn, rng)
+        drift = _make_drift(dyn, rng)
+        varying_drift = dyn.drift != "constant"
+        if not varying_drift:
+            phi = drift(0)
+            _check_drift(dyn, phi)
         for step in range(steps):
             if varying_drift:
                 phi = drift(step)
@@ -244,7 +259,8 @@ def simulate_sliding(dyn: PerturbedDynamics, steps: int) -> ConvergenceReport:
     at every step (a constant drift once, as its single realization), the
     gain deviation on the one matrix drawn per run. A violated gain
     condition is reported, not raised; a surface state that overflows
-    raises ``SurfaceOverflow``.
+    raises ``SurfaceOverflow``, and a realization or drift phase that does
+    raises ``Overflow``.
     """
     history = _integrate(dyn, [dyn.k], steps)
     norms, (overflow,) = _norms_and_overflow(history)
@@ -265,7 +281,7 @@ def simulate_sliding(dyn: PerturbedDynamics, steps: int) -> ConvergenceReport:
     bound_steps = None
     if gain_met:
         bound_time = float(np.linalg.norm(dyn.s0)) / eta
-        bound_steps = math.ceil(bound_time / dyn.dt)
+        bound_steps = math.ceil(bound_time / dyn.dt) if bound_time / dyn.dt < math.inf else None
 
     return ConvergenceReport(
         reached=reached,
@@ -292,7 +308,8 @@ def stability_corridor(delta_est: float, w: float, s_norm: float, dt: float) -> 
         raise ValueError("drift estimate must be nonnegative")
     if not (w > 0.0 and s_norm > 0.0 and dt > 0.0):
         raise ValueError("w, s_norm, dt must be positive")
-    return delta_est / w, 2.0 * s_norm / (w * dt)
+    span = w * dt
+    return delta_est / w, (2.0 * s_norm / span if span > 0.0 else math.inf)  # w * dt can underflow to 0
 
 
 @dataclass(frozen=True)
@@ -311,7 +328,8 @@ def corridor_sweep(template: PerturbedDynamics, k_values: list[float], steps: in
     """Simulate the template at every switching gain in one lockstep pass and summarize each tail.
 
     Every gain sees the template's drift and gain realizations. A gain whose
-    surface state overflows is reported unreached, with its overflow step.
+    surface state overflows is reported unreached, with its overflow step; a
+    realization that overflows raises ``Overflow``, as in ``simulate_sliding``.
     """
     runs = [replace(template, k=float(k)) for k in k_values]  # refuses a negative gain
     if not runs:

@@ -219,7 +219,10 @@ def rectified_cfgpp_combine(
     np.add(x, x_mid, out=x_mid)
     tau_mid = min(ctx.tau + 0.5 * ctx.dtau, 0.5 * (ctx.tau + 1.0))
     v_c_mid, v_u_mid = evaluator(x_mid, tau_mid)
-    alpha = lam_max * ctx.tau**gamma
+    try:
+        alpha = lam_max * ctx.tau**gamma
+    except OverflowError:  # a float power raises where numpy's gives inf
+        alpha = lam_max * np.inf
     gap = v_c_mid - v_u_mid
     return np.add(v_c, np.multiply(alpha, gap, out=gap), out=gap)
 

@@ -97,8 +97,10 @@ _E_FLOOR = 1e-12  # an initial gap norm at or below this counts as unguided
 
 
 def quality_report(result: RunResult, system: FlowSystem, cond: str) -> QualityReport:
-    """Quality proxies of a batch's final samples against the target condition."""
+    """Quality proxies of a batch's final samples against the target condition; ValueError if too few survived."""
     finals = result.finals
+    if not len(finals):
+        raise ValueError("every trajectory diverged")
     if finals.shape[0] < system.dim + 1:
         raise ValueError(
             f"need at least {system.dim + 1} non-divergent samples, got {finals.shape[0]}"

@@ -164,8 +164,6 @@ def _integrate_rows(
     # work arrays in x's layout, written in place every step: at batch size a fresh array costs more than a pass
     x_new = np.empty_like(x)  # holds each step's gap v_c - v_u before its new state
     x_pred = np.empty_like(x) if heun else None
-    # the guided velocity of several laws, one array per stage (keyed by update_state), since both live at once
-    stage_out = {stage: np.empty_like(x) for stage in (True, False)} if len(laws) > 1 else None
     alive = np.repeat([j not in failed for j in range(len(laws))], n)  # an unbuilt law's rows start dead
     div_step = np.full(len(x), -1)  # the step at which a row left the envelope, -1 while it has not
     e_hist = np.zeros((n_steps, len(x)))
@@ -178,22 +176,25 @@ def _integrate_rows(
         return velocity_pair(system, points, t, cond)
 
     def guided(step: int, t: float, v_c, v_u, points, update_state: bool) -> np.ndarray | None:
-        """Each live law's velocity on its rows; a law that raises ends its block (rows left at 0)."""
-        parts = {}
+        """Each live law's velocity on its rows and, if the stage updates state, its surface; a raise ends its block."""
+        out = None if len(laws) == 1 else np.zeros_like(x)  # a failed block's rows stay 0
         for j, (law, rows) in enumerate(zip(laws, blocks)):
             if j in failed:
                 continue
             try:
                 ctx = StepContext(step, n_steps, t, dtau, law.w)
-                parts[j] = apply_controller(law, v_c[rows], v_u[rows], points[rows], ctx, evaluator, update_state)
+                v = apply_controller(law, v_c[rows], v_u[rows], points[rows], ctx, evaluator, update_state)
             except Exception as exc:  # kept as the block's result, re-raised by its caller
                 failed[j] = exc
                 alive[rows] = False
-        if len(laws) == 1:
-            return parts.get(0)
-        out = stage_out[update_state]
-        for j, rows in enumerate(blocks):
-            out[rows] = parts.get(j, 0.0)
+                continue
+            if update_state and law.sliding is not None:
+                s_hist[step, rows] = row_norm(law.sliding.s)
+                if sv_hist is not None:
+                    sv_hist[step, rows] = law.sliding.s
+            if out is None:
+                return v
+            out[rows] = v
         return out
 
     def retire(points: np.ndarray, step: int) -> None:
@@ -215,11 +216,6 @@ def _integrate_rows(
             if len(failed) == len(laws):
                 break
             e_hist[i] = row_norm(np.subtract(v_c, v_u, out=x_new))
-            for j, (law, rows) in enumerate(zip(laws, blocks)):
-                if j not in failed and law.sliding is not None:
-                    s_hist[i, rows] = row_norm(law.sliding.s)
-                    if sv_hist is not None:
-                        sv_hist[i, rows] = law.sliding.s
             if record_x:
                 x_hist[i] = x
             if heun:

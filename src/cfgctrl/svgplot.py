@@ -27,7 +27,7 @@ def _bounds(values) -> tuple[float, float]:
     lo = min(values)
     hi = max(values)
     if lo == hi:
-        pad = 1.0 if lo == 0.0 else abs(lo) * 0.1
+        pad = abs(lo) * 0.1 or 1.0  # 0 or a tenth that underflows: a unit pad
         return lo - pad, hi + pad
     pad = (hi - lo) * 0.05
     return lo - pad, hi + pad
@@ -141,7 +141,6 @@ def scatter_chart(
     labels = [(label, PALETTE[i % len(PALETTE)]) for i, (label, _, _) in enumerate(points)]
     if ref_line is not None:
         label, slope = ref_line
-        hi = max(x for _, xs, _ in points for x in xs + [0.0])
         frame.polyline([0.0, hi], [0.0, slope * hi], "#555555")
         labels.append((label, "#555555"))
     frame.legend(labels)

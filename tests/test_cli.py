@@ -3,10 +3,12 @@ import io
 import json
 import re
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from cfgctrl import control_lab
 from cfgctrl.cli import _csv, main
 
 from conftest import REFERENCE_CONFIG
@@ -105,6 +107,14 @@ class TestRun:
     @pytest.mark.parametrize("under_file", [False, True])
     def test_out_blocked_by_a_file_exits_2(self, tmp_path, capsys, under_file):
         assert_out_refused(tmp_path, capsys, under_file, "run", "--config", small_config(tmp_path))
+
+    def test_rectified_power_past_the_floats_exits_3(self, tmp_path, capsys):
+        # tau**gamma at tau = 1e-4 and gamma = -80 is past the floats: every row is flagged, nothing is written
+        cfg = small_config(tmp_path, controller={"type": "rectified_cfgpp", "w": 5.0, "gamma": -80})
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", cfg, "--out", out) == 3
+        assert re.fullmatch(r"run [0-9a-f]{12}: every trajectory diverged\n", capsys.readouterr().err)
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -377,6 +387,14 @@ class TestCompare:
         table = next(out.glob("compare_*_table.csv")).read_text().split("\n")
         assert table[2] == 'smc,"failed: need at least 3 non-divergent samples, got 2",,,,,,'
 
+    def test_rectified_power_past_the_floats_fails_only_its_row(self, tmp_path):
+        cfg = small_config(tmp_path, controller={"type": "rectified_cfgpp", "w": 5.0, "gamma": -80})
+        out = tmp_path / "out"
+        assert run_cli("compare", "--config", cfg, "--controllers", "cfg,rectified_cfgpp", "--out", out) == 0
+        rows = json.loads(next(out.glob("compare_*_report.json")).read_text())["rows"]
+        assert rows[0]["status"] == "ok"
+        assert rows[1] == {"controller": "rectified_cfgpp", "status": "failed: every trajectory diverged"}
+
     def test_csv_status_is_the_json_status(self, tmp_path):
         cfg = small_config(tmp_path, **{"sampler.trajectories": 2})
         out = tmp_path / "out"
@@ -517,6 +535,76 @@ class TestSynth:
         for path in out.iterdir():
             text = path.read_text()
             assert "inf" not in text and "nan" not in text, path.name
+
+    @pytest.mark.parametrize("flags", [
+        ["--delta", "1e8", "--dim", "3"],
+        ["--delta", "3e7", "--dim", "6"],
+        ["--delta", "3e7", "--dim", "7"],
+        ["--delta", "1e8", "--dim", "3", "--corridor", "--k-values", "1,2"],
+    ])
+    def test_drift_at_its_bound_passes_at_any_scale(self, tmp_path, capsys, flags):
+        # the constant drift's norm is an ulp of delta above it here, more than 1e-9
+        out = tmp_path / "o"
+        assert run_cli("synth", *flags, "--steps", "50", "--out", out) == 0
+        assert capsys.readouterr().err == ""
+        assert any(out.iterdir())
+
+    @pytest.mark.parametrize("flags, step", [
+        (["--delta", "1e200"], 1),
+        (["--delta", "1e200", "--drift", "sinusoidal"], 2),
+        (["--delta", "1e200", "--drift", "noise"], 1),
+        (["--rho", "1e200", "--gain-deviation", "seeded", "--dim", "3"], 1),
+        (["--rho", "1e308", "--gain-deviation", "rotation", "--dim", "3"], 1),
+    ])
+    def test_bound_past_a_square_overflows_the_surface(self, tmp_path, capsys, flags, step):
+        # the bound checks neither overflow nor fail; the surface state leaves the floats, and nothing is written
+        out = tmp_path / "o"
+        assert run_cli("synth", *flags, "--steps", "50", "--out", out) == 3
+        captured = capsys.readouterr()
+        assert re.fullmatch(rf"synth [0-9a-f]{{12}}: surface state overflowed at step {step}\n", captured.err)
+        assert "reached band" not in captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, cause", [
+        (["--drift", "sinusoidal", "--dt", "1e308", "--steps", "5"], "sinusoidal drift phase overflowed at step 1"),
+        (["--drift", "sinusoidal", "--dt", "1e308", "--steps", "5", "--corridor", "--k-values", "1,2"],
+         "sinusoidal drift phase overflowed at step 1"),
+        (["--drift", "noise", "--delta", "1e308", "--dim", "3", "--steps", "50"], "realized drift overflowed"),
+        (["--rho", "1.7e308", "--gain-deviation", "seeded", "--dim", "3", "--steps", "50"],
+         "realized gain deviation overflowed"),
+        (["--rho", "1.7e308", "--gain-deviation", "seeded", "--dim", "3", "--steps", "50", "--corridor",
+          "--k-values", "1"], "realized gain deviation overflowed"),
+    ])
+    def test_overflowed_realization_exits_3_naming_it(self, tmp_path, capsys, flags, cause):
+        out = tmp_path / "o"
+        assert run_cli("synth", *flags, "--out", out) == 3
+        assert re.fullmatch(rf"synth [0-9a-f]{{12}}: {cause}\n", capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_underflowed_step_gain_runs(self, tmp_path, capsys):
+        # w * dt underflows to 0.0, so the corridor's upper edge is inf
+        assert run_cli("synth", "--w", "1e-320", "--dt", "1e-320", "--steps", "3", "--out", tmp_path / "o") == 0
+        assert capsys.readouterr().out.startswith("stability corridor: k in (inf, inf)\n")
+
+    def test_lone_converged_gain_below_the_floats_is_plotted(self, tmp_path):
+        # k = 5e-324 converges at step 0; a tenth of it, the oscillation chart's pad, underflows to 0
+        out = tmp_path / "o"
+        flags = ["--corridor", "--k-values", "5e-324", "--delta", "0", "--w", "1e160", "--dt", "1e308", "--steps", "1"]
+        assert run_cli("synth", *flags, "--out", out) == 0
+        assert "<polyline" in next(out.glob("synth_*_osc.svg")).read_text()
+
+    def test_reach_bound_past_the_floats_is_no_step_count(self, tmp_path, capsys):
+        # bound_time / dt overflows at dt = 1e-320
+        assert run_cli("synth", "--dt", "1e-320", "--steps", "50", "--out", tmp_path / "o") == 0
+        assert capsys.readouterr().out.endswith(
+            "\ndid not reach the band within the step budget; the reach bound is not a finite step count\n")
+
+    def test_reached_band_without_a_step_bound_is_not_called_missed(self, tmp_path, capsys, monkeypatch):
+        real = control_lab.simulate_sliding
+        monkeypatch.setattr(control_lab, "simulate_sliding", lambda dyn, steps: replace(real(dyn, steps), bound_steps=None))
+        assert run_cli("synth", "--out", tmp_path / "o") == 0
+        printed = capsys.readouterr().out
+        assert re.search(r"\nreached band at step \d+; the reach bound is not a finite step count\n$", printed)
 
     def test_infeasible_corridor_warns_exit_zero(self, tmp_path, capsys):
         assert run_cli("synth", "--delta", "100", "--dt", "10", "--out", tmp_path / "o") == 0

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -149,6 +150,44 @@ class TestSimulateSliding:
             outcomes.add(raised)
         assert outcomes == {False, True}
 
+    @pytest.mark.parametrize("dim, delta", [(3, 1e8), (6, 3e7), (7, 3e7), (1, 1e200), (3, 1e200), (2, 1.7e308)])
+    def test_drift_at_its_bound_passes_at_any_scale(self, dim, delta):
+        # delta * (1, ..., 1) / sqrt(D) can have norm delta * (1 + 2**-52), an ulp of delta above it; from
+        # 1e154 on, phi . phi overflows
+        with np.errstate(over="ignore"):  # as the integrator calls it
+            control_lab._check_drift(dynamics(dim=dim, delta=delta, s0=np.ones(dim)), delta * np.ones(dim) / np.sqrt(dim))
+
+    @pytest.mark.parametrize("phi", [[np.nan, 0.0], [np.inf, np.nan]])
+    def test_nan_drift_fails_the_check(self, phi):
+        with pytest.raises(RuntimeError, match="drift exceeded"):
+            control_lab._check_drift(dynamics(dim=2, s0=np.ones(2)), np.array(phi))
+
+    @pytest.mark.parametrize("phi", [[np.inf, 0.0], [-np.inf, np.inf]])
+    def test_infinite_drift_is_an_overflow(self, phi):
+        with pytest.raises(control_lab.Overflow, match="^realized drift overflowed$"):
+            control_lab._check_drift(dynamics(dim=2, delta=1e308, s0=np.ones(2)), np.array(phi))
+
+    @pytest.mark.parametrize("kind, rho", [("seeded", 1e200), ("seeded", 1e308), ("rotation", 1e308), ("rotation", 1.7e308)])
+    def test_gain_bound_checked_without_overflow(self, kind, rho):
+        dyn = dynamics(dim=3, rho=rho, s0=np.ones(3), gain_deviation=kind, seed=0)
+        gain = control_lab._draw_gain(dyn, Rng(dyn.seed))
+        assert np.array_equal(gain, dyn.w * np.eye(3) + control_lab._draw_gain_deviation(dyn, Rng(dyn.seed)))
+
+    def test_gain_past_the_floats_is_an_overflow(self):
+        # rho * g overflows for an entry of g above 1.06
+        dyn = dynamics(dim=3, rho=1.7e308, s0=np.ones(3), gain_deviation="seeded", seed=0)
+        with pytest.raises(control_lab.Overflow, match="^realized gain deviation overflowed$"):
+            simulate_sliding(dyn, 10)
+
+    def test_sinusoidal_phase_past_the_floats_is_an_overflow(self):
+        with pytest.raises(control_lab.Overflow, match="^sinusoidal drift phase overflowed at step 1$"):
+            simulate_sliding(dynamics(drift="sinusoidal", dt=1e308), 5)
+
+    def test_reach_bound_past_the_floats_is_no_step_count(self):
+        report = simulate_sliding(dynamics(dt=1e-320), 50)  # bound_time / dt overflows
+        assert report.gain_condition_met and report.bound_time == 2.0 / 4.5
+        assert report.bound_steps is None
+
     def test_overflow_raises_naming_the_step(self):
         with pytest.raises(SurfaceOverflow, match="overflowed at step 1$") as err:
             simulate_sliding(dynamics(w=1e300, k=1e10), 50)
@@ -191,6 +230,9 @@ class TestStabilityCorridor:
     def test_zero_drift_gives_zero_lower_edge(self):
         low, _ = stability_corridor(0.0, 5.0, 2.0, 0.02)
         assert low == 0.0
+
+    def test_underflowed_step_gain_gives_an_open_upper_edge(self):
+        assert stability_corridor(0.5, 1e-320, 2.0, 1e-320) == (math.inf, math.inf)  # w * dt is 0.0
 
     def test_infeasibility_detectable(self):
         low, high = stability_corridor(10.0, 1.0, 0.001, 1.0)

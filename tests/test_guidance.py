@@ -235,6 +235,13 @@ class TestRectifiedCfgpp:
         out = rectified_cfgpp_combine(ev, x, ctx, 4.0, 1.0)
         assert np.allclose(out, marginal_velocity(system, x, 0.3, "all"), atol=1e-14)
 
+    def test_power_past_the_floats_gives_an_infinite_gain(self, system):
+        # tau**gamma at tau = 1e-4, gamma = -80 is past the floats: a float power raises there, numpy's gives inf
+        ctx = ctx_at(index=0, total=10, tau=1e-4, dtau=0.1, w=5.0)
+        with np.errstate(all="ignore"):
+            out = rectified_cfgpp_combine(self.evaluator(system, "right"), np.array([0.5, 0.5]), ctx, 4.0, -80.0)
+        assert not np.isfinite(out).any()
+
     def test_matches_hand_composed_predictor_corrector(self, system):
         x = np.array([0.1, 0.8])
         tau, dtau = 0.4, 0.1

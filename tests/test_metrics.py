@@ -194,6 +194,16 @@ class TestQualityReport:
         with pytest.raises(ValueError):
             quality_report(result, system, "right")
 
+    def test_no_rows_every_trajectory_diverged(self, system):
+        class FakeResult:
+            pass
+
+        result = FakeResult()
+        result.finals = np.zeros((0, 2))
+        result.n_divergent = 10
+        with pytest.raises(ValueError, match="^every trajectory diverged$"):
+            quality_report(result, system, "right")
+
     def test_deterministic(self, system):
         rng = Rng(45)
         finals = gaussian_sample(rng, np.array([3.0, 0.0]), np.eye(2), size=100)

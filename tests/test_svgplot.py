@@ -41,3 +41,10 @@ def test_scatter_places_each_point_as_x_px_and_y_px_do():
         for x, y in zip(xs, ys)
     ]
     assert frame.parts[start:] == want
+
+
+def test_a_lone_subnormal_value_gets_a_unit_pad():
+    # a tenth of 5e-324 underflows to 0, which left the frame with no width
+    assert svgplot._bounds([5e-324]) == (5e-324 - 1.0, 5e-324 + 1.0)
+    assert svgplot._bounds([0.0]) == (-1.0, 1.0) and svgplot._bounds([-2.0]) == (-2.2, -1.8)
+    assert "<polyline" in svgplot.line_chart([("k", [5e-324], [1e-320])], "t", "x", "y")
