@@ -16,8 +16,10 @@ combined with their posterior responsibilities at (x, tau).
 The kernel is coordinate-major: it evaluates a (..., d) probe on its (d, n)
 transpose, with (K, n) responsibilities, so each per-coordinate step is one
 numpy call over n contiguous values. A component whose eigenvectors are the
-identity skips both eigenbasis rotations. Its bits equal those of the
-row-major per-component formula that the tests keep as the oracle.
+identity skips both eigenbasis rotations. Constants are computed once: each
+condition's indices and log weights per system, the constants of time tau per
+call for all components. The kernel's bits equal those of the row-major
+per-component formula that the tests keep as the oracle.
 
 The same conditional expectation can be estimated model-free by kernel
 regression over sampled pairs; :func:`mc_velocity_oracle` implements that
@@ -28,6 +30,7 @@ form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -48,8 +51,8 @@ class GaussComponent:
 class FlowSystem:
     """Gaussian mixture with named component-subset conditions.
 
-    Immutable after construction; all evaluation methods are pure, so one
-    instance serves every block of a lockstep batch.
+    Immutable after construction, its arrays read-only; all evaluation
+    methods are pure, so one instance serves every block of a lockstep batch.
     """
 
     def __init__(self, components: list[GaussComponent], conditions: dict[str, list[int]] | None = None):
@@ -90,7 +93,7 @@ class FlowSystem:
         # components whose eigenbasis is the coordinate basis: the field kernel skips their rotations
         self._unrotated = tuple(bool(np.array_equal(q, np.eye(self.dim))) for q in eigvecs)
 
-        self.conditions: dict[str, tuple[int, ...]] = {}
+        named: dict[str, tuple[int, ...]] = {}
         for name, subset in (conditions or {}).items():
             idx = tuple(int(i) for i in subset)
             if not idx:
@@ -99,7 +102,18 @@ class FlowSystem:
                 raise ValueError(f"condition {name!r} references unknown component index")
             if len(set(idx)) != len(idx):
                 raise ValueError(f"condition {name!r} repeats a component index")
-            self.conditions[name] = idx
+            named[name] = idx
+        self.conditions = MappingProxyType(named)  # the subset tables below are built from it once
+        # per subset (None: every component), its component indices and its log weights log(w_j / sum w)
+        self._subsets: dict[str | None, tuple[np.ndarray, np.ndarray]] = {}
+        for cond, subset in [(None, range(len(components))), *self.conditions.items()]:
+            idx = np.asarray(subset, dtype=int)
+            w = self._weights[idx]
+            self._subsets[cond] = (idx, np.log(w / w.sum()))
+        # every evaluation shares these arrays
+        for a in (self._weights, self._means, self._covs, self._chols, self._eigvals, self._eigvecs,
+                  *(a for table in self._subsets.values() for a in table)):
+            a.flags.writeable = False
 
     @property
     def n_components(self) -> int:
@@ -109,12 +123,14 @@ class FlowSystem:
         return GaussComponent(float(self._weights[i]), self._means[i].copy(), self._covs[i].copy())
 
     def component_indices(self, cond: str | None) -> np.ndarray:
-        """Component subset for a condition id; None selects everything."""
-        if cond is None:
-            return np.arange(self.n_components)
-        if cond not in self.conditions:
+        """Component subset for a condition id, read-only; None selects everything."""
+        return self._subset(cond)[0]
+
+    def _subset(self, cond: str | None) -> tuple[np.ndarray, np.ndarray]:
+        """The condition's component indices and in-subset log weights."""
+        if cond not in self._subsets:
             raise ValueError(f"unknown condition {cond!r}")
-        return np.asarray(self.conditions[cond], dtype=int)
+        return self._subsets[cond]
 
     def mixture_moments(self, cond: str | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Mean and covariance of the (conditional) mixture at data time."""
@@ -165,35 +181,37 @@ def _component_pass(sys: FlowSystem, x: np.ndarray, tau: float, log_norm: float,
     component's (d, n) affine velocity when ``velocity`` is set.
     """
     xt = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)  # no copy for a Fortran-order (n, d) batch
-    one_m = (1.0 - tau) ** 2
+    # the constants of every component at tau, as (K, d) arrays, each entry computed as the per-component formula would
+    spectra = tau * tau * sys._eigvals + (1.0 - tau) ** 2  # path covariance eigenvalues
+    half_logdets = 0.5 * np.log(spectra).sum(axis=1)  # each row summed as one contiguous (d,) array
+    shifts = tau * sys._means
+    # E[x1 | x] - E[x0 | x] from joint-Gaussian conditioning, in eigenbasis.
+    gains = (tau * sys._eigvals - (1.0 - tau)) / spectra
     sq = np.empty(xt.shape)  # every component's squares: at batch size a fresh array costs more than a pass
     logs, vels = {}, {}
     for k in ks:
-        spectrum = tau * tau * sys._eigvals[k] + one_m  # path covariance eigenvalues
         q = sys._eigvecs[k]
-        buf = xt - (tau * sys._means[k])[:, None]
+        buf = xt - shifts[k][:, None]
         # a product with the identity could change only the sign of a zero, which _mix's closing + 0.0 drops
         zt = buf if sys._unrotated[k] else q.T @ buf
         np.multiply(zt, zt, out=sq)
-        sq /= spectrum[:, None]
+        sq /= spectra[k][:, None]
         logs[k] = log = row_sum(sq.T)  # a fresh (n,) array
         log *= -0.5
-        log -= 0.5 * float(np.log(spectrum).sum())
+        log -= half_logdets[k]
         log -= log_norm
         if velocity:
-            # E[x1 | x] - E[x0 | x] from joint-Gaussian conditioning, in eigenbasis.
-            zt *= ((tau * sys._eigvals[k] - (1.0 - tau)) / spectrum)[:, None]
+            zt *= gains[k][:, None]
             vels[k] = zt if sys._unrotated[k] else np.matmul(q, zt, out=buf)
             vels[k] += sys._means[k][:, None]
     return logs, vels
 
 
-def _posteriors(sys: FlowSystem, logs: dict, idx: np.ndarray) -> np.ndarray:
-    """(K, n) responsibilities within the subset ``idx``, from the per-component logs of one pass."""
-    w = sys._weights[idx]
+def _posteriors(logs: dict, idx: np.ndarray, log_w: np.ndarray) -> np.ndarray:
+    """(K, n) responsibilities within the subset ``idx`` of log weights ``log_w``, from the logs of one pass."""
     resp = np.empty((len(idx),) + logs[idx[0]].shape)
     for j, k in enumerate(idx):
-        np.add(logs[k], float(np.log(w[j] / w.sum())), out=resp[j])
+        np.add(logs[k], log_w[j], out=resp[j])
     return _normalize(resp)
 
 
@@ -225,18 +243,18 @@ def _mix(resp: np.ndarray, vels: dict, idx: np.ndarray) -> np.ndarray:
 def responsibilities(sys: FlowSystem, x: np.ndarray, tau: float, cond: str | None = None) -> np.ndarray:
     """Posterior component responsibilities at (x, tau); rows sum to 1."""
     x = _check_probe(sys, x, tau)
-    idx = sys.component_indices(cond)
+    idx, log_w = sys._subset(cond)
     logs, _ = _component_pass(sys, x, tau, 0.5 * sys.dim * _LOG_2PI, idx, velocity=False)
-    return np.ascontiguousarray(_posteriors(sys, logs, idx).T).reshape(x.shape[:-1] + (len(idx),))
+    return np.ascontiguousarray(_posteriors(logs, idx, log_w).T).reshape(x.shape[:-1] + (len(idx),))
 
 
 def data_responsibilities(sys: FlowSystem, x: np.ndarray, cond: str | None = None) -> np.ndarray:
     """Responsibilities of the mixture itself (data time, tau = 1)."""
     x = np.asarray(x, dtype=float)
-    idx = sys.component_indices(cond)
+    idx, log_w = sys._subset(cond)
     # At tau = 1 the path spectrum is the covariance spectrum and the shift is the mean, exactly.
     logs, _ = _component_pass(sys, x, 1.0, 0.0, idx, velocity=False)
-    return np.ascontiguousarray(_posteriors(sys, logs, idx).T).reshape(x.shape[:-1] + (len(idx),))
+    return np.ascontiguousarray(_posteriors(logs, idx, log_w).T).reshape(x.shape[:-1] + (len(idx),))
 
 
 def marginal_velocity(sys: FlowSystem, x: np.ndarray, tau: float, cond: str | None = None) -> np.ndarray:
@@ -245,9 +263,9 @@ def marginal_velocity(sys: FlowSystem, x: np.ndarray, tau: float, cond: str | No
     ``x`` may carry leading batch axes; the result matches its shape.
     """
     x = _check_probe(sys, x, tau)
-    idx = sys.component_indices(cond)
+    idx, log_w = sys._subset(cond)
     logs, vels = _component_pass(sys, x, tau, 0.5 * sys.dim * _LOG_2PI, idx, velocity=True)
-    return np.ascontiguousarray(_mix(_posteriors(sys, logs, idx), vels, idx).T).reshape(x.shape)
+    return np.ascontiguousarray(_mix(_posteriors(logs, idx, log_w), vels, idx).T).reshape(x.shape)
 
 
 def velocity_pair(sys: FlowSystem, x: np.ndarray, tau: float, cond: str | None) -> tuple[np.ndarray, np.ndarray]:
@@ -259,11 +277,16 @@ def velocity_pair(sys: FlowSystem, x: np.ndarray, tau: float, cond: str | None) 
     An (n, d) pair comes back in Fortran order, the layout the lockstep sampler keeps.
     """
     x = _check_probe(sys, x, tau)
-    idx_c = sys.component_indices(cond)
-    idx_u = sys.component_indices(None)
+    idx_c, log_w_c = sys._subset(cond)
+    idx_u, log_w_u = sys._subset(None)
     logs, vels = _component_pass(sys, x, tau, 0.5 * sys.dim * _LOG_2PI, idx_u, velocity=True)
-    v_c = _mix(_posteriors(sys, logs, idx_c), vels, idx_c)
-    v_u = _mix(_posteriors(sys, logs, idx_u), vels, idx_u)
+    v_u = _mix(_posteriors(logs, idx_u, log_w_u), vels, idx_u)
+    if len(idx_c) == 1 and np.isfinite(logs[idx_c[0]]).all():
+        # a lone component's responsibility is l - l + 1 = 1.0 on every row, and 1.0 * v + 0.0 is v + 0.0
+        v_c = vels[idx_c[0]]  # v_u is done with it
+        v_c += 0.0
+    else:  # a row whose log is not finite gets the NaN responsibility of _normalize
+        v_c = _mix(_posteriors(logs, idx_c, log_w_c), vels, idx_c)
     return v_c.T.reshape(x.shape), v_u.T.reshape(x.shape)
 
 

@@ -121,6 +121,52 @@ class TestVelocityPair:
         assert v_c.tobytes() == row_major_velocity(system, x, tau, "near").tobytes()
         assert v_u.tobytes() == row_major_velocity(system, x, tau, None).tobytes()
 
+    @staticmethod
+    def one_component_cases() -> dict:
+        """A condition of one unrotated component, one of a rotated component, and a one-component system."""
+        # eigh sorts ascending, so diag [2, 0.5] has the swap of the axes as its eigenvectors
+        pair = FlowSystem([GaussComponent(0.5, np.array([-3.0, 0.0]), np.eye(2)),
+                           GaussComponent(0.5, np.array([3.0, 0.0]), np.diag([2.0, 0.5]))],
+                          {"left": [0], "right": [1], "both": [0, 1]})
+        return {"unrotated": (pair, "left"), "rotated": (pair, "right"),
+                "one-component system": (single_gaussian([1.0, -2.0]), "only")}
+
+    @staticmethod
+    def overflowing_probe() -> np.ndarray:
+        """64 finite rows; in every even row one coordinate lies between 1e155 and 1e300, so its square overflows."""
+        x = 3.0 * Rng(43).standard_normal((64, 2))
+        big = np.logspace(155, 300, 16) * np.resize([1.0, -1.0], 16)
+        x[::4, 0] = big
+        x[2::4, 1] = big[::-1]
+        return x
+
+    @pytest.mark.parametrize("case", ["unrotated", "rotated", "one-component system"])
+    def test_one_component_with_overflowed_squares_matches_the_oracle(self, case):
+        """A lone component whose log is -inf on some rows takes the general path, so those rows stay NaN."""
+        system, cond = self.one_component_cases()[case]
+        x = self.overflowing_probe()
+        # some rows overflowed, every row, one row of three, and none
+        for probe, overflowed in ((x, True), (x[::2], True), (x[[0, 1, 3]], True), (x[1::2], False)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                v_c, v_u = velocity_pair(system, np.asfortranarray(probe), 0.5, cond)
+                expected_c = row_major_velocity(system, probe, 0.5, cond)
+                expected_u = row_major_velocity(system, probe, 0.5, None)
+            assert np.isnan(expected_c).any() == overflowed
+            assert v_c.tobytes() == expected_c.tobytes()
+            assert v_u.tobytes() == expected_u.tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_pairs_come_back_in_fortran_order(self, order):
+        """The lone-component path, its fallback and the mix all hand back (n, d) arrays in Fortran order."""
+        system, _ = self.one_component_cases()["rotated"]
+        x = np.asarray(self.overflowing_probe(), order=order)
+        for cond, probe, finite in (("right", x[1::2], True), ("right", x, False), ("both", x, False)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                pair = velocity_pair(system, probe, 0.5, cond)
+            assert np.isfinite(pair[0]).all() == finite, cond  # overflowed rows are NaN on the fallback and the mix
+            for v in pair:
+                assert v.shape == probe.shape and v.flags.f_contiguous, cond
+
 
 # The field kernel before it worked on (d, n) columns, written out as the oracle for the kernel's bits:
 # a (..., d) batch in C order, one component at a time, each per-coordinate step a numpy broadcast.
@@ -391,6 +437,47 @@ class TestMcOracle:
 
 
 class TestConstruction:
+    @staticmethod
+    def systems() -> list:
+        return [three_component_system(), single_gaussian([1.0, 2.0]), random_system(3, 9, MIXED, seed=5)]
+
+    def test_subset_tables_are_the_indices_and_log_weights(self, reference_system):
+        for system in [reference_system, *self.systems()]:
+            for cond in (None, *system.conditions):
+                idx, log_w = system._subsets[cond]
+                expected = np.arange(system.n_components) if cond is None else np.asarray(system.conditions[cond])
+                assert idx.dtype == expected.dtype and np.array_equal(idx, expected)
+                assert np.array_equal(system.component_indices(cond), idx)
+                w = system._weights[idx]
+                assert log_w.tobytes() == np.log(w / w.sum()).tobytes()
+
+    def test_unknown_condition_named(self, reference_system):
+        x = np.zeros((3, 2))
+        for call in (lambda: velocity_pair(reference_system, x, 0.5, "nope"),
+                     lambda: marginal_velocity(reference_system, x, 0.5, "nope"),
+                     lambda: responsibilities(reference_system, x, 0.5, "nope"),
+                     lambda: data_responsibilities(reference_system, x, "nope"),
+                     lambda: reference_system.component_indices("nope")):
+            with pytest.raises(ValueError, match="unknown condition 'nope'"):
+                call()
+
+    def test_shared_arrays_are_read_only(self, reference_system):
+        for system in [reference_system, *self.systems()]:
+            arrays = {name: getattr(system, name) for name in ("_weights", "_means", "_covs", "_chols", "_eigvals",
+                                                                "_eigvecs")}
+            for cond, (idx, log_w) in system._subsets.items():
+                arrays[f"{cond} indices"], arrays[f"{cond} log weights"] = idx, log_w
+                arrays[f"component_indices({cond})"] = system.component_indices(cond)
+            for name, a in arrays.items():
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0
+            with pytest.raises(TypeError):
+                system.conditions["added"] = (0,)
+            comp = system.component(0)  # copies the caller may write into
+            comp.mean[...] = 7.0
+            comp.cov[...] = 7.0
+            assert not (system._means[0] == 7.0).all() and not (system._covs[0] == 7.0).all()
+
     def test_weights_must_sum_to_one(self):
         comps = [
             GaussComponent(0.6, np.zeros(2), np.eye(2)),
