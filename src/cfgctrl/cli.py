@@ -10,7 +10,11 @@ trajectories to report on (fewer than dimension + 1) or a synth run whose
 surface state, drift or gain realization, or drift phase overflowed.
 ``compare`` and ``sweep`` share one table path: a batch whose law raised,
 or whose batch kept too few trajectories, is a ``failed: <reason>`` row,
-the other rows finish, and the command exits 0.
+the other rows finish, and the command exits 0. ``compare`` steps one law
+per row; ``sweep`` steps one law for all its values, the swept gain a
+per-row column, so a value whose law fails to build fails only its own row,
+but a law raising mid-pass would fail every row (values that pass the
+config's checks do not reach that case).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from . import config as cfgmod
 from . import control_lab, metrics, svgplot
 from .config import ConfigError, ControllerSpec, ExperimentConfig
 from .guidance import CONTROLLERS
-from .sampler import RunResult, run_batch, run_batches, traces_to_csv, traces_to_json
+from .sampler import RunResult, run_batch, run_batches, run_sweep, traces_to_csv, traces_to_json
 
 
 def _write_text(files: dict[Path, str]) -> None:
@@ -156,22 +160,16 @@ def _row(result: RunResult | Exception, target: str) -> dict:
     return {"status": "ok", **report.to_dict(), "mean_reach_step": metrics.mean_reach_step(result)}
 
 
-def _table(key: str, labels, cfg: ExperimentConfig,
-           controllers: list[ControllerSpec]) -> tuple[list[dict], list[RunResult | Exception]]:
-    """One lockstep pass under every controller block: a row per block, ``key`` holding its label, and the batches.
-
-    A failed row does not stop the others.
-    """
-    results = run_batches(cfg, controllers)
-    return [{key: label, **_row(result, cfg.system.target)} for label, result in zip(labels, results)], results
+def _table(key: str, labels, results: list[RunResult | Exception], target: str) -> list[dict]:
+    """A row per batch of one lockstep pass, ``key`` holding its label; a failed row does not stop the others."""
+    return [{key: label, **_row(result, target)} for label, result in zip(labels, results)]
 
 
 def cmd_sweep(args) -> int:
     cfg, tag, out = _setup(args)
     if cfg.sweep is None:
         raise ConfigError("sweep: block missing from config")
-    controllers = [cfgmod.with_controller_value(cfg, cfg.sweep.parameter, v).controller for v in cfg.sweep.values]
-    rows, _ = _table("value", cfg.sweep.values, cfg, controllers)
+    rows = _table("value", cfg.sweep.values, run_sweep(cfg), cfg.system.target)
     files = {}
     if "csv" in cfg.output.formats:
         files[out / f"sweep_{tag}_table.csv"] = _table_csv("value", rows, _fmt)
@@ -213,8 +211,8 @@ def cmd_compare(args) -> int:
         json.dumps([cfg.sampler.seed, cfg.sampler.trajectories]).encode()
     ).hexdigest()[:12]
 
-    controllers = [_compare_controller(name, cfg.controller) for name in names]
-    rows, results = _table("controller", names, cfg, controllers)
+    results = run_batches(cfg, [_compare_controller(name, cfg.controller) for name in names])
+    rows = _table("controller", names, results, cfg.system.target)
     curves = [(row["controller"], *_mean_gap_curve(result))
               for row, result in zip(rows, results) if row["status"] == "ok"]
     files = {}
@@ -379,9 +377,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """``synth --s0 -1e3`` as ``synth --s0=-1e3`` for each numeric synth flag, or a prefix of one.
+
+    argparse reads a dash-led token as an option unless it looks like
+    ``-1000`` or ``-1.5``, so a negative value in exponent form would be
+    refused as a missing argument. argparse resolves a prefix as it does in
+    the joined spelling; one that fits another option too is ambiguous in both.
+    """
+    if argv[:1] != ["synth"]:
+        return argv
+    out: list[str] = []
+    for arg in argv:
+        if out and _names_synth_number(out[-1]) and arg.startswith("-") and _is_float(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+def _names_synth_number(arg: str) -> bool:
+    return len(arg) > 2 and arg.startswith("--") and any(flag.startswith(arg) for flag, *_ in _SYNTH_FLAGS)
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ConfigError as exc:

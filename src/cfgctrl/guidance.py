@@ -11,7 +11,9 @@ controllers acting on the prediction gap e = v_cond - v_uncond:
 * ``rectified_cfgpp`` predictor half-step, gap re-measured at the midpoint
 * ``smc``             sliding-mode switching correction of the gap
 
-Vector arguments may carry leading batch axes; everything broadcasts row-wise.
+Vector arguments may carry leading batch axes; everything broadcasts row-wise,
+and a gain (``w``, ``lam``, ``k``) may be an (n, 1) column holding one value
+per row, which gives each row the bits of its scalar.
 A law never writes into its arguments and returns a fresh array, which the
 caller may overwrite. It builds that array in place, each operation on the
 operands of its docstring's formula in their order, so the bits are the formula's.
@@ -33,6 +35,11 @@ VelocityEvaluator = Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]]
 """Callable returning (v_cond, v_uncond) at a point and time."""
 
 
+def _holds(ok) -> bool:
+    """A bound test's outcome: the plain comparison for a scalar, every entry for a gain column."""
+    return ok.all() if isinstance(ok, np.ndarray) else ok
+
+
 @dataclass(frozen=True)
 class StepContext:
     """Discrete step bookkeeping handed to a control law."""
@@ -41,14 +48,14 @@ class StepContext:
     total_steps: int
     tau: float
     dtau: float
-    w: float
+    w: float | np.ndarray  # a scalar, or an (n, 1) column of per-row gains
 
     def __post_init__(self):
         if not 0 <= self.index < self.total_steps:
             raise ValueError(f"step index {self.index} outside [0, {self.total_steps})")
         if not self.dtau > 0.0:  # each bound is written so that NaN fails it
             raise ValueError("step size must be positive")
-        if not self.w >= 0.0:
+        if not _holds(self.w >= 0.0):
             raise ValueError("guidance scale must be nonnegative")
 
 
@@ -61,16 +68,16 @@ class SlidingState:
     system dynamics.
     """
 
-    lam: float
-    k: float
+    lam: float | np.ndarray  # lam and k: a scalar, or an (n, 1) column of per-row gains
+    k: float | np.ndarray
     boundary_layer: float = 0.0
     e_prev: np.ndarray | None = None
     s: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.lam > 0.0:
+        if not _holds(self.lam > 0.0):
             raise ValueError("surface slope lambda must be positive")
-        if not self.k >= 0.0:
+        if not _holds(self.k >= 0.0):
             raise ValueError("switching gain k must be nonnegative")
         if not self.boundary_layer >= 0.0:
             raise ValueError("boundary layer width must be nonnegative")

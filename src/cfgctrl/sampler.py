@@ -10,10 +10,11 @@ integration itself is noise-free.
 Batches run in lockstep as array rows, which keeps per-step numpy work
 vectorized. One config's batch under several controller blocks runs in one
 such pass (:func:`run_batches`), one block of rows per law, all on the
-config's system, time grid and start points. With diagonal covariances,
-stacking blocks changes no row's arithmetic, so each block equals a run of
-its law alone bit for bit; with a full covariance a row's bits can depend on
-the batch width, since BLAS picks its kernels by width.
+config's system, time grid and start points; a sweep (:func:`run_sweep`)
+steps one law, its swept gain a per-row column, over a block per value. With
+diagonal covariances, stacking blocks changes no row's arithmetic, so each
+block equals a run of its law alone bit for bit; with a full covariance a
+row's bits can depend on the batch width, since BLAS picks its kernels by width.
 A batch's result keeps these rows as read-only arrays over its surviving
 trajectories, and the CSV and JSON exports read those arrays through one
 table of cells per batch; per-trajectory :class:`Trace` views are built
@@ -22,7 +23,7 @@ only when read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, repeat
 
@@ -31,7 +32,7 @@ import numpy as np
 from . import config as _config
 from .flow_systems import FlowSystem, velocity_pair
 from .flow_systems import marginal_velocity  # noqa: F401  (a name bench/spans.py wraps)
-from .guidance import ControlLaw, StepContext, apply_controller
+from .guidance import CONTROLLERS, ControlLaw, StepContext, apply_controller
 from .numerics import Rng, row_norm, stream_normals
 
 DIVERGENCE_NORM = 1e6
@@ -140,31 +141,33 @@ def _integrate_rows(
     cond: str | None,
     x0: np.ndarray,
     record_x: bool,
+    parts: int = 1,
 ) -> list[RunResult | Exception]:
-    """Advance one block of trajectories per law in lockstep; laws must be freshly reset.
+    """Advance ``parts`` blocks of trajectories per law in lockstep; laws must be freshly reset.
 
-    Every block starts from ``x0``, whose row i is trajectory i; rows
-    ``j*n`` to ``(j+1)*n`` belong to ``laws[j]``. All rows share each field
-    evaluation and each law steps its own rows, so a block's bits equal a
-    run of its law alone. Entry j is that block's result or, if its law
-    raised, the exception; ``laws[j]`` may already be one, from a law that
-    failed to build, and its rows start dead. The other blocks finish.
+    Every block starts from ``x0``, whose row i is trajectory i; block b holds
+    rows ``b*n`` to ``(b+1)*n``, and ``laws[j]`` steps blocks ``j*parts`` to
+    ``(j+1)*parts`` as one batch. All rows share each field evaluation and
+    each law steps its own rows, so a block's bits equal a run of its law
+    alone. Entry b is block b's result or, if its law raised, the exception;
+    ``laws[j]`` may already be one, from a law that failed to build, and its
+    rows start dead. The other laws' blocks finish.
     """
     n, dim = x0.shape
     n_steps = integ.steps
     taus = integ.tau_grid()
     dtau = integ.dtau
     heun = integ.scheme == "heun"
-    blocks = [slice(j * n, (j + 1) * n) for j in range(len(laws))]
+    blocks = [slice(j * n * parts, (j + 1) * n * parts) for j in range(len(laws))]
     failed = {j: law for j, law in enumerate(laws) if isinstance(law, Exception)}
     has_surface = any(j not in failed and law.sliding is not None for j, law in enumerate(laws))
 
     # Fortran order: x.T is the field kernel's (d, n) columns without a copy, and its results come back column-ordered
-    x = np.asfortranarray(np.tile(x0, (len(laws), 1)))
+    x = np.asfortranarray(np.tile(x0, (len(laws) * parts, 1)))
     # work arrays in x's layout, written in place every step: at batch size a fresh array costs more than a pass
     x_new = np.empty_like(x)  # holds each step's gap v_c - v_u before its new state
     x_pred = np.empty_like(x) if heun else None
-    alive = np.repeat([j not in failed for j in range(len(laws))], n)  # an unbuilt law's rows start dead
+    alive = np.repeat([j not in failed for j in range(len(laws))], n * parts)  # an unbuilt law's rows start dead
     div_step = np.full(len(x), -1)  # the step at which a row left the envelope, -1 while it has not
     e_hist = np.zeros((n_steps, len(x)))
     v_hist = np.zeros((n_steps, len(x)))
@@ -244,14 +247,15 @@ def _integrate_rows(
     )
     ids = np.arange(n)
     results: list[RunResult | Exception] = []
-    for j, (law, rows) in enumerate(zip(laws, blocks)):
+    for b in range(len(laws) * parts):
+        j, rows = b // parts, slice(b * n, (b + 1) * n)
         if j in failed:
             results.append(failed[j])
             continue
         kept = np.flatnonzero(alive[rows])
         # a slice keeps a whole block as views; only a block that lost rows is copied
         pick = slice(0, n) if len(kept) == n else kept
-        surface = law.sliding is not None
+        surface = laws[j].sliding is not None
         dead = np.flatnonzero(div_step[rows] >= 0)
         results.append(RunResult(
             **_read_only({
@@ -315,6 +319,30 @@ def run_batches(cfg: _config.ExperimentConfig,
     control law raises, its entry is the exception that run would raise, and
     the other blocks finish.
     """
+    return _integrate_rows(*_pass(cfg, controllers))
+
+
+def run_sweep(cfg: _config.ExperimentConfig) -> list[RunResult | Exception]:
+    """The config's batch at each value of its sweep, in one lockstep pass; entry j is value j's.
+
+    The laws built at the values become one whose swept gain is a per-row
+    column, so entry j equals entry j of :func:`run_batches` over the
+    per-value blocks, a pass of the same width when every law builds. A
+    value whose law fails to build gets its exception and no rows; if the
+    stacked law raises, every value gets that exception.
+    """
+    specs = [_config.with_controller_value(cfg, cfg.sweep.parameter, v).controller for v in cfg.sweep.values]
+    system, laws, *rest = _pass(cfg, specs)
+    built = [law for law in laws if not isinstance(law, Exception)]
+    if built:
+        field = CONTROLLERS[cfg.controller.type].keys[cfg.sweep.parameter].field
+        column = np.repeat([getattr(law, field) for law in built], cfg.sampler.trajectories)[:, None]
+        results = iter(_integrate_rows(system, [replace(built[0], **{field: column})], *rest, parts=len(built)))
+    return [law if isinstance(law, Exception) else next(results) for law in laws]
+
+
+def _pass(cfg: _config.ExperimentConfig, controllers: list[_config.ControllerSpec]) -> tuple:
+    """:func:`_integrate_rows`'s arguments for the config's batch under each block; an unbuilt law is its error."""
     system = _config.build_system(cfg.system)
     integ = IntegratorSpec(cfg.sampler.scheme, cfg.sampler.steps, cfg.sampler.tau_clamp)
     x0 = stream_normals(cfg.sampler.seed, cfg.sampler.trajectories, system.dim)
@@ -324,7 +352,7 @@ def run_batches(cfg: _config.ExperimentConfig,
             laws.append(_config.build_control_law(spec))
         except Exception as exc:  # this block's result, as its own run would raise it
             laws.append(exc)
-    return _integrate_rows(system, laws, integ, cfg.system.target, x0, cfg.sampler.record_x)
+    return system, laws, integ, cfg.system.target, x0, cfg.sampler.record_x
 
 
 def _read_only(columns: dict[str, np.ndarray | None]) -> dict[str, np.ndarray | None]:

@@ -262,17 +262,18 @@ def test_one_lockstep_pass_per_command(tmp_path, monkeypatch, command):
     import cfgctrl.sampler
 
     real = cfgctrl.sampler._integrate_rows
-    laws_per_call = []
+    laws_and_blocks_per_call = []
 
-    def counting(system, laws, *args):
-        laws_per_call.append(len(laws))
-        return real(system, laws, *args)
+    def counting(system, laws, *args, parts=1):
+        laws_and_blocks_per_call.append((len(laws), len(laws) * parts))
+        return real(system, laws, *args, parts=parts)
 
     monkeypatch.setattr(cfgctrl.sampler, "_integrate_rows", counting)
     cfg = small_config(tmp_path, sweep={"parameter": "w", "values": [1.0, 2.0, 5.0, 10.0, 15.0]})
     argv = {"run": ["run"], "compare": ["compare", "--controllers", ALL_SIX], "sweep": ["sweep"]}[command]
     assert run_cli(*argv, "--config", cfg, "--out", tmp_path / "o") == 0
-    assert laws_per_call == [{"run": 1, "compare": 6, "sweep": 5}[command]]
+    # a sweep steps one law, its gain a per-row column, over one block per value
+    assert laws_and_blocks_per_call == [{"run": (1, 1), "compare": (6, 6), "sweep": (1, 5)}[command]]
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "sweep"])
@@ -639,6 +640,30 @@ class TestSynth:
         assert run_cli("synth", *flags, "--out", out) == 2
         assert f"config error: {named}:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, code", [
+        ("--s0", "-1e3", 0),
+        ("--s0", "-2.5E-1", 0),
+        ("--w", "-1e-3", 2),  # refused by its bound, naming the flag
+        ("--delta", "-inf", 2),
+        ("--del", "-1e3", 2),  # a prefix argparse resolves to --delta
+        ("--rh", "-2.5E-1", 2),
+    ])
+    def test_negative_exponent_value_in_either_spelling(self, tmp_path, capsys, flag, value, code):
+        # argparse reads "-1e3" as an option where it reads "-1000" as a number; both spellings run alike
+        outputs = []
+        for out, argv in ((tmp_path / "split", [flag, value]), (tmp_path / "joined", [f"{flag}={value}"])):
+            assert run_cli("synth", *argv, "--steps", "50", "--out", out) == code
+            files = {path.name: path.read_bytes() for path in out.iterdir()} if out.exists() else None
+            outputs.append((capsys.readouterr(), files))
+        assert outputs[0] == outputs[1]
+        assert (outputs[0][1] is not None) == (code == 0)
+
+    def test_negative_exponent_int_flag_is_refused_as_an_int(self, capsys):
+        for argv in (["--steps", "-1e3"], ["--steps=-1e3"]):
+            with pytest.raises(SystemExit) as exit_:
+                run_cli("synth", *argv)
+            assert exit_.value.code == 2 and "argument --steps: invalid int value: '-1e3'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])

@@ -302,20 +302,32 @@ class TestApplyController:
         assert law.sliding.e_prev is None
 
 
+def refused(field: str, message: str, valid: float, bad: float | None = None) -> list:
+    """A NaN ``field``, and for a gain (``bad`` given) (3, 1) columns of ``valid`` holding one NaN or one ``bad``."""
+    cases = [pytest.param(field, message, float("nan"), id=f"{field}-{message}")]
+    if bad is not None:
+        cases += [pytest.param(field, message, np.array([[valid], [np.nan], [valid]]), id=f"{field}-nan-in-column"),
+                  pytest.param(field, message, np.array([[valid], [valid], [bad]]), id=f"{field}-{bad:g}-in-column")]
+    return cases
+
+
 class TestNanRefused:
-    """Every bound is written so that NaN fails it."""
+    """Every bound is written so that NaN fails it; a per-row gain column fails it on any one entry."""
 
-    @pytest.mark.parametrize("field, message", [("dtau", "step size"), ("w", "guidance scale")])
-    def test_step_context(self, field, message):
+    @pytest.mark.parametrize("field, message, value",
+                             refused("dtau", "step size", 0.1) + refused("w", "guidance scale", 5.0, -1.0))
+    def test_step_context(self, field, message, value):
         with pytest.raises(ValueError, match=message):
-            ctx_at(**{field: float("nan")})
+            ctx_at(**{field: value})
 
-    @pytest.mark.parametrize("field, message", [("lam", "lambda"), ("k", "switching gain"), ("boundary_layer", "boundary layer")])
-    def test_sliding_state(self, field, message):
+    @pytest.mark.parametrize("field, message, value", refused("lam", "lambda", 6.0, 0.0)
+                             + refused("k", "switching gain", 0.1, -0.5)
+                             + refused("boundary_layer", "boundary layer", 0.0))
+    def test_sliding_state(self, field, message, value):
         with pytest.raises(ValueError, match=message):
-            SlidingState(**{"lam": 6.0, "k": 0.1, field: float("nan")})
+            SlidingState(**{"lam": 6.0, "k": 0.1, field: value})
         with pytest.raises(ValueError, match=message):
-            ControlLaw("smc", **{field: float("nan")})
+            ControlLaw("smc", **{field: value})
 
     @pytest.mark.parametrize("shape", ["linear", "cosine"])
     def test_weight_schedule_w_max(self, shape):
@@ -325,6 +337,36 @@ class TestNanRefused:
     def test_apg_eta(self):
         with pytest.raises(ValueError, match="must be <= 1"):
             apg_combine(np.ones((2, 3)), np.zeros((2, 3)), 2.0, float("nan"))
+
+
+def _swept_gains():
+    """Every law and gain a sweep can make a column: w on each law that takes it; w, lam and k on smc, with and
+    without a boundary layer."""
+    for variant in ("cfg", "apg", "cfg_zero_star", "rectified_cfgpp"):
+        yield variant, "w", {}
+    for field in ("w", "lam", "k"):
+        for layer in (0.0, 0.05):
+            yield "smc", field, {"boundary_layer": layer}
+
+
+@pytest.mark.parametrize("variant, field, params", list(_swept_gains()))
+def test_gain_column_gives_each_row_its_scalar_bits(variant, field, params):
+    gains = [6.0, 0.5, 2.0, 0.0 if field != "lam" else 1e-3]  # k = 0 and w = 0 switch and guide nothing
+
+    def evaluator(x, t):
+        return np.sin(x + t), np.cos(2.0 * x) * t
+
+    rng = np.random.default_rng(41)
+    column = ControlLaw(variant, **params, **{field: np.array(gains)[:, None]})
+    scalars = [ControlLaw(variant, **params, **{field: gain}) for gain in gains]
+    for step in range(4):  # smc carries its surface from step to step
+        v_c, v_u, x = rng.standard_normal((3, len(gains), 3))
+        got = apply_controller(column, v_c, v_u, x, ctx_at(step, tau=0.2 * step + 0.1, w=column.w), evaluator)
+        for i, law in enumerate(scalars):
+            rows = slice(i, i + 1)
+            want = apply_controller(law, v_c[rows], v_u[rows], x[rows], ctx_at(step, tau=0.2 * step + 0.1, w=law.w),
+                                    evaluator)
+            assert got[rows].tobytes() == want.tobytes(), (step, i)
 
 
 def read_only(a: np.ndarray) -> np.ndarray:

@@ -3,7 +3,9 @@
 Random controller blocks with valid random parameters, Euler or Heun, with or
 without ``record_x``, at dimensions 1 to 10 (8 and up reach numpy's pairwise
 row sums). With a full covariance the bits can depend on the width of the
-pass, which the ``full`` cases report as an expected failure.
+pass, which the ``full`` cases report as an expected failure. A sweep, one
+law whose swept gain is a per-row column, is checked against the blocks of
+its values in a pass of the same width, which is strict for both covariances.
 """
 
 import math
@@ -16,18 +18,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cfgctrl.sampler
+from cfgctrl.cli import _row
 from cfgctrl.config import (
     ComponentSpec,
     ControllerSpec,
     ExperimentConfig,
     SamplerSpec,
+    SweepSpec,
     SystemSpec,
     build_control_law,
     build_system,
+    with_controller_value,
 )
 from cfgctrl.guidance import CONTROLLERS
 from cfgctrl.numerics import stream_normals
-from cfgctrl.sampler import IntegratorSpec, _integrate_rows, run_batches
+from cfgctrl.sampler import IntegratorSpec, _integrate_rows, run_batches, run_sweep
 
 from test_sampler import assert_same_batch, separate_runs, zeroing_field
 
@@ -159,3 +164,66 @@ def test_a_degenerate_row_changes_no_other_row(covariance, case, zeroed):
         assert isinstance(got, Exception) == isinstance(want, Exception)
         if not isinstance(got, Exception):
             assert_same_rows(got, want, others, others)
+
+
+# every controller and parameter a sweep takes; smc's with and without a boundary layer
+SWEEPS = [("cfg", "w", None), ("apg", "w", None), ("cfg_zero_star", "w", None), ("rectified_cfgpp", "w", None),
+          *(("smc", parameter, layer) for parameter in ("w", "lambda", "k") for layer in (0.0, 0.05))]
+DIVERGENT_K = 1e9  # a switching gain under which every row leaves the envelope on its first step
+
+
+@st.composite
+def sweep_cases(draw, name: str, parameter: str, layer: float | None, scheme: str, record_x: bool):
+    """A case of one random ``name`` block, and 1 to 4 values of ``parameter`` within its bound."""
+    block = draw(controller_block(name))
+    if layer is not None:
+        block = ControllerSpec(name, {**block.params, "boundary_layer": layer})
+    key = CONTROLLERS[name].keys[parameter]
+    value = st.floats(-2.0, 12.0).filter(key.bound)
+    if parameter == "k":
+        value = value | st.just(DIVERGENT_K)
+    n = draw(st.integers(1, 5))
+    case = Case(dim=draw(st.integers(1, 10)), trajectories=n, scheme=scheme, steps=draw(st.integers(2, 8)),
+                record_x=record_x, seed=draw(st.integers(0, 2**64 - 1)), blocks=(block,), subset=(0,))
+    return case, SweepSpec(parameter, tuple(draw(st.lists(value, min_size=1, max_size=4))))
+
+
+def value_blocks(cfg: ExperimentConfig) -> list[ControllerSpec]:
+    return [with_controller_value(cfg, cfg.sweep.parameter, v).controller for v in cfg.sweep.values]
+
+
+@pytest.mark.parametrize("record_x", [False, True])
+@pytest.mark.parametrize("scheme", ["euler", "heun"])
+@pytest.mark.parametrize("name, parameter, layer", SWEEPS)
+@pytest.mark.parametrize("covariance", ["diag", "full"])
+@settings(max_examples=2, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_each_swept_value_equals_its_block(covariance, name, parameter, layer, scheme, record_x, data):
+    case, sweep = data.draw(sweep_cases(name, parameter, layer, scheme, record_x))
+    cfg = replace(make_config(case, covariance), controller=case.blocks[0], sweep=sweep)
+    blocks = value_blocks(cfg)
+    got = run_sweep(cfg)
+    for result, want in zip(got, run_batches(cfg, blocks), strict=True):  # a pass of the same width
+        assert_same_batch(result, want)
+    if covariance == "diag":
+        for result, want in zip(got, separate_runs([replace(cfg, controller=b) for b in blocks]), strict=True):
+            assert_same_batch(result, want)
+
+
+@pytest.mark.parametrize("covariance", ["diag", "full"])
+@pytest.mark.parametrize("scheme", ["euler", "heun"])
+def test_a_value_whose_rows_all_diverge_fails_only_its_row(covariance, scheme):
+    case = Case(dim=3, trajectories=4, scheme=scheme, steps=6, record_x=True, seed=11,
+                blocks=(ControllerSpec("smc", {"w": 5.0, "lambda": 6.0}),), subset=(0,))
+    sweep = SweepSpec("k", (0.1, DIVERGENT_K, 0.5))
+    cfg = replace(make_config(case, covariance), controller=case.blocks[0], sweep=sweep)
+    got = run_sweep(cfg)
+    assert len(got[1].run_ids) == 0 and sorted(got[1].divergences) == [0, 1, 2, 3]
+    assert _row(got[1], cfg.system.target) == {"status": "failed: every trajectory diverged"}
+    for result, want in zip(got, run_batches(cfg, value_blocks(cfg)), strict=True):
+        assert_same_batch(result, want)
+    if covariance == "diag":  # the other values' bits are those of a sweep without the divergent one
+        without = run_sweep(replace(cfg, sweep=SweepSpec("k", (0.1, 0.5))))
+        for result, want in zip([got[0], got[2]], without, strict=True):
+            assert_same_batch(result, want)
+        assert all(_row(r, cfg.system.target)["status"] == "ok" for r in without)
