@@ -20,6 +20,7 @@ config's checks do not reach that case).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -408,9 +409,14 @@ def _is_float(text: str) -> bool:
     return True
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser that every ``main`` call of a process reuses; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -192,21 +192,30 @@ def _integrate(dyn: PerturbedDynamics, ks, steps: int) -> np.ndarray:
     column, so ``gain @`` the stacked columns calls gemv once per row, as
     ``gain @ u`` does on one vector.
 
-    The state enters a step only through sign(s). So while the drift vector
-    stays the same, the increment is computed once per joint sign pattern
-    of all rows, keyed by the pattern's bytes (a NaN sign is a pattern like
-    any other), and reused: the same operands through the same operations,
-    hence the same bits. A sinusoidal or noise drift empties the cache
-    every step. Overflow is not tested here.
+    Each step works in place: the history is allocated once, the signs go
+    into one work buffer, and the new state is written straight into the
+    history's next slot. The state enters a step only through sign(s). So
+    while the drift vector stays the same, the increment of each joint sign
+    pattern of all rows is kept under the pattern's bytes (a NaN sign is a
+    pattern like any other) and reused. A joint pattern met for the first
+    time is put together from per-row increments, each kept under that row's
+    own sign pattern and computed on the row's (1, D, 1) slice: the same
+    gemv on the same column as in the stacked call, hence the same bits. A
+    row thus computes one increment per sign pattern it visits, however many
+    joint patterns the rows form as they chatter in the band. A sinusoidal
+    or noise drift changes every step, so it takes one increment for all
+    rows per step and keeps none. Overflow is not tested here.
     """
     if steps < 1:
         raise ValueError("need at least one step")
     k_col = np.asarray(ks, dtype=float)[:, None, None]
     rng = Rng(dyn.seed)
-    s = np.tile(dyn.s0[:, None], (k_col.shape[0], 1, 1))
-    history = np.zeros((steps + 1,) + s.shape)
-    history[0] = s
+    history = np.empty((steps + 1, k_col.shape[0], dyn.dim, 1))
+    history[0] = dyn.s0[:, None]
+    s = history[0]
+    sign = np.empty_like(s)
     increments = {}
+    row_increments = [{} for _ in range(k_col.shape[0])]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised or reported, not warned about
         gain = _draw_gain(dyn, rng)
         drift = _make_drift(dyn, rng)
@@ -215,31 +224,39 @@ def _integrate(dyn: PerturbedDynamics, ks, steps: int) -> np.ndarray:
             phi = drift(0)
             _check_drift(dyn, phi)
         for step in range(steps):
+            np.sign(s, out=sign)
             if varying_drift:
                 phi = drift(step)
                 _check_drift(dyn, phi)
-                increments.clear()
-            sign = np.sign(s)
-            key = sign.tobytes()
-            inc = increments.get(key)
-            if inc is None:
-                inc = increments[key] = _increment(dyn.dt, phi, gain, k_col, sign)
-            s = s + inc
-            history[step + 1] = s
+                inc = _increment(dyn.dt, phi, gain, k_col, sign)
+            else:
+                key = sign.tobytes()
+                inc = increments.get(key)
+                if inc is None:
+                    rows = []
+                    for j, cache in enumerate(row_increments):
+                        row_key = sign[j].tobytes()
+                        row = cache.get(row_key)
+                        if row is None:
+                            row = cache[row_key] = _increment(dyn.dt, phi, gain, k_col[j : j + 1], sign[j : j + 1])
+                        rows.append(row)
+                    inc = increments[key] = np.concatenate(rows)
+            s = np.add(s, inc, out=history[step + 1])
     return history[..., 0]
 
 
-def _norms_and_overflow(history: np.ndarray) -> tuple[np.ndarray, list[int | None]]:
-    """|s| per step and row of an ``_integrate`` history, and per row its first overflowed step, or None.
+def _norms_and_overflow(history: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int | None]]:
+    """|s| and energy 0.5 * |s|^2 per step and row of an ``_integrate`` history, and each row's first overflowed step.
 
-    A step overflows when its state, |s| or the energy 0.5 * |s|^2 is not
-    finite; a non-finite state has a non-finite norm, and a norm whose
-    square overflows marks a state that is still finite.
+    A step overflows when its state, |s| or the energy is not finite; a
+    non-finite state has a non-finite norm, and a norm whose square
+    overflows marks a state that is still finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.linalg.norm(history, axis=2)
-        bad = ~np.isfinite(0.5 * norms**2)
-    return norms, [int(np.argmax(col)) if col.any() else None for col in bad.T]
+        energy = 0.5 * norms**2
+        bad = ~np.isfinite(energy)
+    return norms, energy, [int(np.argmax(col)) if col.any() else None for col in bad.T]
 
 
 def _band(dyn: PerturbedDynamics) -> float:
@@ -263,7 +280,7 @@ def simulate_sliding(dyn: PerturbedDynamics, steps: int) -> ConvergenceReport:
     raises ``Overflow``.
     """
     history = _integrate(dyn, [dyn.k], steps)
-    norms, (overflow,) = _norms_and_overflow(history)
+    norms, energy, (overflow,) = _norms_and_overflow(history)
     if overflow is not None:
         raise SurfaceOverflow(overflow)
     history = history[:, 0]
@@ -293,7 +310,7 @@ def simulate_sliding(dyn: PerturbedDynamics, steps: int) -> ConvergenceReport:
         phi=phi,
         band=band,
         s_norms=s_norms,
-        lyapunov=0.5 * s_norms**2,
+        lyapunov=energy[:, 0],
         s_history=history,
     )
 
@@ -335,7 +352,7 @@ def corridor_sweep(template: PerturbedDynamics, k_values: list[float], steps: in
     if not runs:
         return []
     history = _integrate(template, [dyn.k for dyn in runs], steps)
-    norms, overflows = _norms_and_overflow(history)
+    norms, _, overflows = _norms_and_overflow(history)
     rows = []
     for j, (dyn, overflow) in enumerate(zip(runs, overflows)):
         if overflow is not None:

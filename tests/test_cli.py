@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cfgctrl import control_lab
+from cfgctrl import cli, control_lab
 from cfgctrl.cli import _csv, main
 
 from conftest import REFERENCE_CONFIG
@@ -287,6 +287,41 @@ def test_flow_system_is_built_once(tmp_path, monkeypatch, command):
     argv = {"run": ["run"], "compare": ["compare", "--controllers", ALL_SIX], "sweep": ["sweep"]}[command]
     assert run_cli(*argv, "--config", cfg, "--out", tmp_path / "o") == 0
     assert len(calls) == 1  # in the sampler; the report reads RunResult.system
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys, monkeypatch):
+    """An argparse refusal, a config error, a synth run and a run do in one process what each does with a fresh parser."""
+    cfg = small_config(tmp_path)
+    calls = [
+        ["synth", "--steps", "abc", "--out", "out"],
+        ["synth", "--steps", "0", "--out", "out"],
+        ["synth", "--dim", "4", "--rho", "0.5", "--gain-deviation", "seeded", "--steps", "300", "--out", "out"],
+        ["run", "--config", str(cfg), "--out", "out"],
+    ]
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+
+    def outcomes(cwd, fresh):
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        cli._parser.cache_clear()
+        seen = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = f"SystemExit {exc.code}"
+            seen.append((code, *capsys.readouterr()))
+        return seen, {p.relative_to(cwd): p.read_bytes() for p in cwd.rglob("*") if p.is_file()}
+
+    shared = outcomes(tmp_path / "shared", fresh=False)
+    assert len(builds) == 1
+    assert shared == outcomes(tmp_path / "fresh", fresh=True)
+    assert [code for code, _, _ in shared[0]] == ["SystemExit 2", 2, 0, 0]
+    assert len(shared[1]) == 7  # the synth series and chart, the run's five files
 
 
 class TestCompare:

@@ -380,11 +380,20 @@ class TestIncrementCache:
     def test_fixed_drift_and_gain_evaluate_once_per_sign_pattern(self, monkeypatch, dim, gain_dev, ks):
         calls = _count_calls(monkeypatch, "_increment")
         history = control_lab._integrate(self.template(dim, "constant", gain_dev, 5), ks, self.STEPS)
-        patterns = {np.sign(state).tobytes() for state in history[:-1]}
-        assert len(calls) == len(patterns) < self.STEPS
+        row_patterns = [{np.sign(state).tobytes() for state in history[:-1, j]} for j in range(len(ks))]
+        assert len(calls) == sum(map(len, row_patterns)) < self.STEPS
 
     @pytest.mark.parametrize("drift, gain_dev", [("sinusoidal", "seeded"), ("noise", "zero")])
     def test_new_drift_evaluates_every_step(self, monkeypatch, drift, gain_dev):
         calls = _count_calls(monkeypatch, "_increment")
-        control_lab._integrate(self.template(4, drift, gain_dev, 5), [0.5, 1.0], self.STEPS)
-        assert len(calls) == self.STEPS
+        control_lab._integrate(self.template(4, drift, gain_dev, 5), self.GAIN_LISTS[1], self.STEPS)
+        assert len(calls) == self.STEPS  # one increment for all rows, never one per row
+
+    @pytest.mark.parametrize("seed", range(7))
+    def test_benchmark_testbed_equals_stepwise_formula(self, seed):
+        # the testbed of bench/workloads.py SynthLab: d = 4, rho = 0.5, a seeded gain, its single run and its corridor
+        dyn = PerturbedDynamics(dim=4, w=5.0, delta=0.5, rho=0.5, k=0.5, dt=0.01, s0=np.array([2.0, 0.0, 0.0, 0.0]),
+                                gain_deviation="seeded", seed=seed)
+        for ks in ([0.5], [0.02, 0.3, 1.0, 400.0]):
+            got = control_lab._integrate(dyn, ks, 2000)
+            assert got.tobytes() == _stepwise_history(dyn, ks, 2000).tobytes(), ks
