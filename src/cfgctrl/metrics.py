@@ -134,12 +134,11 @@ def quality_report(result: RunResult, system: FlowSystem, cond: str) -> QualityR
 def mean_reach_step(result: RunResult, fraction: float = 0.05) -> float | None:
     """Mean first step at which the gap norm fell to 5% of its initial value, over the guided rows."""
     e = result.e_norm
-    e = e[e[:, 0] > _E_FLOOR]
-    hit = e <= fraction * e[:, :1]
-    reached = hit.any(axis=1)
-    if not reached.any():
+    hit = e <= fraction * e[:, :1]  # a boolean table over every row, so no row of e is copied
+    rows = (e[:, 0] > _E_FLOOR) & hit.any(axis=1)
+    if not rows.any():
         return None
-    return float(np.mean(np.argmax(hit[reached], axis=1)))
+    return float(np.mean(np.argmax(hit[rows], axis=1)))
 
 
 def phase_plane(run: Trace | RunResult) -> np.ndarray:

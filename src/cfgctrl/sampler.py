@@ -169,11 +169,14 @@ def _integrate_rows(
     x_pred = np.empty_like(x) if heun else None
     alive = np.repeat([j not in failed for j in range(len(laws))], n * parts)  # an unbuilt law's rows start dead
     div_step = np.full(len(x), -1)  # the step at which a row left the envelope, -1 while it has not
-    e_hist = np.zeros((n_steps, len(x)))
-    v_hist = np.zeros((n_steps, len(x)))
-    s_hist = np.zeros((n_steps, len(x))) if has_surface else None
-    x_hist = np.zeros((n_steps, len(x), dim)) if record_x else None
-    sv_hist = np.zeros((n_steps, len(x), dim)) if (record_x and has_surface) else None
+    # step-major histories, keyed by the result column each becomes; this dict holds the only reference to each
+    hist = {"e_norm": np.zeros((n_steps, len(x))), "vhat_norm": np.zeros((n_steps, len(x)))}
+    if has_surface:
+        hist["s_norm"] = np.zeros((n_steps, len(x)))
+    if record_x:
+        hist["x_path"] = np.zeros((n_steps, len(x), dim))
+    if record_x and has_surface:
+        hist["s_path"] = np.zeros((n_steps, len(x), dim))
 
     def evaluator(points: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         return velocity_pair(system, points, t, cond)
@@ -192,9 +195,9 @@ def _integrate_rows(
                 alive[rows] = False
                 continue
             if update_state and law.sliding is not None:
-                s_hist[step, rows] = row_norm(law.sliding.s)
-                if sv_hist is not None:
-                    sv_hist[step, rows] = law.sliding.s
+                hist["s_norm"][step, rows] = row_norm(law.sliding.s)
+                if record_x:
+                    hist["s_path"][step, rows] = law.sliding.s
             if out is None:
                 return v
             out[rows] = v
@@ -218,9 +221,9 @@ def _integrate_rows(
             v_hat = guided(i, t, v_c, v_u, x, True)
             if len(failed) == len(laws):
                 break
-            e_hist[i] = row_norm(np.subtract(v_c, v_u, out=x_new))
+            hist["e_norm"][i] = row_norm(np.subtract(v_c, v_u, out=x_new))
             if record_x:
-                x_hist[i] = x
+                hist["x_path"][i] = x
             if heun:
                 np.add(x, np.multiply(dtau, v_hat, out=x_pred), out=x_pred)
                 retire(x_pred, i)
@@ -233,7 +236,7 @@ def _integrate_rows(
                 v_use = np.multiply(0.5, np.add(v_hat, v_hat2, out=v_hat2), out=v_hat2)  # v_hat2 is free to overwrite
             else:
                 v_use = v_hat
-            v_hist[i] = row_norm(v_use)
+            hist["vhat_norm"][i] = row_norm(v_use)
             np.add(x, np.multiply(dtau, v_use, out=x_new), out=x_new)
             if alive.all():
                 x, x_new = x_new, x
@@ -241,10 +244,11 @@ def _integrate_rows(
                 x[alive] = x_new[alive]
             retire(x, i)
 
-    # One transposing copy per history: (rows, steps) and C-contiguous, the layout a mean over rows keeps its bits on.
-    e_rows, v_rows, s_rows, x_rows, sv_rows = (
-        None if h is None else np.swapaxes(h, 0, 1).copy() for h in (e_hist, v_hist, s_hist, x_hist, sv_hist)
-    )
+    # One transposing copy per history, (rows, steps) and C-contiguous: the layout a mean over rows keeps its bits on.
+    # Each copy takes its history's place in the dict, which frees the history before the next copy is made, so the
+    # pass peaks at its results plus one history.
+    for name in hist:
+        hist[name] = np.swapaxes(hist[name], 0, 1).copy()
     ids = np.arange(n)
     results: list[RunResult | Exception] = []
     for b in range(len(laws) * parts):
@@ -261,12 +265,10 @@ def _integrate_rows(
             **_read_only({
                 "run_ids": ids[pick],
                 "tau": taus,
-                "e_norm": e_rows[rows][pick],
-                "vhat_norm": v_rows[rows][pick],
                 "finals": np.ascontiguousarray(x[rows][pick]),  # C order, which a mean over rows keeps its bits on
-                "s_norm": s_rows[rows][pick] if surface else None,
-                "x_path": x_rows[rows][pick] if x_rows is not None else None,
-                "s_path": sv_rows[rows][pick] if surface and sv_rows is not None else None,
+                "s_norm": None, "x_path": None, "s_path": None,
+                **{name: column[rows][pick] for name, column in hist.items()
+                   if surface or name not in ("s_norm", "s_path")},
             }),
             divergences=dict(zip(dead.tolist(), div_step[rows][dead].tolist())),
             system=system, n_trajectories=n,

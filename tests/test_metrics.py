@@ -293,6 +293,42 @@ class TestMeanReachStep:
     def test_no_reached_row_gives_none(self):
         assert mean_reach_step(TestPhasePlane.batch([[1.0, 0.9], [0.0, 0.0]])) is None
 
+    @staticmethod
+    def copying_formula(e, fraction=0.05):
+        """The reach step as computed on a copy of the guided rows."""
+        e = e[e[:, 0] > 1e-12]
+        hit = e <= fraction * e[:, :1]
+        reached = hit.any(axis=1)
+        return float(np.mean(np.argmax(hit[reached], axis=1))) if reached.any() else None
+
+    @pytest.mark.parametrize("rows", [
+        # unguided at and under the floor, one never reaching, one reaching at step 2
+        [[1e-12, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.9, 0.8], [3.0, 1.0, 0.1]],
+        # an infinite start reaches at step 0 (inf <= 0.05 * inf); a NaN start is unguided
+        [[np.inf, 1.0, 0.0], [np.nan, 0.0, 0.0], [2.0, 0.1, 0.01], [1.0, 0.04, 0.0]],
+        # NaN and inf after the start never reach
+        [[1.0, np.nan, 0.04], [1.0, np.inf, np.nan], [5.0, 0.2, np.inf], [1.0, 0.5, 0.25]],
+        # every row unguided
+        [[0.0, 0.0, 0.0], [1e-13, 0.0, 0.0], [np.nan, 1.0, 0.0]],
+    ], ids=["unguided_and_unreached", "reached_at_step_0", "nan_and_inf", "all_unguided"])
+    def test_equals_the_copying_formula(self, rows):
+        e = np.array(rows)
+        got = mean_reach_step(TestPhasePlane.batch(e))
+        assert repr(got) == repr(self.copying_formula(e))
+        if np.all(~(e[:, 0] > 1e-12)):
+            assert got is None
+
+    def test_equals_the_copying_formula_on_a_mixed_batch(self):
+        rng = np.random.default_rng(5)
+        e = np.cumprod(rng.uniform(0.3, 1.05, size=(400, 20)), axis=1) * rng.uniform(0.5, 2.0, size=(400, 1))
+        e[::7, 0] = 0.0
+        e[::11, 0] = 1e-13
+        e[::13] = np.where(rng.uniform(size=20) < 0.3, np.nan, e[::13])
+        e[::17, 5] = np.inf
+        e[3, 0] = np.inf
+        got = mean_reach_step(TestPhasePlane.batch(e))
+        assert got is not None and repr(got) == repr(self.copying_formula(e))
+
 
 class TestLyapunovAudit:
     def test_monotone_series_clean(self):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -809,3 +810,65 @@ class TestColumns:
         assert report.e_decay_ratio is not None and result.finals.shape == (10_000, 2)
         with pytest.raises(AssertionError, match="a Trace was built"):
             result.traces
+
+
+def held_arrays(results):
+    """The arrays a batch's columns hold their memory in: a column that is a view counts its whole base, once."""
+    held = {}
+    for result in results:
+        for name in ("run_ids", "tau", "e_norm", "vhat_norm", "finals", "s_norm", "x_path", "s_path"):
+            column = getattr(result, name)
+            if column is not None:
+                array = column if column.base is None else column.base
+                held[id(array)] = array
+    return list(held.values())
+
+
+class TestMemory:
+    """A pass peaks at its result columns plus one history: each history is freed once its transposed copy exists."""
+
+    @staticmethod
+    def assert_peak_within(call):
+        """``call()``, whose traced peak must be at most its results' arrays, plus the largest of them, plus 1 MiB."""
+        tracemalloc.start()
+        try:
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        results = result if isinstance(result, list) else [result]
+        arrays = held_arrays([r for r in results if not isinstance(r, Exception)])
+        bound = sum(a.nbytes for a in arrays) + max(a.nbytes for a in arrays) + 2**20
+        assert peak <= bound, f"traced peak {peak / 1e6:.2f} MB over {bound / 1e6:.2f} MB"
+        return result
+
+    @pytest.fixture
+    def heun_2k(self, reference_config):
+        sampler = replace(reference_config.sampler, scheme="heun", steps=64, trajectories=2000)
+        cfg = replace(reference_config, sampler=sampler)
+        run_batch(replace(cfg, sampler=replace(sampler, trajectories=3)))  # a first run imports modules, traced too
+        return cfg
+
+    @pytest.mark.parametrize("record_x", [False, True])
+    @pytest.mark.parametrize("law", [SMC, ControllerSpec("cfg", {"w": 5.0})], ids=["smc", "cfg"])
+    def test_run_batch(self, heun_2k, law, record_x):
+        cfg = replace(heun_2k, controller=law, sampler=replace(heun_2k.sampler, record_x=record_x))
+        result = self.assert_peak_within(lambda: run_batch(cfg))
+        assert result.e_norm.shape == (2000, 64) and (result.x_path is not None) == record_x
+
+    def test_run_batches_with_a_law_raising_mid_pass(self, heun_2k, monkeypatch):
+        # two blocks of 1,000 rows make a pass as wide as the batches above; apg's 64th combine raises, in step 31
+        # of 64, and its rows stay in the pass's histories and in the arrays the other block's columns view
+        real = cfgctrl.guidance.apg_combine
+        calls = []
+
+        def flaky(*args):
+            calls.append(1)
+            if len(calls) == 64:
+                raise ValueError("combine failed on call 64")
+            return real(*args)
+
+        monkeypatch.setattr(cfgctrl.guidance, "apg_combine", flaky)
+        cfg = replace(heun_2k, sampler=replace(heun_2k.sampler, trajectories=1000))
+        results = self.assert_peak_within(lambda: run_batches(cfg, [SMC, ControllerSpec("apg", {"w": 5.0})]))
+        assert str(results[1]) == "combine failed on call 64" and results[0].s_norm.shape == (1000, 64)
