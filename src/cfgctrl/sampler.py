@@ -244,31 +244,31 @@ def _integrate_rows(
                 x[alive] = x_new[alive]
             retire(x, i)
 
-    # One transposing copy per history, (rows, steps) and C-contiguous: the layout a mean over rows keeps its bits on.
-    # Each copy takes its history's place in the dict, which frees the history before the next copy is made, so the
-    # pass peaks at its results plus one history.
-    for name in hist:
-        hist[name] = np.swapaxes(hist[name], 0, 1).copy()
-    ids = np.arange(n)
+    # Each block owns its result columns: one transposing copy of its kept rows per history, (rows, steps) and
+    # C-contiguous, the layout a mean over rows keeps its bits on. Each history leaves the dict when its copies start
+    # and is freed when the next is taken, so the pass peaks at its histories plus the copies of one. Last in goes
+    # first: the surface histories, copied only for the blocks with a surface, are taken while every history is alive.
+    owners = [b for b in range(len(laws) * parts) if b // parts not in failed]
+    kept = {b: np.flatnonzero(alive[b * n:(b + 1) * n]) for b in owners}
+    columns = {b: {"s_norm": None, "x_path": None, "s_path": None} for b in owners}
+    while hist:
+        name, history = hist.popitem()
+        for b in owners:
+            if laws[b // parts].sliding is not None or name not in ("s_norm", "s_path"):
+                columns[b][name] = np.ascontiguousarray(np.swapaxes(history[:, b * n:(b + 1) * n], 0, 1)[kept[b]])
     results: list[RunResult | Exception] = []
     for b in range(len(laws) * parts):
-        j, rows = b // parts, slice(b * n, (b + 1) * n)
-        if j in failed:
-            results.append(failed[j])
+        if b not in columns:
+            results.append(failed[b // parts])
             continue
-        kept = np.flatnonzero(alive[rows])
-        # a slice keeps a whole block as views; only a block that lost rows is copied
-        pick = slice(0, n) if len(kept) == n else kept
-        surface = laws[j].sliding is not None
+        rows = slice(b * n, (b + 1) * n)
         dead = np.flatnonzero(div_step[rows] >= 0)
         results.append(RunResult(
             **_read_only({
-                "run_ids": ids[pick],
+                "run_ids": kept[b],
                 "tau": taus,
-                "finals": np.ascontiguousarray(x[rows][pick]),  # C order, which a mean over rows keeps its bits on
-                "s_norm": None, "x_path": None, "s_path": None,
-                **{name: column[rows][pick] for name, column in hist.items()
-                   if surface or name not in ("s_norm", "s_path")},
+                "finals": np.ascontiguousarray(x[rows][kept[b]]),  # C order, which a mean over rows keeps its bits on
+                **columns[b],
             }),
             divergences=dict(zip(dead.tolist(), div_step[rows][dead].tolist())),
             system=system, n_trajectories=n,

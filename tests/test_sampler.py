@@ -825,11 +825,15 @@ def held_arrays(results):
 
 
 class TestMemory:
-    """A pass peaks at its result columns plus one history: each history is freed once its transposed copy exists."""
+    """A pass peaks at its histories plus one history's copies, and each block's result holds only its own rows."""
 
     @staticmethod
-    def assert_peak_within(call):
-        """``call()``, whose traced peak must be at most its results' arrays, plus the largest of them, plus 1 MiB."""
+    def assert_peak_within(call, cfg, width, surface):
+        """``call()``, a pass ``width`` rows wide under ``cfg``'s sampler, with a surface history if ``surface``.
+
+        Its traced peak must be at most the histories the pass allocates, plus
+        its largest result array, plus 1 MiB.
+        """
         tracemalloc.start()
         try:
             result = call()
@@ -838,9 +842,20 @@ class TestMemory:
             tracemalloc.stop()
         results = result if isinstance(result, list) else [result]
         arrays = held_arrays([r for r in results if not isinstance(r, Exception)])
-        bound = sum(a.nbytes for a in arrays) + max(a.nbytes for a in arrays) + 2**20
+        per_row_step = 2 + surface + cfg.sampler.record_x * cfg.system.dimension * (1 + surface)
+        histories = 8 * cfg.sampler.steps * width * per_row_step
+        bound = histories + max(a.nbytes for a in arrays) + 2**20
         assert peak <= bound, f"traced peak {peak / 1e6:.2f} MB over {bound / 1e6:.2f} MB"
         return result
+
+    @staticmethod
+    def assert_owns_its_columns(result):
+        """Each row column holds exactly its own bytes, not a view of an array wider than its block's kept rows."""
+        for name in ("run_ids", "e_norm", "vhat_norm", "finals", "s_norm", "x_path", "s_path"):
+            column = getattr(result, name)
+            if column is not None:
+                array = column if column.base is None else column.base
+                assert array.nbytes == column.nbytes, name
 
     @pytest.fixture
     def heun_2k(self, reference_config):
@@ -853,12 +868,12 @@ class TestMemory:
     @pytest.mark.parametrize("law", [SMC, ControllerSpec("cfg", {"w": 5.0})], ids=["smc", "cfg"])
     def test_run_batch(self, heun_2k, law, record_x):
         cfg = replace(heun_2k, controller=law, sampler=replace(heun_2k.sampler, record_x=record_x))
-        result = self.assert_peak_within(lambda: run_batch(cfg))
+        result = self.assert_peak_within(lambda: run_batch(cfg), cfg, 2000, law is SMC)
         assert result.e_norm.shape == (2000, 64) and (result.x_path is not None) == record_x
 
     def test_run_batches_with_a_law_raising_mid_pass(self, heun_2k, monkeypatch):
         # two blocks of 1,000 rows make a pass as wide as the batches above; apg's 64th combine raises, in step 31
-        # of 64, and its rows stay in the pass's histories and in the arrays the other block's columns view
+        # of 64, and its rows stay in the pass's histories to the end of the pass, but in no result
         real = cfgctrl.guidance.apg_combine
         calls = []
 
@@ -870,5 +885,18 @@ class TestMemory:
 
         monkeypatch.setattr(cfgctrl.guidance, "apg_combine", flaky)
         cfg = replace(heun_2k, sampler=replace(heun_2k.sampler, trajectories=1000))
-        results = self.assert_peak_within(lambda: run_batches(cfg, [SMC, ControllerSpec("apg", {"w": 5.0})]))
+        results = self.assert_peak_within(lambda: run_batches(cfg, [SMC, ControllerSpec("apg", {"w": 5.0})]), cfg, 2000, True)
         assert str(results[1]) == "combine failed on call 64" and results[0].s_norm.shape == (1000, 64)
+        self.assert_owns_its_columns(results[0])
+
+    @pytest.mark.parametrize("record_x", [False, True])
+    @pytest.mark.parametrize("blown_up", [False, True])
+    def test_each_result_owns_its_columns(self, monkeypatch, record_x, blown_up):
+        # six blocks in one pass, only smc's with a surface history; a blown-up row 3 leaves cfg's block, and
+        # rectified_cfgpp's, whose own field calls see it too, 6 of their 7 rows
+        if blown_up:
+            monkeypatch.setattr(cfgctrl.sampler, "velocity_pair", blown_up_field({3: 0.5}))
+        results = lockstep(lockstep_configs("compare", "heun", record_x=record_x))
+        assert [result.n_divergent for result in results] == [blown_up, 0, 0, 0, blown_up, 0]
+        for result in results:
+            self.assert_owns_its_columns(result)
