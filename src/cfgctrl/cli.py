@@ -62,9 +62,16 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _check_out(out: str | None) -> None:
+    """``Path("")`` is ``.``, so an empty --out would name the working directory."""
+    if out == "":
+        raise ConfigError("--out: must be a nonempty string")
+
+
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.seed is not None:
         cfg = cfgmod.with_seed(cfg, cfgmod.check_seed(args.seed, "--seed"))
+    _check_out(args.out)
     if args.out is not None:
         cfg = replace(cfg, output=replace(cfg.output, directory=args.out))
     if args.format is not None:
@@ -245,6 +252,7 @@ _SYNTH_FLAGS = (
 def _synth_k_values(args) -> list[float] | None:
     """Check every synth flag; returns the parsed --k-values of a corridor run."""
     cfgmod.check_seed(args.seed, "--seed")
+    _check_out(args.out)
     for flag, _, _, holds, message in _SYNTH_FLAGS:
         value = getattr(args, flag[2:])
         if not abs(value) <= sys.float_info.max:  # NaN, an infinity, or an int flag past the float range

@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -14,10 +17,9 @@ from cfgctrl.cli import _csv, main
 from conftest import REFERENCE_CONFIG
 
 
-def small_config(tmp_path: Path, **tweaks) -> Path:
+def reference_config(tmp_path: Path, **tweaks) -> Path:
+    """configs/reference.json with each ``block`` or ``block.field`` tweak set, written to tmp_path/config.json."""
     raw = json.loads(REFERENCE_CONFIG.read_text())
-    raw["sampler"]["trajectories"] = 10
-    raw["sampler"]["steps"] = 24
     for key, value in tweaks.items():
         block, _, field = key.partition(".")
         if field:
@@ -28,6 +30,11 @@ def small_config(tmp_path: Path, **tweaks) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     return path
+
+
+def small_config(tmp_path: Path, **tweaks) -> Path:
+    """The reference config at 10 trajectories and 24 steps, with ``tweaks``."""
+    return reference_config(tmp_path, **{"sampler.trajectories": 10, "sampler.steps": 24, **tweaks})
 
 
 def run_cli(*argv) -> int:
@@ -106,11 +113,11 @@ class TestRun:
 
     @pytest.mark.parametrize("under_file", [False, True])
     def test_out_blocked_by_a_file_exits_2(self, tmp_path, capsys, under_file):
-        assert_out_refused(tmp_path, capsys, under_file, "run", "--config", small_config(tmp_path))
+        assert_out_refused(tmp_path, capsys, under_file, "run", "--config", REFERENCE_CONFIG)
 
     def test_rectified_power_past_the_floats_exits_3(self, tmp_path, capsys):
         # tau**gamma at tau = 1e-4 and gamma = -80 is past the floats: every row is flagged, nothing is written
-        cfg = small_config(tmp_path, controller={"type": "rectified_cfgpp", "w": 5.0, "gamma": -80})
+        cfg = reference_config(tmp_path, controller={"type": "rectified_cfgpp", "w": 5.0, "gamma": -80})
         out = tmp_path / "o"
         assert run_cli("run", "--config", cfg, "--out", out) == 3
         assert re.fullmatch(r"run [0-9a-f]{12}: every trajectory diverged\n", capsys.readouterr().err)
@@ -231,25 +238,28 @@ class TestSweep:
         assert rows[1] == {"value": 5.0, "status": "failed: no law at w = 5"}
         assert [row["status"] for row in rows] == ["ok", "failed: no law at w = 5", "ok"]
 
-    @pytest.mark.parametrize("parameter, value, message", [
-        ("w", -1.0, "guidance scale must be nonnegative"),
-        ("k", -0.5, "must be nonnegative"),
-        ("lambda", 0.0, "must be positive"),
-    ])
-    def test_out_of_bound_value_exits_2_naming_field(self, tmp_path, capsys, parameter, value, message):
-        cfg = small_config(tmp_path, sweep={"parameter": parameter, "values": [value]})
+    @pytest.mark.parametrize("parameter, values, message", [
+        ("w", [-1.0], "guidance scale must be nonnegative"),
+        ("k", [-0.5], "must be nonnegative"),
+        ("lambda", [0.0], "must be positive"),
+        ("w", [2, -1], "guidance scale must be nonnegative"),
+    ], ids=lambda v: ",".join(map(str, v)) if isinstance(v, list) else None)
+    def test_out_of_bound_value_exits_2_naming_field(self, tmp_path, capsys, parameter, values, message):
+        cfg = reference_config(tmp_path, sweep={"parameter": parameter, "values": values})
         assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "o") == 2
         assert capsys.readouterr().err == f"config error: sweep.values: {message}\n"
         assert not (tmp_path / "o").exists()
 
-    def test_system_failure_fails_every_row(self, tmp_path, capsys):
-        # the system every row shares fails to build: the sweep exits 2, as run and compare do
-        cfg = small_config(tmp_path, sweep={"parameter": "w", "values": [2.0, 5.0]})
+    @pytest.mark.parametrize("command", [["run"], ["compare", "--controllers", "cfg,smc"], ["sweep"]],
+                             ids=["run", "compare", "sweep"])
+    def test_system_failure_fails_every_row(self, tmp_path, capsys, command):
+        # the system fails to build: run, compare and the sweep, whose rows all share it, exit 2 and write nothing
+        cfg = reference_config(tmp_path, sweep={"parameter": "w", "values": [2, 5]})
         raw = json.loads(cfg.read_text())
         raw["system"]["components"][1]["cov"] = {"full_lower": [[1.0], [2.0, 1.0]]}  # not positive definite
         cfg.write_text(json.dumps(raw))
         out = tmp_path / "out"
-        assert run_cli("sweep", "--config", cfg, "--out", out) == 2
+        assert run_cli(command[0], "--config", cfg, *command[1:], "--out", out) == 2
         assert capsys.readouterr().err.startswith("config error: system:")
         assert not out.exists()
 
@@ -424,12 +434,14 @@ class TestCompare:
         assert table[2] == 'smc,"failed: need at least 3 non-divergent samples, got 2",,,,,,'
 
     def test_rectified_power_past_the_floats_fails_only_its_row(self, tmp_path):
-        cfg = small_config(tmp_path, controller={"type": "rectified_cfgpp", "w": 5.0, "gamma": -80})
+        cfg = reference_config(tmp_path, controller={"type": "rectified_cfgpp", "w": 5.0, "gamma": -80})
         out = tmp_path / "out"
         assert run_cli("compare", "--config", cfg, "--controllers", "cfg,rectified_cfgpp", "--out", out) == 0
         rows = json.loads(next(out.glob("compare_*_report.json")).read_text())["rows"]
         assert rows[0]["status"] == "ok"
         assert rows[1] == {"controller": "rectified_cfgpp", "status": "failed: every trajectory diverged"}
+        table = next(out.glob("compare_*_table.csv")).read_text().split("\n")
+        assert table[2] == "rectified_cfgpp,failed: every trajectory diverged,,,,,,"
 
     def test_csv_status_is_the_json_status(self, tmp_path):
         cfg = small_config(tmp_path, **{"sampler.trajectories": 2})
@@ -517,8 +529,10 @@ class TestSynth:
             (["--corridor", "--k-values", "0.02,0.3,1.0,400,1e306"], "78803769ddd5", ("corridor.csv", "osc.svg")),
             (["--drift", "sinusoidal", "--dim", "2", "--rho", "0.3", "--gain-deviation", "rotation",
               "--corridor", "--k-values", "0.5,2"], "64e29ee93c1e", ("corridor.csv", "osc.svg")),
+            (["--corridor", "--k-values", "0.02,0.3,1.0,400"], "8b67f2d9519e", ("corridor.csv", "osc.svg")),
         ],
-        ids=["defaults-spelled-out", "seeded-gain", "noise-drift", "corridor", "sinusoidal-corridor"],
+        ids=["defaults-spelled-out", "seeded-gain", "noise-drift", "corridor", "sinusoidal-corridor",
+             "four-gain-corridor"],
     )
     def test_artifact_tag_hashes_the_run_flags(self, tmp_path, flags, tag, kinds):
         # the tag is a hash of every flag but --out, so spelling out a default keeps the file names
@@ -562,6 +576,16 @@ class TestSynth:
         assert "reached band" not in captured.out
         assert not out.exists()
 
+    def test_module_entry_point_exits_with_mains_code(self, tmp_path):
+        # `python -m cfgctrl.cli` in a fresh interpreter: sys.exit(main()) hands the overflow's 3 to the shell
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        argv = ["synth", "--k", "1e306", "--steps", "50", "--out", "o"]
+        proc = subprocess.run([sys.executable, "-m", "cfgctrl.cli", *argv], cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 3
+        assert re.fullmatch(r"synth [0-9a-f]{12}: surface state overflowed at step 1\n", proc.stderr)
+        assert not any(tmp_path.iterdir())
+
     def test_corridor_reports_energy_overflow(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert run_cli("synth", "--corridor", "--k-values", "0.3,1e306", "--steps", "50", "--out", out) == 0
@@ -586,16 +610,17 @@ class TestSynth:
         assert any(out.iterdir())
 
     @pytest.mark.parametrize("flags, step", [
-        (["--delta", "1e200"], 1),
-        (["--delta", "1e200", "--drift", "sinusoidal"], 2),
-        (["--delta", "1e200", "--drift", "noise"], 1),
-        (["--rho", "1e200", "--gain-deviation", "seeded", "--dim", "3"], 1),
+        (["--delta", "1e200", "--steps", "50"], 1),
+        (["--delta", "1e200", "--drift", "sinusoidal", "--steps", "50"], 2),
+        (["--delta", "1e200", "--drift", "noise", "--steps", "50"], 1),
+        (["--rho", "1e200", "--gain-deviation", "seeded", "--dim", "3", "--steps", "50"], 1),
+        (["--rho", "1e308", "--gain-deviation", "rotation", "--dim", "3", "--steps", "50"], 1),
         (["--rho", "1e308", "--gain-deviation", "rotation", "--dim", "3"], 1),
     ])
     def test_bound_past_a_square_overflows_the_surface(self, tmp_path, capsys, flags, step):
         # the bound checks neither overflow nor fail; the surface state leaves the floats, and nothing is written
         out = tmp_path / "o"
-        assert run_cli("synth", *flags, "--steps", "50", "--out", out) == 3
+        assert run_cli("synth", *flags, "--out", out) == 3
         captured = capsys.readouterr()
         assert re.fullmatch(rf"synth [0-9a-f]{{12}}: surface state overflowed at step {step}\n", captured.err)
         assert "reached band" not in captured.out
@@ -617,15 +642,18 @@ class TestSynth:
         assert re.fullmatch(rf"synth [0-9a-f]{{12}}: {cause}\n", capsys.readouterr().err)
         assert not out.exists()
 
-    def test_underflowed_step_gain_runs(self, tmp_path, capsys):
+    @pytest.mark.parametrize("steps", ["3", "50"])
+    def test_underflowed_step_gain_runs(self, tmp_path, capsys, steps):
         # w * dt underflows to 0.0, so the corridor's upper edge is inf
-        assert run_cli("synth", "--w", "1e-320", "--dt", "1e-320", "--steps", "3", "--out", tmp_path / "o") == 0
+        assert run_cli("synth", "--w", "1e-320", "--dt", "1e-320", "--steps", steps, "--out", tmp_path / "o") == 0
         assert capsys.readouterr().out.startswith("stability corridor: k in (inf, inf)\n")
 
-    def test_lone_converged_gain_below_the_floats_is_plotted(self, tmp_path):
+    @pytest.mark.parametrize("steps", ["1", "50"])
+    def test_lone_converged_gain_below_the_floats_is_plotted(self, tmp_path, steps):
         # k = 5e-324 converges at step 0; a tenth of it, the oscillation chart's pad, underflows to 0
         out = tmp_path / "o"
-        flags = ["--corridor", "--k-values", "5e-324", "--delta", "0", "--w", "1e160", "--dt", "1e308", "--steps", "1"]
+        flags = ["--corridor", "--k-values", "5e-324", "--delta", "0", "--w", "1e160", "--dt", "1e308",
+                 "--steps", steps]
         assert run_cli("synth", *flags, "--out", out) == 0
         assert "<polyline" in next(out.glob("synth_*_osc.svg")).read_text()
 
@@ -668,13 +696,14 @@ class TestSynth:
             (["--seed", str(2**64 + 7)], "--seed"),
             (["--steps", "1" + "0" * 400], "--steps"),
             (["--dim", "1" + "0" * 400], "--dim"),
+            (["--out", ""], "--out"),
         ],
     )
-    def test_bad_flag_exits_2_naming_it(self, tmp_path, capsys, flags, named):
-        out = tmp_path / "o"
-        assert run_cli("synth", *flags, "--out", out) == 2
+    def test_bad_flag_exits_2_naming_it(self, tmp_path, capsys, monkeypatch, flags, named):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("synth", "--out", "o", *flags) == 2
         assert f"config error: {named}:" in capsys.readouterr().err
-        assert not out.exists()
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag, value, code", [
         ("--s0", "-1e3", 0),
@@ -701,16 +730,22 @@ class TestSynth:
             assert exit_.value.code == 2 and "argument --steps: invalid int value: '-1e3'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", -1], "--seed: must lie in [0, 2**64)"),
+    (["--seed", 2**64], "--seed: must lie in [0, 2**64)"),
+    (["--seed", 2**64 + 7], "--seed: must lie in [0, 2**64)"),
+    (["--out", ""], "--out: must be a nonempty string"),
+], ids=["seed=-1", "seed=2**64", "seed=2**64+7", "empty-out"])
 @pytest.mark.parametrize("command", [["run"], ["compare", "--controllers", "cfg,smc"], ["sweep"]],
                          ids=["run", "compare", "sweep"])
-def test_seed_override_outside_64_bits_exits_2(tmp_path, capsys, command, seed):
-    """A --seed the streams would reduce mod 2**64 is refused before anything runs or is written."""
+def test_bad_override_exits_2_writing_nothing(tmp_path, capsys, monkeypatch, command, flags, message):
+    """A --seed the streams would reduce mod 2**64, or an --out naming the working directory, is refused before
+    anything runs or is written."""
     cfg = small_config(tmp_path, sweep={"parameter": "w", "values": [1.0, 2.0]})
-    out = tmp_path / "o"
-    assert run_cli(command[0], "--config", cfg, *command[1:], "--seed", seed, "--out", out) == 2
-    assert capsys.readouterr().err == "config error: --seed: must lie in [0, 2**64)\n"
-    assert not out.exists()
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(command[0], "--config", cfg, *command[1:], "--out", "o", *flags) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 class TestCsv:
