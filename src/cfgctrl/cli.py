@@ -175,9 +175,8 @@ def _table(key: str, labels, results: list[RunResult | Exception], target: str) 
 
 def cmd_sweep(args) -> int:
     cfg, tag, out = _setup(args)
-    if cfg.sweep is None:
-        raise ConfigError("sweep: block missing from config")
-    rows = _table("value", cfg.sweep.values, run_sweep(cfg), cfg.system.target)
+    results = run_sweep(cfg)  # refuses a config without a sweep block
+    rows = _table("value", cfg.sweep.values, results, cfg.system.target)
     files = {}
     if "csv" in cfg.output.formats:
         files[out / f"sweep_{tag}_table.csv"] = _table_csv("value", rows, _fmt)

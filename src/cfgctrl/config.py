@@ -314,8 +314,9 @@ def build_system(spec: SystemSpec) -> FlowSystem:
 def build_control_law(spec: ControllerSpec) -> ControlLaw:
     """The law a controller block describes; keys left out keep ControlLaw's defaults."""
     controller = CONTROLLERS.get(spec.type)
-    if controller is None:
-        raise ConfigError(f"controller.type: unknown controller type {spec.type!r}")
+    _expect(controller is not None, "controller.type", f"unknown controller type {spec.type!r}")
+    for key in spec.params:
+        _expect(key in controller.keys, f"controller.{key}", f"not a parameter of controller {spec.type!r}")
     return ControlLaw(spec.type, **{controller.keys[key].field: value for key, value in spec.params.items()})
 
 

@@ -11,14 +11,15 @@ Batches run in lockstep as array rows, which keeps per-step numpy work
 vectorized. One config's batch under several controller blocks runs in one
 such pass (:func:`run_batches`), one block of rows per law, all on the
 config's system, time grid and start points; a sweep (:func:`run_sweep`)
-steps one law, its swept gain a per-row column, over a block per value. With
-diagonal covariances, stacking blocks changes no row's arithmetic, so each
-block equals a run of its law alone bit for bit; with a full covariance a
-row's bits can depend on the batch width, since BLAS picks its kernels by width.
-A batch's result keeps these rows as read-only arrays over its surviving
-trajectories, and the CSV and JSON exports read those arrays through one
-table of cells per batch; per-trajectory :class:`Trace` views are built
-only when read.
+steps one law, its swept gain a per-row column, over a block per value. A
+law that fails to build takes no rows, and each law's histories span only
+its own rows and hold only its results' columns. With diagonal covariances,
+stacking blocks changes no row's arithmetic, so each block equals a run of
+its law alone bit for bit; with a full covariance a row's bits can depend on
+the batch width, since BLAS picks its kernels by width. A batch's result
+keeps these rows as read-only arrays over its surviving trajectories, and
+the CSV and JSON exports read them through one table of cells per batch;
+per-trajectory :class:`Trace` views are built only when read.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ class RunResult:
 
 def _integrate_rows(
     system: FlowSystem,
-    laws: list[ControlLaw | Exception],
+    laws: list[ControlLaw],
     integ: IntegratorSpec,
     cond: str | None,
     x0: np.ndarray,
@@ -149,9 +150,9 @@ def _integrate_rows(
     rows ``b*n`` to ``(b+1)*n``, and ``laws[j]`` steps blocks ``j*parts`` to
     ``(j+1)*parts`` as one batch. All rows share each field evaluation and
     each law steps its own rows, so a block's bits equal a run of its law
-    alone. Entry b is block b's result or, if its law raised, the exception;
-    ``laws[j]`` may already be one, from a law that failed to build, and its
-    rows start dead. The other laws' blocks finish.
+    alone. A law's histories span its rows and hold its results' columns.
+    Entry b is block b's result or, if its law raised, the exception; that
+    law's histories are freed at once, and the other laws' blocks finish.
     """
     n, dim = x0.shape
     n_steps = integ.steps
@@ -159,24 +160,23 @@ def _integrate_rows(
     dtau = integ.dtau
     heun = integ.scheme == "heun"
     blocks = [slice(j * n * parts, (j + 1) * n * parts) for j in range(len(laws))]
-    failed = {j: law for j, law in enumerate(laws) if isinstance(law, Exception)}
-    has_surface = any(j not in failed and law.sliding is not None for j, law in enumerate(laws))
+    failed: dict[int, Exception] = {}
 
     # Fortran order: x.T is the field kernel's (d, n) columns without a copy, and its results come back column-ordered
     x = np.asfortranarray(np.tile(x0, (len(laws) * parts, 1)))
     # work arrays in x's layout, written in place every step: at batch size a fresh array costs more than a pass
     x_new = np.empty_like(x)  # holds each step's gap v_c - v_u before its new state
     x_pred = np.empty_like(x) if heun else None
-    alive = np.repeat([j not in failed for j in range(len(laws))], n * parts)  # an unbuilt law's rows start dead
+    alive = np.ones(len(x), dtype=bool)
     div_step = np.full(len(x), -1)  # the step at which a row left the envelope, -1 while it has not
-    # step-major histories, keyed by the result column each becomes; this dict holds the only reference to each
-    hist = {"e_norm": np.zeros((n_steps, len(x))), "vhat_norm": np.zeros((n_steps, len(x)))}
-    if has_surface:
-        hist["s_norm"] = np.zeros((n_steps, len(x)))
-    if record_x:
-        hist["x_path"] = np.zeros((n_steps, len(x), dim))
-    if record_x and has_surface:
-        hist["s_path"] = np.zeros((n_steps, len(x), dim))
+    # each live law's step-major histories over its own rows, keyed by the result column each becomes, only those its
+    # results carry; this dict holds the only reference to each, and a law's leave it when the law raises
+    hist: dict[int, dict[str, np.ndarray]] = {}
+    for j, law in enumerate(laws):
+        surface = law.sliding is not None
+        hist[j] = {name: np.zeros((n_steps, n * parts)) for name in ["e_norm", "vhat_norm"] + ["s_norm"] * surface}
+        hist[j] |= {name: np.zeros((n_steps, n * parts, dim))
+                    for name in (["x_path"] + ["s_path"] * surface) * record_x}
 
     def evaluator(points: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         return velocity_pair(system, points, t, cond)
@@ -184,20 +184,20 @@ def _integrate_rows(
     def guided(step: int, t: float, v_c, v_u, points, update_state: bool) -> np.ndarray | None:
         """Each live law's velocity on its rows and, if the stage updates state, its surface; a raise ends its block."""
         out = None if len(laws) == 1 else np.zeros_like(x)  # a failed block's rows stay 0
-        for j, (law, rows) in enumerate(zip(laws, blocks)):
-            if j in failed:
-                continue
+        for j in list(hist):
+            law, rows = laws[j], blocks[j]
             try:
                 ctx = StepContext(step, n_steps, t, dtau, law.w)
                 v = apply_controller(law, v_c[rows], v_u[rows], points[rows], ctx, evaluator, update_state)
             except Exception as exc:  # kept as the block's result, re-raised by its caller
                 failed[j] = exc
+                del hist[j]
                 alive[rows] = False
                 continue
             if update_state and law.sliding is not None:
-                hist["s_norm"][step, rows] = row_norm(law.sliding.s)
+                hist[j]["s_norm"][step] = row_norm(law.sliding.s)
                 if record_x:
-                    hist["s_path"][step, rows] = law.sliding.s
+                    hist[j]["s_path"][step] = law.sliding.s
             if out is None:
                 return v
             out[rows] = v
@@ -212,67 +212,68 @@ def _integrate_rows(
             alive[bad] = False
             x[bad] = 0.0
 
+    def advance(i: int) -> None:
+        """Step ``i`` of every live row; its velocities are freed when it returns, before the next field call."""
+        nonlocal x, x_new
+        t = float(taus[i])
+        v_c, v_u = evaluator(x, t)
+        v_hat = guided(i, t, v_c, v_u, x, True)
+        if not hist:
+            return
+        e_norm = row_norm(np.subtract(v_c, v_u, out=x_new))
+        v_use = v_hat
+        if heun:
+            np.add(x, np.multiply(dtau, v_hat, out=x_pred), out=x_pred)
+            retire(x_pred, i)
+            if not alive.all():  # a dead row's own velocity may be NaN: evaluate it at the origin
+                x_pred[~alive] = 0.0
+            v_c2, v_u2 = evaluator(x_pred, t + dtau)
+            v_hat2 = guided(i, t + dtau, v_c2, v_u2, x_pred, False)
+            if not hist:
+                return
+            v_use = np.multiply(0.5, np.add(v_hat, v_hat2, out=v_hat2), out=v_hat2)  # v_hat2 is free to overwrite
+        vhat_norm = row_norm(v_use)
+        for j, mine in hist.items():  # after the predictor: a row it retired reads 0 here, but no result keeps it
+            mine["e_norm"][i], mine["vhat_norm"][i] = e_norm[blocks[j]], vhat_norm[blocks[j]]
+            if record_x:
+                mine["x_path"][i] = x[blocks[j]]
+        np.add(x, np.multiply(dtau, v_use, out=x_new), out=x_new)
+        if alive.all():
+            x, x_new = x_new, x
+        else:
+            x[alive] = x_new[alive]
+        retire(x, i)
+
     with np.errstate(all="ignore"):
         for i in range(n_steps):
-            if len(failed) == len(laws):
+            if not hist:
                 break
-            t = float(taus[i])
-            v_c, v_u = evaluator(x, t)
-            v_hat = guided(i, t, v_c, v_u, x, True)
-            if len(failed) == len(laws):
-                break
-            hist["e_norm"][i] = row_norm(np.subtract(v_c, v_u, out=x_new))
-            if record_x:
-                hist["x_path"][i] = x
-            if heun:
-                np.add(x, np.multiply(dtau, v_hat, out=x_pred), out=x_pred)
-                retire(x_pred, i)
-                if not alive.all():  # a dead row's own velocity may be NaN: evaluate it at the origin
-                    x_pred[~alive] = 0.0
-                v_c2, v_u2 = evaluator(x_pred, t + dtau)
-                v_hat2 = guided(i, t + dtau, v_c2, v_u2, x_pred, False)
-                if len(failed) == len(laws):
-                    break
-                v_use = np.multiply(0.5, np.add(v_hat, v_hat2, out=v_hat2), out=v_hat2)  # v_hat2 is free to overwrite
-            else:
-                v_use = v_hat
-            hist["vhat_norm"][i] = row_norm(v_use)
-            np.add(x, np.multiply(dtau, v_use, out=x_new), out=x_new)
-            if alive.all():
-                x, x_new = x_new, x
-            else:
-                x[alive] = x_new[alive]
-            retire(x, i)
+            advance(i)
 
-    # Each block owns its result columns: one transposing copy of its kept rows per history, (rows, steps) and
-    # C-contiguous, the layout a mean over rows keeps its bits on. Each history leaves the dict when its copies start
-    # and is freed when the next is taken, so the pass peaks at its histories plus the copies of one. Last in goes
-    # first: the surface histories, copied only for the blocks with a surface, are taken while every history is alive.
-    owners = [b for b in range(len(laws) * parts) if b // parts not in failed]
-    kept = {b: np.flatnonzero(alive[b * n:(b + 1) * n]) for b in owners}
-    columns = {b: {"s_norm": None, "x_path": None, "s_path": None} for b in owners}
-    while hist:
-        name, history = hist.popitem()
-        for b in owners:
-            if laws[b // parts].sliding is not None or name not in ("s_norm", "s_path"):
-                columns[b][name] = np.ascontiguousarray(np.swapaxes(history[:, b * n:(b + 1) * n], 0, 1)[kept[b]])
+    # Each block owns its result columns: one C-contiguous (rows, steps) copy of its kept rows per history, the layout
+    # a mean over rows keeps its bits on. Law by law, each history is freed once copied, so the pass peaks at the
+    # histories plus one history's copies.
     results: list[RunResult | Exception] = []
-    for b in range(len(laws) * parts):
-        if b not in columns:
-            results.append(failed[b // parts])
+    for j in range(len(laws)):
+        if j in failed:
+            results += [failed[j]] * parts
             continue
-        rows = slice(b * n, (b + 1) * n)
-        dead = np.flatnonzero(div_step[rows] >= 0)
-        results.append(RunResult(
-            **_read_only({
-                "run_ids": kept[b],
-                "tau": taus,
-                "finals": np.ascontiguousarray(x[rows][kept[b]]),  # C order, which a mean over rows keeps its bits on
-                **columns[b],
-            }),
-            divergences=dict(zip(dead.tolist(), div_step[rows][dead].tolist())),
-            system=system, n_trajectories=n,
-        ))
+        rows = [slice(b * n, (b + 1) * n) for b in range(j * parts, (j + 1) * parts)]
+        columns = [{"run_ids": np.flatnonzero(alive[r]), "tau": taus, "s_norm": None, "x_path": None, "s_path": None}
+                   for r in rows]
+        mine = hist.pop(j)
+        while mine:
+            name, history = mine.popitem()
+            for p, owned in enumerate(columns):
+                owned[name] = np.ascontiguousarray(np.swapaxes(history[:, p * n:(p + 1) * n], 0, 1)[owned["run_ids"]])
+        for r, owned in zip(rows, columns):
+            owned["finals"] = np.ascontiguousarray(x[r][owned["run_ids"]])  # C order, as for the histories
+            for column in owned.values():
+                if column is not None:
+                    column.flags.writeable = False
+            dead = np.flatnonzero(div_step[r] >= 0)
+            results.append(RunResult(**owned, divergences=dict(zip(dead.tolist(), div_step[r][dead].tolist())),
+                                     system=system, n_trajectories=n))
     return results
 
 
@@ -321,30 +322,29 @@ def run_batches(cfg: _config.ExperimentConfig,
     control law raises, its entry is the exception that run would raise, and
     the other blocks finish.
     """
-    return _integrate_rows(*_pass(cfg, controllers))
+    return _run(cfg, controllers)
 
 
 def run_sweep(cfg: _config.ExperimentConfig) -> list[RunResult | Exception]:
     """The config's batch at each value of its sweep, in one lockstep pass; entry j is value j's.
 
-    The laws built at the values become one whose swept gain is a per-row
+    The laws built at the values step as one whose swept gain is a per-row
     column, so entry j equals entry j of :func:`run_batches` over the
-    per-value blocks, a pass of the same width when every law builds. A
-    value whose law fails to build gets its exception and no rows; if the
-    stacked law raises, every value gets that exception.
+    per-value blocks. If that law raises, each value it stepped gets the error.
     """
+    if cfg.sweep is None:
+        raise _config.ConfigError("sweep: block missing from config")
     specs = [_config.with_controller_value(cfg, cfg.sweep.parameter, v).controller for v in cfg.sweep.values]
-    system, laws, *rest = _pass(cfg, specs)
-    built = [law for law in laws if not isinstance(law, Exception)]
-    if built:
-        field = CONTROLLERS[cfg.controller.type].keys[cfg.sweep.parameter].field
-        column = np.repeat([getattr(law, field) for law in built], cfg.sampler.trajectories)[:, None]
-        results = iter(_integrate_rows(system, [replace(built[0], **{field: column})], *rest, parts=len(built)))
-    return [law if isinstance(law, Exception) else next(results) for law in laws]
+    return _run(cfg, specs, cfg.sweep.parameter)
 
 
-def _pass(cfg: _config.ExperimentConfig, controllers: list[_config.ControllerSpec]) -> tuple:
-    """:func:`_integrate_rows`'s arguments for the config's batch under each block; an unbuilt law is its error."""
+def _run(cfg: _config.ExperimentConfig, controllers: list[_config.ControllerSpec],
+         swept: str | None = None) -> list[RunResult | Exception]:
+    """The config's batch under each block's law in one lockstep pass; a law that fails to build takes no rows.
+
+    Its entry is its exception. With ``swept``, a key of the controllers'
+    type, the built laws step as one whose gain at that key is a per-row column.
+    """
     system = _config.build_system(cfg.system)
     integ = IntegratorSpec(cfg.sampler.scheme, cfg.sampler.steps, cfg.sampler.tau_clamp)
     x0 = stream_normals(cfg.sampler.seed, cfg.sampler.trajectories, system.dim)
@@ -354,14 +354,14 @@ def _pass(cfg: _config.ExperimentConfig, controllers: list[_config.ControllerSpe
             laws.append(_config.build_control_law(spec))
         except Exception as exc:  # this block's result, as its own run would raise it
             laws.append(exc)
-    return system, laws, integ, cfg.system.target, x0, cfg.sampler.record_x
-
-
-def _read_only(columns: dict[str, np.ndarray | None]) -> dict[str, np.ndarray | None]:
-    for column in columns.values():
-        if column is not None:
-            column.flags.writeable = False
-    return columns
+    built = [law for law in laws if not isinstance(law, Exception)]
+    parts = 1
+    if swept is not None and built:
+        field = CONTROLLERS[controllers[0].type].keys[swept].field
+        column = np.repeat([getattr(law, field) for law in built], cfg.sampler.trajectories)[:, None]
+        built, parts = [replace(built[0], **{field: column})], len(built)
+    results = iter(_integrate_rows(system, built, integ, cfg.system.target, x0, cfg.sampler.record_x, parts=parts))
+    return [law if isinstance(law, Exception) else next(results) for law in laws]
 
 
 _TRACE_COLUMNS = ("step", "tau", "e_norm", "s_norm", "lyapunov", "vhat_norm")

@@ -191,9 +191,11 @@ class TestSweep:
         assert "sweep.values: must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_sweep_without_block_exits_2(self, tmp_path):
+    def test_sweep_without_block_exits_2(self, tmp_path, capsys):
         cfg = small_config(tmp_path)
         assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert "sweep: block missing from config" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_failed_row_marked_sweep_continues(self, tmp_path):
         cfg = small_config(tmp_path, sweep={"parameter": "k", "values": [0.1, 1e9]})

@@ -6,6 +6,7 @@ import pytest
 
 from cfgctrl.config import (
     ConfigError,
+    ControllerSpec,
     build_control_law,
     build_system,
     config_from_dict,
@@ -68,6 +69,11 @@ class TestParsing:
         raw = minimal_dict(type="cfg", w=1.0, momentum=0.9)
         with pytest.raises(ConfigError, match="controller.momentum"):
             config_from_dict(raw)
+
+    def test_built_law_refuses_a_key_its_controller_lacks(self):
+        # the parser's refusal, for a spec built in code
+        with pytest.raises(ConfigError, match=r"^controller\.lambda: not a parameter of controller 'cfg'$"):
+            build_control_law(ControllerSpec("cfg", {"lambda": 1.0}))
 
     def test_unknown_condition_target(self):
         raw = minimal_dict()

@@ -10,9 +10,11 @@ import cfgctrl.sampler
 from cfgctrl.cli import main as cli_main
 from cfgctrl.config import (
     ComponentSpec,
+    ConfigError,
     ControllerSpec,
     ExperimentConfig,
     SamplerSpec,
+    SweepSpec,
     SystemSpec,
     build_system,
     with_controller_value,
@@ -27,6 +29,7 @@ from cfgctrl.sampler import (
     RunResult,
     run_batch,
     run_batches,
+    run_sweep,
     sample_trajectory,
     traces_to_csv,
     traces_to_json,
@@ -373,10 +376,40 @@ class TestRunBatches:
         results = lockstep([with_controller_value(base, "lambda", v) for v in (-1.0, 0.0)])
         assert [str(r) for r in results] == ["surface slope lambda must be positive"] * 2
 
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    def test_unbuilt_law_takes_no_rows(self, scheme, monkeypatch):
+        real = cfgctrl.sampler.velocity_pair
+        widths = []
+
+        def counting(system, points, tau, cond):
+            widths.append(len(points))
+            return real(system, points, tau, cond)
+
+        monkeypatch.setattr(cfgctrl.sampler, "velocity_pair", counting)
+        base = two_comp_config(SMC, steps=12, trajectories=7, scheme=scheme)
+        base = replace(base, sampler=replace(base.sampler, record_x=True))
+        apg = ControllerSpec("apg", {"w": 5.0})
+        results = run_batches(base, [SMC, with_controller_value(base, "lambda", -1.0).controller, apg])
+        # smc's and apg's 7 rows at each stage of each step, none for the law that did not build
+        assert widths == [14] * (12 if scheme == "euler" else 24)
+        assert str(results[1]) == "surface slope lambda must be positive"
+        for got, want in zip(results[::2], run_batches(base, [SMC, apg])):
+            assert_same_batch(got, want)
+
     def test_run_batch_raises_its_block_exception(self):
         cfg = with_controller_value(two_comp_config(SMC, steps=12, trajectories=3), "w", -1.0)
         with pytest.raises(ValueError, match="guidance scale must be nonnegative"):
             run_batch(cfg)
+
+    def test_sweep_refuses_a_config_without_a_sweep_block(self):
+        with pytest.raises(ConfigError, match=r"^sweep: block missing from config$"):
+            run_sweep(two_comp_config(SMC, steps=12, trajectories=3))
+
+    def test_sweep_over_a_key_the_controller_lacks_fails_every_value(self):
+        base = two_comp_config(ControllerSpec("cfg", {"w": 5.0}), steps=12, trajectories=3)
+        results = run_sweep(replace(base, sweep=SweepSpec("lambda", (3.0, 6.0))))
+        refusal = (ConfigError, "controller.lambda: not a parameter of controller 'cfg'")
+        assert [(type(result), str(result)) for result in results] == [refusal] * 2
 
 
 def exact_flow(mu, cov, x0, t0, t1):
@@ -828,11 +861,11 @@ class TestMemory:
     """A pass peaks at its histories plus one history's copies, and each block's result holds only its own rows."""
 
     @staticmethod
-    def assert_peak_within(call, cfg, width, surface):
-        """``call()``, a pass ``width`` rows wide under ``cfg``'s sampler, with a surface history if ``surface``.
+    def assert_peak_within(call, cfg, surfaces):
+        """``call()``, a pass of one law per entry of ``surfaces``, each on ``cfg``'s trajectories, True for a surface.
 
-        Its traced peak must be at most the histories the pass allocates, plus
-        its largest result array, plus 1 MiB.
+        Its traced peak must be at most the histories the pass allocates, each
+        law's over its own rows, plus its largest result array, plus 1 MiB.
         """
         tracemalloc.start()
         try:
@@ -842,8 +875,9 @@ class TestMemory:
             tracemalloc.stop()
         results = result if isinstance(result, list) else [result]
         arrays = held_arrays([r for r in results if not isinstance(r, Exception)])
-        per_row_step = 2 + surface + cfg.sampler.record_x * cfg.system.dimension * (1 + surface)
-        histories = 8 * cfg.sampler.steps * width * per_row_step
+        d = cfg.sampler.record_x * cfg.system.dimension
+        row_steps = sum(2 + surface + d * (1 + surface) for surface in surfaces)
+        histories = 8 * cfg.sampler.steps * cfg.sampler.trajectories * row_steps
         bound = histories + max(a.nbytes for a in arrays) + 2**20
         assert peak <= bound, f"traced peak {peak / 1e6:.2f} MB over {bound / 1e6:.2f} MB"
         return result
@@ -868,12 +902,12 @@ class TestMemory:
     @pytest.mark.parametrize("law", [SMC, ControllerSpec("cfg", {"w": 5.0})], ids=["smc", "cfg"])
     def test_run_batch(self, heun_2k, law, record_x):
         cfg = replace(heun_2k, controller=law, sampler=replace(heun_2k.sampler, record_x=record_x))
-        result = self.assert_peak_within(lambda: run_batch(cfg), cfg, 2000, law is SMC)
+        result = self.assert_peak_within(lambda: run_batch(cfg), cfg, [law is SMC])
         assert result.e_norm.shape == (2000, 64) and (result.x_path is not None) == record_x
 
     def test_run_batches_with_a_law_raising_mid_pass(self, heun_2k, monkeypatch):
         # two blocks of 1,000 rows make a pass as wide as the batches above; apg's 64th combine raises, in step 31
-        # of 64, and its rows stay in the pass's histories to the end of the pass, but in no result
+        # of 64, and its histories are freed then
         real = cfgctrl.guidance.apg_combine
         calls = []
 
@@ -885,9 +919,19 @@ class TestMemory:
 
         monkeypatch.setattr(cfgctrl.guidance, "apg_combine", flaky)
         cfg = replace(heun_2k, sampler=replace(heun_2k.sampler, trajectories=1000))
-        results = self.assert_peak_within(lambda: run_batches(cfg, [SMC, ControllerSpec("apg", {"w": 5.0})]), cfg, 2000, True)
+        laws = [SMC, ControllerSpec("apg", {"w": 5.0})]
+        results = self.assert_peak_within(lambda: run_batches(cfg, laws), cfg, [True, False])
         assert str(results[1]) == "combine failed on call 64" and results[0].s_norm.shape == (1000, 64)
         self.assert_owns_its_columns(results[0])
+
+    @pytest.mark.parametrize("record_x", [False, True])
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    def test_compare_of_six_laws(self, heun_2k, scheme, record_x):
+        # 1,000 rows per block; only smc's block has surface histories
+        cfg = replace(heun_2k, sampler=replace(heun_2k.sampler, scheme=scheme, trajectories=1000, record_x=record_x))
+        surfaces = [law.type == "smc" for law in COMPARE_LAWS]
+        results = self.assert_peak_within(lambda: run_batches(cfg, list(COMPARE_LAWS)), cfg, surfaces)
+        assert [result.s_norm is not None for result in results] == surfaces
 
     @pytest.mark.parametrize("record_x", [False, True])
     @pytest.mark.parametrize("blown_up", [False, True])
