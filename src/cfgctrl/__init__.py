@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 # each submodule and the public names it defines; a submodule is itself an attribute of the package
 _SUBMODULES = {
     "cli": (),
-    "config": ("ConfigError", "ExperimentConfig", "build_control_law", "build_system", "load_config"),
+    "config": ("ConfigError", "ExperimentConfig", "SamplerSpec", "build_control_law", "build_system", "load_config"),
     "control_lab": ("ConvergenceReport", "CorridorRow", "PerturbedDynamics", "corridor_sweep", "simulate_sliding",
                     "stability_corridor"),
     "flow_systems": ("FlowSystem", "GaussComponent", "marginal_velocity", "mc_velocity_oracle", "velocity_pair"),
@@ -21,7 +21,7 @@ _SUBMODULES = {
                  "cfg_zero_star_combine", "rectified_cfgpp_combine", "smc_step", "weight_schedule"),
     "metrics": ("GaussFit", "QualityReport", "phase_plane", "quality_report", "w2_gaussian"),
     "numerics": ("Rng", "spectral_norm"),
-    "sampler": ("DivergenceError", "IntegratorSpec", "RunResult", "Trace", "run_batch", "sample_trajectory"),
+    "sampler": ("DivergenceError", "RunResult", "Trace", "run_batch", "sample_trajectory"),
     "svgplot": (),
 }
 _SOURCE = {name: module for module, names in _SUBMODULES.items() for name in names}

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -107,12 +107,35 @@ class ControllerSpec:
 
 @dataclass(frozen=True)
 class SamplerSpec:
+    """The sampler block: a fixed-step scheme over [tau_clamp, 1 - tau_clamp], its batch size, seed and path record.
+
+    The block's rules hold for a spec built in code as for one parsed from a
+    file: a bad field raises the ConfigError naming ``sampler.<field>``.
+    """
+
     scheme: str = "euler"
     steps: int = 64
     trajectories: int = 50
     seed: int = 0
     record_x: bool = False
     tau_clamp: float = 1e-4
+
+    def __post_init__(self):
+        _expect(self.scheme in SCHEMES, "sampler.scheme", f"unknown scheme {self.scheme!r}")
+        _as_int(self.steps, "sampler.steps", 2)
+        _as_int(self.trajectories, "sampler.trajectories", 1)
+        check_seed(self.seed, "sampler.seed")
+        _expect(isinstance(self.record_x, bool), "sampler.record_x", "must be a boolean")
+        clamp = _as_number(self.tau_clamp, "sampler.tau_clamp")
+        _expect(0.0 < clamp < 0.5, "sampler.tau_clamp", "must lie in (0, 0.5)")
+
+    @property
+    def dtau(self) -> float:
+        return (1.0 - 2.0 * self.tau_clamp) / self.steps
+
+    def tau_grid(self) -> np.ndarray:
+        """Left endpoints of the integration steps."""
+        return self.tau_clamp + self.dtau * np.arange(self.steps)
 
 
 @dataclass(frozen=True)
@@ -207,19 +230,9 @@ def _parse_system(block: dict, path: str) -> SystemSpec:
     return SystemSpec(dim, components, conditions, target)
 
 
-def _parse_sampler(block: dict, path: str) -> SamplerSpec:
-    defaults = SamplerSpec()
-    _require_keys(block, path, (), ("scheme", "steps", "trajectories", "seed", "record_x", "tau_clamp"))
-    scheme = block.get("scheme", defaults.scheme)
-    _expect(scheme in SCHEMES, f"{path}.scheme", f"unknown scheme {scheme!r}")
-    steps = _as_int(block.get("steps", defaults.steps), f"{path}.steps", 2)
-    traj = _as_int(block.get("trajectories", defaults.trajectories), f"{path}.trajectories", 1)
-    seed = check_seed(block.get("seed", defaults.seed), f"{path}.seed")
-    record_x = block.get("record_x", defaults.record_x)
-    _expect(isinstance(record_x, bool), f"{path}.record_x", "must be a boolean")
-    clamp = _as_number(block.get("tau_clamp", defaults.tau_clamp), f"{path}.tau_clamp")
-    _expect(0.0 < clamp < 0.5, f"{path}.tau_clamp", "must lie in (0, 0.5)")
-    return SamplerSpec(scheme, steps, traj, seed, record_x, clamp)
+def _parse_sampler(block: dict) -> SamplerSpec:
+    _require_keys(block, "sampler", (), tuple(f.name for f in fields(SamplerSpec)))
+    return SamplerSpec(**block)
 
 
 def _parse_sweep(block: dict, path: str, controller: ControllerSpec) -> SweepSpec:
@@ -256,7 +269,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _require_keys(raw, "config", ("system", "controller"), ("sampler", "sweep", "output"))
     system = _parse_system(raw["system"], "system")
     controller = _parse_controller(raw["controller"], "controller")
-    sampler = _parse_sampler(raw.get("sampler", {}), "sampler")
+    sampler = _parse_sampler(raw.get("sampler", {}))
     sweep = _parse_sweep(raw["sweep"], "sweep", controller) if "sweep" in raw else None
     output = _parse_output(raw.get("output", {}), "output")
     return ExperimentConfig(system, controller, sampler, sweep, output)

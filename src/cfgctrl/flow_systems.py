@@ -217,10 +217,6 @@ def _posteriors(logs: dict, idx: np.ndarray, log_w: np.ndarray) -> np.ndarray:
 
 def _normalize(logs: np.ndarray) -> np.ndarray:
     """(K, n) unnormalized log responsibilities to probabilities whose columns sum to 1, in place."""
-    if len(logs) == 1:  # exp(l - l) / (0.0 + exp(l - l)): 1.0 where the log is finite, NaN elsewhere
-        logs -= logs
-        logs += 1.0
-        return logs
     logs -= np.maximum.reduce(logs)  # row after row, as a loop of np.maximum would
     p = np.exp(logs, out=logs)
     p /= row_sum(p.T)
@@ -282,7 +278,7 @@ def velocity_pair(sys: FlowSystem, x: np.ndarray, tau: float, cond: str | None) 
     logs, vels = _component_pass(sys, x, tau, 0.5 * sys.dim * _LOG_2PI, idx_u, velocity=True)
     v_u = _mix(_posteriors(logs, idx_u, log_w_u), vels, idx_u)
     if len(idx_c) == 1 and np.isfinite(logs[idx_c[0]]).all():
-        # a lone component's responsibility is l - l + 1 = 1.0 on every row, and 1.0 * v + 0.0 is v + 0.0
+        # a lone component's responsibility is exp(l - l) / 1.0 = 1.0 on every row, and 1.0 * v + 0.0 is v + 0.0
         v_c = vels[idx_c[0]]  # v_u is done with it
         v_c += 0.0
     else:  # a row whose log is not finite gets the NaN responsibility of _normalize

@@ -94,6 +94,7 @@ def mahalanobis(samples: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.nd
 
 
 _E_FLOOR = 1e-12  # an initial gap norm at or below this counts as unguided
+_REACH_FRACTION = 0.05  # the share of its initial gap norm a row reaches in mean_reach_step
 
 
 def quality_report(result: RunResult, system: FlowSystem, cond: str) -> QualityReport:
@@ -131,10 +132,10 @@ def quality_report(result: RunResult, system: FlowSystem, cond: str) -> QualityR
     )
 
 
-def mean_reach_step(result: RunResult, fraction: float = 0.05) -> float | None:
+def mean_reach_step(result: RunResult) -> float | None:
     """Mean first step at which the gap norm fell to 5% of its initial value, over the guided rows."""
     e = result.e_norm
-    hit = e <= fraction * e[:, :1]  # a boolean table over every row, so no row of e is copied
+    hit = e <= _REACH_FRACTION * e[:, :1]  # a boolean table over every row, so no row of e is copied
     rows = (e[:, 0] > _E_FLOOR) & hit.any(axis=1)
     if not rows.any():
         return None

@@ -48,31 +48,6 @@ class DivergenceError(RuntimeError):
         self.run_id = run_id
 
 
-@dataclass(frozen=True)
-class IntegratorSpec:
-    """Fixed-step scheme over the clamped time interval."""
-
-    scheme: str = "euler"
-    steps: int = 64
-    tau_clamp: float = 1e-4
-
-    def __post_init__(self):
-        if self.scheme not in ("euler", "heun"):
-            raise ValueError(f"unknown integration scheme {self.scheme!r}")
-        if self.steps < 2:
-            raise ValueError("need at least 2 steps")
-        if not 0.0 < self.tau_clamp < 0.5:
-            raise ValueError("tau clamp must lie in (0, 0.5)")
-
-    @property
-    def dtau(self) -> float:
-        return (1.0 - 2.0 * self.tau_clamp) / self.steps
-
-    def tau_grid(self) -> np.ndarray:
-        """Left endpoints of the integration steps."""
-        return self.tau_clamp + self.dtau * np.arange(self.steps)
-
-
 @dataclass(eq=False)
 class Trace:
     """Per-step record of one trajectory plus its final sample."""
@@ -138,10 +113,9 @@ class RunResult:
 def _integrate_rows(
     system: FlowSystem,
     laws: list[ControlLaw],
-    integ: IntegratorSpec,
+    sampler: _config.SamplerSpec,
     cond: str | None,
     x0: np.ndarray,
-    record_x: bool,
     parts: int = 1,
 ) -> list[RunResult | Exception]:
     """Advance ``parts`` blocks of trajectories per law in lockstep; laws must be freshly reset.
@@ -155,10 +129,11 @@ def _integrate_rows(
     law's histories are freed at once, and the other laws' blocks finish.
     """
     n, dim = x0.shape
-    n_steps = integ.steps
-    taus = integ.tau_grid()
-    dtau = integ.dtau
-    heun = integ.scheme == "heun"
+    n_steps = sampler.steps
+    taus = sampler.tau_grid()
+    dtau = sampler.dtau
+    heun = sampler.scheme == "heun"
+    record_x = sampler.record_x
     blocks = [slice(j * n * parts, (j + 1) * n * parts) for j in range(len(laws))]
     failed: dict[int, Exception] = {}
 
@@ -280,19 +255,18 @@ def _integrate_rows(
 def sample_trajectory(
     system: FlowSystem,
     law: ControlLaw,
-    integ: IntegratorSpec,
+    sampler: _config.SamplerSpec,
     cond: str | None,
     rng: Rng,
-    record_x: bool = False,
 ) -> Trace:
-    """Integrate one trajectory from a fresh standard-normal start point.
+    """Integrate one trajectory from a fresh standard-normal start point; ``trajectories`` and ``seed`` are not read.
 
     Raises :class:`DivergenceError` naming the step index if the state
     becomes non-finite or leaves the |x| <= 1e6 envelope.
     """
     x0 = rng.standard_normal(system.dim).reshape(1, -1)
     law.reset()
-    (result,) = _integrate_rows(system, [law], integ, cond, x0, record_x)
+    (result,) = _integrate_rows(system, [law], sampler, cond, x0)
     if isinstance(result, Exception):
         raise result
     if result.divergences:
@@ -346,7 +320,6 @@ def _run(cfg: _config.ExperimentConfig, controllers: list[_config.ControllerSpec
     type, the built laws step as one whose gain at that key is a per-row column.
     """
     system = _config.build_system(cfg.system)
-    integ = IntegratorSpec(cfg.sampler.scheme, cfg.sampler.steps, cfg.sampler.tau_clamp)
     x0 = stream_normals(cfg.sampler.seed, cfg.sampler.trajectories, system.dim)
     laws: list[ControlLaw | Exception] = []
     for spec in controllers:
@@ -360,7 +333,7 @@ def _run(cfg: _config.ExperimentConfig, controllers: list[_config.ControllerSpec
         field = CONTROLLERS[controllers[0].type].keys[swept].field
         column = np.repeat([getattr(law, field) for law in built], cfg.sampler.trajectories)[:, None]
         built, parts = [replace(built[0], **{field: column})], len(built)
-    results = iter(_integrate_rows(system, built, integ, cfg.system.target, x0, cfg.sampler.record_x, parts=parts))
+    results = iter(_integrate_rows(system, built, cfg.sampler, cfg.system.target, x0, parts=parts))
     return [law if isinstance(law, Exception) else next(results) for law in laws]
 
 

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -136,6 +137,9 @@ class TestParsing:
         target[key] = value
         with pytest.raises(ConfigError, match=field):
             config_from_dict(raw)
+        if block == "sampler":  # a spec built in code meets the same rule
+            with pytest.raises(ConfigError, match=field):
+                replace(config_from_dict(minimal_dict()).sampler, **{key: value})
 
     @pytest.mark.parametrize(
         "keys, token, field",
@@ -166,6 +170,8 @@ class TestParsing:
         raw["sampler"]["seed"] = seed
         with pytest.raises(ConfigError, match=re.escape("sampler.seed: must lie in [0, 2**64)")):
             config_from_dict(raw)
+        with pytest.raises(ConfigError, match=re.escape("sampler.seed: must lie in [0, 2**64)")):
+            replace(config_from_dict(minimal_dict()).sampler, seed=seed)
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_seed_range_ends_accepted(self, seed):
@@ -247,8 +253,6 @@ class TestFingerprint:
         assert fingerprint(config_from_dict(raw)) == tag
 
     def test_stable_across_output_location(self):
-        from dataclasses import replace
-
         cfg = config_from_dict(minimal_dict())
         moved = replace(cfg, output=replace(cfg.output, directory="elsewhere"))
         assert fingerprint(cfg) == fingerprint(moved)

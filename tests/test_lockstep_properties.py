@@ -32,7 +32,7 @@ from cfgctrl.config import (
 )
 from cfgctrl.guidance import CONTROLLERS
 from cfgctrl.numerics import stream_normals
-from cfgctrl.sampler import IntegratorSpec, _integrate_rows, run_batches, run_sweep
+from cfgctrl.sampler import _integrate_rows, run_batches, run_sweep
 
 from test_sampler import assert_same_batch, separate_runs, zeroing_field
 
@@ -105,9 +105,8 @@ def make_config(case: Case, covariance: str) -> ExperimentConfig:
 
 def integrate(cfg: ExperimentConfig, blocks, x0: np.ndarray):
     """``_integrate_rows`` of freshly built laws from the start points ``x0``."""
-    integ = IntegratorSpec(cfg.sampler.scheme, cfg.sampler.steps, cfg.sampler.tau_clamp)
     laws = [build_control_law(spec) for spec in blocks]
-    return _integrate_rows(build_system(cfg.system), laws, integ, cfg.system.target, x0, cfg.sampler.record_x)
+    return _integrate_rows(build_system(cfg.system), laws, cfg.sampler, cfg.system.target, x0)
 
 
 def assert_same_rows(got, want, got_ids, want_ids):

@@ -8,7 +8,7 @@ import sys
 from conftest import REFERENCE_CONFIG, REPO_ROOT
 
 PUBLIC = {
-    "config": ["ConfigError", "ExperimentConfig", "build_control_law", "build_system", "load_config"],
+    "config": ["ConfigError", "ExperimentConfig", "SamplerSpec", "build_control_law", "build_system", "load_config"],
     "control_lab": ["ConvergenceReport", "CorridorRow", "PerturbedDynamics", "corridor_sweep", "simulate_sliding",
                     "stability_corridor"],
     "flow_systems": ["FlowSystem", "GaussComponent", "marginal_velocity", "mc_velocity_oracle", "velocity_pair"],
@@ -16,7 +16,7 @@ PUBLIC = {
                  "cfg_zero_star_combine", "rectified_cfgpp_combine", "smc_step", "weight_schedule"],
     "metrics": ["GaussFit", "QualityReport", "phase_plane", "quality_report", "w2_gaussian"],
     "numerics": ["Rng", "spectral_norm"],
-    "sampler": ["DivergenceError", "IntegratorSpec", "RunResult", "Trace", "run_batch", "sample_trajectory"],
+    "sampler": ["DivergenceError", "RunResult", "Trace", "run_batch", "sample_trajectory"],
 }
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -25,7 +26,6 @@ from cfgctrl.metrics import fit_gaussian, quality_report, w2_gaussian
 from cfgctrl.numerics import Rng
 from cfgctrl.sampler import (
     DivergenceError,
-    IntegratorSpec,
     RunResult,
     run_batch,
     run_batches,
@@ -59,9 +59,9 @@ def single_gauss_system():
     return FlowSystem([GaussComponent(1.0, np.array([1.5, -0.5]), np.eye(2))], {"only": [0]})
 
 
-class TestIntegratorSpec:
+class TestSamplerSpec:
     def test_uniform_grid(self):
-        integ = IntegratorSpec("euler", 10, 1e-3)
+        integ = SamplerSpec("euler", 10, tau_clamp=1e-3)
         grid = integ.tau_grid()
         assert len(grid) == 10
         assert grid[0] == pytest.approx(1e-3)
@@ -69,19 +69,28 @@ class TestIntegratorSpec:
         assert np.allclose(np.diff(grid), integ.dtau)
         assert grid[-1] + integ.dtau == pytest.approx(1.0 - 1e-3)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            IntegratorSpec("rk4", 10)
-        with pytest.raises(ValueError):
-            IntegratorSpec("euler", 1)
-        with pytest.raises(ValueError):
-            IntegratorSpec("euler", 10, 0.7)
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"scheme": "rk4"}, "sampler.scheme: unknown scheme 'rk4'"),
+            ({"steps": 1}, "sampler.steps: must be at least 2"),
+            ({"tau_clamp": 0.7}, "sampler.tau_clamp: must lie in (0, 0.5)"),
+            ({"trajectories": 0}, "sampler.trajectories: must be at least 1"),
+            ({"steps": 64.0}, "sampler.steps: must be an integer"),
+            ({"record_x": 1}, "sampler.record_x: must be a boolean"),
+            ({"tau_clamp": float("nan")}, "sampler.tau_clamp: must be a finite number"),
+        ],
+    )
+    def test_validation(self, fields, message):
+        """A spec built in code meets the config file's rules and messages."""
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            SamplerSpec(**fields)
 
 
 class TestSampleTrajectory:
     def test_deterministic_bit_identical(self):
         system = single_gauss_system()
-        integ = IntegratorSpec("euler", 32)
+        integ = SamplerSpec("euler", 32)
         t1 = sample_trajectory(system, ControlLaw("cfg", w=1.0), integ, "only", Rng(5, 0))
         t2 = sample_trajectory(system, ControlLaw("cfg", w=1.0), integ, "only", Rng(5, 0))
         assert np.array_equal(t1.x_final, t2.x_final)
@@ -90,8 +99,8 @@ class TestSampleTrajectory:
 
     def test_trace_shape_and_finiteness(self):
         system = single_gauss_system()
-        integ = IntegratorSpec("heun", 16)
-        trace = sample_trajectory(system, ControlLaw("smc", w=3.0), integ, "only", Rng(6, 0), record_x=True)
+        integ = SamplerSpec("heun", 16, record_x=True)
+        trace = sample_trajectory(system, ControlLaw("smc", w=3.0), integ, "only", Rng(6, 0))
         assert len(trace.tau) == 16
         assert trace.x_path.shape == (16, 2)
         assert trace.s_norm.shape == (16,)
@@ -100,7 +109,7 @@ class TestSampleTrajectory:
 
     def test_monotone_tau(self):
         system = single_gauss_system()
-        trace = sample_trajectory(system, ControlLaw("cfg"), IntegratorSpec("euler", 8), "only", Rng(7, 0))
+        trace = sample_trajectory(system, ControlLaw("cfg"), SamplerSpec("euler", 8), "only", Rng(7, 0))
         assert (np.diff(trace.tau) > 0).all()
 
 
@@ -113,7 +122,7 @@ class TestRunBatch:
             {"right": [0]},
         )
         direct = sample_trajectory(
-            system, ControlLaw("cfg", w=2.0), IntegratorSpec("euler", 24), "right", Rng(cfg.sampler.seed, 0)
+            system, ControlLaw("cfg", w=2.0), SamplerSpec("euler", 24), "right", Rng(cfg.sampler.seed, 0)
         )
         assert np.array_equal(result.traces[0].x_final, direct.x_final)
         assert np.array_equal(result.traces[0].e_norm, direct.e_norm)
@@ -178,7 +187,7 @@ class TestRunBatch:
         def integrate(scheme, steps, x0):
             from cfgctrl.flow_systems import marginal_velocity
 
-            integ = IntegratorSpec(scheme, steps, 1e-4)
+            integ = SamplerSpec(scheme, steps, tau_clamp=1e-4)
             taus, dt = integ.tau_grid(), integ.dtau
             x = x0.copy()
             for t in taus:
@@ -213,7 +222,7 @@ class TestRunBatch:
         )
         law = ControlLaw("smc", w=1e5, lam=6.0, k=1e3)
         with pytest.raises(DivergenceError) as err:
-            sample_trajectory(system, law, IntegratorSpec("euler", 16), "right", Rng(1, 0))
+            sample_trajectory(system, law, SamplerSpec("euler", 16), "right", Rng(1, 0))
         assert err.value.step >= 0
 
     def test_no_nan_in_any_trace(self):
@@ -434,11 +443,10 @@ class TestExactFlow:
         )
         result = run_batch(cfg)
         assert result.n_divergent == 0
-        integ = IntegratorSpec(scheme, steps, 1e-4)
-        grid = integ.tau_grid()
+        grid = cfg.sampler.tau_grid()
         x0 = np.stack([trace.x_path[0] for trace in result.traces])
         cov = system.components[0].cov_matrix()
-        exact = exact_flow(np.array(self.MEAN), cov, x0, float(grid[0]), float(grid[-1] + integ.dtau))
+        exact = exact_flow(np.array(self.MEAN), cov, x0, float(grid[0]), float(grid[-1] + cfg.sampler.dtau))
         return np.linalg.norm(result.finals - exact, axis=1)
 
     # Measured ratios of the error at n steps to the error at 2n (n = 32, 64;
@@ -516,7 +524,7 @@ def odd_batch(surface):
 
 
 def empty_batch(steps=5):
-    return hand_batch([], IntegratorSpec("euler", steps).tau_grid(), np.zeros((0, steps)), np.zeros((0, steps)), np.zeros((0, 2)))
+    return hand_batch([], SamplerSpec("euler", steps).tau_grid(), np.zeros((0, steps)), np.zeros((0, steps)), np.zeros((0, 2)))
 
 
 class TestJsonExport:
@@ -644,7 +652,7 @@ class TestDegenerateRows:
         solo = run_batch(replace(cfg, sampler=replace(cfg.sampler, trajectories=1)))
         monkeypatch.setattr(cfgctrl.sampler, "velocity_pair", zeroing_field(0.5, (zeroed,), 2))
         result = run_batch(cfg)
-        integ = IntegratorSpec(scheme, 12)
+        integ = SamplerSpec(scheme, 12)
         first = integ.tau_grid() + (integ.dtau if scheme == "heun" else 0.0)  # latest field time of each step
         assert result.divergences == {1: int(np.argmax(first >= 0.5))}
         assert [t.run_id for t in result.traces] == [0]
