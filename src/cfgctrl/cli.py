@@ -12,9 +12,7 @@ surface state, drift or gain realization, or drift phase overflowed.
 or whose batch kept too few trajectories, is a ``failed: <reason>`` row,
 the other rows finish, and the command exits 0. ``compare`` steps one law
 per row; ``sweep`` steps one law for all its values, the swept gain a
-per-row column, so a value whose law fails to build fails only its own row,
-but a law raising mid-pass would fail every row (values that pass the
-config's checks do not reach that case).
+per-row column, so a law raising mid-pass fails every row.
 """
 
 from __future__ import annotations

@@ -101,8 +101,33 @@ class SystemSpec:
 
 @dataclass(frozen=True)
 class ControllerSpec:
+    """The controller block: a control law's type and its keys, each number stored as a float.
+
+    The block's rules hold for a spec built in code as for one parsed from a
+    file: a bad type, key or value raises the ConfigError naming
+    ``controller.<key>``, so every spec builds its law.
+    """
+
     type: str
     params: dict[str, float | str]
+
+    def __post_init__(self):
+        kind = self.type
+        _expect(isinstance(kind, str) and kind in CONTROLLERS, "controller.type", f"unknown controller type {kind!r}")
+        keys = CONTROLLERS[kind].keys
+        params: dict[str, float | str] = {}
+        for key, value in self.params.items():
+            path = f"controller.{key}"
+            _expect(key in keys, path, f"not a parameter of controller {kind!r}")
+            if keys[key].choices:
+                _expect(value in keys[key].choices, path, f"unknown {key} {value!r}")
+                params[key] = value
+            else:
+                params[key] = _as_number(value, path)
+        for key, spec in keys.items():
+            _expect(key in params or not spec.required, "controller", f"missing required key {key!r}")
+            _expect(key not in params or spec.bound(params[key]), f"controller.{key}", spec.message)
+        object.__setattr__(self, "params", params)
 
 
 @dataclass(frozen=True)
@@ -159,26 +184,10 @@ class ExperimentConfig:
     output: OutputSpec = field(default_factory=OutputSpec)
 
 
-def _parse_controller(block: dict, path: str) -> ControllerSpec:
-    _expect(isinstance(block, dict), path, "must be a JSON object")
-    _expect("type" in block, path, "missing required key 'type'")
-    kind = block["type"]
-    _expect(isinstance(kind, str) and kind in CONTROLLERS, f"{path}.type", f"unknown controller type {kind!r}")
-    keys = CONTROLLERS[kind].keys
-    params: dict[str, float | str] = {}
-    for key, value in block.items():
-        if key == "type":
-            continue
-        _expect(key in keys, f"{path}.{key}", f"not a parameter of controller {kind!r}")
-        if keys[key].choices:
-            _expect(value in keys[key].choices, f"{path}.{key}", f"unknown {key} {value!r}")
-            params[key] = value
-        else:
-            params[key] = _as_number(value, f"{path}.{key}")
-    for key, spec in keys.items():
-        _expect(key in params or not spec.required, path, f"missing required key {key!r}")
-        _expect(key not in params or spec.bound(params[key]), f"{path}.{key}", spec.message)
-    return ControllerSpec(type=kind, params=params)
+def _parse_controller(block: dict) -> ControllerSpec:
+    _expect(isinstance(block, dict), "controller", "must be a JSON object")
+    _expect("type" in block, "controller", "missing required key 'type'")
+    return ControllerSpec(block["type"], {key: value for key, value in block.items() if key != "type"})
 
 
 def _parse_component(block: dict, path: str, dim: int) -> ComponentSpec:
@@ -268,7 +277,7 @@ def check_formats(formats, path: str) -> tuple[str, ...]:
 def config_from_dict(raw: dict) -> ExperimentConfig:
     _require_keys(raw, "config", ("system", "controller"), ("sampler", "sweep", "output"))
     system = _parse_system(raw["system"], "system")
-    controller = _parse_controller(raw["controller"], "controller")
+    controller = _parse_controller(raw["controller"])
     sampler = _parse_sampler(raw.get("sampler", {}))
     sweep = _parse_sweep(raw["sweep"], "sweep", controller) if "sweep" in raw else None
     output = _parse_output(raw.get("output", {}), "output")
@@ -326,21 +335,16 @@ def build_system(spec: SystemSpec) -> FlowSystem:
 
 def build_control_law(spec: ControllerSpec) -> ControlLaw:
     """The law a controller block describes; keys left out keep ControlLaw's defaults."""
-    controller = CONTROLLERS.get(spec.type)
-    _expect(controller is not None, "controller.type", f"unknown controller type {spec.type!r}")
-    for key in spec.params:
-        _expect(key in controller.keys, f"controller.{key}", f"not a parameter of controller {spec.type!r}")
-    return ControlLaw(spec.type, **{controller.keys[key].field: value for key, value in spec.params.items()})
+    keys = CONTROLLERS[spec.type].keys
+    return ControlLaw(spec.type, **{keys[key].field: value for key, value in spec.params.items()})
 
 
 def with_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
-    return replace(cfg, sampler=replace(cfg.sampler, seed=int(seed)))
+    return replace(cfg, sampler=replace(cfg.sampler, seed=seed))
 
 
 def with_controller_value(cfg: ExperimentConfig, parameter: str, value: float) -> ExperimentConfig:
     """Copy of the config with one controller parameter replaced (sweep rows)."""
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"sweep.parameter: must be one of {list(SWEEP_PARAMETERS)}")
-    params = dict(cfg.controller.params)
-    params[parameter] = float(value)
-    return replace(cfg, controller=ControllerSpec(cfg.controller.type, params))
+    return replace(cfg, controller=ControllerSpec(cfg.controller.type, {**cfg.controller.params, parameter: value}))

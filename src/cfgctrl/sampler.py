@@ -11,9 +11,9 @@ Batches run in lockstep as array rows, which keeps per-step numpy work
 vectorized. One config's batch under several controller blocks runs in one
 such pass (:func:`run_batches`), one block of rows per law, all on the
 config's system, time grid and start points; a sweep (:func:`run_sweep`)
-steps one law, its swept gain a per-row column, over a block per value. A
-law that fails to build takes no rows, and each law's histories span only
-its own rows and hold only its results' columns. With diagonal covariances,
+steps one law, its swept gain a per-row column, over a block per value.
+Each law's histories span only its own rows and hold only its results'
+columns. With diagonal covariances,
 stacking blocks changes no row's arithmetic, so each block equals a run of
 its law alone bit for bit; with a full covariance a row's bits can depend on
 the batch width, since BLAS picks its kernels by width. A batch's result
@@ -292,9 +292,8 @@ def run_batches(cfg: _config.ExperimentConfig,
     Every block starts from the same points and shares each field evaluation,
     so with diagonal covariances entry j equals ``run_batch`` of the config
     with ``controllers[j]`` bit for bit; with a full covariance its bits can
-    depend on the width of the whole pass. If building or stepping a block's
-    control law raises, its entry is the exception that run would raise, and
-    the other blocks finish.
+    depend on the width of the whole pass. If a block's control law raises,
+    its entry is the exception that run would raise, and the other blocks finish.
     """
     return _run(cfg, controllers)
 
@@ -304,7 +303,7 @@ def run_sweep(cfg: _config.ExperimentConfig) -> list[RunResult | Exception]:
 
     The laws built at the values step as one whose swept gain is a per-row
     column, so entry j equals entry j of :func:`run_batches` over the
-    per-value blocks. If that law raises, each value it stepped gets the error.
+    per-value blocks. If that law raises, every value gets its error.
     """
     if cfg.sweep is None:
         raise _config.ConfigError("sweep: block missing from config")
@@ -314,27 +313,20 @@ def run_sweep(cfg: _config.ExperimentConfig) -> list[RunResult | Exception]:
 
 def _run(cfg: _config.ExperimentConfig, controllers: list[_config.ControllerSpec],
          swept: str | None = None) -> list[RunResult | Exception]:
-    """The config's batch under each block's law in one lockstep pass; a law that fails to build takes no rows.
+    """The config's batch under each block's law in one lockstep pass.
 
-    Its entry is its exception. With ``swept``, a key of the controllers'
-    type, the built laws step as one whose gain at that key is a per-row column.
+    With ``swept``, a key of the controllers' type, the laws step as one
+    whose gain at that key is a per-row column.
     """
     system = _config.build_system(cfg.system)
     x0 = stream_normals(cfg.sampler.seed, cfg.sampler.trajectories, system.dim)
-    laws: list[ControlLaw | Exception] = []
-    for spec in controllers:
-        try:
-            laws.append(_config.build_control_law(spec))
-        except Exception as exc:  # this block's result, as its own run would raise it
-            laws.append(exc)
-    built = [law for law in laws if not isinstance(law, Exception)]
+    laws = [_config.build_control_law(spec) for spec in controllers]
     parts = 1
-    if swept is not None and built:
+    if swept is not None and laws:
         field = CONTROLLERS[controllers[0].type].keys[swept].field
-        column = np.repeat([getattr(law, field) for law in built], cfg.sampler.trajectories)[:, None]
-        built, parts = [replace(built[0], **{field: column})], len(built)
-    results = iter(_integrate_rows(system, built, cfg.sampler, cfg.system.target, x0, parts=parts))
-    return [law if isinstance(law, Exception) else next(results) for law in laws]
+        column = np.repeat([getattr(law, field) for law in laws], cfg.sampler.trajectories)[:, None]
+        laws, parts = [replace(laws[0], **{field: column})], len(laws)
+    return _integrate_rows(system, laws, cfg.sampler, cfg.system.target, x0, parts=parts)
 
 
 _TRACE_COLUMNS = ("step", "tau", "e_norm", "s_norm", "lyapunov", "vhat_norm")

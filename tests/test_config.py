@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfgctrl.config import (
     ConfigError,
@@ -243,6 +245,101 @@ def test_controller_bounds_name_the_key(kind):
             config_from_dict(raw)
 
 
+def _refused(message: str):
+    return pytest.raises(ConfigError, match=f"^{re.escape(message)}$")
+
+
+# Blocks that a spec built in code once ran (some under another fingerprint) or failed on at step time.
+CONTROLLER_HOLES = {
+    "w_true": ({"type": "cfg", "w": True}, "controller.w: must be a number"),
+    "w_str": ({"type": "cfg", "w": "5"}, "controller.w: must be a number"),
+    "w_nan": ({"type": "apg", "w": float("nan")}, "controller.w: must be a finite number"),
+    "gamma_inf": ({"type": "rectified_cfgpp", "gamma": float("inf")}, "controller.gamma: must be a finite number"),
+    "lambda_max_nan": ({"type": "rectified_cfgpp", "lambda_max": float("nan")},
+                       "controller.lambda_max: must be a finite number"),
+    "no_w_max": ({"type": "weight_schedule"}, "controller: missing required key 'w_max'"),
+    "shape_zig": ({"type": "weight_schedule", "w_max": 5.0, "shape": "zig"}, "controller.shape: unknown shape 'zig'"),
+    "eta_2": ({"type": "apg", "eta": 2}, "controller.eta: must be at most 1"),
+    "k_negative": ({"type": "smc", "k": -1}, "controller.k: must be nonnegative"),
+    "lambda_0": ({"type": "smc", "lambda": 0}, "controller.lambda: must be positive"),
+    "boundary_layer_nan": ({"type": "smc", "boundary_layer": float("nan")},
+                           "controller.boundary_layer: must be a finite number"),
+}
+
+
+def split_block(block: dict) -> tuple:
+    """A controller block as ControllerSpec's arguments."""
+    return block["type"], {key: value for key, value in block.items() if key != "type"}
+
+
+@pytest.mark.parametrize("block, message", CONTROLLER_HOLES.values(), ids=CONTROLLER_HOLES)
+def test_built_spec_refuses_as_the_parser_does(block, message):
+    with _refused(message):
+        config_from_dict(minimal_dict(**block))
+    with _refused(message):
+        ControllerSpec(*split_block(block))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("seed", 2.7, "sampler.seed: must be an integer"),
+    ("seed", "5", "sampler.seed: must be an integer"),
+    ("seed", True, "sampler.seed: must be an integer"),
+    ("w", "5", "controller.w: must be a number"),
+    ("w", True, "controller.w: must be a number"),
+    ("w", np.float32(2.5), "controller.w: must be a number"),
+], ids=["seed_float", "seed_str", "seed_bool", "w_str", "w_bool", "w_float32"])
+def test_overrides_refuse_what_the_spec_refuses(key, value, message):
+    cfg = config_from_dict(minimal_dict())
+    with _refused(message):
+        with_seed(cfg, value) if key == "seed" else with_controller_value(cfg, key, value)
+
+
+# A valid value for every controller key, and a pool of values to mutate a block with.
+VALID_VALUES = {"w": 2.0, "w_max": 3.0, "shape": "linear", "eta": 0.5, "lambda_max": 2.0, "gamma": 1.0,
+                "lambda": 6.0, "k": 0.1, "boundary_layer": 0.05}
+MUTANT_KEYS = sorted(VALID_VALUES) + ["type", "momentum"]
+MUTANT_VALUES = st.one_of(
+    st.sampled_from(["5", "linear", "cosine", "zig", *sorted(CONTROLLERS), True, False, None, [], [1.0], {},
+                     float("nan"), float("inf"), float("-inf"), 10**400, -(10**400)]),
+    st.floats(-3.0, 3.0),
+    st.integers(-3, 3),
+)
+
+
+@st.composite
+def mutated_blocks(draw):
+    """A full valid block of some controller with one to three keys dropped, added or given another value."""
+    kind = draw(st.sampled_from(sorted(CONTROLLERS)))
+    block = {"type": kind, **{key: VALID_VALUES[key] for key in CONTROLLERS[kind].keys}}
+    for _ in range(draw(st.integers(1, 3))):
+        params = sorted(key for key in block if key != "type")  # a spec always has a type: only the parser can miss it
+        absent = [key for key in MUTANT_KEYS if key not in block]
+        mutation = draw(st.sampled_from(["drop", "add", "swap"] if params else ["add", "swap"]))
+        if mutation == "drop":
+            del block[draw(st.sampled_from(params))]
+        else:
+            block[draw(st.sampled_from(absent if mutation == "add" else sorted(block)))] = draw(MUTANT_VALUES)
+    return block
+
+
+def parse_or_refuse(make):
+    try:
+        return make()
+    except ConfigError as exc:
+        return f"refused: {exc}"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(mutated_blocks())
+@example({"type": "cfg", "w": True})
+@example({"type": "cfg", "w": 5})
+@example({"type": "weight_schedule", "shape": "cosine"})
+def test_parsed_and_built_controller_specs_agree(block):
+    parsed = parse_or_refuse(lambda: config_from_dict(minimal_dict(**block)).controller)
+    built = parse_or_refuse(lambda: ControllerSpec(*split_block(block)))
+    assert repr(parsed) == repr(built)  # a spec's repr shows 5 and 5.0 apart
+
+
 class TestFingerprint:
     @pytest.mark.parametrize("sweep, tag", [(None, "2390d759fe08"), ([1, 2, 5, 10, 15], "4d5953bd0fe1")])
     def test_reference_tags_pinned(self, sweep, tag):
@@ -256,6 +353,12 @@ class TestFingerprint:
         cfg = config_from_dict(minimal_dict())
         moved = replace(cfg, output=replace(cfg.output, directory="elsewhere"))
         assert fingerprint(cfg) == fingerprint(moved)
+
+    def test_integer_gain_fingerprints_as_parsed(self, reference_config):
+        raw = json.loads(REFERENCE_CONFIG.read_text())
+        raw["controller"] = {"type": "cfg", "w": 5}
+        built = replace(reference_config, controller=ControllerSpec("cfg", {"w": 5}))
+        assert fingerprint(built) == fingerprint(config_from_dict(raw))
 
     def test_seed_changes_fingerprint(self):
         cfg = config_from_dict(minimal_dict())
