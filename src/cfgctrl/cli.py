@@ -110,7 +110,7 @@ def cmd_run(args) -> int:
         )
         pts = metrics.phase_plane(result)
         law = cfgmod.build_control_law(cfg.controller)
-        ref = None if law.sliding is None else (f"slope -{law.lam:g}", -law.lam)
+        ref = None if result.s_norm is None else (f"slope -{law.lam:g}", -law.lam)
         files[out / f"run_{tag}_phase.svg"] = svgplot.scatter_chart(
             [("traces", pts[:, 0].tolist(), pts[:, 1].tolist())],
             "gap phase plane",

@@ -22,6 +22,7 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -95,8 +96,11 @@ class ComponentSpec:
 class SystemSpec:
     dimension: int
     components: tuple[ComponentSpec, ...]
-    conditions: dict[str, tuple[int, ...]]
+    conditions: MappingProxyType[str, tuple[int, ...]]  # a read-only copy of the mapping given
     target: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "conditions", MappingProxyType(dict(self.conditions)))
 
 
 @dataclass(frozen=True)
@@ -105,11 +109,12 @@ class ControllerSpec:
 
     The block's rules hold for a spec built in code as for one parsed from a
     file: a bad type, key or value raises the ConfigError naming
-    ``controller.<key>``, so every spec builds its law.
+    ``controller.<key>``, so every spec builds its law. ``params`` is
+    read-only, so no write can skip those rules.
     """
 
     type: str
-    params: dict[str, float | str]
+    params: MappingProxyType[str, float | str]
 
     def __post_init__(self):
         kind = self.type
@@ -127,7 +132,7 @@ class ControllerSpec:
         for key, spec in keys.items():
             _expect(key in params or not spec.required, "controller", f"missing required key {key!r}")
             _expect(key not in params or spec.bound(params[key]), f"controller.{key}", spec.message)
-        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "params", MappingProxyType(params))
 
 
 @dataclass(frozen=True)
@@ -300,12 +305,12 @@ def load_config(path: str) -> ExperimentConfig:
 
 def _canonical(cfg: ExperimentConfig) -> dict:
     """The config's fields in the shape of its file: a component's cov, the flat controller block, no null sweep."""
-    raw = asdict(cfg)
-    for comp in raw["system"]["components"]:
-        comp["cov"] = {comp.pop("cov_form"): comp.pop("cov_payload")}
+    system = cfg.system  # written out, as is the controller block: asdict cannot copy a read-only mapping
+    raw = {name: asdict(spec) for name in ("sampler", "sweep", "output") if (spec := getattr(cfg, name)) is not None}
+    raw["system"] = {"dimension": system.dimension, "conditions": dict(system.conditions), "target": system.target,
+                     "components": [{"weight": c.weight, "mean": c.mean, "cov": {c.cov_form: c.cov_payload}}
+                                    for c in system.components]}
     raw["controller"] = {"type": cfg.controller.type, **cfg.controller.params}
-    if cfg.sweep is None:
-        del raw["sweep"]
     return raw
 
 

@@ -14,6 +14,8 @@ controllers acting on the prediction gap e = v_cond - v_uncond:
 Vector arguments may carry leading batch axes; everything broadcasts row-wise,
 and a gain (``w``, ``lam``, ``k``) may be an (n, 1) column holding one value
 per row, which gives each row the bits of its scalar.
+A :class:`ControlLaw` is a frozen value. A step takes the law's state before
+it and returns the state after it (smc's :class:`SlidingState`, else None).
 A law never writes into its arguments and returns a fresh array, which the
 caller may overwrite. It builds that array in place, each operation on the
 operands of its docstring's formula in their order, so the bits are the formula's.
@@ -24,7 +26,7 @@ its step function. Config parsing, law building, dispatch and the CLI's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -59,7 +61,7 @@ class StepContext:
             raise ValueError("guidance scale must be nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SlidingState:
     """State of the sliding-mode law, one row per trajectory it steps.
 
@@ -83,13 +85,11 @@ class SlidingState:
             raise ValueError("boundary layer width must be nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlLaw:
-    """A guidance variant plus its parameters and (for smc) mutable state.
+    """A guidance variant and its parameters: a frozen value, which any number of runs may share.
 
-    One instance steps one batch of rows at a time (a lone trajectory, or
-    one block of a lockstep pass); call :meth:`reset` before reuse.
-    Stateless variants can be shared read-only.
+    It holds no state: whoever steps it carries the state, from :meth:`initial_state` on.
     """
 
     variant: str
@@ -105,19 +105,15 @@ class ControlLaw:
     lam: float = 6.0
     k: float = 0.1
     boundary_layer: float = 0.0
-    sliding: SlidingState | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.variant not in CONTROLLERS:
             raise ValueError(f"unknown controller variant {self.variant!r}")
-        self.reset()
+        self.initial_state()  # refuses a bad smc gain when the law is built, not at its first step
 
-    def reset(self) -> None:
-        """Clear per-trajectory state."""
-        if self.variant == "smc":
-            self.sliding = SlidingState(self.lam, self.k, self.boundary_layer)
-        else:
-            self.sliding = None
+    def initial_state(self) -> SlidingState | None:
+        """The state before the first step: a fresh SlidingState for smc, None for every other law."""
+        return SlidingState(self.lam, self.k, self.boundary_layer) if self.variant == "smc" else None
 
 
 def _operands(v_c, v_u) -> tuple[np.ndarray, np.ndarray]:
@@ -273,47 +269,41 @@ def apply_controller(
     x: np.ndarray,
     ctx: StepContext,
     evaluator: VelocityEvaluator | None = None,
-    update_state: bool = True,
-) -> np.ndarray:
-    """Dispatch to the law's variant; only the smc variant mutates state.
+    state: SlidingState | None = None,
+) -> tuple[np.ndarray, SlidingState | None]:
+    """The law's guided velocity at one step and its state after it, ``(v, state)``; neither input changes.
 
-    ``update_state=False`` evaluates without recording (used for the second
-    stage of multi-stage integrators).
+    ``state`` is the state before the step: :meth:`ControlLaw.initial_state` at the first, None for a stateless law.
     """
-    controller = CONTROLLERS.get(law.variant)
-    if controller is None:
-        raise ValueError(f"unknown controller variant {law.variant!r}")
-    return controller.step(law, v_c, v_u, x, ctx, evaluator, update_state)
+    return CONTROLLERS[law.variant].step(law, v_c, v_u, x, ctx, evaluator, state)
 
 
-def _cfg_step(law, v_c, v_u, x, ctx, evaluator, update_state):
-    return cfg_combine(v_c, v_u, law.w)
+def _cfg_step(law, v_c, v_u, x, ctx, evaluator, state):
+    return cfg_combine(v_c, v_u, law.w), None
 
 
-def _weight_schedule_step(law, v_c, v_u, x, ctx, evaluator, update_state):
-    return cfg_combine(v_c, v_u, weight_schedule(ctx, law.shape, law.w))
+def _weight_schedule_step(law, v_c, v_u, x, ctx, evaluator, state):
+    return cfg_combine(v_c, v_u, weight_schedule(ctx, law.shape, law.w)), None
 
 
-def _apg_step(law, v_c, v_u, x, ctx, evaluator, update_state):
-    return apg_combine(v_c, v_u, law.w, law.eta)
+def _apg_step(law, v_c, v_u, x, ctx, evaluator, state):
+    return apg_combine(v_c, v_u, law.w, law.eta), None
 
 
-def _cfg_zero_star_step(law, v_c, v_u, x, ctx, evaluator, update_state):
-    return cfg_zero_star_combine(v_c, v_u, law.w)
+def _cfg_zero_star_step(law, v_c, v_u, x, ctx, evaluator, state):
+    return cfg_zero_star_combine(v_c, v_u, law.w), None
 
 
-def _rectified_cfgpp_step(law, v_c, v_u, x, ctx, evaluator, update_state):
+def _rectified_cfgpp_step(law, v_c, v_u, x, ctx, evaluator, state):
     if evaluator is None:
         raise ValueError("rectified_cfgpp needs a velocity evaluator")
     lam_max = (law.w - 1.0) if law.lam_max is None else law.lam_max
-    return rectified_cfgpp_combine(evaluator, x, ctx, lam_max, law.gamma, v_c=v_c)
+    return rectified_cfgpp_combine(evaluator, x, ctx, lam_max, law.gamma, v_c=v_c), None
 
 
-def _smc_step(law, v_c, v_u, x, ctx, evaluator, update_state):
-    v_hat, new_state, _ = smc_step(v_c, v_u, ctx, law.sliding)
-    if update_state:
-        law.sliding = new_state
-    return v_hat
+def _smc_step(law, v_c, v_u, x, ctx, evaluator, state):
+    v_hat, state, _ = smc_step(v_c, v_u, ctx, state)
+    return v_hat, state
 
 
 @dataclass(frozen=True)
@@ -337,12 +327,12 @@ class ConfigKey:
 class Controller:
     """Config keys and step function of one control law.
 
-    ``step(law, v_c, v_u, x, ctx, evaluator, update_state)`` returns the
-    guided velocity; see :func:`apply_controller`.
+    ``step(law, v_c, v_u, x, ctx, evaluator, state)`` returns the guided
+    velocity and the law's next state; see :func:`apply_controller`.
     """
 
     keys: dict[str, ConfigKey]
-    step: Callable[..., np.ndarray]
+    step: Callable[..., tuple[np.ndarray, SlidingState | None]]
 
 
 _W = ConfigKey("w", lambda w: w >= 0.0, "guidance scale must be nonnegative")

@@ -118,7 +118,7 @@ def _integrate_rows(
     x0: np.ndarray,
     parts: int = 1,
 ) -> list[RunResult | Exception]:
-    """Advance ``parts`` blocks of trajectories per law in lockstep; laws must be freshly reset.
+    """Advance ``parts`` blocks of trajectories per law in lockstep; the pass holds each law's state.
 
     Every block starts from ``x0``, whose row i is trajectory i; block b holds
     rows ``b*n`` to ``(b+1)*n``, and ``laws[j]`` steps blocks ``j*parts`` to
@@ -147,8 +147,9 @@ def _integrate_rows(
     # each live law's step-major histories over its own rows, keyed by the result column each becomes, only those its
     # results carry; this dict holds the only reference to each, and a law's leave it when the law raises
     hist: dict[int, dict[str, np.ndarray]] = {}
-    for j, law in enumerate(laws):
-        surface = law.sliding is not None
+    states = [law.initial_state() for law in laws]  # each law's state over its rows: smc's sliding surface, else None
+    for j, state in enumerate(states):
+        surface = state is not None
         hist[j] = {name: np.zeros((n_steps, n * parts)) for name in ["e_norm", "vhat_norm"] + ["s_norm"] * surface}
         hist[j] |= {name: np.zeros((n_steps, n * parts, dim))
                     for name in (["x_path"] + ["s_path"] * surface) * record_x}
@@ -157,22 +158,23 @@ def _integrate_rows(
         return velocity_pair(system, points, t, cond)
 
     def guided(step: int, t: float, v_c, v_u, points, update_state: bool) -> np.ndarray | None:
-        """Each live law's velocity on its rows and, if the stage updates state, its surface; a raise ends its block."""
+        """Each live law's velocity on its rows, its next state kept if ``update_state``; a raise ends its block."""
         out = None if len(laws) == 1 else np.zeros_like(x)  # a failed block's rows stay 0
         for j in list(hist):
             law, rows = laws[j], blocks[j]
             try:
                 ctx = StepContext(step, n_steps, t, dtau, law.w)
-                v = apply_controller(law, v_c[rows], v_u[rows], points[rows], ctx, evaluator, update_state)
+                v, state = apply_controller(law, v_c[rows], v_u[rows], points[rows], ctx, evaluator, states[j])
             except Exception as exc:  # kept as the block's result, re-raised by its caller
                 failed[j] = exc
                 del hist[j]
                 alive[rows] = False
                 continue
-            if update_state and law.sliding is not None:
-                hist[j]["s_norm"][step] = row_norm(law.sliding.s)
+            if update_state and state is not None:
+                states[j] = state
+                hist[j]["s_norm"][step] = row_norm(state.s)
                 if record_x:
-                    hist[j]["s_path"][step] = law.sliding.s
+                    hist[j]["s_path"][step] = state.s
             if out is None:
                 return v
             out[rows] = v
@@ -265,7 +267,6 @@ def sample_trajectory(
     becomes non-finite or leaves the |x| <= 1e6 envelope.
     """
     x0 = rng.standard_normal(system.dim).reshape(1, -1)
-    law.reset()
     (result,) = _integrate_rows(system, [law], sampler, cond, x0)
     if isinstance(result, Exception):
         raise result

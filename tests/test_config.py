@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from dataclasses import replace
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from cfgctrl.config import (
     ConfigError,
     ControllerSpec,
+    SystemSpec,
     build_control_law,
     build_system,
     config_from_dict,
@@ -369,3 +371,39 @@ class TestFingerprint:
         swapped = with_controller_value(cfg, "k", 0.4)
         assert swapped.controller.params["k"] == 0.4
         assert fingerprint(swapped) != fingerprint(cfg)
+
+
+class TestReadOnlyMappings:
+    """A spec's mappings refuse writes, which would skip the rules its construction applies."""
+
+    def test_writes_raise(self):
+        cfg = load_config(str(REFERENCE_CONFIG))
+        with pytest.raises(TypeError):
+            cfg.controller.params["lambda"] = -1.0
+        with pytest.raises(TypeError):
+            cfg.system.conditions["added"] = (0,)
+        assert cfg == load_config(str(REFERENCE_CONFIG))
+
+    def test_spec_keeps_a_copy_of_the_mappings_given(self):
+        conditions, params = {"right": (0,)}, {"w": 2.0}
+        system = SystemSpec(2, (), conditions, "right")
+        controller = ControllerSpec("cfg", params)
+        conditions["added"], params["w"] = (1,), -1.0
+        assert dict(system.conditions) == {"right": (0,)} and dict(controller.params) == {"w": 2.0}
+
+    @pytest.mark.parametrize("patch, tag, digest", [
+        ({}, "2390d759fe08", "8c195099b2df6db8"),
+        ({"sweep": {"parameter": "w", "values": [1, 2, 5, 10, 15]}}, "4d5953bd0fe1", "ad3ace53eee4fccf"),
+    ], ids=["reference", "sweep"])
+    def test_canonical_text_pinned(self, patch, tag, digest):
+        cfg = config_from_dict(json.loads(REFERENCE_CONFIG.read_text()) | patch)
+        assert fingerprint(cfg) == tag
+        assert hashlib.sha256(serialize_config(cfg).encode()).hexdigest()[:16] == digest
+
+    def test_full_covariance_text_pinned(self):
+        raw = json.loads(REFERENCE_CONFIG.read_text())
+        raw["sweep"] = {"parameter": "w", "values": [1, 2, 5, 10, 15]}
+        raw["system"]["components"][0]["cov"] = {"full_lower": [[1.0], [0.3, 2.0]]}
+        text = serialize_config(config_from_dict(raw))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "75ce95ced78b8468"
+        assert config_from_dict(json.loads(text)) == config_from_dict(raw)

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -263,43 +265,45 @@ class TestApplyController:
         rng = Rng(27)
         v_c, v_u = rng.standard_normal((2, 3))
         law = ControlLaw("cfg", w=2.5)
-        out = apply_controller(law, v_c, v_u, np.zeros(3), ctx_at(w=2.5))
+        out, state = apply_controller(law, v_c, v_u, np.zeros(3), ctx_at(w=2.5), state=law.initial_state())
         assert np.array_equal(out, cfg_combine(v_c, v_u, 2.5))
+        assert state is None
 
     def test_schedule_at_final_step_equals_cfg(self):
         rng = Rng(28)
         v_c, v_u = rng.standard_normal((2, 3))
         law = ControlLaw("weight_schedule", w=6.0, shape="linear")
         ctx = ctx_at(index=9, total=10, w=6.0)
-        out = apply_controller(law, v_c, v_u, np.zeros(3), ctx)
+        out, state = apply_controller(law, v_c, v_u, np.zeros(3), ctx)
         assert np.array_equal(out, cfg_combine(v_c, v_u, 6.0))
+        assert state is None
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             ControlLaw("pid", w=1.0)
         law = ControlLaw("cfg", w=1.0)
-        law.variant = "pid"
-        with pytest.raises(ValueError):
-            apply_controller(law, np.zeros(2), np.zeros(2), np.zeros(2), ctx_at())
+        with pytest.raises(FrozenInstanceError):
+            law.variant = "pid"
+        assert law.variant == "cfg"
 
     def test_smc_state_updates_only_when_asked(self):
         law = ControlLaw("smc", w=2.0, lam=5.0, k=0.1)
         rng = Rng(29)
         v_c, v_u = rng.standard_normal((2, 3))
-        apply_controller(law, v_c, v_u, np.zeros(3), ctx_at(w=2.0))
-        e_after = law.sliding.e_prev.copy()
+        _, state = apply_controller(law, v_c, v_u, np.zeros(3), ctx_at(w=2.0), state=law.initial_state())
+        e_after, s_after = state.e_prev.copy(), state.s.copy()
         v_c2, v_u2 = rng.standard_normal((2, 3))
-        apply_controller(law, v_c2, v_u2, np.zeros(3), ctx_at(index=1, w=2.0), update_state=False)
-        assert np.array_equal(law.sliding.e_prev, e_after)
+        _, discarded = apply_controller(law, v_c2, v_u2, np.zeros(3), ctx_at(index=1, w=2.0), state=state)
+        assert np.array_equal(state.e_prev, e_after) and np.array_equal(state.s, s_after)  # the state given is kept
+        assert not np.array_equal(discarded.e_prev, e_after)
 
     def test_reset_clears_state(self):
         law = ControlLaw("smc", w=2.0, lam=5.0, k=0.1)
         rng = Rng(30)
         v_c, v_u = rng.standard_normal((2, 3))
-        apply_controller(law, v_c, v_u, np.zeros(3), ctx_at(w=2.0))
-        assert law.sliding.e_prev is not None
-        law.reset()
-        assert law.sliding.e_prev is None
+        _, state = apply_controller(law, v_c, v_u, np.zeros(3), ctx_at(w=2.0), state=law.initial_state())
+        assert state.e_prev is not None
+        assert law.initial_state().e_prev is None
 
 
 def refused(field: str, message: str, valid: float, bad: float | None = None) -> list:
@@ -359,14 +363,18 @@ def test_gain_column_gives_each_row_its_scalar_bits(variant, field, params):
     rng = np.random.default_rng(41)
     column = ControlLaw(variant, **params, **{field: np.array(gains)[:, None]})
     scalars = [ControlLaw(variant, **params, **{field: gain}) for gain in gains]
+    column_state, states = column.initial_state(), [law.initial_state() for law in scalars]
     for step in range(4):  # smc carries its surface from step to step
         v_c, v_u, x = rng.standard_normal((3, len(gains), 3))
-        got = apply_controller(column, v_c, v_u, x, ctx_at(step, tau=0.2 * step + 0.1, w=column.w), evaluator)
+        got, column_state = apply_controller(column, v_c, v_u, x, ctx_at(step, tau=0.2 * step + 0.1, w=column.w),
+                                             evaluator, column_state)
         for i, law in enumerate(scalars):
             rows = slice(i, i + 1)
-            want = apply_controller(law, v_c[rows], v_u[rows], x[rows], ctx_at(step, tau=0.2 * step + 0.1, w=law.w),
-                                    evaluator)
+            want, states[i] = apply_controller(law, v_c[rows], v_u[rows], x[rows],
+                                               ctx_at(step, tau=0.2 * step + 0.1, w=law.w), evaluator, states[i])
             assert got[rows].tobytes() == want.tobytes(), (step, i)
+            if column_state is not None:
+                assert column_state.s[rows].tobytes() == states[i].s.tobytes(), (step, i)
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -408,10 +416,12 @@ class TestInPlaceSafety:
 
         law = ControlLaw(variant, w=3.0, **params)
         x = read_only(2.0 * Rng(40).standard_normal(shape))
+        state = law.initial_state()
         for step, tau in enumerate((0.3, 0.4, 0.5)):
             v_c, v_u = evaluator(x, tau)
-            out = apply_controller(law, v_c, v_u, x, StepContext(step, 3, tau, 0.1, law.w), evaluator)
-            held = [v_c, v_u, x] + ([law.sliding.e_prev, law.sliding.s] if law.sliding is not None else [])
+            given = [state.e_prev, state.s] if state is not None and state.e_prev is not None else []
+            out, state = apply_controller(law, v_c, v_u, x, StepContext(step, 3, tau, 0.1, law.w), evaluator, state)
+            held = [v_c, v_u, x] + given + ([state.e_prev, state.s] if state is not None else [])
             assert out.shape == x.shape and out.flags.writeable
             assert not any(np.shares_memory(out, a) for a in held), (variant, step)
 

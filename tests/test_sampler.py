@@ -27,6 +27,7 @@ from cfgctrl.numerics import Rng
 from cfgctrl.sampler import (
     DivergenceError,
     RunResult,
+    _integrate_rows,
     run_batch,
     run_batches,
     run_sweep,
@@ -385,6 +386,25 @@ class TestRunBatches:
         base = two_comp_config(ControllerSpec("cfg", {"w": 5.0}), steps=12, trajectories=3)
         with pytest.raises(ConfigError, match=r"^controller\.lambda: not a parameter of controller 'cfg'$"):
             run_sweep(replace(base, sweep=SweepSpec("lambda", (3.0, 6.0))))
+
+
+class TestLawIsAValue:
+    """The pass holds each law's state, so one law instance can run any number of passes."""
+
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    @pytest.mark.parametrize("boundary_layer", [0.0, 0.05])
+    def test_second_pass_repeats_the_first(self, scheme, boundary_layer):
+        cfg = two_comp_config(SMC, steps=12, trajectories=7, scheme=scheme)
+        sampler = replace(cfg.sampler, record_x=True)
+        system = build_system(cfg.system)
+        x0 = np.random.default_rng(3).standard_normal((7, 2))
+        law = ControlLaw("smc", w=5.0, lam=6.0, k=0.1, boundary_layer=boundary_layer)
+        before = replace(law)
+        (first,) = _integrate_rows(system, [law], sampler, "right", x0)
+        (second,) = _integrate_rows(system, [law], sampler, "right", x0)
+        assert first.s_path is not None
+        assert_same_batch(second, first)
+        assert law == before
 
 
 def exact_flow(mu, cov, x0, t0, t1):
