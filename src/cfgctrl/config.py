@@ -13,7 +13,9 @@ A config file is a single JSON object with four or five blocks::
 
 Components give "weight", "mean", and "cov" as either {"diag": [...]} or
 {"full_lower": [[...], ...]} (lower triangle, mirrored to a symmetric
-matrix). Validation errors carry the offending field path.
+matrix, positive definite). Each spec, and ExperimentConfig across blocks,
+applies the rules, so a spec built in code is refused as a file is, by a
+ConfigError that carries the offending field path.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from collections.abc import Mapping
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -92,15 +95,64 @@ class ComponentSpec:
         return m
 
 
+def _check_component(c: ComponentSpec, path: str, dim: int) -> ComponentSpec:
+    """The component, each number a float, or the ConfigError naming its field: a SystemSpec applies its rules."""
+    weight = _as_number(c.weight, f"{path}.weight")
+    _expect(0.0 < weight <= 1.0, f"{path}.weight", "must lie in (0, 1]")
+    mean, form, payload = c.mean, c.cov_form, c.cov_payload
+    _expect(isinstance(mean, (list, tuple)) and len(mean) == dim, f"{path}.mean", f"must be a list of {dim} numbers")
+    mean_t = tuple(_as_number(v, f"{path}.mean") for v in mean)
+    if form == "diag":
+        _expect(isinstance(payload, (list, tuple)) and len(payload) == dim, f"{path}.cov.diag", f"must list {dim} variances")
+        entries = tuple(_as_number(v, f"{path}.cov.diag") for v in payload)
+        _expect(all(v > 0 for v in entries), f"{path}.cov.diag", "variances must be positive")
+        return ComponentSpec(weight, mean_t, "diag", entries)
+    if form == "full_lower":
+        _expect(isinstance(payload, (list, tuple)) and len(payload) == dim, f"{path}.cov.full_lower", f"must have {dim} rows")
+        rows = []
+        for i, row in enumerate(payload):
+            _expect(isinstance(row, (list, tuple)) and len(row) == i + 1, f"{path}.cov.full_lower[{i}]", f"row {i} must have {i + 1} entries")
+            rows.append(tuple(_as_number(v, f"{path}.cov.full_lower[{i}]") for v in row))
+        component = ComponentSpec(weight, mean_t, "full_lower", tuple(rows))
+        try:  # the factorization FlowSystem makes
+            np.linalg.cholesky(component.cov_matrix())
+        except np.linalg.LinAlgError:
+            raise ConfigError(f"{path}.cov.full_lower: must be positive definite") from None
+        return component
+    raise ConfigError(f"{path}.cov: unknown covariance form {form!r}")
+
+
 @dataclass(frozen=True)
 class SystemSpec:
+    """The system block, each number stored as a float in a tuple; a bad field raises the ConfigError naming it."""
+
     dimension: int
     components: tuple[ComponentSpec, ...]
     conditions: MappingProxyType[str, tuple[int, ...]]  # a read-only copy of the mapping given
     target: str
 
     def __post_init__(self):
-        object.__setattr__(self, "conditions", MappingProxyType(dict(self.conditions)))
+        dim = _as_int(self.dimension, "system.dimension", 1)
+        comps = self.components
+        _expect(isinstance(comps, (list, tuple)) and comps, "system.components", "must be a nonempty list")
+        components = tuple(_check_component(c, f"system.components[{i}]", dim) for i, c in enumerate(comps))
+        total = sum(c.weight for c in components)
+        _expect(abs(total - 1.0) <= 1e-12, "system.components", f"weights sum to {total!r}, expected 1")
+        _expect(isinstance(self.conditions, Mapping) and self.conditions, "system.conditions", "must be a nonempty object")
+        conditions: dict[str, tuple[int, ...]] = {}
+        for name, subset in self.conditions.items():
+            cpath = f"system.conditions.{name}"
+            _expect(isinstance(name, str), cpath, "a condition's name must be a string")
+            _expect(isinstance(subset, (list, tuple)) and subset, cpath, "must be a nonempty list of component indices")
+            idx = tuple(_as_int(v, cpath, 0) for v in subset)
+            for v in idx:
+                _expect(v < len(components), cpath, f"invalid component index {v!r}")
+            _expect(len(set(idx)) == len(idx), cpath, "repeats a component index")
+            conditions[name] = idx
+        target = self.target
+        _expect(isinstance(target, str) and target in conditions, "system.target", f"references unknown condition {target!r}")
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "conditions", MappingProxyType(conditions))
 
 
 @dataclass(frozen=True)
@@ -173,20 +225,47 @@ class SweepSpec:
     parameter: str
     values: tuple[float, ...]
 
+    def __post_init__(self):
+        _expect(self.parameter in SWEEP_PARAMETERS, "sweep.parameter", f"must be one of {list(SWEEP_PARAMETERS)}")
+        _expect(isinstance(self.values, (list, tuple)) and self.values, "sweep.values", "must be a nonempty list")
+        object.__setattr__(self, "values", tuple(_as_number(v, "sweep.values") for v in self.values))
+
 
 @dataclass(frozen=True)
 class OutputSpec:
     directory: str = "out"
     formats: tuple[str, ...] = ("csv", "json")
 
+    def __post_init__(self):
+        _expect(isinstance(self.directory, str) and self.directory, "output.directory", "must be a nonempty string")
+        object.__setattr__(self, "formats", check_formats(self.formats, "output.formats"))
+
+
+def check_formats(formats, path: str) -> tuple[str, ...]:
+    """A nonempty list of known output formats, in canonical order; the ConfigError names ``path``."""
+    _expect(isinstance(formats, (list, tuple)) and formats, path, "must be a nonempty list")
+    for fmt in formats:
+        _expect(fmt in OUTPUT_FORMATS, path, f"unknown format {fmt!r}")
+    return tuple(fmt for fmt in OUTPUT_FORMATS if fmt in formats)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A whole config; a swept key must be a key of the controller's type, and each value meet its bound."""
+
     system: SystemSpec
     controller: ControllerSpec
     sampler: SamplerSpec = field(default_factory=SamplerSpec)
     sweep: SweepSpec | None = None
     output: OutputSpec = field(default_factory=OutputSpec)
+
+    def __post_init__(self):
+        if self.sweep is not None:
+            param, kind = self.sweep.parameter, self.controller.type
+            keys = CONTROLLERS[kind].keys
+            _expect(param in keys, "sweep.parameter", f"{param!r} is not a parameter of controller {kind!r}")
+            for value in self.sweep.values:  # the bound the key's value would meet in the controller block
+                _expect(keys[param].bound(value), "sweep.values", keys[param].message)
 
 
 def _parse_controller(block: dict) -> ControllerSpec:
@@ -195,97 +274,34 @@ def _parse_controller(block: dict) -> ControllerSpec:
     return ControllerSpec(block["type"], {key: value for key, value in block.items() if key != "type"})
 
 
-def _parse_component(block: dict, path: str, dim: int) -> ComponentSpec:
+def _parse_component(block: dict, path: str) -> ComponentSpec:
     _require_keys(block, path, ("weight", "mean", "cov"))
-    weight = _as_number(block["weight"], f"{path}.weight")
-    _expect(0.0 < weight <= 1.0, f"{path}.weight", "must lie in (0, 1]")
-    mean = block["mean"]
-    _expect(isinstance(mean, list) and len(mean) == dim, f"{path}.mean", f"must be a list of {dim} numbers")
-    mean_t = tuple(_as_number(v, f"{path}.mean") for v in mean)
     cov = block["cov"]
     _expect(isinstance(cov, dict) and len(cov) == 1, f"{path}.cov", "must be {'diag': [...]} or {'full_lower': [[...], ...]}")
-    form, payload = next(iter(cov.items()))
-    if form == "diag":
-        _expect(isinstance(payload, list) and len(payload) == dim, f"{path}.cov.diag", f"must list {dim} variances")
-        entries = tuple(_as_number(v, f"{path}.cov.diag") for v in payload)
-        _expect(all(v > 0 for v in entries), f"{path}.cov.diag", "variances must be positive")
-        return ComponentSpec(weight, mean_t, "diag", entries)
-    if form == "full_lower":
-        _expect(isinstance(payload, list) and len(payload) == dim, f"{path}.cov.full_lower", f"must have {dim} rows")
-        rows = []
-        for i, row in enumerate(payload):
-            _expect(isinstance(row, list) and len(row) == i + 1, f"{path}.cov.full_lower[{i}]", f"row {i} must have {i + 1} entries")
-            rows.append(tuple(_as_number(v, f"{path}.cov.full_lower[{i}]") for v in row))
-        return ComponentSpec(weight, mean_t, "full_lower", tuple(rows))
-    raise ConfigError(f"{path}.cov: unknown covariance form {form!r}")
+    return ComponentSpec(block["weight"], block["mean"], *next(iter(cov.items())))
 
 
-def _parse_system(block: dict, path: str) -> SystemSpec:
-    _require_keys(block, path, ("dimension", "components", "conditions", "target"))
-    dim = _as_int(block["dimension"], f"{path}.dimension", 1)
+def _parse_system(block: dict) -> SystemSpec:
+    _require_keys(block, "system", tuple(f.name for f in fields(SystemSpec)))
     comps = block["components"]
-    _expect(isinstance(comps, list) and comps, f"{path}.components", "must be a nonempty list")
-    components = tuple(_parse_component(c, f"{path}.components[{i}]", dim) for i, c in enumerate(comps))
-    total = sum(c.weight for c in components)
-    _expect(abs(total - 1.0) <= 1e-12, f"{path}.components", f"weights sum to {total!r}, expected 1")
-    conds_block = block["conditions"]
-    _expect(isinstance(conds_block, dict) and conds_block, f"{path}.conditions", "must be a nonempty object")
-    conditions: dict[str, tuple[int, ...]] = {}
-    for name, subset in conds_block.items():
-        cpath = f"{path}.conditions.{name}"
-        _expect(isinstance(subset, list) and subset, cpath, "must be a nonempty list of component indices")
-        idx = [_as_int(v, cpath, 0) for v in subset]
-        for v in idx:
-            _expect(v < len(components), cpath, f"invalid component index {v!r}")
-        _expect(len(set(idx)) == len(idx), cpath, "repeats a component index")
-        conditions[name] = tuple(idx)
-    target = block["target"]
-    _expect(isinstance(target, str) and target in conditions, f"{path}.target", f"references unknown condition {target!r}")
-    return SystemSpec(dim, components, conditions, target)
+    if isinstance(comps, list):  # SystemSpec refuses any other value
+        comps = [_parse_component(c, f"system.components[{i}]") for i, c in enumerate(comps)]
+    return SystemSpec(**{**block, "components": comps})
 
 
-def _parse_sampler(block: dict) -> SamplerSpec:
-    _require_keys(block, "sampler", (), tuple(f.name for f in fields(SamplerSpec)))
-    return SamplerSpec(**block)
-
-
-def _parse_sweep(block: dict, path: str, controller: ControllerSpec) -> SweepSpec:
-    _require_keys(block, path, ("parameter", "values"))
-    param = block["parameter"]
-    _expect(param in SWEEP_PARAMETERS, f"{path}.parameter", f"must be one of {list(SWEEP_PARAMETERS)}")
-    keys = CONTROLLERS[controller.type].keys
-    _expect(param in keys, f"{path}.parameter", f"{param!r} is not a parameter of controller {controller.type!r}")
-    values = block["values"]
-    _expect(isinstance(values, list) and values, f"{path}.values", "must be a nonempty list")
-    vals = tuple(_as_number(v, f"{path}.values") for v in values)
-    for value in vals:  # the bound the key's value would meet in the controller block
-        _expect(keys[param].bound(value), f"{path}.values", keys[param].message)
-    return SweepSpec(param, vals)
-
-
-def _parse_output(block: dict, path: str) -> OutputSpec:
-    defaults = OutputSpec()
-    _require_keys(block, path, (), ("directory", "formats"))
-    directory = block.get("directory", defaults.directory)
-    _expect(isinstance(directory, str) and directory, f"{path}.directory", "must be a nonempty string")
-    return OutputSpec(directory, check_formats(block.get("formats", list(defaults.formats)), f"{path}.formats"))
-
-
-def check_formats(formats, path: str) -> tuple[str, ...]:
-    """A nonempty list of known output formats, in canonical order; the ConfigError names ``path``."""
-    _expect(isinstance(formats, list) and formats, path, "must be a nonempty list")
-    for fmt in formats:
-        _expect(fmt in OUTPUT_FORMATS, path, f"unknown format {fmt!r}")
-    return tuple(fmt for fmt in OUTPUT_FORMATS if fmt in formats)
+def _parse_block(spec: type, block: dict, path: str):
+    """A block whose keys are the spec's fields, those without a default required."""
+    _require_keys(block, path, tuple(f.name for f in fields(spec) if f.default is MISSING), tuple(f.name for f in fields(spec)))
+    return spec(**block)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     _require_keys(raw, "config", ("system", "controller"), ("sampler", "sweep", "output"))
-    system = _parse_system(raw["system"], "system")
+    system = _parse_system(raw["system"])
     controller = _parse_controller(raw["controller"])
-    sampler = _parse_sampler(raw.get("sampler", {}))
-    sweep = _parse_sweep(raw["sweep"], "sweep", controller) if "sweep" in raw else None
-    output = _parse_output(raw.get("output", {}), "output")
+    sampler = _parse_block(SamplerSpec, raw.get("sampler", {}), "sampler")
+    sweep = _parse_block(SweepSpec, raw["sweep"], "sweep") if "sweep" in raw else None
+    output = _parse_block(OutputSpec, raw.get("output", {}), "output")
     return ExperimentConfig(system, controller, sampler, sweep, output)
 
 
@@ -328,14 +344,12 @@ def fingerprint(cfg: ExperimentConfig) -> str:
 
 
 def build_system(spec: SystemSpec) -> FlowSystem:
+    """The flow a system block describes; a SystemSpec has met every check FlowSystem makes."""
     components = [
         GaussComponent(c.weight, np.asarray(c.mean, dtype=float), c.cov_matrix())
         for c in spec.components
     ]
-    try:
-        return FlowSystem(components, {name: list(idx) for name, idx in spec.conditions.items()})
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise ConfigError(f"system: {exc}") from exc
+    return FlowSystem(components, {name: list(idx) for name, idx in spec.conditions.items()})
 
 
 def build_control_law(spec: ControllerSpec) -> ControlLaw:
@@ -349,7 +363,5 @@ def with_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
 
 
 def with_controller_value(cfg: ExperimentConfig, parameter: str, value: float) -> ExperimentConfig:
-    """Copy of the config with one controller parameter replaced (sweep rows)."""
-    if parameter not in SWEEP_PARAMETERS:
-        raise ConfigError(f"sweep.parameter: must be one of {list(SWEEP_PARAMETERS)}")
+    """Copy of the config with one controller key replaced (sweep rows); ControllerSpec refuses a bad key or value."""
     return replace(cfg, controller=ControllerSpec(cfg.controller.type, {**cfg.controller.params, parameter: value}))

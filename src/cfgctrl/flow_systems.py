@@ -95,6 +95,8 @@ class FlowSystem:
 
         named: dict[str, tuple[int, ...]] = {}
         for name, subset in (conditions or {}).items():
+            if not isinstance(name, str):  # None names the whole mixture
+                raise ValueError(f"condition name {name!r} is not a string")
             idx = tuple(int(i) for i in subset)
             if not idx:
                 raise ValueError(f"condition {name!r} selects no components")

@@ -257,14 +257,14 @@ class TestSweep:
     @pytest.mark.parametrize("command", [["run"], ["compare", "--controllers", "cfg,smc"], ["sweep"]],
                              ids=["run", "compare", "sweep"])
     def test_system_failure_fails_every_row(self, tmp_path, capsys, command):
-        # the system fails to build: run, compare and the sweep, whose rows all share it, exit 2 and write nothing
+        # no system can be built: run, compare and the sweep, whose rows all share it, exit 2 naming the field
         cfg = reference_config(tmp_path, sweep={"parameter": "w", "values": [2, 5]})
         raw = json.loads(cfg.read_text())
         raw["system"]["components"][1]["cov"] = {"full_lower": [[1.0], [2.0, 1.0]]}  # not positive definite
         cfg.write_text(json.dumps(raw))
         out = tmp_path / "out"
         assert run_cli(command[0], "--config", cfg, *command[1:], "--out", out) == 2
-        assert capsys.readouterr().err.startswith("config error: system:")
+        assert capsys.readouterr().err == "config error: system.components[1].cov.full_lower: must be positive definite\n"
         assert not out.exists()
 
 

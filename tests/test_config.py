@@ -1,7 +1,8 @@
+import copy
 import hashlib
 import json
 import re
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfgctrl.config import (
+    ComponentSpec,
     ConfigError,
     ControllerSpec,
+    ExperimentConfig,
+    OutputSpec,
+    SamplerSpec,
+    SweepSpec,
     SystemSpec,
     build_control_law,
     build_system,
@@ -23,7 +29,7 @@ from cfgctrl.config import (
 )
 from cfgctrl.guidance import CONTROLLERS
 
-from conftest import REFERENCE_CONFIG
+from conftest import REFERENCE_CONFIG, REPO_ROOT
 
 
 def minimal_dict(**controller):
@@ -183,12 +189,11 @@ class TestParsing:
         raw["sampler"]["seed"] = seed
         assert config_from_dict(raw).sampler.seed == seed
 
-    def test_non_spd_covariance_rejected_at_build(self):
+    def test_non_spd_covariance_rejected(self):
         raw = minimal_dict()
         raw["system"]["components"][0]["cov"] = {"full_lower": [[1.0], [5.0, 1.0]]}
-        cfg = config_from_dict(raw)
-        with pytest.raises(ConfigError, match="system"):
-            build_system(cfg.system)
+        with pytest.raises(ConfigError, match=r"^system\.components\[0\]\.cov\.full_lower: must be positive definite$"):
+            config_from_dict(raw)
 
 
 class TestBuildControlLaw:
@@ -289,7 +294,8 @@ def test_built_spec_refuses_as_the_parser_does(block, message):
     ("w", "5", "controller.w: must be a number"),
     ("w", True, "controller.w: must be a number"),
     ("w", np.float32(2.5), "controller.w: must be a number"),
-], ids=["seed_float", "seed_str", "seed_bool", "w_str", "w_bool", "w_float32"])
+    ("momentum", 1.0, "controller.momentum: not a parameter of controller 'cfg'"),
+], ids=["seed_float", "seed_str", "seed_bool", "w_str", "w_bool", "w_float32", "unknown_key"])
 def test_overrides_refuse_what_the_spec_refuses(key, value, message):
     cfg = config_from_dict(minimal_dict())
     with _refused(message):
@@ -372,6 +378,11 @@ class TestFingerprint:
         assert swapped.controller.params["k"] == 0.4
         assert fingerprint(swapped) != fingerprint(cfg)
 
+    def test_any_key_of_the_controller_can_be_substituted(self):
+        # not only the swept keys: the controller block's rules decide
+        cfg = config_from_dict(minimal_dict(type="apg", w=5.0))
+        assert with_controller_value(cfg, "eta", 0.3).controller.params == {"w": 5.0, "eta": 0.3}
+
 
 class TestReadOnlyMappings:
     """A spec's mappings refuse writes, which would skip the rules its construction applies."""
@@ -386,7 +397,7 @@ class TestReadOnlyMappings:
 
     def test_spec_keeps_a_copy_of_the_mappings_given(self):
         conditions, params = {"right": (0,)}, {"w": 2.0}
-        system = SystemSpec(2, (), conditions, "right")
+        system = SystemSpec(2, (ComponentSpec(1.0, (0.0, 0.0), "diag", (1.0, 1.0)),), conditions, "right")
         controller = ControllerSpec("cfg", params)
         conditions["added"], params["w"] = (1,), -1.0
         assert dict(system.conditions) == {"right": (0,)} and dict(controller.params) == {"w": 2.0}
@@ -407,3 +418,192 @@ class TestReadOnlyMappings:
         text = serialize_config(config_from_dict(raw))
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == "75ce95ced78b8468"
         assert config_from_dict(json.loads(text)) == config_from_dict(raw)
+
+
+def _with_component(system: SystemSpec, i: int = 0, **change) -> SystemSpec:
+    comps = list(system.components)
+    comps[i] = replace(comps[i], **change)
+    return replace(system, components=tuple(comps))
+
+
+# Specs built in code that once ran (some under another fingerprint), or were refused naming no field.
+BUILT_HOLES = {
+    "dimension_3": (lambda cfg: replace(cfg.system, dimension=3), "system.components[0].mean: must be a list of 3 numbers"),
+    "nan_mean": (lambda cfg: _with_component(cfg.system, mean=(float("nan"), 0.0)),
+                 "system.components[0].mean: must be a finite number"),
+    "unknown_target": (lambda cfg: replace(cfg.system, target="nope"), "system.target: references unknown condition 'nope'"),
+    "cov_form_zig": (lambda cfg: _with_component(cfg.system, cov_form="zig"),
+                     "system.components[0].cov: unknown covariance form 'zig'"),
+    "weights_off_1": (lambda cfg: _with_component(cfg.system, weight=0.25),
+                      "system.components: weights sum to 0.75, expected 1"),
+    "negative_variance": (lambda cfg: _with_component(cfg.system, 1, cov_payload=(1.0, -1.0)),
+                          "system.components[1].cov.diag: variances must be positive"),
+    "bad_index": (lambda cfg: replace(cfg.system, conditions={"right": (0,), "left": (2,)}),
+                  "system.conditions.left: invalid component index 2"),
+    "non_pd_full_lower": (lambda cfg: _with_component(cfg.system, 1, cov_form="full_lower", cov_payload=((1.0,), (2.0, 1.0))),
+                          "system.components[1].cov.full_lower: must be positive definite"),
+    "condition_named_none": (lambda cfg: replace(cfg.system, conditions={None: (0,), "right": (0,)}),
+                             "system.conditions.None: a condition's name must be a string"),
+    "numpy_dimension": (lambda cfg: replace(cfg.system, dimension=np.int64(2)), "system.dimension: must be an integer"),
+    "numpy_index": (lambda cfg: replace(cfg.system, conditions={"right": (np.int64(0),)}),
+                    "system.conditions.right: must be an integer"),
+    "empty_directory": (lambda cfg: OutputSpec("", ("png",)), "output.directory: must be a nonempty string"),
+    "png_format": (lambda cfg: replace(cfg.output, formats=("png",)), "output.formats: unknown format 'png'"),
+    "negative_sweep_value": (lambda cfg: replace(cfg, sweep=SweepSpec("w", (-1.0, 2.0))),
+                             "sweep.values: guidance scale must be nonnegative"),
+    "sweep_parameter_eta": (lambda cfg: SweepSpec("eta", (0.5,)), "sweep.parameter: must be one of ['w', 'lambda', 'k']"),
+}
+
+
+@pytest.mark.parametrize("make, message", BUILT_HOLES.values(), ids=BUILT_HOLES)
+def test_built_system_sweep_and_output_refused_by_field(reference_config, make, message):
+    with _refused(message):
+        make(reference_config)
+
+
+def test_built_system_stores_floats(reference_config):
+    # integer means once ran under another fingerprint
+    built = replace(reference_config, system=_with_component(reference_config.system, mean=(3, 0)))
+    assert built == reference_config and fingerprint(built) == "2390d759fe08"
+    assert isinstance(built.system.components[0].mean[0], float)
+
+
+def test_readme_config_example_is_valid():
+    readme = (REPO_ROOT / "README.md").read_text()
+    (example,) = re.findall(r"```jsonc\n(.*?)```", readme, flags=re.S)
+    cfg = config_from_dict(json.loads(re.sub(r"//[^\n]*", "", example)))
+    assert build_system(cfg.system).dim == cfg.system.dimension
+
+
+class NotInCode(Exception):
+    """A JSON shape no spec's arguments have: a missing or unknown key, or an object that is not one."""
+
+
+def _keys_of(block, spec: type) -> dict:
+    names = {f.name for f in fields(spec)}
+    required = {f.name for f in fields(spec) if f.default is MISSING}
+    if not (isinstance(block, dict) and required <= set(block) <= names):
+        raise NotInCode
+    return block
+
+
+def _tup(value):
+    """A JSON list as code writes a tuple field; any other value as given."""
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _component_in_code(block) -> ComponentSpec:
+    if not (isinstance(block, dict) and set(block) == {"weight", "mean", "cov"}):
+        raise NotInCode
+    if not (isinstance(block["cov"], dict) and len(block["cov"]) == 1):
+        raise NotInCode
+    ((form, payload),) = block["cov"].items()
+    rows = tuple(_tup(row) for row in payload) if isinstance(payload, list) else payload
+    return ComponentSpec(block["weight"], _tup(block["mean"]), form, rows)
+
+
+def specs_in_code(raw: dict) -> ExperimentConfig:
+    """The config a program would build from ``raw``'s blocks, with tuples where the file has lists."""
+    system, output = _keys_of(raw["system"], SystemSpec), _keys_of(raw["output"], OutputSpec)
+    sweep = _keys_of(raw["sweep"], SweepSpec) if "sweep" in raw else None
+    comps, conds = system["components"], system["conditions"]
+    comps = tuple(_component_in_code(c) for c in comps) if isinstance(comps, list) else comps
+    if isinstance(conds, dict):
+        conds = {name: _tup(subset) for name, subset in conds.items()}
+    return ExperimentConfig(
+        SystemSpec(system["dimension"], comps, conds, system["target"]),
+        ControllerSpec(*split_block(raw["controller"])),
+        SamplerSpec(**raw["sampler"]),
+        None if sweep is None else SweepSpec(sweep["parameter"], _tup(sweep["values"])),
+        OutputSpec(**{key: _tup(value) for key, value in output.items()}),
+    )
+
+
+def fuzz_base() -> dict:
+    """The reference config with one full-covariance component and a sweep block."""
+    raw = json.loads(REFERENCE_CONFIG.read_text())
+    raw["system"]["components"][1]["cov"] = {"full_lower": [[1.0], [0.3, 2.0]]}
+    raw["sweep"] = {"parameter": "w", "values": [1, 2, 5, 10, 15]}
+    return raw
+
+
+def patched(*edits) -> dict:
+    """``fuzz_base()`` with each (path, value) edit made."""
+    raw = fuzz_base()
+    for path, value in edits:
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return raw
+
+
+def _sites(node, path=()):
+    """The path of ``node`` and of everything under it."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _sites(child, path + (key,))
+
+
+LEAVES = st.sampled_from([0, 1, 2, 7, -1, 0.25, 0.5, 2.0, 5.0, -1.0, 1e308, 2**70, 10**400, True, None, "", "nope",
+                          "right", "diag", "full_lower", "png", "csv", "lambda", "eta", [], {}, [1.0], float("nan"),
+                          float("inf")]).map(copy.deepcopy)  # a fresh [] or {} for each draw: mutations add to them
+
+
+@st.composite
+def mutated_configs(draw):
+    """The fuzz base with one to three of its system, sweep and output nodes dropped, added to, nested or replaced."""
+    raw = fuzz_base()
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from([p for block in ("system", "sweep", "output") if block in raw
+                                     for p in _sites(raw[block], (block,))]))
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        key, node = path[-1], parent[path[-1]]
+        mutation = draw(st.sampled_from(["drop", "add", "deeper", "shallower", "replace"]))
+        if mutation == "drop" and len(path) > 1:
+            del parent[key]
+        elif mutation == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(["extra", "right", "formats", "values", "weight"]))] = draw(LEAVES)
+        elif mutation == "add" and isinstance(node, list):
+            node.append(draw(LEAVES))
+        elif mutation == "deeper":
+            parent[key] = [node]
+        elif mutation == "shallower" and isinstance(node, list) and node:
+            parent[key] = node[0]
+        else:
+            parent[key] = draw(LEAVES)
+    return raw
+
+
+COMPONENT = ("system", "components")
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(mutated_configs())
+@example(patched((("system", "dimension"), 3)))
+@example(patched((COMPONENT + (0, "mean"), [3, 0])))
+@example(patched((COMPONENT + (0, "mean"), [float("nan"), 0.0])))
+@example(patched((("system", "target"), "nope")))
+@example(patched((COMPONENT + (0, "cov"), {"zig": [1.0, 1.0]})))
+@example(patched((("output",), {"directory": "", "formats": ["png"]})))
+@example(patched((("sweep", "values"), [-1.0, 2.0])))
+@example(patched((COMPONENT + (0, "weight"), 0.25)))
+@example(patched((COMPONENT + (0, "cov", "diag"), [1.0, -1.0])))
+@example(patched((("system", "conditions", "left"), [2])))
+@example(patched((COMPONENT + (1, "cov", "full_lower"), [[1.0], [2.0, 1.0]])))
+@example(patched((("system", "conditions"), {None: [0], "right": [0]})))
+@example(patched((("sweep", "parameter"), "lambda"), (("sweep", "values"), [])))
+@example(patched((("sweep",), None)))
+def test_parsed_and_built_configs_agree(raw):
+    parsed = parse_or_refuse(lambda: config_from_dict(raw))
+    try:
+        built = parse_or_refuse(lambda: specs_in_code(raw))
+    except NotInCode:  # a shape only the parser sees
+        assert isinstance(parsed, str)
+        return
+    assert repr(parsed) == repr(built)
+    if not isinstance(parsed, str):
+        build_system(parsed.system)  # every accepted system builds

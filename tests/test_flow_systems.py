@@ -490,6 +490,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="selects no components"):
             FlowSystem([GaussComponent(1.0, np.zeros(2), np.eye(2))], {"bad": []})
 
+    def test_condition_named_none_rejected(self, reference_system):
+        # None selects the whole mixture: a condition of that name would replace its subset
+        comps = [reference_system.component(k) for k in range(2)]
+        with pytest.raises(ValueError, match="^condition name None is not a string$"):
+            FlowSystem(comps, {None: [0], "left": [1]})
+
     def test_non_spd_cov_rejected(self):
         with pytest.raises(np.linalg.LinAlgError):
             FlowSystem([GaussComponent(1.0, np.zeros(2), -np.eye(2))])

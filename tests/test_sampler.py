@@ -384,8 +384,8 @@ class TestRunBatches:
 
     def test_sweep_over_a_key_the_controller_lacks_is_refused(self):
         base = two_comp_config(ControllerSpec("cfg", {"w": 5.0}), steps=12, trajectories=3)
-        with pytest.raises(ConfigError, match=r"^controller\.lambda: not a parameter of controller 'cfg'$"):
-            run_sweep(replace(base, sweep=SweepSpec("lambda", (3.0, 6.0))))
+        with pytest.raises(ConfigError, match=r"^sweep\.parameter: 'lambda' is not a parameter of controller 'cfg'$"):
+            replace(base, sweep=SweepSpec("lambda", (3.0, 6.0)))
 
 
 class TestLawIsAValue:
