@@ -21,7 +21,6 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -233,29 +232,12 @@ def cmd_compare(args) -> int:
     return 0
 
 
-_SYNTH_FLAGS = (
-    # (flag, type, default, test of a finite value, message), in --help order; the argparse attribute is flag[2:]
-    ("--delta", float, 0.5, lambda v: v >= 0.0, "must be nonnegative"),
-    ("--rho", float, 0.0, lambda v: v >= 0.0, "must be nonnegative"),
-    ("--w", float, 5.0, lambda v: v > 0.0, "must be positive"),
-    ("--k", float, 0.5, lambda v: v >= 0.0, "must be nonnegative"),
-    ("--dim", int, 1, lambda v: v >= 1, "must be at least 1"),
-    ("--dt", float, 0.01, lambda v: v > 0.0, "must be positive"),
-    ("--steps", int, 2000, lambda v: v >= 1, "must be at least 1"),
-    ("--s0", float, 2.0, lambda v: v != 0.0, "must be nonzero"),
-)
-
-
 def _synth_k_values(args) -> list[float] | None:
     """Check every synth flag; returns the parsed --k-values of a corridor run."""
     cfgmod.check_seed(args.seed, "--seed")
     _check_out(args.out)
-    for flag, _, _, holds, message in _SYNTH_FLAGS:
-        value = getattr(args, flag[2:])
-        if not abs(value) <= sys.float_info.max:  # NaN, an infinity, or an int flag past the float range
-            raise ConfigError(f"{flag}: must be a finite number, got {value!r}")
-        if not holds(value):
-            raise ConfigError(f"{flag}: {message}, got {value!r}")
+    for name in control_lab.RULES:
+        control_lab.check(name, getattr(args, name), "--" + name)
     if not args.corridor:
         if args.k_values is not None:
             raise ConfigError("--k-values: only a --corridor run takes a list of gains")
@@ -266,8 +248,8 @@ def _synth_k_values(args) -> list[float] | None:
         k_values = [float(v) for v in args.k_values.split(",")]
     except ValueError:
         raise ConfigError(f"--k-values: {args.k_values!r} is not a comma-separated list of numbers") from None
-    if not all(0.0 <= k < math.inf for k in k_values):
-        raise ConfigError(f"--k-values: gains must be finite and nonnegative, got {args.k_values!r}")
+    for k in k_values:
+        control_lab.check("k", k, "--k-values")
     return k_values
 
 
@@ -370,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_syn = sub.add_parser("synth", help="synthetic sliding-dynamics testbed")
-    for flag, kind, default, _, _ in _SYNTH_FLAGS:
-        p_syn.add_argument(flag, type=kind, default=default)
+    for name, (kind, default, _, _) in control_lab.RULES.items():
+        p_syn.add_argument("--" + name, type=kind, default=default)
     p_syn.add_argument("--drift", choices=control_lab.DRIFT_KINDS, default="constant")
     p_syn.add_argument("--gain-deviation", choices=control_lab.GAIN_KINDS, default="zero")
     p_syn.add_argument("--corridor", action="store_true", help="sweep switching gains instead of one run")
@@ -403,7 +385,7 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def _names_synth_number(arg: str) -> bool:
-    return len(arg) > 2 and arg.startswith("--") and any(flag.startswith(arg) for flag, *_ in _SYNTH_FLAGS)
+    return len(arg) > 2 and arg.startswith("--") and any(("--" + name).startswith(arg) for name in control_lab.RULES)
 
 
 def _is_float(text: str) -> bool:

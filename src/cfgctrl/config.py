@@ -97,6 +97,7 @@ class ComponentSpec:
 
 def _check_component(c: ComponentSpec, path: str, dim: int) -> ComponentSpec:
     """The component, each number a float, or the ConfigError naming its field: a SystemSpec applies its rules."""
+    _expect(isinstance(c, ComponentSpec), path, "must be of type ComponentSpec")
     weight = _as_number(c.weight, f"{path}.weight")
     _expect(0.0 < weight <= 1.0, f"{path}.weight", "must lie in (0, 1]")
     mean, form, payload = c.mean, c.cov_form, c.cov_payload
@@ -251,7 +252,7 @@ def check_formats(formats, path: str) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A whole config; a swept key must be a key of the controller's type, and each value meet its bound."""
+    """A whole config of specs; a swept key must be a key of the controller's type, and each value meet its bound."""
 
     system: SystemSpec
     controller: ControllerSpec
@@ -260,6 +261,11 @@ class ExperimentConfig:
     output: OutputSpec = field(default_factory=OutputSpec)
 
     def __post_init__(self):
+        for name, spec in (("system", SystemSpec), ("controller", ControllerSpec), ("sampler", SamplerSpec),
+                           ("sweep", SweepSpec), ("output", OutputSpec)):
+            block = getattr(self, name)
+            _expect(isinstance(block, spec) or (name == "sweep" and block is None), name,
+                    f"must be of type {spec.__name__}")
         if self.sweep is not None:
             param, kind = self.sweep.parameter, self.controller.type
             keys = CONTROLLERS[kind].keys

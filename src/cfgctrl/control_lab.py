@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import ConfigError, _as_int, _as_number, _expect, check_seed
 from .numerics import Rng, spectral_norm
 
 _BOUND_SLACK = 1e-9  # float tolerance when asserting realized disturbance bounds
@@ -29,6 +30,27 @@ _DRIFT_FREQ = 0.5  # cycles per unit time of the sinusoidal drift
 
 DRIFT_KINDS = ("constant", "sinusoidal", "noise")
 GAIN_KINDS = ("zero", "rotation", "seeded")
+
+# Each numeric field's (type, synth default, test of a finite value, message), in `cfgctrl synth --help` order
+RULES = {
+    "delta": (float, 0.5, lambda v: v >= 0.0, "must be nonnegative"),
+    "rho": (float, 0.0, lambda v: v >= 0.0, "must be nonnegative"),
+    "w": (float, 5.0, lambda v: v > 0.0, "must be positive"),
+    "k": (float, 0.5, lambda v: v >= 0.0, "must be nonnegative"),
+    "dim": (int, 1, lambda v: v >= 1, "must be at least 1"),
+    "dt": (float, 0.01, lambda v: v > 0.0, "must be positive"),
+    "steps": (int, 2000, lambda v: v >= 1, "must be at least 1"),
+    "s0": (float, 2.0, lambda v: v != 0.0, "must be nonzero"),  # the synth flag: the first entry of the start state
+}
+
+
+def check(name: str, value, path: str) -> None:
+    """Refuse a value of the wrong type, not finite or breaking field ``name``'s rule, naming ``path`` and the value."""
+    kind, _, holds, message = RULES[name]
+    try:
+        _expect(holds(_as_number(_as_int(value, path) if kind is int else value, path)), path, message)
+    except ConfigError as exc:
+        raise ConfigError(f"{exc}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -39,7 +61,9 @@ class PerturbedDynamics:
     (norm oscillating within delta), "noise" (fresh bounded draw per step).
     gain deviation kinds: "zero", "rotation" (fixed rotation scaled to rho),
     "seeded" (random matrix scaled to spectral norm rho). The deviation is
-    drawn and bound-checked once per run.
+    drawn and bound-checked once per run. A field that breaks its rule
+    (``RULES``; ``s0`` holds ``dim`` finite numbers, not all zero; ``seed``
+    lies in [0, 2**64)) raises the ConfigError naming it.
     """
 
     dim: int
@@ -54,19 +78,14 @@ class PerturbedDynamics:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be at least 1")
-        if not (self.w > 0.0 and self.dt > 0.0):  # each bound is written so that NaN fails it
-            raise ValueError("w and dt must be positive")
-        if not (self.k >= 0.0 and self.delta >= 0.0 and self.rho >= 0.0):
-            raise ValueError("k, delta, rho must be nonnegative")
-        if self.drift not in DRIFT_KINDS:
-            raise ValueError(f"unknown drift kind {self.drift!r}")
-        if self.gain_deviation not in GAIN_KINDS:
-            raise ValueError(f"unknown gain deviation kind {self.gain_deviation!r}")
+        for name in ("dim", "w", "delta", "rho", "k", "dt"):
+            check(name, getattr(self, name), name)
+        check_seed(self.seed, "seed")
+        _expect(self.drift in DRIFT_KINDS, "drift", f"unknown drift kind {self.drift!r}")
+        _expect(self.gain_deviation in GAIN_KINDS, "gain_deviation", f"unknown gain deviation kind {self.gain_deviation!r}")
         s0 = np.asarray(self.s0, dtype=float)
-        if s0.shape != (self.dim,):
-            raise ValueError(f"s0 shape {s0.shape} != ({self.dim},)")
+        _expect(s0.shape == (self.dim,) and np.isfinite(s0).all() and s0.any(), "s0",
+                f"must be a finite vector of shape ({self.dim},), not all zero")
         object.__setattr__(self, "s0", s0)
 
 
@@ -206,8 +225,7 @@ def _integrate(dyn: PerturbedDynamics, ks, steps: int) -> np.ndarray:
     or noise drift changes every step, so it takes one increment for all
     rows per step and keeps none. Overflow is not tested here.
     """
-    if steps < 1:
-        raise ValueError("need at least one step")
+    check("steps", steps, "steps")
     k_col = np.asarray(ks, dtype=float)[:, None, None]
     rng = Rng(dyn.seed)
     history = np.empty((steps + 1, k_col.shape[0], dyn.dim, 1))

@@ -11,12 +11,17 @@ import path, so one copy of this file drives another commit's ``src/`` as well:
     PYTHONPATH=src python tests/artifact_matrix.py artifacts_head
     diff -r artifacts_base artifacts_head
 
-It exits 1 if any command returns a code other than 0.
+Beside the artifacts it writes ``OUT/transcript.txt``: each command, then
+what it printed (stderr lines marked ``stderr:``) and its exit code, so the
+diff covers what the commands print as well. It exits 1 if any command
+returns a code other than 0.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
 import json
 import math
 import sys
@@ -144,7 +149,7 @@ def main(out: str) -> int:
     from cfgctrl import cli
 
     print(f"cfgctrl from {Path(cfgctrl.__file__).parent}", flush=True)
-    failed = []
+    failed, transcript = [], []
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for name, raw in configs().items():
@@ -152,9 +157,14 @@ def main(out: str) -> int:
             paths[name].write_text(json.dumps(raw))
         for argv in COMMANDS:
             resolved = [str(paths[arg]) if flag == "--config" else arg for flag, arg in zip(["", *argv], argv)]
-            code = cli.main([*resolved, "--out", out])
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main([*resolved, "--out", out])
+            errors = "".join(f"stderr: {line}" for line in stderr.getvalue().splitlines(keepends=True))
+            transcript.append(f"$ {' '.join(argv)}\n{stdout.getvalue()}{errors}exit {code}\n")
             if code != 0:
                 failed.append(f"exit {code}: {' '.join(argv)}")
+    (Path(out) / "transcript.txt").write_text("".join(transcript))
     for line in failed:
         print(line, file=sys.stderr)
     return 1 if failed else 0

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,14 +6,19 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfgctrl import cli, control_lab
 from cfgctrl.cli import _csv, main
+from cfgctrl.config import ConfigError
 
 from conftest import REFERENCE_CONFIG
 
@@ -713,6 +719,96 @@ class TestSynth:
             with pytest.raises(SystemExit) as exit_:
                 run_cli("synth", *argv)
             assert exit_.value.code == 2 and "argument --steps: invalid int value: '-1e3'" in capsys.readouterr().err
+
+
+BIG = "1" + "0" * 400  # an int past the float range; as a float flag's text it reads inf
+FLOAT_TOKENS = ["0", "-0", "0.0", "-0.0", "1", "-1", "0.5", "2", "5e-324", "-5e-324", "1e-320", "1e308", "-1e308",
+                "1.7976931348623157e308", "1e309", "nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1E3", "-1e3",
+                "2.5e-1", "-2.5E-1", "1e+2", BIG, "-" + BIG, "abc", ""]
+# an accepted --dim stays at most 8 and an accepted --steps at most 50, so every run is small
+INT_TOKENS = {
+    "dim": ["0", "-1", "1", "2", "4", "8", BIG, "-" + BIG, "2.5", "1e3", "-1e3", "nan", ""],
+    "steps": ["0", "-1", "1", "2", "50", BIG, "-" + BIG, "2.5", "-1e3", "inf"],
+    "seed": ["0", "1", "-1", str(2**64 - 1), str(2**64), str(2**70), "1e3", "-1e3"],
+}
+GAIN_TOKENS = [t for t in FLOAT_TOKENS if t not in ("abc", "")]
+
+
+@st.composite
+def synth_argvs(draw):
+    """A synth argv: up to three numeric flags and --steps at edge values, each in either spelling, maybe a corridor."""
+    names = draw(st.lists(st.sampled_from(["delta", "rho", "w", "k", "dim", "dt", "s0", "seed"]), unique=True,
+                          max_size=3))
+    argv = ["synth", "--drift", draw(st.sampled_from(control_lab.DRIFT_KINDS)),
+            "--gain-deviation", draw(st.sampled_from(control_lab.GAIN_KINDS))]
+    for name in [*names, "steps"]:
+        token = draw(st.sampled_from(INT_TOKENS.get(name, FLOAT_TOKENS)))
+        argv += [f"--{name}={token}"] if draw(st.booleans()) else [f"--{name}", token]
+    if draw(st.booleans()):  # joined: argparse reads a split list led by "-1e3," as an option
+        argv += ["--corridor", "--k-values=" + ",".join(draw(st.lists(st.sampled_from(GAIN_TOKENS), min_size=1,
+                                                                        max_size=3)))]
+    return argv
+
+
+def flag_texts(argv: list[str]) -> dict[str, str | None]:
+    """Each ``--name`` of a synth argv with the text of its value, in either spelling."""
+    texts, args = {}, iter(argv[1:])
+    for arg in args:
+        name, eq, text = arg[2:].partition("=")
+        texts[name] = text if eq else None if name == "corridor" else next(args)
+    return texts
+
+
+def refused_in_code(name: str, value) -> str | None:
+    """The ConfigError the testbed built in code gives ``value`` for field ``name``, the rest at synth's defaults.
+
+    ``steps`` goes to ``simulate_sliding`` and ``k-values`` to ``corridor_sweep``, one step each.
+    """
+    fields = {"dim": 1, "w": 5.0, "delta": 0.5, "rho": 0.0, "k": 0.5, "dt": 0.01, "seed": 0}
+    if name in fields:
+        fields[name] = value
+    s0 = np.zeros(value if name == "dim" and 1 <= value <= 8 else 1)
+    s0[0] = value if name == "s0" else 2.0
+    try:
+        dyn = control_lab.PerturbedDynamics(s0=s0, **fields)
+        if name == "steps":
+            control_lab.simulate_sliding(dyn, value)
+        if name == "k-values":
+            control_lab.corridor_sweep(dyn, value, 1)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(synth_argvs())
+@example(["synth", "--s0", "-1e3"])  # argparse reads "-1e3" as an option; synth attaches it to --s0
+def test_synth_flags_are_refused_as_the_testbed_built_in_code_refuses_them(argv):
+    """Every synth argv exits 0, 2 or 3, or is refused by argparse. It exits 2 naming a flag exactly when the
+    testbed built in code from that flag's value refuses it, by the same message but for --s0's."""
+    texts = flag_texts(argv)
+    kinds = {"dim": int, "steps": int, "seed": int, "k-values": lambda text: [float(v) for v in text.split(",")]}
+    try:
+        values = {name: kinds.get(name, float)(text) for name, text in texts.items()
+                  if name not in ("drift", "gain-deviation", "corridor")}
+    except ValueError:
+        values = None
+    err, printed = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), contextlib.redirect_stdout(printed):
+        try:
+            code = main([*argv, "--out", out])
+        except SystemExit as exc:
+            code = f"argparse exit {exc.code}"
+    if values is None:  # a value of the wrong type
+        assert code == "argparse exit 2"
+        return
+    refused = {name: message for name, value in values.items() if (message := refused_in_code(name, value))}
+    assert code in (0, 2, 3) and (code == 2) == bool(refused), (code, refused, err.getvalue())
+    if code == 2:
+        flag, message = re.fullmatch(r"config error: --([\w-]+): (.*)\n", err.getvalue()).groups()
+        assert flag in refused
+        if flag != "s0":  # the flag is the vector's first entry
+            assert refused[flag] == f"{'k' if flag == 'k-values' else flag}: {message}"
 
 
 @pytest.mark.parametrize("flags, message", [

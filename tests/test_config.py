@@ -461,6 +461,27 @@ def test_built_system_sweep_and_output_refused_by_field(reference_config, make, 
         make(reference_config)
 
 
+# A block or component given as something other than its spec once raised AttributeError or was accepted.
+NOT_A_SPEC = {
+    "controller_dict_with_sweep": (lambda cfg: replace(cfg, controller={"type": "cfg"}, sweep=SweepSpec("w", (1.0,))),
+                                   "controller: must be of type ControllerSpec"),
+    "component_dict": (lambda cfg: replace(cfg.system, components=({"weight": 1.0, "mean": [0.0, 0.0],
+                                                                    "cov": {"diag": [1.0, 1.0]}},)),
+                       "system.components[0]: must be of type ComponentSpec"),
+    "sweep_dict": (lambda cfg: replace(cfg, sweep={"parameter": "w", "values": [1.0]}), "sweep: must be of type SweepSpec"),
+    "system_dict": (lambda cfg: replace(cfg, system={"dimension": 2}), "system: must be of type SystemSpec"),
+    "sampler_none": (lambda cfg: replace(cfg, sampler=None), "sampler: must be of type SamplerSpec"),
+    "output_str": (lambda cfg: replace(cfg, output="out"), "output: must be of type OutputSpec"),
+    "controller_dict": (lambda cfg: replace(cfg, controller={"type": "cfg"}), "controller: must be of type ControllerSpec"),
+}
+
+
+@pytest.mark.parametrize("make, message", NOT_A_SPEC.values(), ids=NOT_A_SPEC)
+def test_a_block_or_component_that_is_not_its_spec_is_refused(reference_config, make, message):
+    with _refused(message):
+        make(reference_config)
+
+
 def test_built_system_stores_floats(reference_config):
     # integer means once ran under another fingerprint
     built = replace(reference_config, system=_with_component(reference_config.system, mean=(3, 0)))

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from cfgctrl.control_lab import (
     simulate_sliding,
     stability_corridor,
 )
+from cfgctrl.config import ConfigError
 from cfgctrl.metrics import audit_surface_series
 from cfgctrl.numerics import Rng
 
@@ -193,20 +195,39 @@ class TestSimulateSliding:
             simulate_sliding(dynamics(w=1e300, k=1e10), 50)
         assert err.value.step == 1
 
-    @pytest.mark.parametrize("field, message", [
-        ("w", "w and dt must be positive"),
-        ("dt", "w and dt must be positive"),
-        ("k", "k, delta, rho must be nonnegative"),
-        ("delta", "k, delta, rho must be nonnegative"),
-        ("rho", "k, delta, rho must be nonnegative"),
-    ])
-    def test_nan_parameter_refused(self, field, message):
-        with pytest.raises(ValueError, match=message):
+    @pytest.mark.parametrize("field", ["w", "dt", "k", "delta", "rho"])
+    def test_nan_parameter_refused(self, field):
+        with pytest.raises(ConfigError, match=f"^{field}: must be a finite number, got nan$"):
             dynamics(gain_deviation="seeded", **{field: float("nan")})
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             dynamics(s0=np.array([1.0, 2.0]))  # dim=1 but 2-entry start
+
+
+# Testbeds built in code that once ran, or were refused naming no field. A numpy int or float32 is refused, as a
+# config field refuses it.
+TESTBED_HOLES = {
+    "w_inf": (lambda: dynamics(w=math.inf), "w: must be a finite number, got inf"),
+    "k_inf": (lambda: dynamics(k=math.inf), "k: must be a finite number, got inf"),
+    "delta_inf": (lambda: dynamics(delta=math.inf), "delta: must be a finite number, got inf"),
+    "nan_s0": (lambda: dynamics(s0=np.array([math.nan])), "s0: must be a finite vector of shape (1,), not all zero"),
+    "zero_s0": (lambda: dynamics(s0=[0.0]), "s0: must be a finite vector of shape (1,), not all zero"),
+    "seed_-1": (lambda: dynamics(seed=-1), "seed: must lie in [0, 2**64)"),
+    "seed_2**70": (lambda: dynamics(seed=2**70), "seed: must lie in [0, 2**64)"),
+    "dim_true": (lambda: dynamics(dim=True), "dim: must be an integer, got True"),
+    "dim_2.5": (lambda: dynamics(dim=2.5), "dim: must be an integer, got 2.5"),
+    "no_steps": (lambda: simulate_sliding(dynamics(), 0), "steps: must be at least 1, got 0"),
+    "numpy_dim": (lambda: dynamics(dim=np.int64(1)), "dim: must be an integer, got np.int64(1)"),
+    "float32_w": (lambda: dynamics(w=np.float32(5.0)), "w: must be a number, got np.float32(5.0)"),
+    "unknown_drift": (lambda: dynamics(drift="zig"), "drift: unknown drift kind 'zig'"),
+}
+
+
+@pytest.mark.parametrize("make, message", TESTBED_HOLES.values(), ids=TESTBED_HOLES)
+def test_testbed_refuses_by_field(make, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def _count_calls(monkeypatch, name):

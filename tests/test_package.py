@@ -46,6 +46,12 @@ def test_a_config_load_and_system_build_load_only_their_modules():
     assert fresh(code) == want
 
 
+def test_the_testbed_loads_the_config_module_whose_rules_it_shares():
+    code = "import json, sys\nfrom cfgctrl import control_lab\n" f"print(json.dumps({LOADED}))\n"
+    want = ["cfgctrl.config", "cfgctrl.control_lab", "cfgctrl.flow_systems", "cfgctrl.guidance", "cfgctrl.numerics"]
+    assert fresh(code) == want
+
+
 def test_each_public_name_is_its_module_object():
     code = (
         "import importlib, json, cfgctrl\n"
