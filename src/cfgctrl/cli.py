@@ -8,11 +8,10 @@ none of its files.
 Exit codes: 0 success, 2 config error, 3 a run whose batch kept too few
 trajectories to report on (fewer than dimension + 1) or a synth run whose
 surface state, drift or gain realization, or drift phase overflowed.
-``compare`` and ``sweep`` share one table path: a batch whose law raised,
-or whose batch kept too few trajectories, is a ``failed: <reason>`` row,
-the other rows finish, and the command exits 0. ``compare`` steps one law
-per row; ``sweep`` steps one law for all its values, the swept gain a
-per-row column, so a law raising mid-pass fails every row.
+``compare`` and ``sweep`` share one table path: a batch that kept too few
+trajectories is a ``failed: <reason>`` row, the other rows finish, and the
+command exits 0. ``compare`` steps one law per row; ``sweep`` steps one law
+for all its values, the swept gain a per-row column.
 """
 
 from __future__ import annotations
@@ -154,10 +153,8 @@ def _table_csv(key: str, rows: list[dict], first=str) -> str:
     return _csv([key, "status", *_SWEEP_FIELDS], map(cells, rows))
 
 
-def _row(result: RunResult | Exception, target: str) -> dict:
-    """A batch's status and report cells; ``failed: <reason>`` if its law raised or its report fails."""
-    if isinstance(result, Exception):
-        return {"status": f"failed: {result}"}
+def _row(result: RunResult, target: str) -> dict:
+    """A batch's status and report cells; ``failed: <reason>`` if its report fails."""
     try:
         report = metrics.quality_report(result, result.system, target)
     except ValueError as exc:
@@ -165,7 +162,7 @@ def _row(result: RunResult | Exception, target: str) -> dict:
     return {"status": "ok", **report.to_dict(), "mean_reach_step": metrics.mean_reach_step(result)}
 
 
-def _table(key: str, labels, results: list[RunResult | Exception], target: str) -> list[dict]:
+def _table(key: str, labels, results: list[RunResult], target: str) -> list[dict]:
     """A row per batch of one lockstep pass, ``key`` holding its label; a failed row does not stop the others."""
     return [{key: label, **_row(result, target)} for label, result in zip(labels, results)]
 

@@ -211,6 +211,10 @@ class SamplerSpec:
         _expect(isinstance(self.record_x, bool), "sampler.record_x", "must be a boolean")
         clamp = _as_number(self.tau_clamp, "sampler.tau_clamp")
         _expect(0.0 < clamp < 0.5, "sampler.tau_clamp", "must lie in (0, 0.5)")
+        # the last Heun corrector's time, tau_grid()[-1] + dtau in the sampler's arithmetic; the flow degenerates at 1
+        last = clamp + self.dtau * (self.steps - 1) + self.dtau
+        _expect(self.scheme != "heun" or last < 1.0, "sampler.tau_clamp",
+                f"too small for heun at {self.steps} steps: the last corrector stage reaches tau = 1")
 
     @property
     def dtau(self) -> float:

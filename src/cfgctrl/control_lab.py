@@ -83,7 +83,10 @@ class PerturbedDynamics:
         check_seed(self.seed, "seed")
         _expect(self.drift in DRIFT_KINDS, "drift", f"unknown drift kind {self.drift!r}")
         _expect(self.gain_deviation in GAIN_KINDS, "gain_deviation", f"unknown gain deviation kind {self.gain_deviation!r}")
-        s0 = np.asarray(self.s0, dtype=float)
+        try:
+            s0 = np.asarray(self.s0, dtype=float)
+        except (TypeError, ValueError):  # not numbers, or ragged: refused by the shape test
+            s0 = np.empty(0)
         _expect(s0.shape == (self.dim,) and np.isfinite(s0).all() and s0.any(), "s0",
                 f"must be a finite vector of shape ({self.dim},), not all zero")
         object.__setattr__(self, "s0", s0)
@@ -366,7 +369,7 @@ def corridor_sweep(template: PerturbedDynamics, k_values: list[float], steps: in
     surface state overflows is reported unreached, with its overflow step; a
     realization that overflows raises ``Overflow``, as in ``simulate_sliding``.
     """
-    runs = [replace(template, k=float(k)) for k in k_values]  # refuses a negative gain
+    runs = [replace(template, k=k) for k in k_values]  # refuses a gain that breaks RULES["k"], naming it
     if not runs:
         return []
     history = _integrate(template, [dyn.k for dyn in runs], steps)

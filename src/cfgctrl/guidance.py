@@ -26,6 +26,7 @@ its step function. Config parsing, law building, dispatch and the CLI's
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -90,6 +91,8 @@ class ControlLaw:
     """A guidance variant and its parameters: a frozen value, which any number of runs may share.
 
     It holds no state: whoever steps it carries the state, from :meth:`initial_state` on.
+    A field that breaks its variant's config key in :data:`CONTROLLERS` raises
+    a ValueError naming the key, so a built law never raises in a step.
     """
 
     variant: str
@@ -109,7 +112,12 @@ class ControlLaw:
     def __post_init__(self):
         if self.variant not in CONTROLLERS:
             raise ValueError(f"unknown controller variant {self.variant!r}")
-        self.initial_state()  # refuses a bad smc gain when the law is built, not at its first step
+        for key, spec in CONTROLLERS[self.variant].keys.items():
+            value = getattr(self, spec.field)
+            if spec.choices and value not in spec.choices:
+                raise ValueError(f"{key}: unknown {key} {value!r}")
+            if not _holds(spec.bound(value)):
+                raise ValueError(f"{key}: {spec.message}")
 
     def initial_state(self) -> SlidingState | None:
         """The state before the first step: a fresh SlidingState for smc, None for every other law."""
@@ -214,13 +222,19 @@ def rectified_cfgpp_combine(
     alpha = lam_max * (1 - remaining_noise_time)^gamma, where the remaining
     noise time is 1 - tau. The lookahead never leaves the valid time domain:
     when less than half a step of room remains (a multi-stage integrator
-    evaluating at a step endpoint), the midpoint is capped halfway to 1.
+    evaluating at a step endpoint), the midpoint is capped halfway to 1, and
+    below 1 where halfway rounds to 1. On a batch, a row whose midpoint is not
+    finite is evaluated at the origin; in the sampler that row's v_c is not
+    finite, so neither is its output, and the row is flagged. A single vector
+    raises instead.
     """
     if v_c is None:
         v_c, _ = evaluator(x, ctx.tau)
     x_mid = np.multiply(0.5 * ctx.dtau, v_c)
     np.add(x, x_mid, out=x_mid)
-    tau_mid = min(ctx.tau + 0.5 * ctx.dtau, 0.5 * (ctx.tau + 1.0))
+    if x_mid.ndim > 1 and not np.isfinite(x_mid).all():
+        x_mid[~np.isfinite(x_mid).all(axis=-1)] = 0.0
+    tau_mid = min(ctx.tau + 0.5 * ctx.dtau, 0.5 * (ctx.tau + 1.0), math.nextafter(1.0, 0.0))
     v_c_mid, v_u_mid = evaluator(x_mid, tau_mid)
     try:
         alpha = lam_max * ctx.tau**gamma

@@ -117,7 +117,7 @@ def _integrate_rows(
     cond: str | None,
     x0: np.ndarray,
     parts: int = 1,
-) -> list[RunResult | Exception]:
+) -> list[RunResult]:
     """Advance ``parts`` blocks of trajectories per law in lockstep; the pass holds each law's state.
 
     Every block starts from ``x0``, whose row i is trajectory i; block b holds
@@ -125,8 +125,8 @@ def _integrate_rows(
     ``(j+1)*parts`` as one batch. All rows share each field evaluation and
     each law steps its own rows, so a block's bits equal a run of its law
     alone. A law's histories span its rows and hold its results' columns.
-    Entry b is block b's result or, if its law raised, the exception; that
-    law's histories are freed at once, and the other laws' blocks finish.
+    Entry b is block b's result. A built law never raises in a step, so a
+    raise (a ``MemoryError``, say) ends the whole pass.
     """
     n, dim = x0.shape
     n_steps = sampler.steps
@@ -135,7 +135,6 @@ def _integrate_rows(
     heun = sampler.scheme == "heun"
     record_x = sampler.record_x
     blocks = [slice(j * n * parts, (j + 1) * n * parts) for j in range(len(laws))]
-    failed: dict[int, Exception] = {}
 
     # Fortran order: x.T is the field kernel's (d, n) columns without a copy, and its results come back column-ordered
     x = np.asfortranarray(np.tile(x0, (len(laws) * parts, 1)))
@@ -144,32 +143,25 @@ def _integrate_rows(
     x_pred = np.empty_like(x) if heun else None
     alive = np.ones(len(x), dtype=bool)
     div_step = np.full(len(x), -1)  # the step at which a row left the envelope, -1 while it has not
-    # each live law's step-major histories over its own rows, keyed by the result column each becomes, only those its
-    # results carry; this dict holds the only reference to each, and a law's leave it when the law raises
-    hist: dict[int, dict[str, np.ndarray]] = {}
+    # each law's step-major histories over its own rows, keyed by the result column each becomes, only those its
+    # results carry; these dicts hold the only reference to each
+    hist: list[dict[str, np.ndarray]] = []
     states = [law.initial_state() for law in laws]  # each law's state over its rows: smc's sliding surface, else None
-    for j, state in enumerate(states):
+    for state in states:
         surface = state is not None
-        hist[j] = {name: np.zeros((n_steps, n * parts)) for name in ["e_norm", "vhat_norm"] + ["s_norm"] * surface}
-        hist[j] |= {name: np.zeros((n_steps, n * parts, dim))
-                    for name in (["x_path"] + ["s_path"] * surface) * record_x}
+        hist.append({name: np.zeros((n_steps, n * parts)) for name in ["e_norm", "vhat_norm"] + ["s_norm"] * surface})
+        hist[-1] |= {name: np.zeros((n_steps, n * parts, dim))
+                     for name in (["x_path"] + ["s_path"] * surface) * record_x}
 
     def evaluator(points: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         return velocity_pair(system, points, t, cond)
 
-    def guided(step: int, t: float, v_c, v_u, points, update_state: bool) -> np.ndarray | None:
-        """Each live law's velocity on its rows, its next state kept if ``update_state``; a raise ends its block."""
-        out = None if len(laws) == 1 else np.zeros_like(x)  # a failed block's rows stay 0
-        for j in list(hist):
-            law, rows = laws[j], blocks[j]
-            try:
-                ctx = StepContext(step, n_steps, t, dtau, law.w)
-                v, state = apply_controller(law, v_c[rows], v_u[rows], points[rows], ctx, evaluator, states[j])
-            except Exception as exc:  # kept as the block's result, re-raised by its caller
-                failed[j] = exc
-                del hist[j]
-                alive[rows] = False
-                continue
+    def guided(step: int, t: float, v_c, v_u, points, update_state: bool) -> np.ndarray:
+        """Each law's velocity on its rows, its next state kept if ``update_state``."""
+        out = None if len(laws) == 1 else np.empty_like(x)  # every block writes its rows
+        for j, (law, rows) in enumerate(zip(laws, blocks)):
+            ctx = StepContext(step, n_steps, t, dtau, law.w)
+            v, state = apply_controller(law, v_c[rows], v_u[rows], points[rows], ctx, evaluator, states[j])
             if update_state and state is not None:
                 states[j] = state
                 hist[j]["s_norm"][step] = row_norm(state.s)
@@ -195,8 +187,6 @@ def _integrate_rows(
         t = float(taus[i])
         v_c, v_u = evaluator(x, t)
         v_hat = guided(i, t, v_c, v_u, x, True)
-        if not hist:
-            return
         e_norm = row_norm(np.subtract(v_c, v_u, out=x_new))
         v_use = v_hat
         if heun:
@@ -206,14 +196,12 @@ def _integrate_rows(
                 x_pred[~alive] = 0.0
             v_c2, v_u2 = evaluator(x_pred, t + dtau)
             v_hat2 = guided(i, t + dtau, v_c2, v_u2, x_pred, False)
-            if not hist:
-                return
             v_use = np.multiply(0.5, np.add(v_hat, v_hat2, out=v_hat2), out=v_hat2)  # v_hat2 is free to overwrite
         vhat_norm = row_norm(v_use)
-        for j, mine in hist.items():  # after the predictor: a row it retired reads 0 here, but no result keeps it
-            mine["e_norm"][i], mine["vhat_norm"][i] = e_norm[blocks[j]], vhat_norm[blocks[j]]
+        for mine, rows in zip(hist, blocks):  # after the predictor: a row it retired reads 0, but no result keeps it
+            mine["e_norm"][i], mine["vhat_norm"][i] = e_norm[rows], vhat_norm[rows]
             if record_x:
-                mine["x_path"][i] = x[blocks[j]]
+                mine["x_path"][i] = x[rows]
         np.add(x, np.multiply(dtau, v_use, out=x_new), out=x_new)
         if alive.all():
             x, x_new = x_new, x
@@ -223,22 +211,16 @@ def _integrate_rows(
 
     with np.errstate(all="ignore"):
         for i in range(n_steps):
-            if not hist:
-                break
             advance(i)
 
     # Each block owns its result columns: one C-contiguous (rows, steps) copy of its kept rows per history, the layout
     # a mean over rows keeps its bits on. Law by law, each history is freed once copied, so the pass peaks at the
     # histories plus one history's copies.
-    results: list[RunResult | Exception] = []
-    for j in range(len(laws)):
-        if j in failed:
-            results += [failed[j]] * parts
-            continue
+    results: list[RunResult] = []
+    for j, mine in enumerate(hist):
         rows = [slice(b * n, (b + 1) * n) for b in range(j * parts, (j + 1) * parts)]
         columns = [{"run_ids": np.flatnonzero(alive[r]), "tau": taus, "s_norm": None, "x_path": None, "s_path": None}
                    for r in rows]
-        mine = hist.pop(j)
         while mine:
             name, history = mine.popitem()
             for p, owned in enumerate(columns):
@@ -268,8 +250,6 @@ def sample_trajectory(
     """
     x0 = rng.standard_normal(system.dim).reshape(1, -1)
     (result,) = _integrate_rows(system, [law], sampler, cond, x0)
-    if isinstance(result, Exception):
-        raise result
     if result.divergences:
         raise DivergenceError(result.divergences[0], 0)
     return result.traces[0]
@@ -281,30 +261,27 @@ def run_batch(cfg: "_config.ExperimentConfig") -> RunResult:
     Trajectory i starts from stream i of the master seed.
     """
     (result,) = run_batches(cfg, [cfg.controller])
-    if isinstance(result, Exception):
-        raise result
     return result
 
 
 def run_batches(cfg: _config.ExperimentConfig,
-                controllers: list[_config.ControllerSpec]) -> list[RunResult | Exception]:
+                controllers: list[_config.ControllerSpec]) -> list[RunResult]:
     """Run the config's batch under each controller block, in one lockstep pass; ``cfg.controller`` is not read.
 
     Every block starts from the same points and shares each field evaluation,
     so with diagonal covariances entry j equals ``run_batch`` of the config
     with ``controllers[j]`` bit for bit; with a full covariance its bits can
-    depend on the width of the whole pass. If a block's control law raises,
-    its entry is the exception that run would raise, and the other blocks finish.
+    depend on the width of the whole pass.
     """
     return _run(cfg, controllers)
 
 
-def run_sweep(cfg: _config.ExperimentConfig) -> list[RunResult | Exception]:
+def run_sweep(cfg: _config.ExperimentConfig) -> list[RunResult]:
     """The config's batch at each value of its sweep, in one lockstep pass; entry j is value j's.
 
     The laws built at the values step as one whose swept gain is a per-row
     column, so entry j equals entry j of :func:`run_batches` over the
-    per-value blocks. If that law raises, every value gets its error.
+    per-value blocks.
     """
     if cfg.sweep is None:
         raise _config.ConfigError("sweep: block missing from config")
@@ -313,7 +290,7 @@ def run_sweep(cfg: _config.ExperimentConfig) -> list[RunResult | Exception]:
 
 
 def _run(cfg: _config.ExperimentConfig, controllers: list[_config.ControllerSpec],
-         swept: str | None = None) -> list[RunResult | Exception]:
+         swept: str | None = None) -> list[RunResult]:
     """The config's batch under each block's law in one lockstep pass.
 
     With ``swept``, a key of the controllers' type, the laws step as one

@@ -1,7 +1,10 @@
 import copy
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import MISSING, fields, replace
 
 import numpy as np
@@ -188,6 +191,21 @@ class TestParsing:
         raw = minimal_dict()
         raw["sampler"]["seed"] = seed
         assert config_from_dict(raw).sampler.seed == seed
+
+    def test_heun_clamp_rule_is_the_samplers_arithmetic(self):
+        # a Heun sampler is refused exactly where its last corrector time, tau_grid()[-1] + dtau, reaches 1
+        refused = 0
+        for clamp in (1e-300, 1e-17, 5e-17, 6e-17, 1e-4, 0.25):
+            for steps in range(2, 130):
+                euler = SamplerSpec("euler", steps, tau_clamp=clamp)
+                if euler.tau_grid()[-1] + euler.dtau < 1.0:
+                    assert SamplerSpec("heun", steps, tau_clamp=clamp).dtau == euler.dtau
+                    continue
+                refused += 1
+                with _refused(f"sampler.tau_clamp: too small for heun at {steps} steps: "
+                              "the last corrector stage reaches tau = 1"):
+                    SamplerSpec("heun", steps, tau_clamp=clamp)
+        assert 0 < refused < 6 * 128
 
     def test_non_spd_covariance_rejected(self):
         raw = minimal_dict()
@@ -494,6 +512,17 @@ def test_readme_config_example_is_valid():
     (example,) = re.findall(r"```jsonc\n(.*?)```", readme, flags=re.S)
     cfg = config_from_dict(json.loads(re.sub(r"//[^\n]*", "", example)))
     assert build_system(cfg.system).dim == cfg.system.dimension
+
+
+def test_readme_library_example_runs():
+    readme = (REPO_ROOT / "README.md").read_text()
+    (example,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", example], cwd=REPO_ROOT,
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for printed in re.findall(r"print\(.*\)  # (.*)", example):  # a print's comment says what it prints
+        assert printed in proc.stdout
 
 
 class NotInCode(Exception):

@@ -221,6 +221,14 @@ TESTBED_HOLES = {
     "numpy_dim": (lambda: dynamics(dim=np.int64(1)), "dim: must be an integer, got np.int64(1)"),
     "float32_w": (lambda: dynamics(w=np.float32(5.0)), "w: must be a number, got np.float32(5.0)"),
     "unknown_drift": (lambda: dynamics(drift="zig"), "drift: unknown drift kind 'zig'"),
+    # values numpy or float() cannot convert: each gain of a corridor sweep goes to RULES as given
+    "str_s0": (lambda: dynamics(s0="abc"), "s0: must be a finite vector of shape (1,), not all zero"),
+    "ragged_s0": (lambda: dynamics(dim=2, s0=[[1.0], [1.0, 2.0]]),
+                  "s0: must be a finite vector of shape (2,), not all zero"),
+    "dict_s0": (lambda: dynamics(s0={"a": 1}), "s0: must be a finite vector of shape (1,), not all zero"),
+    "str_corridor_k": (lambda: corridor_sweep(dynamics(), ["abc"], 1), "k: must be a number, got 'abc'"),
+    "none_corridor_k": (lambda: corridor_sweep(dynamics(), [None], 1), "k: must be a number, got None"),
+    "bool_corridor_k": (lambda: corridor_sweep(dynamics(), [True], 1), "k: must be a number, got True"),
 }
 
 

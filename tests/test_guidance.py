@@ -1,3 +1,5 @@
+import math
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -244,6 +246,35 @@ class TestRectifiedCfgpp:
             out = rectified_cfgpp_combine(self.evaluator(system, "right"), np.array([0.5, 0.5]), ctx, 4.0, -80.0)
         assert not np.isfinite(out).any()
 
+    def test_a_non_finite_midpoint_fails_only_its_row(self, system):
+        # a batch evaluates that row at the origin, and its non-finite v_c keeps its output non-finite
+        ev = self.evaluator(system, "right")
+        x = np.array([[0.1, 0.8], [0.3, -0.2], [-0.5, 0.4]])
+        ctx = ctx_at(index=2, total=10, tau=0.3, dtau=0.05, w=3.0)
+        v_c = ev(x, 0.3)[0]
+        v_c[1, 0] = np.inf
+        with np.errstate(invalid="ignore"):
+            out = rectified_cfgpp_combine(ev, x, ctx, 2.0, 1.0, v_c=v_c)
+        assert not np.isfinite(out[1]).all()
+        for row in (0, 2):
+            alone = rectified_cfgpp_combine(ev, x[row:row + 1], ctx, 2.0, 1.0, v_c=v_c[row:row + 1])
+            assert out[row:row + 1].tobytes() == alone.tobytes()
+        with pytest.raises(ValueError, match="probe point has non-finite entries"):
+            rectified_cfgpp_combine(ev, x[1], ctx, 2.0, 1.0, v_c=v_c[1])
+
+    def test_midpoint_stays_below_one(self, system):
+        # halfway from the last float below 1 to 1 rounds to 1, where the flow degenerates
+        taus = []
+
+        def ev(x, tau):
+            taus.append(tau)
+            return self.evaluator(system, "right")(x, tau)
+
+        tau = math.nextafter(1.0, 0.0)
+        ctx = ctx_at(index=9, total=10, tau=tau, dtau=0.1)
+        out = rectified_cfgpp_combine(ev, np.array([[0.1, 0.8]]), ctx, 2.0, 1.0)
+        assert taus == [tau, tau] and np.isfinite(out).all()
+
     def test_matches_hand_composed_predictor_corrector(self, system):
         x = np.array([0.1, 0.8])
         tau, dtau = 0.4, 0.1
@@ -330,7 +361,8 @@ class TestNanRefused:
     def test_sliding_state(self, field, message, value):
         with pytest.raises(ValueError, match=message):
             SlidingState(**{"lam": 6.0, "k": 0.1, field: value})
-        with pytest.raises(ValueError, match=message):
+        key, spec = next((key, spec) for key, spec in CONTROLLERS["smc"].keys.items() if spec.field == field)
+        with pytest.raises(ValueError, match=f"^{key}: {spec.message}$"):  # the law names its config key
             ControlLaw("smc", **{field: value})
 
     @pytest.mark.parametrize("shape", ["linear", "cosine"])
@@ -341,6 +373,22 @@ class TestNanRefused:
     def test_apg_eta(self):
         with pytest.raises(ValueError, match="must be <= 1"):
             apg_combine(np.ones((2, 3)), np.zeros((2, 3)), 2.0, float("nan"))
+
+
+@pytest.mark.parametrize("variant, field, value, message", [
+    ("apg", "eta", 2.0, "eta: must be at most 1"),
+    ("weight_schedule", "w", 0.5, "w_max: must be at least 1"),
+    ("weight_schedule", "shape", "zig", "shape: unknown shape 'zig'"),
+    ("cfg", "w", -1.0, "w: guidance scale must be nonnegative"),
+    ("cfg", "w", float("nan"), "w: guidance scale must be nonnegative"),
+    ("cfg", "w", np.array([[5.0], [np.nan], [5.0]]), "w: guidance scale must be nonnegative"),
+    ("smc", "lam", np.array([[6.0], [np.nan], [6.0]]), "lambda: must be positive"),
+], ids=["apg-eta", "weight_schedule-w_max", "weight_schedule-shape", "cfg-w", "cfg-w-nan", "cfg-w-nan-in-column",
+        "smc-lambda-nan-in-column"])
+def test_law_breaking_a_key_is_refused_when_built(variant, field, value, message):
+    # each of these once built, then raised at its first step
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ControlLaw(variant, **{field: value})
 
 
 def _swept_gains():
