@@ -5,13 +5,14 @@ the same config produce byte-identical CSV/JSON artifacts, and a name
 collision with different content is a config error: the command then writes
 none of its files.
 
-Exit codes: 0 success, 2 config error, 3 a run whose batch kept too few
-trajectories to report on (fewer than dimension + 1) or a synth run whose
-surface state, drift or gain realization, or drift phase overflowed.
-``compare`` and ``sweep`` share one table path: a batch that kept too few
-trajectories is a ``failed: <reason>`` row, the other rows finish, and the
-command exits 0. ``compare`` steps one law per row; ``sweep`` steps one law
-for all its values, the swept gain a per-row column.
+Exit codes: 0 success, 2 config error, 3 a run whose batch cannot be
+reported on (it kept fewer than dimension + 1 trajectories, or the target's
+covariance or a report value is not finite) or a synth run whose surface
+state, drift or gain realization, or drift phase overflowed. ``compare``
+and ``sweep`` share one table path: a batch that cannot be reported on is a
+``failed: <reason>`` row, the other rows finish, and the command exits 0.
+``compare`` steps one law per row; ``sweep`` steps one law for all its
+values, the swept gain a per-row column.
 """
 
 from __future__ import annotations

@@ -14,8 +14,9 @@ A config file is a single JSON object with four or five blocks::
 Components give "weight", "mean", and "cov" as either {"diag": [...]} or
 {"full_lower": [[...], ...]} (lower triangle, mirrored to a symmetric
 matrix, positive definite). Each spec, and ExperimentConfig across blocks,
-applies the rules, so a spec built in code is refused as a file is, by a
-ConfigError that carries the offending field path.
+applies what JSON can get wrong; the FlowSystem and ControlLaw a spec builds
+once, and keeps, apply the value rules. So a spec built in code is refused
+as a file is, by a ConfigError that carries the offending field path.
 """
 
 from __future__ import annotations
@@ -96,64 +97,58 @@ class ComponentSpec:
 
 
 def _check_component(c: ComponentSpec, path: str, dim: int) -> ComponentSpec:
-    """The component, each number a float, or the ConfigError naming its field: a SystemSpec applies its rules."""
+    """The component, each number a float, or the ConfigError naming a field that JSON got wrong."""
     _expect(isinstance(c, ComponentSpec), path, "must be of type ComponentSpec")
     weight = _as_number(c.weight, f"{path}.weight")
-    _expect(0.0 < weight <= 1.0, f"{path}.weight", "must lie in (0, 1]")
     mean, form, payload = c.mean, c.cov_form, c.cov_payload
     _expect(isinstance(mean, (list, tuple)) and len(mean) == dim, f"{path}.mean", f"must be a list of {dim} numbers")
     mean_t = tuple(_as_number(v, f"{path}.mean") for v in mean)
     if form == "diag":
         _expect(isinstance(payload, (list, tuple)) and len(payload) == dim, f"{path}.cov.diag", f"must list {dim} variances")
-        entries = tuple(_as_number(v, f"{path}.cov.diag") for v in payload)
-        _expect(all(v > 0 for v in entries), f"{path}.cov.diag", "variances must be positive")
-        return ComponentSpec(weight, mean_t, "diag", entries)
+        return ComponentSpec(weight, mean_t, "diag", tuple(_as_number(v, f"{path}.cov.diag") for v in payload))
     if form == "full_lower":
         _expect(isinstance(payload, (list, tuple)) and len(payload) == dim, f"{path}.cov.full_lower", f"must have {dim} rows")
         rows = []
         for i, row in enumerate(payload):
             _expect(isinstance(row, (list, tuple)) and len(row) == i + 1, f"{path}.cov.full_lower[{i}]", f"row {i} must have {i + 1} entries")
             rows.append(tuple(_as_number(v, f"{path}.cov.full_lower[{i}]") for v in row))
-        component = ComponentSpec(weight, mean_t, "full_lower", tuple(rows))
-        try:  # the factorization FlowSystem makes
-            np.linalg.cholesky(component.cov_matrix())
-        except np.linalg.LinAlgError:
-            raise ConfigError(f"{path}.cov.full_lower: must be positive definite") from None
-        return component
+        return ComponentSpec(weight, mean_t, "full_lower", tuple(rows))
     raise ConfigError(f"{path}.cov: unknown covariance form {form!r}")
 
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """The system block, each number stored as a float in a tuple; a bad field raises the ConfigError naming it."""
+    """The system block, each number stored as a float in a tuple; a bad field raises the ConfigError naming it.
+
+    The spec checks what JSON can get wrong, then builds its FlowSystem, which
+    applies the mixture's rules, once: ``flow`` is that system, not a field.
+    """
 
     dimension: int
     components: tuple[ComponentSpec, ...]
-    conditions: MappingProxyType[str, tuple[int, ...]]  # a read-only copy of the mapping given
+    conditions: MappingProxyType[str, tuple[int, ...]]  # the FlowSystem's read-only copy of the mapping given
     target: str
 
     def __post_init__(self):
         dim = _as_int(self.dimension, "system.dimension", 1)
-        comps = self.components
-        _expect(isinstance(comps, (list, tuple)) and comps, "system.components", "must be a nonempty list")
-        components = tuple(_check_component(c, f"system.components[{i}]", dim) for i, c in enumerate(comps))
-        total = sum(c.weight for c in components)
-        _expect(abs(total - 1.0) <= 1e-12, "system.components", f"weights sum to {total!r}, expected 1")
+        _expect(isinstance(self.components, (list, tuple)), "system.components", "must be a nonempty list")
+        components = tuple(_check_component(c, f"system.components[{i}]", dim) for i, c in enumerate(self.components))
         _expect(isinstance(self.conditions, Mapping) and self.conditions, "system.conditions", "must be a nonempty object")
         conditions: dict[str, tuple[int, ...]] = {}
         for name, subset in self.conditions.items():
             cpath = f"system.conditions.{name}"
-            _expect(isinstance(name, str), cpath, "a condition's name must be a string")
-            _expect(isinstance(subset, (list, tuple)) and subset, cpath, "must be a nonempty list of component indices")
-            idx = tuple(_as_int(v, cpath, 0) for v in subset)
-            for v in idx:
-                _expect(v < len(components), cpath, f"invalid component index {v!r}")
-            _expect(len(set(idx)) == len(idx), cpath, "repeats a component index")
-            conditions[name] = idx
+            _expect(isinstance(subset, (list, tuple)), cpath, "must be a nonempty list of component indices")
+            conditions[name] = tuple(_as_int(v, cpath) for v in subset)
         target = self.target
         _expect(isinstance(target, str) and target in conditions, "system.target", f"references unknown condition {target!r}")
+        try:
+            flow = FlowSystem([GaussComponent(c.weight, c.mean, c.cov_matrix()) for c in components],
+                              conditions)
+        except ValueError as exc:  # FlowSystem's message names the field within the block
+            raise ConfigError(f"system.{exc}") from None
         object.__setattr__(self, "components", components)
-        object.__setattr__(self, "conditions", MappingProxyType(conditions))
+        object.__setattr__(self, "conditions", flow.conditions)
+        object.__setattr__(self, "flow", flow)
 
 
 @dataclass(frozen=True)
@@ -161,9 +156,10 @@ class ControllerSpec:
     """The controller block: a control law's type and its keys, each number stored as a float.
 
     The block's rules hold for a spec built in code as for one parsed from a
-    file: a bad type, key or value raises the ConfigError naming
-    ``controller.<key>``, so every spec builds its law. ``params`` is
-    read-only, so no write can skip those rules.
+    file: a bad type, key or number, or a missing key, raises the ConfigError
+    naming ``controller.<key>``. The spec then builds its ControlLaw, which
+    applies each key's bound and choices, once: ``law`` is that law, not a
+    field. ``params`` is read-only, so no write can skip those rules.
     """
 
     type: str
@@ -177,15 +173,15 @@ class ControllerSpec:
         for key, value in self.params.items():
             path = f"controller.{key}"
             _expect(key in keys, path, f"not a parameter of controller {kind!r}")
-            if keys[key].choices:
-                _expect(value in keys[key].choices, path, f"unknown {key} {value!r}")
-                params[key] = value
-            else:
-                params[key] = _as_number(value, path)
+            params[key] = value if keys[key].choices else _as_number(value, path)
         for key, spec in keys.items():
             _expect(key in params or not spec.required, "controller", f"missing required key {key!r}")
-            _expect(key not in params or spec.bound(params[key]), f"controller.{key}", spec.message)
+        try:  # keys left out keep ControlLaw's defaults
+            law = ControlLaw(kind, **{keys[key].field: value for key, value in params.items()})
+        except ValueError as exc:  # ControlLaw's message names the key
+            raise ConfigError(f"controller.{exc}") from None
         object.__setattr__(self, "params", MappingProxyType(params))
+        object.__setattr__(self, "law", law)
 
 
 @dataclass(frozen=True)
@@ -354,18 +350,13 @@ def fingerprint(cfg: ExperimentConfig) -> str:
 
 
 def build_system(spec: SystemSpec) -> FlowSystem:
-    """The flow a system block describes; a SystemSpec has met every check FlowSystem makes."""
-    components = [
-        GaussComponent(c.weight, np.asarray(c.mean, dtype=float), c.cov_matrix())
-        for c in spec.components
-    ]
-    return FlowSystem(components, {name: list(idx) for name, idx in spec.conditions.items()})
+    """The flow a system block describes: the one the spec built."""
+    return spec.flow
 
 
 def build_control_law(spec: ControllerSpec) -> ControlLaw:
-    """The law a controller block describes; keys left out keep ControlLaw's defaults."""
-    keys = CONTROLLERS[spec.type].keys
-    return ControlLaw(spec.type, **{keys[key].field: value for key, value in spec.params.items()})
+    """The law a controller block describes: the one the spec built."""
+    return spec.law
 
 
 def with_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:

@@ -83,11 +83,13 @@ class PerturbedDynamics:
         check_seed(self.seed, "seed")
         _expect(self.drift in DRIFT_KINDS, "drift", f"unknown drift kind {self.drift!r}")
         _expect(self.gain_deviation in GAIN_KINDS, "gain_deviation", f"unknown gain deviation kind {self.gain_deviation!r}")
-        try:
-            s0 = np.asarray(self.s0, dtype=float)
-        except (TypeError, ValueError):  # not numbers, or ragged: refused by the shape test
-            s0 = np.empty(0)
-        _expect(s0.shape == (self.dim,) and np.isfinite(s0).all() and s0.any(), "s0",
+        entries = self.s0.tolist() if isinstance(self.s0, np.ndarray) else self.s0
+        vector = isinstance(entries, (list, tuple))
+        try:  # each entry a finite number as RULES takes one: a string, a boolean or a nested list is none
+            s0 = np.array([_as_number(v, "s0") for v in entries]) if vector else None
+        except ConfigError:
+            s0 = None
+        _expect(s0 is not None and s0.shape == (self.dim,) and s0.any(), "s0",
                 f"must be a finite vector of shape ({self.dim},), not all zero")
         object.__setattr__(self, "s0", s0)
 
@@ -241,14 +243,16 @@ def _integrate(dyn: PerturbedDynamics, ks, steps: int) -> np.ndarray:
         gain = _draw_gain(dyn, rng)
         drift = _make_drift(dyn, rng)
         varying_drift = dyn.drift != "constant"
-        if not varying_drift:
-            phi = drift(0)
+        # a constant drift's one realization, delta * u, bounds each sinusoidal one, delta * sin(phase) * u
+        phi = dyn.delta * _unit_direction(dyn.dim) if varying_drift else drift(0)
+        if dyn.drift != "noise":
             _check_drift(dyn, phi)
         for step in range(steps):
             np.sign(s, out=sign)
             if varying_drift:
                 phi = drift(step)
-                _check_drift(dyn, phi)
+                if dyn.drift == "noise":
+                    _check_drift(dyn, phi)
                 inc = _increment(dyn.dt, phi, gain, k_col, sign)
             else:
                 key = sign.tobytes()
@@ -293,9 +297,10 @@ def _reach_step(s_norms: np.ndarray, band: float) -> int | None:
 def simulate_sliding(dyn: PerturbedDynamics, steps: int) -> ConvergenceReport:
     """Euler-integrate the perturbed switching dynamics and audit convergence.
 
-    Realized disturbance bounds are asserted on every realization: the drift
-    at every step (a constant drift once, as its single realization), the
-    gain deviation on the one matrix drawn per run. A violated gain
+    Realized disturbance bounds are asserted on every realization: a noise
+    drift at every step, a constant or sinusoidal drift once on delta * u
+    (the constant one's single realization, and the sinusoidal one's peak),
+    the gain deviation on the one matrix drawn per run. A violated gain
     condition is reported, not raised; a surface state that overflows
     raises ``SurfaceOverflow``, and a realization or drift phase that does
     raises ``Overflow``.

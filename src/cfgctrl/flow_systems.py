@@ -56,27 +56,32 @@ class FlowSystem:
     """
 
     def __init__(self, components: list[GaussComponent], conditions: dict[str, list[int]] | None = None):
+        # each refusal names its field as a config's system block does: "<field>: <rule>"
         if not components:
-            raise ValueError("FlowSystem needs at least one component")
+            raise ValueError("components: must be a nonempty list")
         dim = np.asarray(components[0].mean, dtype=float).shape[0]
         weights, means, covs, chols = [], [], [], []
         for i, comp in enumerate(components):
+            path = f"components[{i}]"
             w = float(comp.weight)
             mean = np.asarray(comp.mean, dtype=float)
             cov = np.asarray(comp.cov, dtype=float)
             if not 0.0 < w <= 1.0:
-                raise ValueError(f"component {i}: weight {w} outside (0, 1]")
+                raise ValueError(f"{path}.weight: must lie in (0, 1]")
             if mean.ndim != 1 or mean.shape[0] != dim:
-                raise ValueError(f"component {i}: mean dimension {mean.shape} != {dim}")
+                raise ValueError(f"{path}.mean: shape {mean.shape} != ({dim},)")
             if cov.shape != (dim, dim):
-                raise ValueError(f"component {i}: covariance shape {cov.shape} != ({dim}, {dim})")
-            chols.append(np.linalg.cholesky(cov))  # SPD gate; raises LinAlgError otherwise
+                raise ValueError(f"{path}.cov: shape {cov.shape} != ({dim}, {dim})")
+            try:
+                chols.append(np.linalg.cholesky(cov))
+            except np.linalg.LinAlgError:
+                raise np.linalg.LinAlgError(f"{path}.cov: must be positive definite") from None
             weights.append(w)
             means.append(mean)
             covs.append(cov)
         total = sum(weights)
         if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"component weights sum to {total!r}, expected 1")
+            raise ValueError(f"components: weights sum to {total!r}, expected 1")
 
         self.dim = int(dim)
         self._weights = np.asarray(weights)
@@ -95,15 +100,17 @@ class FlowSystem:
 
         named: dict[str, tuple[int, ...]] = {}
         for name, subset in (conditions or {}).items():
+            path = f"conditions.{name}"
             if not isinstance(name, str):  # None names the whole mixture
-                raise ValueError(f"condition name {name!r} is not a string")
+                raise ValueError(f"{path}: a condition's name must be a string")
             idx = tuple(int(i) for i in subset)
             if not idx:
-                raise ValueError(f"condition {name!r} selects no components")
-            if any(i < 0 or i >= len(components) for i in idx):
-                raise ValueError(f"condition {name!r} references unknown component index")
+                raise ValueError(f"{path}: must be a nonempty list of component indices")
+            for i in idx:
+                if not 0 <= i < len(components):
+                    raise ValueError(f"{path}: invalid component index {i!r}")
             if len(set(idx)) != len(idx):
-                raise ValueError(f"condition {name!r} repeats a component index")
+                raise ValueError(f"{path}: repeats a component index")
             named[name] = idx
         self.conditions = MappingProxyType(named)  # the subset tables below are built from it once
         # per subset (None: every component), its component indices and its log weights log(w_j / sum w)

@@ -20,14 +20,15 @@ A law never writes into its arguments and returns a fresh array, which the
 caller may overwrite. It builds that array in place, each operation on the
 operands of its docstring's formula in their order, so the bits are the formula's.
 :data:`CONTROLLERS` is the one description of each law: its config keys and
-its step function. Config parsing, law building, dispatch and the CLI's
-``compare`` all read it.
+its step function. Config parsing, law building, dispatch, the CLI's
+``compare`` and each law function's check of its gains all read it, through
+:func:`check_keys` for the checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,9 +39,19 @@ VelocityEvaluator = Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]]
 """Callable returning (v_cond, v_uncond) at a point and time."""
 
 
-def _holds(ok) -> bool:
-    """A bound test's outcome: the plain comparison for a scalar, every entry for a gain column."""
-    return ok.all() if isinstance(ok, np.ndarray) else ok
+def check_keys(variant: str, values: dict) -> None:
+    """Refuse a value that breaks its key of ``variant`` in :data:`CONTROLLERS`: ``ValueError("<key>: <message>")``.
+
+    ``values`` maps config keys to values. A key with choices takes one of
+    them; any other key's value meets the key's bound: the plain comparison
+    for a scalar, every entry for a gain column.
+    """
+    keys = CONTROLLERS[variant].keys
+    for key, value in values.items():
+        spec = keys[key]
+        ok = value in spec.choices if spec.choices else spec.bound(value)
+        if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+            raise ValueError(f"{key}: unknown {key} {value!r}" if spec.choices else f"{key}: {spec.message}")
 
 
 @dataclass(frozen=True)
@@ -56,10 +67,9 @@ class StepContext:
     def __post_init__(self):
         if not 0 <= self.index < self.total_steps:
             raise ValueError(f"step index {self.index} outside [0, {self.total_steps})")
-        if not self.dtau > 0.0:  # each bound is written so that NaN fails it
+        if not self.dtau > 0.0:  # written so that NaN fails it
             raise ValueError("step size must be positive")
-        if not _holds(self.w >= 0.0):
-            raise ValueError("guidance scale must be nonnegative")
+        check_keys("cfg", {"w": self.w})  # every law's gain w meets the key _W, as cfg's does
 
 
 @dataclass(frozen=True)
@@ -78,12 +88,7 @@ class SlidingState:
     s: np.ndarray | None = None
 
     def __post_init__(self):
-        if not _holds(self.lam > 0.0):
-            raise ValueError("surface slope lambda must be positive")
-        if not _holds(self.k >= 0.0):
-            raise ValueError("switching gain k must be nonnegative")
-        if not self.boundary_layer >= 0.0:
-            raise ValueError("boundary layer width must be nonnegative")
+        check_keys("smc", {"lambda": self.lam, "k": self.k, "boundary_layer": self.boundary_layer})
 
 
 @dataclass(frozen=True)
@@ -92,7 +97,7 @@ class ControlLaw:
 
     It holds no state: whoever steps it carries the state, from :meth:`initial_state` on.
     A field that breaks its variant's config key in :data:`CONTROLLERS` raises
-    a ValueError naming the key, so a built law never raises in a step.
+    the ValueError of :func:`check_keys` naming the key, so a built law never raises in a step.
     """
 
     variant: str
@@ -112,12 +117,8 @@ class ControlLaw:
     def __post_init__(self):
         if self.variant not in CONTROLLERS:
             raise ValueError(f"unknown controller variant {self.variant!r}")
-        for key, spec in CONTROLLERS[self.variant].keys.items():
-            value = getattr(self, spec.field)
-            if spec.choices and value not in spec.choices:
-                raise ValueError(f"{key}: unknown {key} {value!r}")
-            if not _holds(spec.bound(value)):
-                raise ValueError(f"{key}: {spec.message}")
+        keys = CONTROLLERS[self.variant].keys
+        check_keys(self.variant, {key: getattr(self, spec.field) for key, spec in keys.items()})
 
     def initial_state(self) -> SlidingState | None:
         """The state before the first step: a fresh SlidingState for smc, None for every other law."""
@@ -146,15 +147,9 @@ def weight_schedule(ctx: StepContext, shape: str, w_max: float) -> float:
     ``shape`` is "linear" or "cosine"; both are monotonically non-decreasing
     in the step index.
     """
-    if not w_max >= 1.0:
-        raise ValueError(f"w_max = {w_max} must be at least 1")
+    check_keys("weight_schedule", {"w_max": w_max, "shape": shape})
     frac = ctx.index / (ctx.total_steps - 1) if ctx.total_steps > 1 else 1.0
-    if shape == "linear":
-        ramp = frac
-    elif shape == "cosine":
-        ramp = 0.5 * (1.0 - np.cos(np.pi * frac))
-    else:
-        raise ValueError(f"unknown schedule shape {shape!r}")
+    ramp = frac if shape == "linear" else 0.5 * (1.0 - np.cos(np.pi * frac))
     return 1.0 + (w_max - 1.0) * float(ramp)
 
 
@@ -180,8 +175,7 @@ def apg_combine(v_c: np.ndarray, v_u: np.ndarray, w: float, eta: float) -> np.nd
     a row of a batch comes out NaN so that the sampler flags only that row.
     """
     v_c, v_u = _operands(v_c, v_u)
-    if not eta <= 1.0:
-        raise ValueError(f"eta = {eta} must be <= 1")
+    check_keys("apg", {"eta": eta})
     work = v_c * v_c
     norm_sq = _nan_where_zero(row_sum(work)[..., None], "conditional velocity is zero; projection undefined")
     out = v_c - v_u  # dv, then dv_perp, then the guided velocity
@@ -272,7 +266,7 @@ def smc_step(
     np.multiply(-state.k, delta_e, out=delta_e)
     v_hat = e + delta_e  # e_corrected
     np.add(v_u, np.multiply(ctx.w, v_hat, out=v_hat), out=v_hat)
-    new_state = replace(state, e_prev=e, s=s)
+    new_state = SlidingState(state.lam, state.k, state.boundary_layer, e, s)  # cheaper than dataclasses.replace
     return v_hat, new_state, {"s": s, "delta_e": delta_e}
 
 

@@ -98,7 +98,12 @@ _REACH_FRACTION = 0.05  # the share of its initial gap norm a row reaches in mea
 
 
 def quality_report(result: RunResult, system: FlowSystem, cond: str) -> QualityReport:
-    """Quality proxies of a batch's final samples against the target condition; ValueError if too few survived."""
+    """Quality proxies of a batch's final samples against the target condition.
+
+    ValueError if too few samples survived, or if the target's covariance or
+    a proxy is not finite, as when a term overflows; a far component's
+    density may underflow to 0.
+    """
     finals = result.finals
     if not len(finals):
         raise ValueError("every trajectory diverged")
@@ -107,22 +112,29 @@ def quality_report(result: RunResult, system: FlowSystem, cond: str) -> QualityR
             f"need at least {system.dim + 1} non-divergent samples, got {finals.shape[0]}"
         )
     fit = fit_gaussian(finals)
-    target_mean, target_cov = system.mixture_moments(cond)
+    with np.errstate(all="ignore"):  # a value past the floats is refused below
+        target_mean, target_cov = system.mixture_moments(cond)
+        if not np.isfinite(target_cov).all():
+            raise ValueError(f"the covariance of condition {cond!r} is not finite")
 
-    w2 = w2_gaussian(fit.mean, fit.cov, target_mean, target_cov)
+        w2 = w2_gaussian(fit.mean, fit.cov, target_mean, target_cov)
 
-    resp = data_responsibilities(system, finals)
-    idx = system.component_indices(cond)
-    alignment = float(resp[:, idx].sum(axis=1).mean())
+        resp = data_responsibilities(system, finals)
+        idx = system.component_indices(cond)
+        alignment = float(resp[:, idx].sum(axis=1).mean())
 
-    distances = mahalanobis(finals, target_mean, target_cov)
-    oversaturation = float(distances.mean() - chi_mean(system.dim))
+        distances = mahalanobis(finals, target_mean, target_cov)
+        oversaturation = float(distances.mean() - chi_mean(system.dim))
 
-    # final-over-initial gap-norm ratio, averaged over the guided rows
-    e = result.e_norm
-    guided = e[:, 0] > _E_FLOOR
-    decay = float(np.mean(e[guided, -1] / e[guided, 0])) if guided.any() else None
+        # final-over-initial gap-norm ratio, averaged over the guided rows
+        e = result.e_norm
+        guided = e[:, 0] > _E_FLOOR
+        decay = float(np.mean(e[guided, -1] / e[guided, 0])) if guided.any() else None
 
+    for name, value in (("w2", w2), ("alignment", alignment), ("oversaturation", oversaturation),
+                        ("e_decay_ratio", decay)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"the report's {name} is not finite")
     return QualityReport(
         w2=w2,
         alignment=alignment,

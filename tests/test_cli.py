@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from cfgctrl import cli, control_lab
 from cfgctrl.cli import _csv, main
-from cfgctrl.config import ConfigError
+from cfgctrl.config import ConfigError, config_from_dict
+from cfgctrl.guidance import CONTROLLERS
 
 from conftest import REFERENCE_CONFIG
 
@@ -142,6 +143,38 @@ class TestRun:
         assert run_cli("compare", "--config", cfg, "--controllers", "cfg,smc,rectified_cfgpp", "--out", out) == 0
         rows = json.loads(next(out.glob("compare_*_report.json")).read_text())["rows"]
         assert [row["status"] for row in rows] == ["failed: every trajectory diverged"] * 3
+
+    # systems whose report once warned of an overflow: each value is finite, or the run exits 3 naming one that is not
+    FAR_REPORTS = {
+        "far_component": ({"1.mean": [1e200, 0.0]}, None),  # its density at the samples underflows to 0
+        "tiny_variance": ({"0.cov": {"diag": [5e-324, 5e-324]}}, "the report's oversaturation is not finite"),
+        "rounded_variance": ({"0.cov": {"full_lower": [[1e-300], [5e-51, 1e200]]}},
+                             "the report's alignment is not finite"),
+        "wide_target": ({"0.weight": 1.0 - 1e-6, "1.weight": 1e-6, "0.cov": {"diag": [1e8, 1e8]},
+                         "1.mean": [1.3e154, 0.0], "conditions": {"right": [0, 1], "left": [1]}},
+                        "the report's w2 is not finite"),
+        "target_moments": ({"0.weight": 1.0 - 1e-6, "1.weight": 1e-6, "1.mean": [1e160, 0.0],
+                            "conditions": {"right": [0, 1], "left": [1]}},
+                           "the covariance of condition 'right' is not finite"),
+    }
+
+    @pytest.mark.parametrize("edits, message", FAR_REPORTS.values(), ids=FAR_REPORTS)
+    def test_report_past_the_floats_exits_3(self, tmp_path, capsys, edits, message):
+        system = json.loads(REFERENCE_CONFIG.read_text())["system"]
+        for key, value in edits.items():
+            i, _, field = key.partition(".")
+            if field:
+                system["components"][int(i)][field] = value
+            else:
+                system[key] = value
+        cfg = reference_config(tmp_path, controller={"type": "cfg", "w": 5.0}, system=system)
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", cfg, "--out", out) == (0 if message is None else 3)
+        err = capsys.readouterr().err
+        if message is None:
+            assert err == "" and out.exists()
+        else:
+            assert re.fullmatch(rf"run [0-9a-f]{{12}}: {re.escape(message)}\n", err) and not out.exists()
 
     @pytest.mark.parametrize("clamp", [6e-17, 1e-17, 1e-300])
     def test_heun_reaching_tau_1_exits_2(self, tmp_path, capsys, clamp):
@@ -274,7 +307,7 @@ class TestSweep:
         cfg.write_text(json.dumps(raw))
         out = tmp_path / "out"
         assert run_cli(command[0], "--config", cfg, *command[1:], "--out", out) == 2
-        assert capsys.readouterr().err == "config error: system.components[1].cov.full_lower: must be positive definite\n"
+        assert capsys.readouterr().err == "config error: system.components[1].cov: must be positive definite\n"
         assert not out.exists()
 
 
@@ -311,6 +344,24 @@ def test_flow_system_is_built_once(tmp_path, monkeypatch, command):
     argv = {"run": ["run"], "compare": ["compare", "--controllers", ALL_SIX], "sweep": ["sweep"]}[command]
     assert run_cli(*argv, "--config", cfg, "--out", tmp_path / "o") == 0
     assert len(calls) == 1  # in the sampler; the report reads RunResult.system
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+def test_each_block_builds_its_object_once(tmp_path, monkeypatch, command):
+    from cfgctrl.flow_systems import FlowSystem
+    from cfgctrl.guidance import ControlLaw
+
+    built = []
+    for cls, method in ((FlowSystem, "__init__"), (ControlLaw, "__post_init__")):
+        real = getattr(cls, method)
+        monkeypatch.setattr(cls, method, lambda self, *a, real=real, **kw: built.append(type(self)) or real(self, *a, **kw))
+    cfg = small_config(tmp_path, sweep={"parameter": "w", "values": [1.0, 2.0, 5.0]})
+    argv = {"run": ["run"], "compare": ["compare", "--controllers", ALL_SIX], "sweep": ["sweep"]}[command]
+    assert run_cli(*argv, "--config", cfg, "--out", tmp_path / "o") == 0
+    # the config's system, then a law per controller block: the config's, each other compared type's, each swept
+    # value's; a sweep's laws step as one more, its gain a per-row column
+    laws = {"run": 1, "compare": 6, "sweep": 1 + 3 + 1}[command]
+    assert built == [FlowSystem] + [ControlLaw] * laws
 
 
 def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys, monkeypatch):
@@ -793,6 +844,79 @@ def test_synth_flags_are_refused_as_the_testbed_built_in_code_refuses_them(argv)
         assert flag in refused
         if flag != "s0":  # the flag is the vector's first entry
             assert refused[flag] == f"{'k' if flag == 'k-values' else flag}: {message}"
+
+
+# Values each key of the reference config accepts, out to the edges of the floats
+MEANS = st.sampled_from([0.0, 3.0, -3.0, 1e-300, 1e100, 1.3e154, 1e200, -1e200, 1.7e308, -1.7e308])
+VARIANCES = st.sampled_from([5e-324, 1e-300, 1e-10, 1.0, 1e8, 1e200, 1.7e308])
+GAINS = st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1.0, 5.0, 1e10, 1e300, -1.0, -1e300])
+COMPONENT = ("system", "components")
+
+
+@st.composite
+def run_edits(draw):
+    """Edits of one to four sites of the reference config, each to a value its key accepts."""
+    edits = []
+    for site in draw(st.lists(st.sampled_from(["mean", "cov", "weights", "conditions", "target", "controller",
+                                               "sampler"]), min_size=1, max_size=4, unique=True)):
+        c = draw(st.sampled_from([0, 1]))
+        if site == "mean":
+            edits.append((COMPONENT + (c, "mean"), [draw(MEANS), draw(MEANS)]))
+        elif site == "cov":
+            a, b = draw(VARIANCES), draw(VARIANCES)
+            cov = {"diag": [a, b]} if draw(st.booleans()) else {"full_lower": [[a], [0.5 * a**0.5 * b**0.5, b]]}
+            edits.append((COMPONENT + (c, "cov"), cov))
+        elif site == "weights":
+            w = draw(st.sampled_from([0.25, 1e-6, 1e-300]))
+            edits += [(COMPONENT + (c, "weight"), w), (COMPONENT + (1 - c, "weight"), 1.0 - w)]
+        elif site == "conditions":
+            edits.append((("system", "conditions"), {"right": [0, 1][: c + 1], "left": [1]}))
+        elif site == "target":
+            edits.append((("system", "target"), "left"))
+        elif site == "controller":
+            kind = draw(st.sampled_from(sorted(CONTROLLERS)))
+            block = {"type": kind}
+            for key, spec in CONTROLLERS[kind].keys.items():
+                if spec.required or draw(st.booleans()):
+                    block[key] = draw(st.sampled_from(spec.choices) if spec.choices else GAINS.filter(spec.bound))
+            edits.append((("controller",), block))
+        else:
+            edits.append((("sampler",), {"scheme": draw(st.sampled_from(["euler", "heun"])),
+                                         "steps": draw(st.sampled_from([2, 3, 64])),
+                                         "trajectories": draw(st.sampled_from([1, 3, 50])),
+                                         "seed": draw(st.integers(0, 2**64 - 1)),
+                                         "record_x": draw(st.booleans()),
+                                         "tau_clamp": draw(st.sampled_from([1e-300, 1e-4, 0.49]))}))
+    return edits
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(run_edits())
+@example([(COMPONENT + (1, "mean"), [1e200, 0.0]), (("controller",), {"type": "cfg", "w": 5.0})])
+@example([(COMPONENT + (0, "cov"), {"diag": [5e-324, 5e-324]}), (("controller",), {"type": "cfg", "w": 5.0})])
+@example([(COMPONENT + (0, "cov"), {"full_lower": [[1e-300], [5e-51, 1e200]]})])  # eigh rounds a variance to 0
+@example([(COMPONENT + (0, "weight"), 1.0 - 1e-6), (COMPONENT + (1, "weight"), 1e-6),
+          (COMPONENT + (0, "cov"), {"diag": [1e8, 1e8]}), (COMPONENT + (1, "mean"), [1.3e154, 0.0]),
+          (("system", "conditions"), {"right": [0, 1], "left": [1]})])
+def test_run_on_any_accepted_config_finishes_or_exits_2_or_3(edits):
+    """``run`` exits 2 exactly when the config is refused, else 0 or 3; it raises nothing and warns nothing."""
+    raw = json.loads(REFERENCE_CONFIG.read_text())
+    for path, value in edits:
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    try:
+        config_from_dict(raw)
+        refused = False
+    except ConfigError:
+        refused = True
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(raw))
+        code = main(["run", "--config", str(config), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3) and (code == 2) == refused, (code, err.getvalue())
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -30,7 +30,7 @@ from cfgctrl.config import (
     with_controller_value,
     with_seed,
 )
-from cfgctrl.guidance import CONTROLLERS
+from cfgctrl.guidance import CONTROLLERS, ControlLaw
 
 from conftest import REFERENCE_CONFIG, REPO_ROOT
 
@@ -210,7 +210,7 @@ class TestParsing:
     def test_non_spd_covariance_rejected(self):
         raw = minimal_dict()
         raw["system"]["components"][0]["cov"] = {"full_lower": [[1.0], [5.0, 1.0]]}
-        with pytest.raises(ConfigError, match=r"^system\.components\[0\]\.cov\.full_lower: must be positive definite$"):
+        with pytest.raises(ConfigError, match=r"^system\.components\[0\]\.cov: must be positive definite$"):
             config_from_dict(raw)
 
 
@@ -355,6 +355,15 @@ def parse_or_refuse(make):
         return f"refused: {exc}"
 
 
+# a refusal's field: a block (or the whole config), then any .key or [i] parts
+FIELD_PATH = re.compile(r"refused: (config|system|controller|sampler|sweep|output)(\.\w+|\[\d+\])*: ")
+
+
+def assert_names_a_field(*outcomes):
+    for outcome in outcomes:
+        assert not isinstance(outcome, str) or FIELD_PATH.match(outcome), outcome
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(mutated_blocks())
 @example({"type": "cfg", "w": True})
@@ -364,6 +373,7 @@ def test_parsed_and_built_controller_specs_agree(block):
     parsed = parse_or_refuse(lambda: config_from_dict(minimal_dict(**block)).controller)
     built = parse_or_refuse(lambda: ControllerSpec(*split_block(block)))
     assert repr(parsed) == repr(built)  # a spec's repr shows 5 and 5.0 apart
+    assert_names_a_field(parsed)
 
 
 class TestFingerprint:
@@ -455,11 +465,13 @@ BUILT_HOLES = {
     "weights_off_1": (lambda cfg: _with_component(cfg.system, weight=0.25),
                       "system.components: weights sum to 0.75, expected 1"),
     "negative_variance": (lambda cfg: _with_component(cfg.system, 1, cov_payload=(1.0, -1.0)),
-                          "system.components[1].cov.diag: variances must be positive"),
+                          "system.components[1].cov: must be positive definite"),
     "bad_index": (lambda cfg: replace(cfg.system, conditions={"right": (0,), "left": (2,)}),
                   "system.conditions.left: invalid component index 2"),
+    "negative_index": (lambda cfg: replace(cfg.system, conditions={"right": (0,), "left": (-1,)}),
+                       "system.conditions.left: invalid component index -1"),
     "non_pd_full_lower": (lambda cfg: _with_component(cfg.system, 1, cov_form="full_lower", cov_payload=((1.0,), (2.0, 1.0))),
-                          "system.components[1].cov.full_lower: must be positive definite"),
+                          "system.components[1].cov: must be positive definite"),
     "condition_named_none": (lambda cfg: replace(cfg.system, conditions={None: (0,), "right": (0,)}),
                              "system.conditions.None: a condition's name must be a string"),
     "numpy_dimension": (lambda cfg: replace(cfg.system, dimension=np.int64(2)), "system.dimension: must be an integer"),
@@ -498,6 +510,21 @@ NOT_A_SPEC = {
 def test_a_block_or_component_that_is_not_its_spec_is_refused(reference_config, make, message):
     with _refused(message):
         make(reference_config)
+
+
+def test_spec_keeps_the_object_it_built(reference_config):
+    # build_system and build_control_law hand back what the spec built at parse, and a replaced spec builds anew
+    system, controller = reference_config.system, reference_config.controller
+    assert build_system(system) is system.flow and build_control_law(controller) is controller.law
+    assert controller.law == ControlLaw("smc", w=5.0, lam=6.0, k=0.1, boundary_layer=0.0)
+    assert dict(system.flow.conditions) == {"right": (0,), "left": (1,)}
+    assert system.conditions is system.flow.conditions
+    assert replace(system, target="left").flow is not system.flow
+    with pytest.raises(FrozenInstanceError):
+        system.flow = None
+    with pytest.raises(FrozenInstanceError):
+        controller.law = ControlLaw("cfg")
+    assert "flow" not in {f.name for f in fields(SystemSpec)} and "law" not in {f.name for f in fields(ControllerSpec)}
 
 
 def test_built_system_stores_floats(reference_config):
@@ -653,7 +680,9 @@ def test_parsed_and_built_configs_agree(raw):
         built = parse_or_refuse(lambda: specs_in_code(raw))
     except NotInCode:  # a shape only the parser sees
         assert isinstance(parsed, str)
+        assert_names_a_field(parsed)
         return
     assert repr(parsed) == repr(built)
+    assert_names_a_field(parsed)
     if not isinstance(parsed, str):
         build_system(parsed.system)  # every accepted system builds

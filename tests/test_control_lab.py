@@ -122,15 +122,17 @@ class TestSimulateSliding:
             simulate_sliding(dyn, 10)
         assert len(draws) == 1
 
-    @pytest.mark.parametrize("drift, checks", [("constant", 1), ("sinusoidal", 40), ("noise", 40)])
+    @pytest.mark.parametrize("drift, checks", [("constant", 1), ("sinusoidal", 1), ("noise", 40)])
     def test_drift_checked_once_per_realization(self, monkeypatch, drift, checks):
         calls = _count_calls(monkeypatch, "_check_drift")
         simulate_sliding(dynamics(drift=drift), 40)
-        assert len(calls) == checks  # a constant drift has one realization
+        assert len(calls) == checks  # a constant drift has one realization, which bounds every sinusoidal one
 
     @pytest.mark.parametrize("drift", DRIFT_KINDS)
     def test_drift_over_bound_raises(self, monkeypatch, drift):
+        # every realization over the bound, and the peak delta * u on which a sinusoidal drift is checked
         monkeypatch.setattr(control_lab, "_make_drift", lambda dyn, rng: lambda step: np.full(dyn.dim, dyn.delta))
+        monkeypatch.setattr(control_lab, "_unit_direction", np.ones)
         with pytest.raises(RuntimeError, match="drift exceeded"):
             simulate_sliding(dynamics(dim=2, s0=np.ones(2), drift=drift), 10)
 
@@ -226,6 +228,15 @@ TESTBED_HOLES = {
     "ragged_s0": (lambda: dynamics(dim=2, s0=[[1.0], [1.0, 2.0]]),
                   "s0: must be a finite vector of shape (2,), not all zero"),
     "dict_s0": (lambda: dynamics(s0={"a": 1}), "s0: must be a finite vector of shape (1,), not all zero"),
+    # entries that numpy would convert: each is refused as RULES refuses w="5" or w=True
+    "str_entries_s0": (lambda: dynamics(dim=2, s0=["1", "2"]), "s0: must be a finite vector of shape (2,), not all zero"),
+    "str_entry_s0": (lambda: dynamics(dim=2, s0=["1e3", 0]), "s0: must be a finite vector of shape (2,), not all zero"),
+    "bool_entries_s0": (lambda: dynamics(dim=2, s0=[True, False]),
+                        "s0: must be a finite vector of shape (2,), not all zero"),
+    "bool_array_s0": (lambda: dynamics(dim=2, s0=np.array([True, False])),
+                      "s0: must be a finite vector of shape (2,), not all zero"),
+    "huge_int_s0": (lambda: dynamics(s0=[10**400]), "s0: must be a finite vector of shape (1,), not all zero"),
+    "set_s0": (lambda: dynamics(dim=2, s0={1.0, 2.0}), "s0: must be a finite vector of shape (2,), not all zero"),
     "str_corridor_k": (lambda: corridor_sweep(dynamics(), ["abc"], 1), "k: must be a number, got 'abc'"),
     "none_corridor_k": (lambda: corridor_sweep(dynamics(), [None], 1), "k: must be a number, got None"),
     "bool_corridor_k": (lambda: corridor_sweep(dynamics(), [True], 1), "k: must be a number, got True"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -487,14 +489,32 @@ class TestConstruction:
             FlowSystem(comps)
 
     def test_empty_condition_rejected(self):
-        with pytest.raises(ValueError, match="selects no components"):
+        with pytest.raises(ValueError, match="^conditions.bad: must be a nonempty list of component indices$"):
             FlowSystem([GaussComponent(1.0, np.zeros(2), np.eye(2))], {"bad": []})
 
     def test_condition_named_none_rejected(self, reference_system):
         # None selects the whole mixture: a condition of that name would replace its subset
         comps = [reference_system.component(k) for k in range(2)]
-        with pytest.raises(ValueError, match="^condition name None is not a string$"):
+        with pytest.raises(ValueError, match="^conditions.None: a condition's name must be a string$"):
             FlowSystem(comps, {None: [0], "left": [1]})
+
+    @pytest.mark.parametrize("components, conditions, message", [
+        ([], None, "components: must be a nonempty list"),
+        ([(0.5, 1.0), (0.0, 1.0)], None, "components[1].weight: must lie in (0, 1]"),
+        ([(0.5, 1.0), (0.25, 1.0)], None, "components: weights sum to 0.75, expected 1"),
+        ([(0.5, 1.0), (0.5, -1.0)], None, "components[1].cov: must be positive definite"),
+        ([(0.5, 1.0), (0.5, 1.0)], {None: [0]}, "conditions.None: a condition's name must be a string"),
+        ([(0.5, 1.0), (0.5, 1.0)], {"left": []}, "conditions.left: must be a nonempty list of component indices"),
+        ([(0.5, 1.0), (0.5, 1.0)], {"left": [2]}, "conditions.left: invalid component index 2"),
+        ([(0.5, 1.0), (0.5, 1.0)], {"left": [-1]}, "conditions.left: invalid component index -1"),
+        ([(0.5, 1.0), (0.5, 1.0)], {"left": [1, 1]}, "conditions.left: repeats a component index"),
+    ], ids=["no_component", "weight_0", "weights_sum", "not_spd", "name_none", "empty_subset", "index_2", "index_-1",
+            "repeat"])
+    def test_refusal_names_the_field(self, components, conditions, message):
+        # each (weight, variance) pair is a component at the origin with covariance variance * I
+        comps = [GaussComponent(w, np.zeros(2), var * np.eye(2)) for w, var in components]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FlowSystem(comps, conditions)
 
     def test_non_spd_cov_rejected(self):
         with pytest.raises(np.linalg.LinAlgError):
