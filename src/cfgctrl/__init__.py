@@ -2,8 +2,10 @@
 
 Each public name is imported from its submodule the first time it is read
 (PEP 562). A library process that samples never imports the testbed, and one
-that only loads a config and probes the field imports config, flow_systems,
-guidance and numerics; the CLI imports every module.
+that only loads a config and probes the field imports checks, config,
+flow_systems, guidance and numerics. The CLI's synth command loads only the
+testbed (checks, control_lab, numerics) and svgplot; run, sweep and compare
+also import the config parser, the sampler and the metrics when they run.
 """
 
 import importlib
@@ -12,6 +14,7 @@ __version__ = "0.1.0"
 
 # each submodule and the public names it defines; a submodule is itself an attribute of the package
 _SUBMODULES = {
+    "checks": (),
     "cli": (),
     "config": ("ConfigError", "ExperimentConfig", "SamplerSpec", "build_control_law", "build_system", "load_config"),
     "control_lab": ("ConvergenceReport", "CorridorRow", "PerturbedDynamics", "corridor_sweep", "simulate_sliding",

@@ -13,6 +13,11 @@ and ``sweep`` share one table path: a batch that cannot be reported on is a
 ``failed: <reason>`` row, the other rows finish, and the command exits 0.
 ``compare`` steps one law per row; ``sweep`` steps one law for all its
 values, the swept gain a per-row column.
+
+``synth`` loads only the testbed and the charts: this module imports
+``control_lab``, ``svgplot`` and the scalar checks, and ``run``, ``sweep``
+and ``compare`` import the config parser, the control laws, the sampler and
+the metrics when they run.
 """
 
 from __future__ import annotations
@@ -24,14 +29,39 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import config as cfgmod
-from . import control_lab, metrics, svgplot
-from .config import ConfigError, ControllerSpec, ExperimentConfig
-from .guidance import CONTROLLERS
-from .sampler import RunResult, run_batch, run_batches, run_sweep, traces_to_csv, traces_to_json
+from . import control_lab, svgplot
+from .checks import ConfigError, check_seed
+
+if TYPE_CHECKING:
+    from .config import ControllerSpec, ExperimentConfig
+    from .sampler import RunResult
+
+
+# The benchmark's tracer (bench/spans.py) wraps these three names of this module, so they stay module-level
+# functions that import the sampler when called. run_batch calls run_batches, as sampler.run_batch does: the
+# tracer counts sampler.run_batch under the same span, so a call through it would count each batch twice.
+def run_batch(cfg: ExperimentConfig) -> RunResult:
+    """The batch of the config's own controller."""
+    from .sampler import run_batches
+
+    (result,) = run_batches(cfg, [cfg.controller])
+    return result
+
+
+def traces_to_csv(result: RunResult) -> str:
+    from . import sampler
+
+    return sampler.traces_to_csv(result)
+
+
+def traces_to_json(result: RunResult) -> str:
+    from . import sampler
+
+    return sampler.traces_to_json(result)
 
 
 def _write_text(files: dict[Path, str]) -> None:
@@ -65,21 +95,19 @@ def _check_out(out: str | None) -> None:
         raise ConfigError("--out: must be a nonempty string")
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
+def _setup(args) -> tuple[ExperimentConfig, str, Path]:
+    """The config with the command line's overrides, its fingerprint (the artifact tag) and the output directory."""
+    from . import config as cfgmod
+
+    cfg = cfgmod.load_config(args.config)
     if args.seed is not None:
-        cfg = cfgmod.with_seed(cfg, cfgmod.check_seed(args.seed, "--seed"))
+        cfg = cfgmod.with_seed(cfg, check_seed(args.seed, "--seed"))
     _check_out(args.out)
     if args.out is not None:
         cfg = replace(cfg, output=replace(cfg.output, directory=args.out))
     if args.format is not None:
         formats = cfgmod.check_formats([f.strip() for f in args.format.split(",") if f.strip()], "--format")
         cfg = replace(cfg, output=replace(cfg.output, formats=formats))
-    return cfg
-
-
-def _setup(args) -> tuple[ExperimentConfig, str, Path]:
-    """The config with the command line's overrides, its fingerprint (the artifact tag) and the output directory."""
-    cfg = _apply_overrides(cfgmod.load_config(args.config), args)
     return cfg, cfgmod.fingerprint(cfg), Path(cfg.output.directory)
 
 
@@ -88,6 +116,9 @@ def _mean_gap_curve(result: RunResult) -> tuple[list, list]:
 
 
 def cmd_run(args) -> int:
+    from . import metrics
+    from .config import build_control_law
+
     cfg, tag, out = _setup(args)
     result = run_batch(cfg)
     try:
@@ -108,7 +139,7 @@ def cmd_run(args) -> int:
             [("mean |e|", steps, curve)], "gap norm per step", "step", "|e|"
         )
         pts = metrics.phase_plane(result)
-        law = cfgmod.build_control_law(cfg.controller)
+        law = build_control_law(cfg.controller)
         ref = None if result.s_norm is None else (f"slope -{law.lam:g}", -law.lam)
         files[out / f"run_{tag}_phase.svg"] = svgplot.scatter_chart(
             [("traces", pts[:, 0].tolist(), pts[:, 1].tolist())],
@@ -156,6 +187,8 @@ def _table_csv(key: str, rows: list[dict], first=str) -> str:
 
 def _row(result: RunResult, target: str) -> dict:
     """A batch's status and report cells; ``failed: <reason>`` if its report fails."""
+    from . import metrics
+
     try:
         report = metrics.quality_report(result, result.system, target)
     except ValueError as exc:
@@ -169,6 +202,8 @@ def _table(key: str, labels, results: list[RunResult], target: str) -> list[dict
 
 
 def cmd_sweep(args) -> int:
+    from .sampler import run_sweep
+
     cfg, tag, out = _setup(args)
     results = run_sweep(cfg)  # refuses a config without a sweep block
     rows = _table("value", cfg.sweep.values, results, cfg.system.target)
@@ -195,16 +230,21 @@ def cmd_sweep(args) -> int:
 
 def _compare_controller(name: str, base: ControllerSpec) -> ControllerSpec:
     """The base config's own block for its type; any other type gets only the base gain."""
+    from .config import ControllerSpec, build_control_law
+    from .guidance import CONTROLLERS
+
     if name == base.type:
         return base
     if name not in CONTROLLERS:
         raise ConfigError(f"--controllers: unknown controller type {name!r}")
-    w = cfgmod.build_control_law(base).w
+    w = build_control_law(base).w
     params = {"w": w} if "w" in CONTROLLERS[name].keys else {"w_max": max(w, 1.0)}
     return ControllerSpec(name, params)
 
 
 def cmd_compare(args) -> int:
+    from .sampler import run_batches
+
     cfg, tag, out = _setup(args)
     names = [n.strip() for n in args.controllers.split(",") if n.strip()]
     if len(names) < 2:
@@ -232,7 +272,7 @@ def cmd_compare(args) -> int:
 
 def _synth_k_values(args) -> list[float] | None:
     """Check every synth flag; returns the parsed --k-values of a corridor run."""
-    cfgmod.check_seed(args.seed, "--seed")
+    check_seed(args.seed, "--seed")
     _check_out(args.out)
     for name in control_lab.RULES:
         control_lab.check(name, getattr(args, name), "--" + name)

@@ -23,28 +23,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from collections.abc import Mapping
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from types import MappingProxyType
 
 import numpy as np
 
+from .checks import ConfigError, _as_int, _as_number, _expect, check_seed
 from .flow_systems import FlowSystem, GaussComponent
 from .guidance import CONTROLLERS, ControlLaw
 
 SWEEP_PARAMETERS = ("w", "lambda", "k")
 OUTPUT_FORMATS = ("csv", "json", "svg")
 SCHEMES = ("euler", "heun")
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration; message names the field."""
-
-
-def _expect(cond: bool, path: str, message: str) -> None:
-    if not cond:
-        raise ConfigError(f"{path}: {message}")
 
 
 def _require_keys(block: dict, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
@@ -54,27 +45,6 @@ def _require_keys(block: dict, path: str, required: tuple[str, ...], optional: t
     allowed = set(required) | set(optional)
     for key in block:
         _expect(key in allowed, f"{path}.{key}", "unknown key")
-
-
-def _as_number(value, path: str) -> float:
-    """A finite float; JSON booleans and json's NaN and Infinity tokens are refused."""
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool), path, "must be a number")
-    # NaN fails the comparison, and so do the infinities and ints past the float range
-    _expect(abs(value) <= sys.float_info.max, path, "must be a finite number")
-    return float(value)
-
-
-def _as_int(value, path: str, minimum: int | None = None) -> int:
-    """An integer no smaller than ``minimum``; JSON booleans are refused."""
-    _expect(isinstance(value, int) and not isinstance(value, bool), path, "must be an integer")
-    _expect(minimum is None or value >= minimum, path, f"must be at least {minimum}")
-    return value
-
-
-def check_seed(value, path: str) -> int:
-    """A seed in [0, 2**64): the random streams key on the seed mod 2**64, so any other would rerun one of those."""
-    _expect(0 <= _as_int(value, path) < 2**64, path, "must lie in [0, 2**64)")
-    return value
 
 
 @dataclass(frozen=True)

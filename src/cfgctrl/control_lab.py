@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ConfigError, _as_int, _as_number, _expect, check_seed
+from .checks import ConfigError, _as_int, _as_number, _expect, check_seed
 from .numerics import Rng, spectral_norm
 
 _BOUND_SLACK = 1e-9  # float tolerance when asserting realized disturbance bounds

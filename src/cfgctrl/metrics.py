@@ -86,11 +86,21 @@ def chi_mean(dim: int) -> float:
 
 
 def mahalanobis(samples: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Per-sample Mahalanobis distance to N(mean, cov)."""
+    """Per-sample Mahalanobis distance to N(mean, cov).
+
+    A finite row whose squares overflow is scaled by its largest entry first,
+    so its distance is inf only if the distance itself is past the floats.
+    """
     samples = np.asarray(samples, dtype=float)
     lower = np.linalg.cholesky(cov)
     z = np.linalg.solve(lower, (samples - mean).T).T
-    return np.linalg.norm(z, axis=1)
+    with np.errstate(over="ignore"):
+        distances = np.linalg.norm(z, axis=1)
+        rescale = np.isinf(distances) & np.isfinite(z).all(axis=1)
+        if rescale.any():
+            scale = np.abs(z[rescale]).max(axis=1, keepdims=True)
+            distances[rescale] = scale[:, 0] * np.linalg.norm(z[rescale] / scale, axis=1)
+    return distances
 
 
 _E_FLOOR = 1e-12  # an initial gap norm at or below this counts as unguided

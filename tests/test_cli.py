@@ -147,7 +147,7 @@ class TestRun:
     # systems whose report once warned of an overflow: each value is finite, or the run exits 3 naming one that is not
     FAR_REPORTS = {
         "far_component": ({"1.mean": [1e200, 0.0]}, None),  # its density at the samples underflows to 0
-        "tiny_variance": ({"0.cov": {"diag": [5e-324, 5e-324]}}, "the report's oversaturation is not finite"),
+        "tiny_variance": ({"0.cov": {"diag": [5e-324, 5e-324]}}, None),  # distances near 1e160, whose squares overflow
         "rounded_variance": ({"0.cov": {"full_lower": [[1e-300], [5e-51, 1e200]]}},
                              "the report's alignment is not finite"),
         "wide_target": ({"0.weight": 1.0 - 1e-6, "1.weight": 1e-6, "0.cov": {"diag": [1e8, 1e8]},

@@ -8,6 +8,7 @@ from cfgctrl.metrics import (
     chi_mean,
     fit_gaussian,
     line_residual,
+    mahalanobis,
     mean_reach_step,
     phase_plane,
     quality_report,
@@ -227,6 +228,21 @@ class TestChiMean:
 
     def test_large_dimension_tends_to_sqrt_d(self):
         assert chi_mean(400) == pytest.approx(np.sqrt(400), rel=2e-3)
+
+
+class TestMahalanobis:
+    def test_a_row_whose_squares_overflow_keeps_a_finite_distance(self):
+        samples = np.array([[3.0, 4.0], [1e200, 1e200], [1.5e308, 1.5e308], [np.inf, 0.0], [0.5, -2.0]])
+        d = mahalanobis(samples, np.zeros(2), np.eye(2))
+        assert d[1] == 1e200 * np.sqrt(2.0)
+        assert np.isinf(d[2])  # the distance itself is past the floats
+        assert not np.isfinite(d[3])
+        rest = [0, 4]
+        assert d[rest].tobytes() == np.linalg.norm(samples[rest], axis=1).tobytes()
+
+    def test_the_least_variance_gives_distances_near_1e161(self):
+        d = mahalanobis(np.array([[1.0, 0.0], [0.0, -2.0]]), np.zeros(2), np.diag([5e-324, 5e-324]))
+        assert d == pytest.approx([1.0 / np.sqrt(5e-324), 2.0 / np.sqrt(5e-324)], rel=1e-15)
 
 
 class TestPhasePlane:

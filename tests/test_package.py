@@ -42,14 +42,57 @@ def test_a_config_load_and_system_build_load_only_their_modules():
         f"cfgctrl.build_system(cfgctrl.load_config({str(REFERENCE_CONFIG)!r}).system)\n"
         f"print(json.dumps({LOADED}))\n"
     )
-    want = ["cfgctrl.config", "cfgctrl.flow_systems", "cfgctrl.guidance", "cfgctrl.numerics"]
+    want = ["cfgctrl.checks", "cfgctrl.config", "cfgctrl.flow_systems", "cfgctrl.guidance", "cfgctrl.numerics"]
     assert fresh(code) == want
 
 
-def test_the_testbed_loads_the_config_module_whose_rules_it_shares():
+def test_the_testbed_loads_only_the_checks_and_numerics():
     code = "import json, sys\nfrom cfgctrl import control_lab\n" f"print(json.dumps({LOADED}))\n"
-    want = ["cfgctrl.config", "cfgctrl.control_lab", "cfgctrl.flow_systems", "cfgctrl.guidance", "cfgctrl.numerics"]
-    assert fresh(code) == want
+    assert fresh(code) == ["cfgctrl.checks", "cfgctrl.control_lab", "cfgctrl.numerics"]
+
+
+SAMPLING = ["cfgctrl.config", "cfgctrl.flow_systems", "cfgctrl.guidance", "cfgctrl.metrics", "cfgctrl.sampler"]
+
+
+def cli_modules(*argvs) -> list[str]:
+    """The cfgctrl modules a fresh interpreter holds after ``cli.main`` runs each argv, each exiting 0."""
+    code = (
+        "import json, sys\n"
+        "from cfgctrl import cli\n"
+        f"codes = [cli.main(argv) for argv in {[list(map(str, argv)) for argv in argvs]!r}]\n"
+        f"print(json.dumps([codes, {LOADED}]))\n"
+    )
+    codes, loaded = fresh(code)
+    assert codes == [0] * len(argvs)
+    return loaded
+
+
+def test_synth_loads_only_the_testbed(tmp_path):
+    single = ["synth", "--steps", "50", "--out", tmp_path / "single"]
+    corridor = ["synth", "--steps", "50", "--out", tmp_path / "corridor", "--corridor", "--k-values", "0.1,1"]
+    for argvs in ([single], [corridor]):
+        loaded = cli_modules(*argvs)
+        assert loaded == ["cfgctrl.checks", "cfgctrl.cli", "cfgctrl.control_lab", "cfgctrl.numerics",
+                          "cfgctrl.svgplot"]
+        assert not set(SAMPLING) & set(loaded)
+
+
+def test_run_loads_the_sampling_modules(tmp_path):
+    loaded = cli_modules(["run", "--config", REFERENCE_CONFIG, "--out", tmp_path])
+    assert set(SAMPLING) <= set(loaded)
+
+
+def test_the_config_error_is_one_class_under_the_same_39_names():
+    code = (
+        "import json, cfgctrl\n"
+        "from cfgctrl import checks, config, control_lab\n"
+        "same = [cfgctrl.ConfigError is config.ConfigError, config.ConfigError is checks.ConfigError,"
+        " control_lab.ConfigError is checks.ConfigError]\n"
+        "print(json.dumps([same, cfgctrl.__all__]))\n"
+    )
+    same, names = fresh(code)
+    assert same == [True, True, True]
+    assert names == sorted(n for ns in PUBLIC.values() for n in ns) and len(names) == 39
 
 
 def test_each_public_name_is_its_module_object():
