@@ -103,8 +103,15 @@ class TestRun:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "o").exists()
 
-    def test_missing_config_exits_2(self, tmp_path):
-        assert run_cli("run", "--config", tmp_path / "absent.json") == 2
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000,
+                                         b'{"sampler": {"steps": 1' + b"0" * 4999 + b"}}"],
+                             ids=["absent", "not_utf8", "nested_100k_deep", "steps_of_5000_digits"])
+    def test_missing_config_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "config.json"
+        if content is not None:
+            path.write_bytes(content)
+        assert run_cli("run", "--config", path) == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_divergent_only_batch_exits_3(self, tmp_path):
         cfg = small_config(tmp_path, **{"controller.w": 1e5, "controller.k": 1e3})
@@ -815,7 +822,7 @@ def refused_in_code(name: str, value) -> str | None:
     return None
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(synth_argvs())
 @example(["synth", "--s0", "-1e3"])  # argparse reads "-1e3" as an option; synth attaches it to --s0
 def test_synth_flags_are_refused_as_the_testbed_built_in_code_refuses_them(argv):
@@ -890,7 +897,7 @@ def run_edits(draw):
     return edits
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(run_edits())
 @example([(COMPONENT + (1, "mean"), [1e200, 0.0]), (("controller",), {"type": "cfg", "w": 5.0})])
 @example([(COMPONENT + (0, "cov"), {"diag": [5e-324, 5e-324]}), (("controller",), {"type": "cfg", "w": 5.0})])

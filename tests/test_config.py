@@ -364,7 +364,7 @@ def assert_names_a_field(*outcomes):
         assert not isinstance(outcome, str) or FIELD_PATH.match(outcome), outcome
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(mutated_blocks())
 @example({"type": "cfg", "w": True})
 @example({"type": "cfg", "w": 5})
@@ -658,7 +658,7 @@ def mutated_configs(draw):
 COMPONENT = ("system", "components")
 
 
-@settings(max_examples=400, derandomize=True, deadline=None)
+@settings(max_examples=400)
 @given(mutated_configs())
 @example(patched((("system", "dimension"), 3)))
 @example(patched((COMPONENT + (0, "mean"), [3, 0])))

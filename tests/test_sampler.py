@@ -23,7 +23,7 @@ from cfgctrl.config import (
 from cfgctrl.flow_systems import FlowSystem, GaussComponent, data_responsibilities
 from cfgctrl.guidance import ControlLaw
 from cfgctrl.metrics import fit_gaussian, quality_report, w2_gaussian
-from cfgctrl.numerics import Rng
+from cfgctrl.numerics import Rng, stream_normals
 from cfgctrl.sampler import (
     DivergenceError,
     RunResult,
@@ -36,7 +36,7 @@ from cfgctrl.sampler import (
     traces_to_json,
 )
 
-from conftest import REFERENCE_CONFIG
+from conftest import REFERENCE_CONFIG, assert_rows_are_their_reference_loops, reference_row
 
 
 def two_comp_config(controller, steps=64, trajectories=50, seed=501, scheme="euler", target="right"):
@@ -185,20 +185,10 @@ class TestRunBatch:
         def q(t):
             return t * t + (1.0 - t) ** 2
 
-        def integrate(scheme, steps, x0):
-            from cfgctrl.flow_systems import marginal_velocity
-
+        def integrate(scheme, steps, x0):  # the scheme the lockstep pass steps, as its reference loop states it
             integ = SamplerSpec(scheme, steps, tau_clamp=1e-4)
-            taus, dt = integ.tau_grid(), integ.dtau
-            x = x0.copy()
-            for t in taus:
-                v = marginal_velocity(system, x, float(t), "only")
-                if scheme == "euler":
-                    x = x + dt * v
-                else:
-                    v2 = marginal_velocity(system, x + dt * v, float(t + dt), "only")
-                    x = x + 0.5 * dt * (v + v2)
-            return x, float(taus[0]), float(taus[-1] + dt)
+            x = reference_row(system, ControlLaw("cfg", w=1.0), integ, "only", x0)["finals"]
+            return x, float(integ.tau_grid()[0]), float(integ.tau_grid()[-1] + integ.dtau)
 
         x0 = np.array([0.8, -0.3])
         for steps in (50, 100):
@@ -273,65 +263,41 @@ COMPARE_LAWS = (
     ControllerSpec("smc", {"w": 5.0, "lambda": 6.0, "k": 0.1}),
 )
 SMC = ControllerSpec("smc", {"w": 5.0, "lambda": 6.0, "k": 0.1, "boundary_layer": 0.05})
-LOCKSTEP_CASES = {
-    "compare": (None, None),
-    "sweep_w": ("w", (1.0, 2.0, 5.0, 10.0, 15.0)),
-    "sweep_lambda": ("lambda", (3.0, 4.0, 6.0)),
-    "sweep_k": ("k", (0.0, 0.4, 1.0)),
-}
+# the controller blocks of each lockstep case: the compare command's laws, and SMC at three switching gains
+LOCKSTEP_CASES = {"compare": COMPARE_LAWS, "sweep_k": [ControllerSpec("smc", {**SMC.params, "k": k}) for k in (0.0, 0.4, 1.0)]}
 
 
-def lockstep_configs(case, scheme, record_x=True, trajectories=7, steps=12):
-    base = two_comp_config(SMC, steps=steps, trajectories=trajectories, scheme=scheme)
-    base = replace(base, sampler=replace(base.sampler, record_x=record_x))
-    parameter, values = LOCKSTEP_CASES.get(case, (case, None))
-    if parameter is None:
-        return [replace(base, controller=law) for law in COMPARE_LAWS]
-    return [with_controller_value(base, parameter, v) for v in values]
+def lockstep(case, scheme, record_x=True, trajectories=7):
+    """The case's blocks in one ``run_batches`` pass of the two-component config, 12 steps."""
+    cfg = two_comp_config(SMC, steps=12, trajectories=trajectories, scheme=scheme)
+    return run_batches(replace(cfg, sampler=replace(cfg.sampler, record_x=record_x)), list(LOCKSTEP_CASES[case]))
 
 
-def assert_same_batch(got, want):
-    """Bit-equal results."""
-    assert (got.n_trajectories, got.divergences) == (want.n_trajectories, want.divergences)
-    assert [t.run_id for t in got.traces] == [t.run_id for t in want.traces]
-    for a, b in zip(got.traces, want.traces):
-        for name in ("tau", "e_norm", "vhat_norm", "x_final", "s_norm", "x_path", "s_path"):
-            x, y = getattr(a, name), getattr(b, name)
-            assert (x is None) == (y is None), name
-            if x is not None:
-                assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
-
-
-def lockstep(cfgs):
-    """``run_batches`` of the first config under every config's controller block; the configs differ only there."""
-    return run_batches(cfgs[0], [cfg.controller for cfg in cfgs])
-
-
-def separate_runs(cfgs):
-    return [run_batch(cfg) for cfg in cfgs]
+def assert_same_batch(got, want, ids=None):
+    """Bit-equal results in every column; with ``ids``, on those trajectories only, which both must lose alike."""
+    ids = range(got.n_trajectories) if ids is None else ids
+    assert got.n_trajectories == want.n_trajectories and got.tau.tobytes() == want.tau.tobytes()
+    assert {i: s for i, s in got.divergences.items() if i in ids} == {i: s for i, s in want.divergences.items() if i in ids}
+    got_rows, want_rows = np.isin(got.run_ids, ids), np.isin(want.run_ids, ids)
+    assert got.run_ids[got_rows].tolist() == want.run_ids[want_rows].tolist()
+    for name in ("e_norm", "vhat_norm", "finals", "s_norm", "x_path", "s_path"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert x.shape[1:] == y.shape[1:] and x[got_rows].tobytes() == y[want_rows].tobytes(), name
 
 
 class TestRunBatches:
-    @pytest.mark.parametrize("trajectories", [1, 7])
-    @pytest.mark.parametrize("record_x", [False, True])
-    @pytest.mark.parametrize("scheme", ["euler", "heun"])
-    @pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
-    def test_each_block_equals_its_separate_run(self, case, scheme, record_x, trajectories):
-        cfgs = lockstep_configs(case, scheme, record_x, trajectories)
-        results = lockstep(cfgs)
-        assert len(results) == len(cfgs)
-        for got, want in zip(results, separate_runs(cfgs)):
-            assert_same_batch(got, want)
-
     @pytest.mark.parametrize("scheme", ["euler", "heun"])
     @pytest.mark.parametrize("parameter, values", [("k", (0.1, 1e9, 0.4))], ids=["every_row_diverges"])
     def test_failed_block_leaves_the_others(self, scheme, parameter, values):
         base = two_comp_config(SMC, steps=12, trajectories=7, scheme=scheme)
         cfgs = [with_controller_value(base, parameter, v) for v in values]
-        results = lockstep(cfgs)
+        results = run_batches(base, [cfg.controller for cfg in cfgs])
         assert results[1].n_divergent == 7 and not results[1].traces
-        for got, expected in zip(results, separate_runs(cfgs)):
-            assert_same_batch(got, expected)
+        system, x0 = build_system(base.system), stream_normals(base.sampler.seed, 7, 2)
+        for got, cfg in zip(results, cfgs, strict=True):  # the loop of the divergent block leaves at its step
+            assert_rows_are_their_reference_loops(got, system, cfg.controller.law, cfg.sampler, "right", x0)
 
     def test_no_blocks_give_no_results(self):
         assert run_batches(two_comp_config(SMC, steps=12, trajectories=3), []) == []
@@ -479,31 +445,6 @@ def empty_batch(steps=5):
     return hand_batch([], SamplerSpec("euler", steps).tau_grid(), np.zeros((0, steps)), np.zeros((0, steps)), np.zeros((0, 2)))
 
 
-class TestJsonExport:
-    def test_matches_json_dumps_on_runs(self):
-        for controller in (ControllerSpec("cfg", {"w": 2.0}), SMC):
-            result = run_batch(two_comp_config(controller, trajectories=3, steps=5))
-            assert traces_to_json(result) == json_reference(result.traces)
-
-    @staticmethod
-    def check_non_finite(surface):
-        result = odd_batch(surface)
-        with np.errstate(over="ignore"):
-            expected = json_reference(result.traces)
-            assert traces_to_json(result) == expected
-        assert "NaN" in expected and "-Infinity" in expected and ("null" in expected) != surface
-
-    def test_matches_json_dumps_on_non_finite_values(self):
-        self.check_non_finite(surface=True)
-
-    def test_matches_json_dumps_on_non_finite_values_without_surface(self):
-        self.check_non_finite(surface=False)
-
-    def test_empty_batch(self):
-        result = empty_batch()
-        assert traces_to_json(result) == json_reference(result.traces) == "[]\n"
-
-
 def csv_reference(traces):
     """The CSV export as a per-row writer spells it: the repr of every value, blank cells for no surface."""
     lines = ["run_id,step,tau,e_norm,s_norm,lyapunov,vhat_norm"]
@@ -538,6 +479,7 @@ class TestExportCells:
             assert traces_to_csv(result) == want_csv
             assert traces_to_json(result) == want_json
         assert "nan" in want_csv and "-inf" in want_csv and "5e-324" in want_csv and "-0.0" in want_csv
+        assert "NaN" in want_json and "-Infinity" in want_json and ("null" in want_json) != surface
 
     def test_non_finite_and_subnormal_values(self):
         self.check_non_finite(surface=True)
@@ -548,7 +490,7 @@ class TestExportCells:
     def test_empty_batch(self):
         result = empty_batch()
         assert traces_to_csv(result) == csv_reference(result.traces) == "run_id,step,tau,e_norm,s_norm,lyapunov,vhat_norm\n"
-        assert traces_to_json(result) == "[]\n"
+        assert traces_to_json(result) == json_reference(result.traces) == "[]\n"
 
     def test_export_leaves_its_input_writable_and_unchanged(self):
         result = odd_batch(surface=True)
@@ -601,20 +543,20 @@ class TestDegenerateRows:
     @pytest.mark.parametrize("law, zeroed", [("apg", 0), ("cfg_zero_star", 1)])
     def test_bad_row_flagged_good_row_kept(self, monkeypatch, law, zeroed, scheme):
         cfg = two_comp_config(ControllerSpec(law, {"w": 5.0}), trajectories=2, steps=12, scheme=scheme)
-        solo = run_batch(replace(cfg, sampler=replace(cfg.sampler, trajectories=1)))
         monkeypatch.setattr(cfgctrl.sampler, "velocity_pair", zeroing_field(0.5, (zeroed,), 2))
         result = run_batch(cfg)
         integ = SamplerSpec(scheme, 12)
         first = integ.tau_grid() + (integ.dtau if scheme == "heun" else 0.0)  # latest field time of each step
         assert result.divergences == {1: int(np.argmax(first >= 0.5))}
-        assert [t.run_id for t in result.traces] == [0]
-        for name in ("tau", "e_norm", "vhat_norm", "x_final"):
-            assert getattr(result.traces[0], name).tobytes() == getattr(solo.traces[0], name).tobytes(), name
+        assert result.run_ids.tolist() == [0]
+        x0 = stream_normals(cfg.sampler.seed, 1, 2)[0]
+        want = reference_row(build_system(cfg.system), cfg.controller.law, cfg.sampler, "right", x0)
+        for name, column in want.items():
+            assert getattr(result, name)[0].tobytes() == column.tobytes(), name
 
     def test_compare_of_all_laws_finishes(self, monkeypatch):
         monkeypatch.setattr(cfgctrl.sampler, "velocity_pair", zeroing_field(0.5, (0, 1), 3))
-        cfgs = lockstep_configs("compare", "heun", trajectories=3)
-        results = lockstep(cfgs)
+        results = lockstep("compare", "heun", trajectories=3)
         assert [r.n_divergent for r in results] == [0, 0, 1, 1, 0, 0]
         assert all(list(r.divergences) in ([], [1]) for r in results)
 
@@ -628,7 +570,6 @@ class TestDegenerateRows:
     @pytest.mark.parametrize("scheme, step", [("euler", 32), ("heun", 31)])
     def test_blown_up_smc_row_leaves_the_other_rows(self, monkeypatch, reference_config, scheme, step):
         cfg = replace(reference_config, sampler=replace(reference_config.sampler, scheme=scheme, trajectories=10, record_x=True))
-        clean = run_batch(cfg)
         real = cfgctrl.sampler.velocity_pair
 
         def field(system, x, t, cond):  # trajectory 3's conditional velocity is 1e300 from tau = 0.5 on
@@ -639,12 +580,12 @@ class TestDegenerateRows:
 
         monkeypatch.setattr(cfgctrl.sampler, "velocity_pair", field)
         result = run_batch(cfg)
-        assert result.divergences == {3: step}
-        kept = [trace for trace in clean.traces if trace.run_id != 3]
-        assert [trace.run_id for trace in result.traces] == [trace.run_id for trace in kept]
-        for got, want in zip(result.traces, kept):
-            for name in ("tau", "e_norm", "s_norm", "vhat_norm", "x_final", "x_path", "s_path"):
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (got.run_id, name)
+        assert result.divergences == {3: step} and result.run_ids.tolist() == [0, 1, 2, 4, 5, 6, 7, 8, 9]
+        system, x0 = build_system(cfg.system), stream_normals(cfg.sampler.seed, 10, 2)
+        for row, run_id in enumerate(result.run_ids.tolist()):  # every other row is its reference loop
+            want = reference_row(system, cfg.controller.law, cfg.sampler, cfg.system.target, x0[run_id])
+            for name, column in want.items():
+                assert getattr(result, name)[row].tobytes() == column.tobytes(), (run_id, name)
 
     def test_single_vector_still_raises(self):
         with pytest.raises(ValueError, match="projection undefined"):
@@ -732,7 +673,7 @@ class TestColumns:
         # the lockstep state is kept in Fortran order; a mean over rows of a column keeps its bits only in C order
         if blown_up:
             monkeypatch.setattr(cfgctrl.sampler, "velocity_pair", blown_up_field({3: 0.5}))
-        results = lockstep(lockstep_configs("compare", "heun", record_x=record_x))
+        results = lockstep("compare", "heun", record_x=record_x)
         assert any(result.n_divergent for result in results) == blown_up
         for result in results:
             assert (result.x_path is not None) == record_x
@@ -742,7 +683,7 @@ class TestColumns:
 
     @pytest.mark.parametrize("case", ["compare", "sweep_k"])
     def test_lockstep_blocks_match_their_traces(self, case):
-        for result in lockstep(lockstep_configs(case, "heun")):
+        for result in lockstep(case, "heun"):
             assert_rows_match_traces(result)
 
     @pytest.mark.parametrize("unguided", ["every_row", "every_third_row"])
@@ -881,7 +822,7 @@ class TestMemory:
         # rectified_cfgpp's, whose own field calls see it too, 6 of their 7 rows
         if blown_up:
             monkeypatch.setattr(cfgctrl.sampler, "velocity_pair", blown_up_field({3: 0.5}))
-        results = lockstep(lockstep_configs("compare", "heun", record_x=record_x))
+        results = lockstep("compare", "heun", record_x=record_x)
         assert [result.n_divergent for result in results] == [blown_up, 0, 0, 0, blown_up, 0]
         for result in results:
             self.assert_owns_its_columns(result)
