@@ -38,7 +38,7 @@ from cfgctrl.numerics import stream_normals
 from cfgctrl.sampler import RunResult, _integrate_rows, run_batches, run_sweep
 
 from conftest import assert_rows_are_their_reference_loops
-from test_sampler import COMPARE_LAWS, assert_same_batch, zeroing_field
+from test_sampler import assert_same_batch, zeroing_field
 
 WIDTH_DEPENDENCE = (
     "with a full covariance a row's bits depend on how many rows share its lockstep pass: "
@@ -94,9 +94,6 @@ W5 = (ControllerSpec("cfg", {"w": 5.0}), ControllerSpec("weight_schedule", {"w_m
       ControllerSpec("apg", {"w": 5.0}), ControllerSpec("cfg_zero_star", {"w": 5.0}), ControllerSpec("smc", {"w": 5.0}))
 # three full-covariance components at d = 16, 16 Euler steps: row 6 alone and in a pass of five blocks get different bits
 D16_REPRO = Case(dim=16, trajectories=7, scheme="euler", steps=16, record_x=False, seed=0, blocks=W5, subset=(6,))
-# six blocks, wider than any drawn case
-COMPARE = Case(dim=2, trajectories=7, scheme="heun", steps=12, record_x=True, seed=501, blocks=COMPARE_LAWS,
-               subset=tuple(range(7)))
 
 
 def make_config(case: Case, covariance: str) -> ExperimentConfig:
@@ -118,7 +115,6 @@ def make_config(case: Case, covariance: str) -> ExperimentConfig:
 @pytest.mark.parametrize("covariance, rtol", ORACLE_BOUNDS)
 @PROPERTY
 @example(case=D16_REPRO)
-@example(case=COMPARE)
 @given(case=cases())
 def test_every_row_is_its_reference_loop(covariance, rtol, case):
     # one pass of every block from a subset of the start points: a single block, a one-law pass and a pass of

@@ -263,14 +263,30 @@ COMPARE_LAWS = (
     ControllerSpec("smc", {"w": 5.0, "lambda": 6.0, "k": 0.1}),
 )
 SMC = ControllerSpec("smc", {"w": 5.0, "lambda": 6.0, "k": 0.1, "boundary_layer": 0.05})
-# the controller blocks of each lockstep case: the compare command's laws, and SMC at three switching gains
-LOCKSTEP_CASES = {"compare": COMPARE_LAWS, "sweep_k": [ControllerSpec("smc", {**SMC.params, "k": k}) for k in (0.0, 0.4, 1.0)]}
+
+
+def smc_at(parameter, values):
+    return [ControllerSpec("smc", {**SMC.params, parameter: v}) for v in values]
+
+
+# the controller blocks of each lockstep case: the compare command's laws, and SMC at several values of one parameter
+LOCKSTEP_CASES = {
+    "compare": COMPARE_LAWS,
+    "sweep_w": smc_at("w", (1.0, 2.0, 5.0, 10.0, 15.0)),
+    "sweep_lambda": smc_at("lambda", (3.0, 4.0, 6.0)),
+    "sweep_k": smc_at("k", (0.0, 0.4, 1.0)),
+}
+
+
+def lockstep_config(scheme, record_x=True, trajectories=7):
+    """The two-component config, 12 steps, that the lockstep cases run under."""
+    cfg = two_comp_config(SMC, steps=12, trajectories=trajectories, scheme=scheme)
+    return replace(cfg, sampler=replace(cfg.sampler, record_x=record_x))
 
 
 def lockstep(case, scheme, record_x=True, trajectories=7):
-    """The case's blocks in one ``run_batches`` pass of the two-component config, 12 steps."""
-    cfg = two_comp_config(SMC, steps=12, trajectories=trajectories, scheme=scheme)
-    return run_batches(replace(cfg, sampler=replace(cfg.sampler, record_x=record_x)), list(LOCKSTEP_CASES[case]))
+    """The case's blocks in one ``run_batches`` pass of :func:`lockstep_config`."""
+    return run_batches(lockstep_config(scheme, record_x, trajectories), list(LOCKSTEP_CASES[case]))
 
 
 def assert_same_batch(got, want, ids=None):
@@ -288,10 +304,23 @@ def assert_same_batch(got, want, ids=None):
 
 
 class TestRunBatches:
+    @pytest.mark.parametrize("trajectories", [1, 7])
+    @pytest.mark.parametrize("record_x", [False, True])
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    @pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
+    def test_each_block_equals_its_separate_run(self, case, scheme, record_x, trajectories):
+        # a row's separate run is its reference loop; a pass of six blocks is wider than any the property draws
+        cfg = lockstep_config(scheme, record_x, trajectories)
+        results = run_batches(cfg, list(LOCKSTEP_CASES[case]))
+        system, x0 = build_system(cfg.system), stream_normals(cfg.sampler.seed, trajectories, 2)
+        for result, spec in zip(results, LOCKSTEP_CASES[case], strict=True):
+            assert_rows_are_their_reference_loops(result, system, spec.law, cfg.sampler, cfg.system.target, x0)
+
+    @pytest.mark.parametrize("record_x", [False, True])
     @pytest.mark.parametrize("scheme", ["euler", "heun"])
     @pytest.mark.parametrize("parameter, values", [("k", (0.1, 1e9, 0.4))], ids=["every_row_diverges"])
-    def test_failed_block_leaves_the_others(self, scheme, parameter, values):
-        base = two_comp_config(SMC, steps=12, trajectories=7, scheme=scheme)
+    def test_failed_block_leaves_the_others(self, scheme, parameter, values, record_x):
+        base = lockstep_config(scheme, record_x)
         cfgs = [with_controller_value(base, parameter, v) for v in values]
         results = run_batches(base, [cfg.controller for cfg in cfgs])
         assert results[1].n_divergent == 7 and not results[1].traces
