@@ -34,6 +34,13 @@ def _as_int(value, path: str, minimum: int | None = None) -> int:
     return value
 
 
+def check_directory(value, path: str) -> str:
+    """An output directory: a nonempty string (``Path("")`` is ``.``) with no NUL character, which no path holds."""
+    _expect(isinstance(value, str) and value, path, "must be a nonempty string")
+    _expect("\0" not in value, path, "must hold no NUL character")
+    return value
+
+
 def check_seed(value, path: str) -> int:
     """A seed in [0, 2**64): the random streams key on the seed mod 2**64, so any other would rerun one of those."""
     _expect(0 <= _as_int(value, path) < 2**64, path, "must lie in [0, 2**64)")

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import control_lab, svgplot
-from .checks import ConfigError, check_seed
+from .checks import ConfigError, check_directory, check_seed
 
 if TYPE_CHECKING:
     from .config import ControllerSpec, ExperimentConfig
@@ -67,16 +67,24 @@ def traces_to_json(result: RunResult) -> str:
 def _write_text(files: dict[Path, str]) -> None:
     """Write every file, skipping one that already holds its bytes.
 
-    If one holds other bytes, or a file stands where a directory must be, write none and make no directory.
+    If one holds other bytes, anything but a file stands where one goes, a file stands where a directory must be,
+    or a path cannot be looked up (a name too long, say), write none and make no directory.
     """
     data = {path: content.encode("utf-8") for path, content in files.items()}
-    for directory in {path.parent for path in data}:
-        found = next(p for p in (directory, *directory.parents) if p.exists())  # the root, "." or "/", exists
-        if not found.is_dir():
-            raise ConfigError(f"output directory {directory}: {found} is not a directory")
-    for path, blob in data.items():
-        if path.exists() and path.read_bytes() != blob:
-            raise ConfigError(f"refusing to overwrite {path} with different content")
+    try:
+        for checked in {path.parent for path in data}:
+            found = next(p for p in (checked, *checked.parents) if p.exists())  # the root, "." or "/", exists
+            if not found.is_dir():
+                raise ConfigError(f"output directory {checked}: {found} is not a directory")
+        for checked, blob in data.items():
+            if not checked.exists():
+                continue
+            if not checked.is_file():
+                raise ConfigError(f"output file {checked}: not a regular file")
+            if checked.read_bytes() != blob:
+                raise ConfigError(f"refusing to overwrite {checked} with different content")
+    except OSError as exc:
+        raise ConfigError(f"output path {checked}: {exc.strerror or exc}") from None
     for path, blob in data.items():
         if not path.exists():
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -89,12 +97,6 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _check_out(out: str | None) -> None:
-    """``Path("")`` is ``.``, so an empty --out would name the working directory."""
-    if out == "":
-        raise ConfigError("--out: must be a nonempty string")
-
-
 def _setup(args) -> tuple[ExperimentConfig, str, Path]:
     """The config with the command line's overrides, its fingerprint (the artifact tag) and the output directory."""
     from . import config as cfgmod
@@ -102,9 +104,8 @@ def _setup(args) -> tuple[ExperimentConfig, str, Path]:
     cfg = cfgmod.load_config(args.config)
     if args.seed is not None:
         cfg = cfgmod.with_seed(cfg, check_seed(args.seed, "--seed"))
-    _check_out(args.out)
     if args.out is not None:
-        cfg = replace(cfg, output=replace(cfg.output, directory=args.out))
+        cfg = replace(cfg, output=replace(cfg.output, directory=check_directory(args.out, "--out")))
     if args.format is not None:
         formats = cfgmod.check_formats([f.strip() for f in args.format.split(",") if f.strip()], "--format")
         cfg = replace(cfg, output=replace(cfg.output, formats=formats))
@@ -273,7 +274,8 @@ def cmd_compare(args) -> int:
 def _synth_k_values(args) -> list[float] | None:
     """Check every synth flag; returns the parsed --k-values of a corridor run."""
     check_seed(args.seed, "--seed")
-    _check_out(args.out)
+    if args.out is not None:
+        check_directory(args.out, "--out")
     for name in control_lab.RULES:
         control_lab.check(name, getattr(args, name), "--" + name)
     if not args.corridor:

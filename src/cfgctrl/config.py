@@ -29,7 +29,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .checks import ConfigError, _as_int, _as_number, _expect, check_seed
+from .checks import ConfigError, _as_int, _as_number, _expect, check_directory, check_seed
 from .flow_systems import FlowSystem, GaussComponent
 from .guidance import CONTROLLERS, ControlLaw
 
@@ -208,7 +208,7 @@ class OutputSpec:
     formats: tuple[str, ...] = ("csv", "json")
 
     def __post_init__(self):
-        _expect(isinstance(self.directory, str) and self.directory, "output.directory", "must be a nonempty string")
+        check_directory(self.directory, "output.directory")
         object.__setattr__(self, "formats", check_formats(self.formats, "output.formats"))
 
 

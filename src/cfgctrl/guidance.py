@@ -14,8 +14,10 @@ controllers acting on the prediction gap e = v_cond - v_uncond:
 Vector arguments may carry leading batch axes; everything broadcasts row-wise,
 and a gain (``w``, ``lam``, ``k``) may be an (n, 1) column holding one value
 per row, which gives each row the bits of its scalar.
-A :class:`ControlLaw` is a frozen value. A step takes the law's state before
-it and returns the state after it (smc's :class:`SlidingState`, else None).
+A :class:`ControlLaw` is a frozen value and the only home of its gains. A step
+takes the law's state before it and returns the state after it (smc's
+:class:`SlidingState`, which holds only the surface's history, else None);
+the :class:`StepContext` that it also takes holds only the pass's step data.
 A law never writes into its arguments and returns a fresh array, which the
 caller may overwrite. It builds that array in place, each operation on the
 operands of its docstring's formula in their order, so the bits are the formula's.
@@ -56,39 +58,31 @@ def check_keys(variant: str, values: dict) -> None:
 
 @dataclass(frozen=True)
 class StepContext:
-    """Discrete step bookkeeping handed to a control law."""
+    """The pass's data for one step, which every law it steps shares; a law's gains live in the law."""
 
     index: int
     total_steps: int
     tau: float
     dtau: float
-    w: float | np.ndarray  # a scalar, or an (n, 1) column of per-row gains
 
     def __post_init__(self):
         if not 0 <= self.index < self.total_steps:
             raise ValueError(f"step index {self.index} outside [0, {self.total_steps})")
         if not self.dtau > 0.0:  # written so that NaN fails it
             raise ValueError("step size must be positive")
-        check_keys("cfg", {"w": self.w})  # every law's gain w meets the key _W, as cfg's does
 
 
 @dataclass(frozen=True)
 class SlidingState:
-    """State of the sliding-mode law, one row per trajectory it steps.
+    """History of the sliding-mode law's surface, one row per trajectory it steps; its gains live in the law.
 
     ``e_prev`` is absent only before the first step. It always stores the raw
     measured gap, never the corrected one, so the surface reflects the true
     system dynamics.
     """
 
-    lam: float | np.ndarray  # lam and k: a scalar, or an (n, 1) column of per-row gains
-    k: float | np.ndarray
-    boundary_layer: float = 0.0
     e_prev: np.ndarray | None = None
     s: np.ndarray | None = None
-
-    def __post_init__(self):
-        check_keys("smc", {"lambda": self.lam, "k": self.k, "boundary_layer": self.boundary_layer})
 
 
 @dataclass(frozen=True)
@@ -122,7 +116,7 @@ class ControlLaw:
 
     def initial_state(self) -> SlidingState | None:
         """The state before the first step: a fresh SlidingState for smc, None for every other law."""
-        return SlidingState(self.lam, self.k, self.boundary_layer) if self.variant == "smc" else None
+        return SlidingState() if self.variant == "smc" else None
 
 
 def _operands(v_c, v_u) -> tuple[np.ndarray, np.ndarray]:
@@ -241,9 +235,12 @@ def rectified_cfgpp_combine(
 def smc_step(
     v_c: np.ndarray,
     v_u: np.ndarray,
-    ctx: StepContext,
     state: SlidingState,
-) -> tuple[np.ndarray, SlidingState, dict[str, np.ndarray]]:
+    w: float | np.ndarray,
+    lam: float | np.ndarray,
+    k: float | np.ndarray,
+    boundary_layer: float = 0.0,
+) -> tuple[np.ndarray, SlidingState, np.ndarray]:
     """One sliding-mode guidance update.
 
     Measures the gap e = v_c - v_u, forms the sliding surface
@@ -251,23 +248,24 @@ def smc_step(
     applies the switching correction delta_e = -k * sign(s) (or its saturated
     version when a boundary layer is enabled), and combines
     v_hat = v_u + w * (e + delta_e). Returns the guided velocity, the next
-    state (storing the uncorrected e), and {"s": s, "delta_e": delta_e}.
+    state (the uncorrected e, and s) and delta_e. The gains meet smc's
+    config keys, as the law's do, else ValueError naming the key.
     """
     v_c, v_u = _operands(v_c, v_u)
+    check_keys("smc", {"w": w, "lambda": lam, "k": k, "boundary_layer": boundary_layer})
     e = v_c - v_u  # e and s are fresh every step: the state keeps them
     e_prev = e if state.e_prev is None else state.e_prev
     s = e - e_prev
-    delta_e = np.multiply(state.lam, e_prev)  # then the switch, then the correction
+    delta_e = np.multiply(lam, e_prev)  # then the switch, then the correction
     np.add(s, delta_e, out=s)
-    if state.boundary_layer > 0.0:
-        np.clip(np.divide(s, state.boundary_layer, out=delta_e), -1.0, 1.0, out=delta_e)
+    if boundary_layer > 0.0:
+        np.clip(np.divide(s, boundary_layer, out=delta_e), -1.0, 1.0, out=delta_e)
     else:
         np.sign(s, out=delta_e)
-    np.multiply(-state.k, delta_e, out=delta_e)
+    np.multiply(-k, delta_e, out=delta_e)
     v_hat = e + delta_e  # e_corrected
-    np.add(v_u, np.multiply(ctx.w, v_hat, out=v_hat), out=v_hat)
-    new_state = SlidingState(state.lam, state.k, state.boundary_layer, e, s)  # cheaper than dataclasses.replace
-    return v_hat, new_state, {"s": s, "delta_e": delta_e}
+    np.add(v_u, np.multiply(w, v_hat, out=v_hat), out=v_hat)
+    return v_hat, SlidingState(e, s), delta_e
 
 
 def apply_controller(
@@ -310,7 +308,9 @@ def _rectified_cfgpp_step(law, v_c, v_u, x, ctx, evaluator, state):
 
 
 def _smc_step(law, v_c, v_u, x, ctx, evaluator, state):
-    v_hat, state, _ = smc_step(v_c, v_u, ctx, state)
+    if state is None:
+        raise ValueError("smc steps from a state: pass law.initial_state() at the first step")
+    v_hat, state, _ = smc_step(v_c, v_u, state, law.w, law.lam, law.k, law.boundary_layer)
     return v_hat, state
 
 

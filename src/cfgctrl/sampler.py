@@ -159,8 +159,8 @@ def _integrate_rows(
     def guided(step: int, t: float, v_c, v_u, points, update_state: bool) -> np.ndarray:
         """Each law's velocity on its rows, its next state kept if ``update_state``."""
         out = None if len(laws) == 1 else np.empty_like(x)  # every block writes its rows
+        ctx = StepContext(step, n_steps, t, dtau)
         for j, (law, rows) in enumerate(zip(laws, blocks)):
-            ctx = StepContext(step, n_steps, t, dtau, law.w)
             v, state = apply_controller(law, v_c[rows], v_u[rows], points[rows], ctx, evaluator, states[j])
             if update_state and state is not None:
                 states[j] = state

@@ -67,13 +67,15 @@ CONFIGS = {
     "permuted_left": ("permuted", {"system.target": "left"}),
     "d9_one": ("d9", {"system.conditions.one": [4], "system.target": "one"}),
     # sweeps, each one lockstep pass whose swept gain is a per-row column: lambda and k on the reference smc law,
-    # w on rectified_cfgpp under Heun recording paths, w on the boundary layer, and w on the d = 9 full-covariance
+    # w on rectified_cfgpp under Heun recording paths, w and k on the boundary layer (k's column is the only gain
+    # column of lambda or k through the saturated switch, in both Heun stages), and w on the d = 9 full-covariance
     # system, where w = 1e7 diverges
     "sweep_lambda": ("reference", {"sweep": {"parameter": "lambda", "values": [3, 4.5, 6, 9]}}),
     "sweep_k": ("reference", {"sweep": {"parameter": "k", "values": [0, 0.05, 0.1, 0.5, 2]}}),
     "sweep_rectified": ("reference", {"controller": {"type": "rectified_cfgpp", "w": 5.0}, **HEUN_PATHS,
                                       "sweep": {"parameter": "w", "values": [1, 2, 5, 10]}}),
     "sweep_boundary": ("boundary", {"sweep": {"parameter": "w", "values": [1, 2, 5, 10, 15]}}),
+    "sweep_k_boundary": ("boundary", {"sweep": {"parameter": "k", "values": [0, 0.05, 0.1, 0.5, 2]}}),
     "sweep_d9": ("d9", {"sweep": {"parameter": "w", "values": [1, 5, 1e7]}}),
 }
 
@@ -95,6 +97,7 @@ COMMANDS = [argv.split() for argv in (
     "sweep --config sweep_k",
     "sweep --config sweep_rectified",
     "sweep --config sweep_boundary",
+    "sweep --config sweep_k_boundary",
     "sweep --config sweep_d9",
     "run --config boundary",
     f"compare --config boundary --controllers {LAWS}",

@@ -102,7 +102,7 @@ def reference_row(system, law, sampler, cond, x0):
 
     def guided(points, i, t, state):
         v_c, v_u = evaluator(points, t)
-        ctx = StepContext(i, sampler.steps, t, sampler.dtau, law.w)
+        ctx = StepContext(i, sampler.steps, t, sampler.dtau)
         return (v_c - v_u, *apply_controller(law, v_c, v_u, points, ctx, evaluator, state))
 
     def norm(a):  # over the last axis of the row: a 1-D norm goes through dot, which can round differently

@@ -19,7 +19,6 @@ from cfgctrl.config import ControllerSpec, SamplerSpec, load_config, with_seed
 from cfgctrl.control_lab import PerturbedDynamics, corridor_sweep, simulate_sliding, stability_corridor
 from cfgctrl.flow_systems import default_bandwidth, marginal_velocity, mc_velocity_oracle
 from cfgctrl.guidance import SlidingState, apg_combine, cfg_combine, cfg_zero_star_combine, smc_step
-from cfgctrl.guidance import StepContext
 from cfgctrl.metrics import (
     audit_surface_series,
     chi_mean,
@@ -69,7 +68,6 @@ def high_scale_runs(reference):
 def test_a1_controller_identities():
     t0 = time.time()
     rng = Rng(1001)
-    ctx = StepContext(3, 10, 0.3, 0.1, 1.0)
     max_err = 0.0
     for _ in range(1000):
         v_c, v_u = rng.standard_normal((2, 4))
@@ -89,8 +87,7 @@ def test_a1_controller_identities():
         czs_gap = cfg_zero_star_combine(v_c, v_u, w) - (s_star * v_u + w * residual)
         max_err = max(max_err, float(np.abs(czs_gap).max()))
 
-        ctx_w = StepContext(3, 10, 0.3, 0.1, w)
-        v_smc, _, _ = smc_step(v_c, v_u, ctx_w, SlidingState(lam=6.0, k=0.0))
+        v_smc, _, _ = smc_step(v_c, v_u, SlidingState(), w=w, lam=6.0, k=0.0)
         smc_gap = v_smc - cfg_combine(v_c, v_u, w)
         max_err = max(max_err, float(np.abs(smc_gap).max()))
     elapsed = time.time() - t0
@@ -98,7 +95,6 @@ def test_a1_controller_identities():
     report(f"A1 (identities): {'PASS' if ok else 'FAIL'} - max deviation {max_err:.2e} over 1000 inputs, {elapsed:.2f}s")
     assert max_err <= 1e-12
     assert elapsed < 1.0
-    del ctx
 
 
 def test_a2_oracle_equivalence(reference):

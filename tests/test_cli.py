@@ -48,15 +48,34 @@ def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
 
 
-def assert_out_refused(tmp_path, capsys, under_file, *argv):
-    """With --out naming a file, or a path under one, the command exits 2 naming it and leaves the tree as it was."""
+# each way an --out can be unwritable, and the start of the one-line error that names it
+BLOCKED_OUT = {
+    "file": "output directory ",  # --out names a file
+    "under_file": "output directory ",  # a path under a file
+    "directory_at_an_artifact": "output file ",  # a directory stands where one of the command's files goes
+    "name_too_long": "output path ",  # a 300-character name, which the system refuses to look up
+    "nul": "--out: must hold no NUL character",  # which no path holds
+}
+
+
+def assert_out_refused(tmp_path, capsys, blocked, *argv):
+    """With --out blocked as ``BLOCKED_OUT[blocked]`` says, the command exits 2 naming it and leaves the tree as it
+    was."""
     blocker = tmp_path / "taken"
     blocker.write_text("a file\n")
-    out = blocker / "sub" if under_file else blocker
+    out = {"file": blocker, "under_file": blocker / "sub", "directory_at_an_artifact": tmp_path / "o",
+           "name_too_long": tmp_path / ("x" * 300), "nul": f"{tmp_path}/o\0ut"}[blocked]
+    if blocked == "directory_at_an_artifact":
+        assert run_cli(*argv, "--out", out) == 0
+        artifact = min(out.iterdir())
+        artifact.unlink()
+        artifact.mkdir()
+        capsys.readouterr()
     before = sorted(tmp_path.rglob("*"))
     assert run_cli(*argv, "--out", out) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("config error: output directory ") and str(out) in err
+    assert err.count("\n") == 1 and err.startswith("config error: " + BLOCKED_OUT[blocked])
+    assert blocked == "nul" or str(out) in err
     assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == "a file\n"
 
 
@@ -125,9 +144,9 @@ class TestRun:
         assert err.count("\n") == 1 and f"need at least 3 non-divergent samples, got {trajectories}" in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("under_file", [False, True])
-    def test_out_blocked_by_a_file_exits_2(self, tmp_path, capsys, under_file):
-        assert_out_refused(tmp_path, capsys, under_file, "run", "--config", REFERENCE_CONFIG)
+    @pytest.mark.parametrize("blocked", BLOCKED_OUT)
+    def test_out_blocked_by_a_file_exits_2(self, tmp_path, capsys, blocked):
+        assert_out_refused(tmp_path, capsys, blocked, "run", "--config", REFERENCE_CONFIG)
 
     def test_rectified_power_past_the_floats_exits_3(self, tmp_path, capsys):
         # tau**gamma at tau = 1e-4 and gamma = -80 is past the floats: every row is flagged, nothing is written
@@ -576,9 +595,9 @@ class TestSynth:
         assert run_cli("synth", *flags, "--out", out) == 0
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
-    @pytest.mark.parametrize("under_file", [False, True])
-    def test_out_blocked_by_a_file_exits_2(self, tmp_path, capsys, under_file):
-        assert_out_refused(tmp_path, capsys, under_file, "synth", "--steps", "50")
+    @pytest.mark.parametrize("blocked", BLOCKED_OUT)
+    def test_out_blocked_by_a_file_exits_2(self, tmp_path, capsys, blocked):
+        assert_out_refused(tmp_path, capsys, blocked, "synth", "--steps", "50")
 
     def test_overflow_exits_3_without_artifacts(self, tmp_path, capsys):
         out = tmp_path / "o"

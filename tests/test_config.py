@@ -478,6 +478,7 @@ BUILT_HOLES = {
     "numpy_index": (lambda cfg: replace(cfg.system, conditions={"right": (np.int64(0),)}),
                     "system.conditions.right: must be an integer"),
     "empty_directory": (lambda cfg: OutputSpec("", ("png",)), "output.directory: must be a nonempty string"),
+    "nul_in_directory": (lambda cfg: OutputSpec("o\0ut"), "output.directory: must hold no NUL character"),
     "png_format": (lambda cfg: replace(cfg.output, formats=("png",)), "output.formats: unknown format 'png'"),
     "negative_sweep_value": (lambda cfg: replace(cfg, sweep=SweepSpec("w", (-1.0, 2.0))),
                              "sweep.values: guidance scale must be nonnegative"),

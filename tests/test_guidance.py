@@ -22,8 +22,8 @@ from cfgctrl.guidance import (
 from cfgctrl.numerics import Rng
 
 
-def ctx_at(index=0, total=10, tau=0.1, dtau=0.1, w=5.0):
-    return StepContext(index, total, tau, dtau, w)
+def ctx_at(index=0, total=10, tau=0.1, dtau=0.1):
+    return StepContext(index, total, tau, dtau)
 
 
 class TestCfgCombine:
@@ -150,60 +150,51 @@ class TestCfgZeroStar:
 
 class TestSmcStep:
     def test_first_step_by_hand(self):
-        state = SlidingState(lam=5.0, k=0.1)
-        ctx = ctx_at(w=1.0)
         v_u = np.zeros(2)
         v_c = np.array([1.0, 0.0])
-        v_hat, new_state, diag = smc_step(v_c, v_u, ctx, state)
-        assert np.allclose(diag["s"], [5.0, 0.0])
-        assert np.allclose(diag["delta_e"], [-0.1, 0.0])
+        v_hat, new_state, delta_e = smc_step(v_c, v_u, SlidingState(), w=1.0, lam=5.0, k=0.1)
+        assert np.allclose(new_state.s, [5.0, 0.0])
+        assert np.allclose(delta_e, [-0.1, 0.0])
         assert np.allclose(v_hat, [0.9, 0.0])
         assert np.array_equal(new_state.e_prev, [1.0, 0.0])
 
     def test_k_zero_matches_cfg_bitwise(self):
         rng = Rng(25)
-        state = SlidingState(lam=6.0, k=0.0)
-        ctx = ctx_at(w=4.0)
+        state = SlidingState()
         for _ in range(50):
             v_c, v_u = rng.standard_normal((2, 3))
-            v_hat, state, _ = smc_step(v_c, v_u, ctx, state)
+            v_hat, state, _ = smc_step(v_c, v_u, state, w=4.0, lam=6.0, k=0.0)
             assert np.array_equal(v_hat, cfg_combine(v_c, v_u, 4.0))
 
     def test_surface_recurrence_geometric_sequence(self):
         # e_n = (1 - lam) e_{n-1} sits on the surface: s = 0 from step 1 on.
         lam = 3.0
-        state = SlidingState(lam=lam, k=0.5)
-        ctx = ctx_at(w=1.0)
+        state = SlidingState()
         e = np.array([2.0, -1.0])
         v_u = np.zeros(2)
         for step in range(6):
-            _, state, diag = smc_step(e, v_u, ctx, state)
+            _, state, delta_e = smc_step(e, v_u, state, w=1.0, lam=lam, k=0.5)
             if step > 0:
-                assert np.allclose(diag["s"], 0.0, atol=1e-12)
-                assert np.array_equal(diag["delta_e"], np.zeros(2))
+                assert np.allclose(state.s, 0.0, atol=1e-12)
+                assert np.array_equal(delta_e, np.zeros(2))
             e = (1.0 - lam) * e
 
     def test_switch_bounded_by_k(self):
         rng = Rng(26)
-        state = SlidingState(lam=6.0, k=0.37)
-        ctx = ctx_at(w=2.0)
+        state = SlidingState()
         for _ in range(50):
             v_c, v_u = rng.standard_normal((2, 4))
-            _, state, diag = smc_step(v_c, v_u, ctx, state)
-            assert np.abs(diag["delta_e"]).max() <= 0.37 + 1e-15
+            _, state, delta_e = smc_step(v_c, v_u, state, w=2.0, lam=6.0, k=0.37)
+            assert np.abs(delta_e).max() <= 0.37 + 1e-15
 
     def test_boundary_layer_saturates(self):
-        state = SlidingState(lam=5.0, k=1.0, boundary_layer=10.0)
-        ctx = ctx_at(w=1.0)
         v_c = np.array([0.4, 0.0])  # first step: s = lam * e = (2, 0), inside layer
-        _, _, diag = smc_step(v_c, np.zeros(2), ctx, state)
-        assert np.allclose(diag["delta_e"], [-0.2, 0.0])
+        _, _, delta_e = smc_step(v_c, np.zeros(2), SlidingState(), w=1.0, lam=5.0, k=1.0, boundary_layer=10.0)
+        assert np.allclose(delta_e, [-0.2, 0.0])
 
     def test_stores_uncorrected_error(self):
-        state = SlidingState(lam=5.0, k=0.3)
-        ctx = ctx_at(w=1.0)
         v_c = np.array([1.0, -2.0])
-        _, state, _ = smc_step(v_c, np.zeros(2), ctx, state)
+        _, state, _ = smc_step(v_c, np.zeros(2), SlidingState(), w=1.0, lam=5.0, k=0.3)
         assert np.array_equal(state.e_prev, v_c)
 
 
@@ -228,20 +219,20 @@ class TestRectifiedCfgpp:
     def test_zero_gain_returns_conditional(self, system):
         ev = self.evaluator(system, "right")
         x = np.array([0.5, 0.5])
-        ctx = ctx_at(index=2, total=10, tau=0.3, dtau=0.05, w=3.0)
+        ctx = ctx_at(index=2, total=10, tau=0.3, dtau=0.05)
         out = rectified_cfgpp_combine(ev, x, ctx, 0.0, 1.0)
         assert np.array_equal(out, marginal_velocity(system, x, 0.3, "right"))
 
     def test_zero_gap_system_returns_conditional(self, system):
         ev = self.evaluator(system, "all")
         x = np.array([0.2, -0.4])
-        ctx = ctx_at(index=2, total=10, tau=0.3, dtau=0.05, w=3.0)
+        ctx = ctx_at(index=2, total=10, tau=0.3, dtau=0.05)
         out = rectified_cfgpp_combine(ev, x, ctx, 4.0, 1.0)
         assert np.allclose(out, marginal_velocity(system, x, 0.3, "all"), atol=1e-14)
 
     def test_power_past_the_floats_gives_an_infinite_gain(self, system):
         # tau**gamma at tau = 1e-4, gamma = -80 is past the floats: a float power raises there, numpy's gives inf
-        ctx = ctx_at(index=0, total=10, tau=1e-4, dtau=0.1, w=5.0)
+        ctx = ctx_at(index=0, total=10, tau=1e-4, dtau=0.1)
         with np.errstate(all="ignore"):
             out = rectified_cfgpp_combine(self.evaluator(system, "right"), np.array([0.5, 0.5]), ctx, 4.0, -80.0)
         assert not np.isfinite(out).any()
@@ -250,7 +241,7 @@ class TestRectifiedCfgpp:
         # a batch evaluates that row at the origin, and its non-finite v_c keeps its output non-finite
         ev = self.evaluator(system, "right")
         x = np.array([[0.1, 0.8], [0.3, -0.2], [-0.5, 0.4]])
-        ctx = ctx_at(index=2, total=10, tau=0.3, dtau=0.05, w=3.0)
+        ctx = ctx_at(index=2, total=10, tau=0.3, dtau=0.05)
         v_c = ev(x, 0.3)[0]
         v_c[1, 0] = np.inf
         with np.errstate(invalid="ignore"):
@@ -279,7 +270,7 @@ class TestRectifiedCfgpp:
         x = np.array([0.1, 0.8])
         tau, dtau = 0.4, 0.1
         lam_max, gamma = 2.5, 1.3
-        ctx = ctx_at(index=4, total=10, tau=tau, dtau=dtau, w=3.0)
+        ctx = ctx_at(index=4, total=10, tau=tau, dtau=dtau)
         out = rectified_cfgpp_combine(self.evaluator(system, "right"), x, ctx, lam_max, gamma)
 
         v_c = marginal_velocity(system, x, tau, "right")
@@ -296,7 +287,7 @@ class TestApplyController:
         rng = Rng(27)
         v_c, v_u = rng.standard_normal((2, 3))
         law = ControlLaw("cfg", w=2.5)
-        out, state = apply_controller(law, v_c, v_u, np.zeros(3), ctx_at(w=2.5), state=law.initial_state())
+        out, state = apply_controller(law, v_c, v_u, np.zeros(3), ctx_at(), state=law.initial_state())
         assert np.array_equal(out, cfg_combine(v_c, v_u, 2.5))
         assert state is None
 
@@ -304,7 +295,7 @@ class TestApplyController:
         rng = Rng(28)
         v_c, v_u = rng.standard_normal((2, 3))
         law = ControlLaw("weight_schedule", w=6.0, shape="linear")
-        ctx = ctx_at(index=9, total=10, w=6.0)
+        ctx = ctx_at(index=9, total=10)
         out, state = apply_controller(law, v_c, v_u, np.zeros(3), ctx)
         assert np.array_equal(out, cfg_combine(v_c, v_u, 6.0))
         assert state is None
@@ -321,18 +312,23 @@ class TestApplyController:
         law = ControlLaw("smc", w=2.0, lam=5.0, k=0.1)
         rng = Rng(29)
         v_c, v_u = rng.standard_normal((2, 3))
-        _, state = apply_controller(law, v_c, v_u, np.zeros(3), ctx_at(w=2.0), state=law.initial_state())
+        _, state = apply_controller(law, v_c, v_u, np.zeros(3), ctx_at(), state=law.initial_state())
         e_after, s_after = state.e_prev.copy(), state.s.copy()
         v_c2, v_u2 = rng.standard_normal((2, 3))
-        _, discarded = apply_controller(law, v_c2, v_u2, np.zeros(3), ctx_at(index=1, w=2.0), state=state)
+        _, discarded = apply_controller(law, v_c2, v_u2, np.zeros(3), ctx_at(index=1), state=state)
         assert np.array_equal(state.e_prev, e_after) and np.array_equal(state.s, s_after)  # the state given is kept
         assert not np.array_equal(discarded.e_prev, e_after)
+
+    def test_smc_without_a_state_is_refused(self):
+        law = ControlLaw("smc", w=2.0)
+        with pytest.raises(ValueError, match=r"^smc steps from a state: pass law\.initial_state\(\)"):
+            apply_controller(law, np.ones(3), np.zeros(3), np.zeros(3), ctx_at())
 
     def test_reset_clears_state(self):
         law = ControlLaw("smc", w=2.0, lam=5.0, k=0.1)
         rng = Rng(30)
         v_c, v_u = rng.standard_normal((2, 3))
-        _, state = apply_controller(law, v_c, v_u, np.zeros(3), ctx_at(w=2.0), state=law.initial_state())
+        _, state = apply_controller(law, v_c, v_u, np.zeros(3), ctx_at(), state=law.initial_state())
         assert state.e_prev is not None
         assert law.initial_state().e_prev is None
 
@@ -349,18 +345,18 @@ def refused(field: str, message: str, valid: float, bad: float | None = None) ->
 class TestNanRefused:
     """Every bound is written so that NaN fails it; a per-row gain column fails it on any one entry."""
 
-    @pytest.mark.parametrize("field, message, value",
-                             refused("dtau", "step size", 0.1) + refused("w", "guidance scale", 5.0, -1.0))
+    @pytest.mark.parametrize("field, message, value", refused("dtau", "step size", 0.1))
     def test_step_context(self, field, message, value):
         with pytest.raises(ValueError, match=message):
             ctx_at(**{field: value})
 
-    @pytest.mark.parametrize("field, key, value", refused("lam", "lambda", 6.0, 0.0) + refused("k", "k", 0.1, -0.5)
-                             + refused("boundary_layer", "boundary_layer", 0.0))
-    def test_sliding_state(self, field, key, value):
-        message = f"^{key}: {CONTROLLERS['smc'].keys[key].message}$"  # the state and the law name the config key
+    @pytest.mark.parametrize("field, key, value", refused("w", "w", 5.0, -1.0) + refused("lam", "lambda", 6.0, 0.0)
+                             + refused("k", "k", 0.1, -0.5) + refused("boundary_layer", "boundary_layer", 0.0))
+    def test_smc_step(self, field, key, value):
+        message = f"^{key}: {CONTROLLERS['smc'].keys[key].message}$"  # the step and the law name the config key
+        gains = {"w": 5.0, "lam": 6.0, "k": 0.1, "boundary_layer": 0.0} | {field: value}
         with pytest.raises(ValueError, match=message):
-            SlidingState(**{"lam": 6.0, "k": 0.1, field: value})
+            smc_step(np.ones((3, 2)), np.zeros((3, 2)), SlidingState(), **gains)
         with pytest.raises(ValueError, match=message):
             ControlLaw("smc", **{field: value})
 
@@ -413,12 +409,11 @@ def test_gain_column_gives_each_row_its_scalar_bits(variant, field, params):
     column_state, states = column.initial_state(), [law.initial_state() for law in scalars]
     for step in range(4):  # smc carries its surface from step to step
         v_c, v_u, x = rng.standard_normal((3, len(gains), 3))
-        got, column_state = apply_controller(column, v_c, v_u, x, ctx_at(step, tau=0.2 * step + 0.1, w=column.w),
-                                             evaluator, column_state)
+        ctx = ctx_at(step, tau=0.2 * step + 0.1)
+        got, column_state = apply_controller(column, v_c, v_u, x, ctx, evaluator, column_state)
         for i, law in enumerate(scalars):
             rows = slice(i, i + 1)
-            want, states[i] = apply_controller(law, v_c[rows], v_u[rows], x[rows],
-                                               ctx_at(step, tau=0.2 * step + 0.1, w=law.w), evaluator, states[i])
+            want, states[i] = apply_controller(law, v_c[rows], v_u[rows], x[rows], ctx, evaluator, states[i])
             assert got[rows].tobytes() == want.tobytes(), (step, i)
             if column_state is not None:
                 assert column_state.s[rows].tobytes() == states[i].s.tobytes(), (step, i)
@@ -430,13 +425,13 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def formula_smc_step(v_c, v_u, w, state: SlidingState):
+def formula_smc_step(v_c, v_u, state: SlidingState, w, lam, k, boundary_layer):
     """smc_step as its docstring writes it, one fresh array per operation: (v_hat, e, s, delta_e)."""
     e = v_c - v_u
     e_prev = e if state.e_prev is None else state.e_prev
-    s = (e - e_prev) + state.lam * e_prev
-    switch = np.clip(s / state.boundary_layer, -1.0, 1.0) if state.boundary_layer > 0.0 else np.sign(s)
-    delta_e = -state.k * switch
+    s = (e - e_prev) + lam * e_prev
+    switch = np.clip(s / boundary_layer, -1.0, 1.0) if boundary_layer > 0.0 else np.sign(s)
+    delta_e = -k * switch
     return v_u + w * (e + delta_e), e, s, delta_e
 
 
@@ -467,7 +462,7 @@ class TestInPlaceSafety:
         for step, tau in enumerate((0.3, 0.4, 0.5)):
             v_c, v_u = evaluator(x, tau)
             given = [state.e_prev, state.s] if state is not None and state.e_prev is not None else []
-            out, state = apply_controller(law, v_c, v_u, x, StepContext(step, 3, tau, 0.1, law.w), evaluator, state)
+            out, state = apply_controller(law, v_c, v_u, x, StepContext(step, 3, tau, 0.1), evaluator, state)
             held = [v_c, v_u, x] + given + ([state.e_prev, state.s] if state is not None else [])
             assert out.shape == x.shape and out.flags.writeable
             assert not any(np.shares_memory(out, a) for a in held), (variant, step)
@@ -476,16 +471,18 @@ class TestInPlaceSafety:
     @pytest.mark.parametrize("boundary_layer", [0.0, 0.05])
     def test_two_smc_steps_keep_the_formula_bits(self, shape, boundary_layer):
         rng = Rng(41)
-        state = expected = SlidingState(lam=6.0, k=0.1, boundary_layer=boundary_layer)
+        state = expected = SlidingState()
+        gains = {"w": 5.0, "lam": 6.0, "k": 0.1, "boundary_layer": boundary_layer}
         for step in range(2):
             v_c, v_u = map(read_only, rng.standard_normal((2,) + shape))
-            v_hat, state, diag = smc_step(v_c, v_u, ctx_at(index=step, w=5.0), state)
-            want, e, s, delta_e = formula_smc_step(v_c, v_u, 5.0, expected)
-            expected = SlidingState(6.0, 0.1, boundary_layer, e_prev=e, s=s)
+            v_hat, state, got_delta_e = smc_step(v_c, v_u, state, **gains)
+            want, e, s, delta_e = formula_smc_step(v_c, v_u, expected, **gains)
+            expected = SlidingState(e_prev=e, s=s)
             assert v_hat.tobytes() == want.tobytes()
-            assert diag["delta_e"].tobytes() == delta_e.tobytes()
+            assert got_delta_e.tobytes() == delta_e.tobytes()
             assert state.e_prev.tobytes() == e.tobytes() and state.s.tobytes() == s.tobytes()
-            assert diag["s"] is state.s and not np.shares_memory(state.s, state.e_prev)
+            held = [v_hat, state.e_prev, state.s, got_delta_e]
+            assert not any(np.shares_memory(a, b) for i, a in enumerate(held) for b in held[:i])
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_combines_keep_the_formula_bits(self, system, shape):
@@ -506,7 +503,7 @@ class TestInPlaceSafety:
             return velocity_pair(system, x, tau, "one")
 
         x = read_only(rng.standard_normal(shape))
-        ctx = ctx_at(index=3, total=10, tau=0.4, dtau=0.1, w=w)
+        ctx = ctx_at(index=3, total=10, tau=0.4, dtau=0.1)
         v_c, v_u = evaluator(x, 0.4)
         v_c_mid, v_u_mid = evaluator(x + 0.5 * 0.1 * v_c, 0.45)
         want = v_c + (2.5 * 0.4**1.3) * (v_c_mid - v_u_mid)

@@ -339,6 +339,17 @@ class TestRunBatches:
         with pytest.raises(ValueError, match="^combine refused$"):
             run_batch(two_comp_config(ControllerSpec("cfg", {"w": 5.0}), steps=12, trajectories=3))
 
+    def test_a_stage_checks_only_the_gains_its_law_functions_take(self, monkeypatch):
+        # a built law's gains were checked when it was built; per stage only smc_step, apg_combine and
+        # weight_schedule check the gains they are handed
+        calls = []
+        real = cfgctrl.guidance.check_keys
+        monkeypatch.setattr(cfgctrl.guidance, "check_keys", lambda *args: calls.append(args[0]) or real(*args))
+        cfg = lockstep_config("euler", record_x=False)
+        run_batches(cfg, list(COMPARE_LAWS))
+        steps = cfg.sampler.steps
+        assert sorted(calls) == ["apg"] * steps + ["smc"] * steps + ["weight_schedule"] * steps
+
     def test_sweep_refuses_a_config_without_a_sweep_block(self):
         with pytest.raises(ConfigError, match=r"^sweep: block missing from config$"):
             run_sweep(two_comp_config(SMC, steps=12, trajectories=3))
