@@ -27,10 +27,11 @@ def _as_number(value, path: str) -> float:
     return float(value)
 
 
-def _as_int(value, path: str, minimum: int | None = None) -> int:
-    """An integer no smaller than ``minimum``; JSON booleans are refused."""
+def _as_int(value, path: str, minimum: int | None = None, maximum: int | None = None) -> int:
+    """An integer in [``minimum``, ``maximum``]; JSON booleans are refused."""
     _expect(isinstance(value, int) and not isinstance(value, bool), path, "must be an integer")
     _expect(minimum is None or value >= minimum, path, f"must be at least {minimum}")
+    _expect(maximum is None or value <= maximum, path, f"must be at most {maximum}")
     return value
 
 

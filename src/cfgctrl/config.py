@@ -36,6 +36,7 @@ from .guidance import CONTROLLERS, ControlLaw
 SWEEP_PARAMETERS = ("w", "lambda", "k")
 OUTPUT_FORMATS = ("csv", "json", "svg")
 SCHEMES = ("euler", "heun")
+_MAX_DIMENSION = int(np.iinfo(np.intp).max)  # numpy's largest array dimension
 
 
 def _require_keys(block: dict, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
@@ -171,8 +172,8 @@ class SamplerSpec:
 
     def __post_init__(self):
         _expect(self.scheme in SCHEMES, "sampler.scheme", f"unknown scheme {self.scheme!r}")
-        _as_int(self.steps, "sampler.steps", 2)
-        _as_int(self.trajectories, "sampler.trajectories", 1)
+        _as_int(self.steps, "sampler.steps", 2, _MAX_DIMENSION)
+        _as_int(self.trajectories, "sampler.trajectories", 1, _MAX_DIMENSION)
         check_seed(self.seed, "sampler.seed")
         _expect(isinstance(self.record_x, bool), "sampler.record_x", "must be a boolean")
         clamp = _as_number(self.tau_clamp, "sampler.tau_clamp")

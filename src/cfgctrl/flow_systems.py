@@ -13,12 +13,14 @@ N(tau * mu_k, tau^2 * Sigma_k + (1 - tau)^2 * I); conditioning a jointly
 Gaussian pair gives an affine per-component velocity, and components are
 combined with their posterior responsibilities at (x, tau).
 
-The kernel is coordinate-major: it evaluates a (..., d) probe on its (d, n)
-transpose, with (K, n) responsibilities, so each per-coordinate step is one
-numpy call over n contiguous values. A component whose eigenvectors are the
-identity skips both eigenbasis rotations. Constants are computed once: each
-condition's indices and log weights per system, the constants of time tau per
-call for all components. The kernel's bits equal those of the row-major
+The kernel is coordinate-major and stacked: it evaluates a (..., d) probe on
+its (d, n) transpose for all K components at once, as one (K, d, n) array and
+one (K, n) table of log densities, so each step is one numpy call for every
+component over n contiguous values. A rotated component takes its two
+eigenbasis products on its own (d, n) block; a component whose eigenvectors
+are the identity skips both. Constants are computed once: each condition's
+indices and log weights per system, the constants of time tau per call for
+all components. The kernel's bits equal those of the row-major
 per-component formula that the tests keep as the oracle.
 
 The same conditional expectation can be estimated model-free by kernel
@@ -34,7 +36,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .numerics import Rng, row_sum
+from .numerics import _PAIRWISE_MIN, Rng, row_sum
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -182,45 +184,58 @@ def _check_probe(sys: FlowSystem, x: np.ndarray, tau: float) -> np.ndarray:
     return x
 
 
-def _component_pass(sys: FlowSystem, x: np.ndarray, tau: float, log_norm: float, ks, velocity: bool):
-    """One pass over components ``ks`` at the (..., d) probe ``x`` and time tau, on its (d, n) columns.
+def _component_pass(sys: FlowSystem, x: np.ndarray, tau: float, log_norm: float, velocity: bool):
+    """One pass over every component at the (..., d) probe ``x`` and time tau, on its (d, n) columns.
 
-    Returns, per component, the (n,) log path density less the mixture
-    weight (``log_norm`` is its Gaussian normalizing term), and the
-    component's (d, n) affine velocity when ``velocity`` is set.
+    Returns the (K, n) table of each component's log path density less its
+    mixture weight (``log_norm`` is the Gaussian normalizing term), and the
+    (K, d, n) affine velocities when ``velocity`` is set. Each step is one
+    numpy call for all K components, on the operands of the per-component
+    formula; a rotated component's two products each take its own
+    contiguous (d, n) block.
     """
     xt = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)  # no copy for a Fortran-order (n, d) batch
+    d, n = xt.shape
     # the constants of every component at tau, as (K, d) arrays, each entry computed as the per-component formula would
     spectra = tau * tau * sys._eigvals + (1.0 - tau) ** 2  # path covariance eigenvalues
     half_logdets = 0.5 * np.log(spectra).sum(axis=1)  # each row summed as one contiguous (d,) array
-    shifts = tau * sys._means
+    logs = np.empty((len(spectra), n))
+    sq = np.empty(logs.shape if d < _PAIRWISE_MIN else (d, n))  # one coordinate's squares, or one component's
+    z = xt - (tau * sys._means)[:, :, None]  # (K, d, n) in C order
+    # a product with the identity could change only the sign of a zero, which _mix's closing + 0.0 drops
+    rotated = [k for k, skip in enumerate(sys._unrotated) if not skip]
+    for k in rotated:
+        z[k] = sys._eigvecs[k].T @ z[k]
+    # each component's sum of z^2 / spectrum over the coordinates, as row_sum adds its (n, d) rows
+    if d < _PAIRWISE_MIN:  # whole columns left to right, for every component at once
+        for i in range(d):  # a square is never -0.0, so row_sum's 0.0 start changes no bit
+            col = sq if i else logs
+            np.multiply(z[:, i], z[:, i], out=col)
+            col /= spectra[:, i, None]
+            if i:
+                logs += sq
+    else:  # each component's contiguous rows pairwise, never a (K, n, d) copy
+        for k in range(len(logs)):
+            np.multiply(z[k], z[k], out=sq)
+            sq /= spectra[k][:, None]
+            logs[k] = row_sum(sq.T)
+    logs *= -0.5
+    logs -= half_logdets[:, None]
+    logs -= log_norm
+    if not velocity:
+        return logs, None
     # E[x1 | x] - E[x0 | x] from joint-Gaussian conditioning, in eigenbasis.
-    gains = (tau * sys._eigvals - (1.0 - tau)) / spectra
-    sq = np.empty(xt.shape)  # every component's squares: at batch size a fresh array costs more than a pass
-    logs, vels = {}, {}
-    for k in ks:
-        q = sys._eigvecs[k]
-        buf = xt - shifts[k][:, None]
-        # a product with the identity could change only the sign of a zero, which _mix's closing + 0.0 drops
-        zt = buf if sys._unrotated[k] else q.T @ buf
-        np.multiply(zt, zt, out=sq)
-        sq /= spectra[k][:, None]
-        logs[k] = log = row_sum(sq.T)  # a fresh (n,) array
-        log *= -0.5
-        log -= half_logdets[k]
-        log -= log_norm
-        if velocity:
-            zt *= gains[k][:, None]
-            vels[k] = zt if sys._unrotated[k] else np.matmul(q, zt, out=buf)
-            vels[k] += sys._means[k][:, None]
-    return logs, vels
+    z *= ((tau * sys._eigvals - (1.0 - tau)) / spectra)[:, :, None]
+    for k in rotated:
+        z[k] = sys._eigvecs[k] @ z[k]
+    z += sys._means[:, :, None]
+    return logs, z
 
 
-def _posteriors(logs: dict, idx: np.ndarray, log_w: np.ndarray) -> np.ndarray:
+def _posteriors(logs: np.ndarray, idx: np.ndarray, log_w: np.ndarray) -> np.ndarray:
     """(K, n) responsibilities within the subset ``idx`` of log weights ``log_w``, from the logs of one pass."""
-    resp = np.empty((len(idx),) + logs[idx[0]].shape)
-    for j, k in enumerate(idx):
-        np.add(logs[k], log_w[j], out=resp[j])
+    resp = logs[idx]  # a copy
+    resp += log_w[:, None]
     return _normalize(resp)
 
 
@@ -232,7 +247,7 @@ def _normalize(logs: np.ndarray) -> np.ndarray:
     return p
 
 
-def _mix(resp: np.ndarray, vels: dict, idx: np.ndarray) -> np.ndarray:
+def _mix(resp: np.ndarray, vels: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Responsibility-weighted sum of the (d, n) velocities of the components ``idx``, in index order.
 
     Equal to the sum from +0.0 bit for bit: ((0 + a) + b) and ((a + b) + 0) differ for no a and b.
@@ -249,7 +264,7 @@ def responsibilities(sys: FlowSystem, x: np.ndarray, tau: float, cond: str | Non
     """Posterior component responsibilities at (x, tau); rows sum to 1."""
     x = _check_probe(sys, x, tau)
     idx, log_w = sys._subset(cond)
-    logs, _ = _component_pass(sys, x, tau, 0.5 * sys.dim * _LOG_2PI, idx, velocity=False)
+    logs, _ = _component_pass(sys, x, tau, 0.5 * sys.dim * _LOG_2PI, velocity=False)
     return np.ascontiguousarray(_posteriors(logs, idx, log_w).T).reshape(x.shape[:-1] + (len(idx),))
 
 
@@ -258,7 +273,7 @@ def data_responsibilities(sys: FlowSystem, x: np.ndarray, cond: str | None = Non
     x = np.asarray(x, dtype=float)
     idx, log_w = sys._subset(cond)
     # At tau = 1 the path spectrum is the covariance spectrum and the shift is the mean, exactly.
-    logs, _ = _component_pass(sys, x, 1.0, 0.0, idx, velocity=False)
+    logs, _ = _component_pass(sys, x, 1.0, 0.0, velocity=False)
     return np.ascontiguousarray(_posteriors(logs, idx, log_w).T).reshape(x.shape[:-1] + (len(idx),))
 
 
@@ -269,7 +284,7 @@ def marginal_velocity(sys: FlowSystem, x: np.ndarray, tau: float, cond: str | No
     """
     x = _check_probe(sys, x, tau)
     idx, log_w = sys._subset(cond)
-    logs, vels = _component_pass(sys, x, tau, 0.5 * sys.dim * _LOG_2PI, idx, velocity=True)
+    logs, vels = _component_pass(sys, x, tau, 0.5 * sys.dim * _LOG_2PI, velocity=True)
     return np.ascontiguousarray(_mix(_posteriors(logs, idx, log_w), vels, idx).T).reshape(x.shape)
 
 
@@ -284,12 +299,12 @@ def velocity_pair(sys: FlowSystem, x: np.ndarray, tau: float, cond: str | None) 
     x = _check_probe(sys, x, tau)
     idx_c, log_w_c = sys._subset(cond)
     idx_u, log_w_u = sys._subset(None)
-    logs, vels = _component_pass(sys, x, tau, 0.5 * sys.dim * _LOG_2PI, idx_u, velocity=True)
+    logs, vels = _component_pass(sys, x, tau, 0.5 * sys.dim * _LOG_2PI, velocity=True)
     v_u = _mix(_posteriors(logs, idx_u, log_w_u), vels, idx_u)
     if len(idx_c) == 1 and np.isfinite(logs[idx_c[0]]).all():
-        # a lone component's responsibility is exp(l - l) / 1.0 = 1.0 on every row, and 1.0 * v + 0.0 is v + 0.0
-        v_c = vels[idx_c[0]]  # v_u is done with it
-        v_c += 0.0
+        # a lone component's responsibility is exp(l - l) / 1.0 = 1.0 on every row, and 1.0 * v + 0.0 is v + 0.0;
+        # a fresh array, so that no returned velocity holds the (K, d, n) table
+        v_c = vels[idx_c[0]] + 0.0
     else:  # a row whose log is not finite gets the NaN responsibility of _normalize
         v_c = _mix(_posteriors(logs, idx_c, log_w_c), vels, idx_c)
     return v_c.T.reshape(x.shape), v_u.T.reshape(x.shape)

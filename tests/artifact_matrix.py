@@ -46,6 +46,19 @@ D9_SYSTEM = {
     "target": "odd",
 }
 
+# three components with ascending diagonal covariances, so that eigh returns the identity for each and the field
+# kernel rotates none, and a target holding two of them: the stacked pass's posterior of a subset, unrotated
+THREE_UNROTATED = {
+    "dimension": 2,
+    "components": [
+        {"weight": 0.3, "mean": [3.0, 0.0], "cov": {"diag": [0.5, 1.0]}},
+        {"weight": 0.3, "mean": [-3.0, 1.0], "cov": {"diag": [0.8, 1.5]}},
+        {"weight": 0.4, "mean": [0.0, -3.0], "cov": {"diag": [1.0, 2.0]}},
+    ],
+    "conditions": {"upper": [0, 1], "lower": [2]},
+    "target": "upper",
+}
+
 # name: (parent, patch); a patch maps a dotted path, where a number indexes a list, to the value set there
 CONFIGS = {
     "sweep": ("reference", {"sweep": {"parameter": "w", "values": [1, 2, 5, 10, 15]}}),
@@ -77,6 +90,8 @@ CONFIGS = {
     "sweep_boundary": ("boundary", {"sweep": {"parameter": "w", "values": [1, 2, 5, 10, 15]}}),
     "sweep_k_boundary": ("boundary", {"sweep": {"parameter": "k", "values": [0, 0.05, 0.1, 0.5, 2]}}),
     "sweep_d9": ("d9", {"sweep": {"parameter": "w", "values": [1, 5, 1e7]}}),
+    "three": ("reference", {"system": THREE_UNROTATED}),
+    "sweep_three": ("three", {"sweep": {"parameter": "w", "values": [1, 2, 5, 10]}}),
 }
 
 LAWS = "cfg,weight_schedule,apg,cfg_zero_star,rectified_cfgpp,smc"
@@ -107,6 +122,9 @@ COMMANDS = [argv.split() for argv in (
     f"compare --config permuted_left --controllers {LAWS}",
     "run --config d9_one",
     f"compare --config d9_one --controllers {LAWS}",
+    "run --config three",
+    f"compare --config three --controllers {LAWS}",
+    "sweep --config sweep_three",
     # the testbed: a single run, seeded gain deviations at three seeds, a sinusoidal and a noise drift, a negative
     # exponent-form flag value, and corridors, one with an overflowed gain and one whose lone converged gain's chart
     # pad underflows

@@ -212,6 +212,15 @@ class TestRun:
         ok = reference_config(tmp_path, **{"sampler.scheme": "heun", "sampler.tau_clamp": 5e-17})
         assert run_cli("run", "--config", ok, "--out", tmp_path / "o", "--format", "json") == 0
 
+    @pytest.mark.parametrize("key, value", [("steps", 10**400), ("trajectories", 2**63)],
+                             ids=["steps=10**400", "trajectories=2**63"])
+    def test_size_past_numpy_dimensions_exits_2(self, tmp_path, capsys, key, value):
+        # a traceback and exit 1 before: an OverflowError from dtau, or numpy's "Maximum allowed dimension exceeded"
+        cfg = reference_config(tmp_path, **{f"sampler.{key}": value})
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"config error: sampler.{key}: must be at most {np.iinfo(np.intp).max}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = small_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"

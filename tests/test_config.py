@@ -192,6 +192,24 @@ class TestParsing:
         raw["sampler"]["seed"] = seed
         assert config_from_dict(raw).sampler.seed == seed
 
+    @pytest.mark.parametrize("value", [2**63, 10**400], ids=["2**63", "10**400"])
+    @pytest.mark.parametrize("key", ["steps", "trajectories"])
+    def test_size_past_numpy_dimensions_rejected(self, key, value):
+        # each sizes an array axis: past np.intp, dtau overflowed or numpy refused the dimension, with a traceback
+        raw = minimal_dict()
+        raw["sampler"][key] = value
+        message = f"sampler.{key}: must be at most {np.iinfo(np.intp).max}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict(raw)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            replace(config_from_dict(minimal_dict()).sampler, **{key: value})
+
+    @pytest.mark.parametrize("key", ["steps", "trajectories"])
+    def test_size_at_numpy_dimensions_accepted(self, key):
+        raw = minimal_dict()
+        raw["sampler"][key] = int(np.iinfo(np.intp).max)
+        assert getattr(config_from_dict(raw).sampler, key) == np.iinfo(np.intp).max
+
     def test_heun_clamp_rule_is_the_samplers_arithmetic(self):
         # a Heun sampler is refused exactly where its last corrector time, tau_grid()[-1] + dtau, reaches 1
         refused = 0

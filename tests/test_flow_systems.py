@@ -1,8 +1,11 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import artifact_matrix
+from cfgctrl.config import build_system, config_from_dict
 from cfgctrl.flow_systems import (
     FlowSystem,
     GaussComponent,
@@ -324,6 +327,61 @@ class TestUnrotated:
             logs, _ = row_major_pass(system, x, tau, 0.5 * dim * np.log(2.0 * np.pi))
             got = responsibilities(system, x, tau, None)
             assert got.tobytes() == row_major_posteriors(system, logs, np.arange(3)).tobytes()
+
+
+def memory_cases(reference_system) -> dict:
+    """Name: (system, condition) for the memory tests: the reference system's lone unrotated target, the d = 9
+    artifact system (nine rotated components, a target of four), and nine identity components at d = 16."""
+    d9 = config_from_dict(artifact_matrix.configs()["d9"]).system
+    return {"reference": (reference_system, "right"), "d9": (build_system(d9), d9.target),
+            "d16_identity": (random_system(16, 9, IDENTITY, seed=16), "half")}
+
+
+class TestPairMemory:
+    """A field call holds its (K, d, n) velocities and a few narrower arrays at once, and hands back two velocities
+    that own their memory, so nothing the caller keeps holds the (K, d, n) array alive."""
+
+    @pytest.mark.parametrize("case", ["reference", "d9", "d16_identity"])
+    def test_peak_of_one_call(self, reference_system, case):
+        """On a 10,000-row probe in the lockstep pass's Fortran order, one velocity_pair call peaks within the
+        (K, d, n) velocities, the (K, n) log table, one (K, n) responsibility table and three (d, n) arrays (the
+        other velocity of the pair and the mix's sum and term), plus 64 KiB."""
+        system, cond = memory_cases(reference_system)[case]
+        k, d, n = system.n_components, system.dim, 10_000
+        x = np.asfortranarray(3.0 * Rng(5).standard_normal((n, d)))
+        velocity_pair(system, x, 0.37, cond)  # a first call may allocate caches of its own
+        tracemalloc.start()
+        try:
+            pair = velocity_pair(system, x, 0.37, cond)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 8 * n * (k * d + 2 * k + 3 * d) + 2**16
+        assert peak <= bound, f"traced peak {peak / 1e6:.2f} MB over {bound / 1e6:.2f} MB"
+        assert pair[0].shape == pair[1].shape == x.shape
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("case", ["reference", "d9", "d16_identity", "lone_rotated", "overflowed"])
+    def test_pair_owns_its_memory(self, reference_system, case, layout):
+        """v_c and v_u share no memory with each other or the probe, and neither is a view of a wider array: the
+        lone-component path, the mix, and the lone component's fallback for rows whose log overflowed."""
+        if case in ("lone_rotated", "overflowed"):
+            system, cond = TestVelocityPair.one_component_cases()["rotated"]
+            x = TestVelocityPair.overflowing_probe()
+            if case == "lone_rotated":
+                x = x[1::2]  # the rows whose squares do not overflow
+        else:
+            system, cond = memory_cases(reference_system)[case]
+            x = 3.0 * Rng(6).standard_normal((257, system.dim))
+        for probe in (np.asarray(x, order=layout), np.asarray(x[0], order=layout)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                v_c, v_u = velocity_pair(system, probe, 0.37, cond)
+            assert np.isfinite(v_c).all() == (case != "overflowed")
+            assert not np.shares_memory(v_c, v_u)
+            for v in (v_c, v_u):
+                assert not np.shares_memory(v, probe)
+                owner = v if v.base is None else v.base
+                assert owner.nbytes == v.nbytes == 8 * probe.size
 
 
 SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])
